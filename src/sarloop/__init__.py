@@ -6,17 +6,17 @@ back-projected over known poses into a complex SAR image, enhanced into an
 binary feature pipelines whose transforms must agree.
 """
 
-from .backprojection import (ImageGrid, SarImage, accumulate, backproject_scan,
-                             build_sar, derive_grid, fov_mask, fov_polygon, in_fov)
+from .backprojection import (ImageGrid, SarImage, backproject_scan, build_sar,
+                             derive_grid, fov_mask, fov_polygon, in_fov)
 from .features import (DetectorConfig, FeatureSet, Keypoint, detect_and_describe,
-                       detect_corners, get_detector, register_detector)
+                       detect_corners, register_detector)
 from .geometry import Pose2, wrap_angle
 from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
                       occupancy_from_image, otsu_threshold, positive_image, quantize)
-from .loopclose import (LoopDecision, MatchPair, MatchReport, RansacConfig,
-                        SimilarityTransform, ValidationThresholds,
-                        estimate_similarity_ransac, fuse_transform, knn_match,
-                        match_regions, ratio_test, validate_loop)
+from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTransform,
+                        ValidationThresholds, estimate_similarity_ransac,
+                        fuse_transform, knn_match, match_regions, ratio_test,
+                        validate_loop)
 from .radar import (CompressedScan, RadarConfig, RawScan, Waveform, analytic_signal,
                     compress_scan, default_pulse_half_duration, matched_filter,
                     pulse_value, range_bin_spacing, range_to_bin, synthesize_pulse)

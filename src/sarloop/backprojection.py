@@ -66,11 +66,6 @@ class SarImage:
         object.__setattr__(self, "pixels", pixels)
 
 
-def pixel_range(pixel_center: tuple[float, float], radar: Pose2) -> float:
-    """Euclidean distance from a radar pose to a pixel center."""
-    return math.hypot(pixel_center[0] - radar.x_m, pixel_center[1] - radar.y_m)
-
-
 def in_fov(radar: Pose2, config: RadarConfig, x, y):
     """Direct FOV predicate on world points (vectorized).
 
@@ -179,25 +174,9 @@ def backproject_scan(scan: CompressedScan, config: RadarConfig, grid: ImageGrid)
     return SarImage(grid, pixels, scan_count=1)
 
 
-def accumulate(partials: Sequence[SarImage]) -> SarImage:
-    """Elementwise complex sum of per-scan layers (in the given order)."""
-    partials = list(partials)
-    if not partials:
-        raise ValueError("no partial images to accumulate")
-    grid = partials[0].grid
-    total = np.zeros_like(partials[0].pixels)
-    count = 0
-    for part in partials:
-        if part.grid != grid:
-            raise ValueError(f"grid mismatch: {part.grid} vs {grid}")
-        total += part.pixels
-        count += part.scan_count
-    return SarImage(grid, total, scan_count=count)
-
-
 def build_sar(scans: Iterable[CompressedScan], config: RadarConfig | Sequence[RadarConfig],
               grid: ImageGrid) -> SarImage:
-    """Back-project and accumulate a scan stream (constant memory in scans).
+    """Back-project and sum a scan stream (constant memory in scans).
 
     ``config`` may be a single RadarConfig or one per scan (dual-radar
     streams interleave scans with different mount angles).

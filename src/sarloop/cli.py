@@ -25,13 +25,13 @@ import numpy as np
 
 from . import imgpost
 from .backprojection import build_sar, derive_grid
-from .features import detect_and_describe, save_feature_set, load_feature_set
-from .loopclose import (match_feature_sets, validate_loop, write_report_table)
+from .features import detect_and_describe, load_feature_set, save_feature_set
+from .loopclose import match_feature_sets, validate_loop, write_report_table
 from .radar import compress_scan
 from .runconfig import RunConfig, load_config
-from .scanlog import load_scan_log, log_from_simulation
-from .simulate import (TrajectorySpec, load_scene, load_trajectory,
-                       noise_std_for_snr, render_scene)
+from .scanlog import load_scan_log, log_from_simulation, save_scan_log
+from .simulate import (TrajectorySpec, generate_trajectory, load_scene,
+                       load_trajectory, render_scene)
 
 PROG = "sarloop"
 
@@ -68,24 +68,16 @@ def cmd_simulate(args) -> int:
     spec = TrajectorySpec(tuple(waypoints), cfg.scan_spacing_m,
                           radar_mounts=cfg.mounts_rad())
     radar = cfg.radar_config()
-    clean, _ = render_scene(scene, spec, radar, _unit_grid(cfg))
-    grid = derive_grid([s.pose for s in clean], radar, cfg.grid_resolution_m)
-    std = noise_std_for_snr(clean, cfg.snr_db)
-    scans, truth = render_scene(scene, spec, radar, grid, noise_std=std,
+    radar_poses = [p for _, poses in generate_trajectory(spec) for p in poses]
+    grid = derive_grid(radar_poses, radar, cfg.grid_resolution_m)
+    scans, truth = render_scene(scene, spec, radar, grid, snr_db=cfg.snr_db,
                                 rng=np.random.default_rng(cfg.seed))
-    from .scanlog import save_scan_log
     save_scan_log(log_from_simulation(scans, radar, cfg.mounts_rad()), log_path)
     imgpost.write_pgm(
         imgpost.GrayImage(truth.astype(np.uint8) * 255, grid.resolution_m),
         truth_path, origin_m=grid.origin_m)
     print(f"wrote {log_path} ({len(scans)} scans) and {truth_path}")
     return 0
-
-
-def _unit_grid(cfg: RunConfig):
-    # Placeholder grid for the noiseless pre-pass (truth grid is ignored).
-    from .backprojection import ImageGrid
-    return ImageGrid(1, 1, cfg.grid_resolution_m)
 
 
 def cmd_backproject(args) -> int:
@@ -136,7 +128,7 @@ def _match_images(args, cfg: RunConfig, out: Path, with_decision: bool) -> int:
         raise ValueError("loop validation needs two detectors "
                          f"(configured: {', '.join(cfg.detectors) or 'none'})")
     feature_paths, reports = [], []
-    for k, dc in enumerate(det_cfgs):
+    for dc in det_cfgs:
         feature_paths += [out / f"features_{dc.detector_id}_a.bin",
                           out / f"features_{dc.detector_id}_b.bin"]
     table = out / ("loopclose.tsv" if with_decision else "matches.tsv")

@@ -1,31 +1,19 @@
 """Keypoint detection and binary description for 8-bit SAR images."""
 
-from .base import (DetectorConfig, FeatureSet, Keypoint, available_detectors,
-                   get_detector, register_detector)
-from .brisk import BriskDetector, describe_brisk
+from . import brisk, orb  # noqa: F401  (registers the native detectors)
+from .base import (DetectorConfig, FeatureSet, Keypoint, detect_and_describe,
+                   register_detector)
 from .corners import detect_corners, orientation_centroid
-from .orb import OrbDetector, describe_orb
 from .serialize import load_feature_set, save_feature_set
 
 __all__ = [
-    "BriskDetector",
     "DetectorConfig",
     "FeatureSet",
     "Keypoint",
-    "OrbDetector",
-    "available_detectors",
-    "describe_brisk",
-    "describe_orb",
-    "detect_corners",
     "detect_and_describe",
-    "get_detector",
+    "detect_corners",
     "load_feature_set",
     "orientation_centroid",
     "register_detector",
     "save_feature_set",
 ]
-
-
-def detect_and_describe(img, cfg: DetectorConfig) -> FeatureSet:
-    """Run the registered detector named by ``cfg.detector_id``."""
-    return get_detector(cfg.detector_id).detect_and_describe(img, cfg)

@@ -1,10 +1,10 @@
-"""Keypoint/descriptor types and the detector plug-in registry."""
+"""Keypoint/descriptor types and the detector registry."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -83,39 +83,32 @@ class FeatureSet:
         return self.descriptors.shape[1] * 8
 
 
-class Detector(Protocol):
-    """Anything that can turn an 8-bit image into a FeatureSet."""
+Detect = Callable[[GrayImage, DetectorConfig], FeatureSet]
 
-    def detect_and_describe(self, img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
-        ...
-
-
-_REGISTRY: dict[str, Callable[[], Detector]] = {}
+_DETECTORS: dict[str, Detect] = {}
 
 
 def register_detector(name: str):
-    """Class decorator adding a detector factory under ``name``."""
+    """Decorator adding an ``(img, cfg) -> FeatureSet`` function under ``name``."""
 
-    def wrap(factory):
-        if name in _REGISTRY:
+    def wrap(detect: Detect) -> Detect:
+        if name in _DETECTORS:
             raise ValueError(f"detector {name!r} already registered")
-        _REGISTRY[name] = factory
-        return factory
+        _DETECTORS[name] = detect
+        return detect
 
     return wrap
 
 
-def get_detector(name: str) -> Detector:
+def detect_and_describe(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
+    """Run the registered detector named by ``cfg.detector_id``."""
     try:
-        factory = _REGISTRY[name]
+        detect = _DETECTORS[cfg.detector_id]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise KeyError(f"unknown detector {name!r} (registered: {known})") from None
-    return factory()
-
-
-def available_detectors() -> list[str]:
-    return sorted(_REGISTRY)
+        known = ", ".join(sorted(_DETECTORS)) or "none"
+        raise KeyError(f"unknown detector {cfg.detector_id!r} "
+                       f"(registered: {known})") from None
+    return detect(img, cfg)
 
 
 def require_min_size(pixels: np.ndarray) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..imgpost import GrayImage
-from .base import DetectorConfig, FeatureSet, Keypoint, register_detector, require_min_size
+from .base import DetectorConfig, FeatureSet, register_detector, require_min_size
 from .corners import build_pyramid, detect_on_levels, level_coords, with_angle
 from .patterns import ring_pairs, ring_points
 
@@ -82,7 +82,7 @@ def _sample(stack: list[np.ndarray], x: float, y: float,
 
 
 def _orientation(values: np.ndarray) -> float:
-    """Gradient direction accumulated over the long-distance pairs."""
+    """Gradient direction summed over the long-distance pairs."""
     dv = values[_LONG_PAIRS[:, 1]] - values[_LONG_PAIRS[:, 0]]
     g = (dv / _LONG_NORM_SQ) @ _LONG_VEC
     if g[0] == 0.0 and g[1] == 0.0:
@@ -96,48 +96,22 @@ def _in_margin(x: float, y: float, shape: tuple[int, int]) -> bool:
             and BORDER_MARGIN_PX <= y <= h - 1 - BORDER_MARGIN_PX)
 
 
-def describe_brisk(img: GrayImage, kps: list[Keypoint]
-                   ) -> tuple[list[Keypoint], np.ndarray]:
-    """Describe keypoints in this image's own pixel frame.
-
-    Orientation is computed here from the long pairs (input angles are
-    ignored) and written onto the returned keypoints, which are the border
-    survivors in input order, aligned with the descriptor rows.
-    """
-    stack = _smoothed_stack(img.pixels)
+@register_detector("brisk")
+def detect_brisk(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
+    """Segment-test corners + long-pair orientation + ring comparisons."""
+    require_min_size(img.pixels)
+    levels = build_pyramid(img.pixels, cfg.n_octaves)
+    stacks = [_smoothed_stack(lv) for lv in levels]
     kept, rows = [], []
-    for kp in kps:
-        if not _in_margin(kp.x_px, kp.y_px, stack[0].shape):
+    for kp in detect_on_levels(levels, cfg):
+        lx, ly = level_coords(kp)
+        stack = stacks[kp.octave]
+        if not _in_margin(lx, ly, stack[0].shape):
             continue
-        angle = _orientation(_sample(stack, kp.x_px, kp.y_px, 0.0))
-        vals = _sample(stack, kp.x_px, kp.y_px, angle)
+        angle = _orientation(_sample(stack, lx, ly, 0.0))
+        vals = _sample(stack, lx, ly, angle)
         bits = vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]]
         kept.append(with_angle(kp, angle))
         rows.append(np.packbits(bits))
     desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    return kept, desc
-
-
-@register_detector("brisk")
-class BriskDetector:
-    """Segment-test corners + long-pair orientation + ring comparisons."""
-
-    detector_id = "brisk"
-
-    def detect_and_describe(self, img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
-        require_min_size(img.pixels)
-        levels = build_pyramid(img.pixels, cfg.n_octaves)
-        stacks = [_smoothed_stack(lv) for lv in levels]
-        kept, rows = [], []
-        for kp in detect_on_levels(levels, cfg):
-            lx, ly = level_coords(kp)
-            stack = stacks[kp.octave]
-            if not _in_margin(lx, ly, stack[0].shape):
-                continue
-            angle = _orientation(_sample(stack, lx, ly, 0.0))
-            vals = _sample(stack, lx, ly, angle)
-            bits = vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]]
-            kept.append(with_angle(kp, angle))
-            rows.append(np.packbits(bits))
-        desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-        return FeatureSet("brisk", tuple(kept), desc)
+    return FeatureSet("brisk", tuple(kept), desc)

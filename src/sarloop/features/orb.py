@@ -15,7 +15,8 @@ import numpy as np
 from scipy import ndimage
 
 from ..imgpost import GrayImage
-from .base import DetectorConfig, FeatureSet, Keypoint, register_detector
+from .base import (DetectorConfig, FeatureSet, Keypoint, register_detector,
+                   require_min_size)
 from .corners import (build_pyramid, detect_on_levels, level_coords,
                       orientation_centroid, with_angle)
 from .patterns import PAIR_PATTERN
@@ -62,46 +63,21 @@ def _in_margin(x: float, y: float, shape: tuple[int, int]) -> bool:
             and BORDER_MARGIN_PX <= y <= h - 1 - BORDER_MARGIN_PX)
 
 
-def describe_orb(img: GrayImage, kps: list[Keypoint]
-                 ) -> tuple[list[Keypoint], np.ndarray]:
-    """Describe keypoints in this image's own pixel frame.
-
-    Keypoint octaves are ignored here: coordinates and pattern offsets are
-    taken directly in ``img`` pixels. Returns the keypoints that survived
-    the border check, in input order, with their (256/8)-byte descriptors;
-    dropped ones are exactly the input minus the returned list.
-    """
-    smoothed = _smoothed(img.pixels)
-    kept, rows = [], []
-    for kp in kps:
-        if not _in_margin(kp.x_px, kp.y_px, smoothed.shape):
-            continue
-        kept.append(kp)
-        rows.append(_describe_at(smoothed, kp.x_px, kp.y_px, kp.angle_rad))
-    desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    return kept, desc
-
-
 @register_detector("orb")
-class OrbDetector:
+def detect_orb(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     """Segment-test corners + centroid orientation + steered pair pattern."""
-
-    detector_id = "orb"
-
-    def detect_and_describe(self, img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
-        from .base import require_min_size
-        require_min_size(img.pixels)
-        levels = build_pyramid(img.pixels, cfg.n_octaves)
-        smoothed = [_smoothed(lv) for lv in levels]
-        kept, rows = [], []
-        for kp in detect_on_levels(levels, cfg):
-            lx, ly = level_coords(kp)
-            level = levels[kp.octave]
-            if not _in_margin(lx, ly, level.shape):
-                continue
-            angle = orientation_centroid(level, Keypoint(lx, ly, kp.response),
-                                         ORIENTATION_RADIUS_PX)
-            kept.append(with_angle(kp, angle))
-            rows.append(_describe_at(smoothed[kp.octave], lx, ly, angle))
-        desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-        return FeatureSet("orb", tuple(kept), desc)
+    require_min_size(img.pixels)
+    levels = build_pyramid(img.pixels, cfg.n_octaves)
+    smoothed = [_smoothed(lv) for lv in levels]
+    kept, rows = [], []
+    for kp in detect_on_levels(levels, cfg):
+        lx, ly = level_coords(kp)
+        level = levels[kp.octave]
+        if not _in_margin(lx, ly, level.shape):
+            continue
+        angle = orientation_centroid(level, Keypoint(lx, ly, kp.response),
+                                     ORIENTATION_RADIUS_PX)
+        kept.append(with_angle(kp, angle))
+        rows.append(_describe_at(smoothed[kp.octave], lx, ly, angle))
+    desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
+    return FeatureSet("orb", tuple(kept), desc)

@@ -38,14 +38,15 @@ def load_feature_set(path: str | Path) -> FeatureSet:
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise ValueError(f"{path}: not a feature-set file (bad magic)")
-    version, id_len = struct.unpack_from("<II", data, 8)
+    try:
+        version, id_len = struct.unpack_from("<II", data, 8)
+        count, bits = struct.unpack_from("<II", data, 16 + id_len)
+    except struct.error:
+        raise ValueError(f"{path}: truncated feature-set header") from None
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    pos = 16
-    detector_id = data[pos:pos + id_len].decode()
-    pos += id_len
-    count, bits = struct.unpack_from("<II", data, pos)
-    pos += 8
+    detector_id = data[16:16 + id_len].decode()
+    pos = 24 + id_len
     if bits % 8:
         raise ValueError(f"{path}: descriptor bit length {bits} not a multiple of 8")
     n_bytes = bits // 8

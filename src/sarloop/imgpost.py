@@ -211,12 +211,25 @@ def write_float_dump(img: GrayImage, path) -> None:
         fh.write(np.asarray(img.pixels, dtype="<f4").tobytes())
 
 
+def _dump_size(path, header: list[bytes]) -> tuple[int, int]:
+    """Width and height from a dump header; both must be positive integers."""
+    try:
+        width, height = int(header[0]), int(header[1])
+    except ValueError:
+        width = height = 0
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: width and height must be positive integers, "
+                         f"got {header[0].decode(errors='replace')} "
+                         f"{header[1].decode(errors='replace')}")
+    return width, height
+
+
 def read_float_dump(path) -> GrayImage:
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: expected 'width height resolution_m' header")
-        width, height = int(header[0]), int(header[1])
+        width, height = _dump_size(path, header)
         resolution = float(header[2])
         payload = fh.read()
     expect = width * height * 4
@@ -243,7 +256,7 @@ def read_sar_dump(path) -> SarImage:
         if len(header) != 6:
             raise ValueError(
                 f"{path}: expected 'width height resolution_m ox oy scan_count' header")
-        width, height = int(header[0]), int(header[1])
+        width, height = _dump_size(path, header)
         resolution = float(header[2])
         origin = (float(header[3]), float(header[4]))
         scan_count = int(header[5])

@@ -13,7 +13,7 @@ format mirrors the millimeters/degrees convention used for presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,21 +24,6 @@ from .imgpost import GrayImage
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                           axis=1).sum(1).astype(np.uint16)
-
-
-@dataclass(frozen=True)
-class MatchPair:
-    """Best and second-best neighbor of one query descriptor."""
-
-    index_a: int
-    index_b: int
-    distance: int
-    second_distance: int
-
-    def __post_init__(self):
-        if self.distance > self.second_distance:
-            raise ValueError(
-                f"distance {self.distance} exceeds second {self.second_distance}")
 
 
 @dataclass(frozen=True)
@@ -105,45 +90,39 @@ def hamming_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int32)
 
 
-def knn_match(a: FeatureSet, b: FeatureSet) -> list[MatchPair]:
+def knn_match(a: FeatureSet, b: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     """Two nearest neighbors in b for every descriptor in a.
 
-    Distance ties pick the lower index in b (argmin keeps the first hit).
+    Returns ``(best, dists)``: ``best[i]`` is the index in b nearest to
+    descriptor i of a, and ``dists[i]`` holds the best and second-best
+    Hamming distances. Distance ties pick the lower index in b (argmin
+    keeps the first hit).
     """
     if a.detector_id != b.detector_id:
         raise ValueError(
             f"detector mismatch: {a.detector_id!r} vs {b.detector_id!r}")
     if len(b) < 2:
         raise ValueError(f"need at least 2 descriptors to match against, got {len(b)}")
-    if len(a) == 0:
-        return []
     dists = hamming_distances(a.descriptors, b.descriptors)
     rows = np.arange(len(a))
     best = dists.argmin(axis=1)
     best_d = dists[rows, best]
     dists[rows, best] = np.iinfo(np.int32).max
-    second = dists.argmin(axis=1)
-    second_d = dists[rows, second]
-    return [MatchPair(int(i), int(best[i]), int(best_d[i]), int(second_d[i]))
-            for i in rows]
+    second_d = dists.min(axis=1)
+    return best, np.column_stack([best_d, second_d])
 
 
-def ratio_test(matches: Sequence[MatchPair], ratio: float = 0.75) -> list[MatchPair]:
-    """Keep unambiguous matches: distance strictly below ratio * second.
+def ratio_test(dists: np.ndarray, ratio: float = 0.75) -> np.ndarray:
+    """Mask of unambiguous matches: best distance strictly below ratio * second.
 
+    ``dists`` is knn_match's (n, 2) array of best and second-best distances.
     A zero second distance means the two best candidates are equally
     perfect, so only an exact (distance 0) match survives.
     """
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    kept = []
-    for m in matches:
-        if m.second_distance == 0:
-            if m.distance == 0:
-                kept.append(m)
-        elif m.distance < ratio * m.second_distance:
-            kept.append(m)
-    return kept
+    d = np.asarray(dists)
+    return np.where(d[:, 1] == 0, d[:, 0] == 0, d[:, 0] < ratio * d[:, 1])
 
 
 def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int,
@@ -203,28 +182,27 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
     return transform, final
 
 
-def matched_points(a: FeatureSet, b: FeatureSet,
-                   matches: Sequence[MatchPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel coordinate arrays for a list of matches."""
-    src = np.array([[a.keypoints[m.index_a].x_px, a.keypoints[m.index_a].y_px]
-                    for m in matches], dtype=np.float64).reshape(-1, 2)
-    dst = np.array([[b.keypoints[m.index_b].x_px, b.keypoints[m.index_b].y_px]
-                    for m in matches], dtype=np.float64).reshape(-1, 2)
-    return src, dst
+def _keypoint_xy(fs: FeatureSet) -> np.ndarray:
+    """(n, 2) array of keypoint pixel coordinates."""
+    return np.array([(kp.x_px, kp.y_px) for kp in fs.keypoints],
+                    dtype=np.float64).reshape(-1, 2)
 
 
 def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
                        ransac: RansacConfig = RansacConfig(), seed: int = 0,
                        resolution_m: float = 1.0) -> MatchReport:
     """KNN + ratio test + RANSAC between two feature sets."""
-    surviving = ratio_test(knn_match(a, b), ratio)
-    if len(surviving) < 2:
-        return MatchReport(a.detector_id, len(a), len(b), len(surviving), 0, None)
-    src, dst = matched_points(a, b, surviving)
+    best, dists = knn_match(a, b)
+    keep = ratio_test(dists, ratio)
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept < 2:
+        return MatchReport(a.detector_id, len(a), len(b), n_kept, 0, None)
+    src = _keypoint_xy(a)[keep]
+    dst = _keypoint_xy(b)[best[keep]]
     transform, inliers = estimate_similarity_ransac(
         src, dst, seed, ransac, resolution_m)
     good = int(inliers.sum()) if transform is not None else 0
-    return MatchReport(a.detector_id, len(a), len(b), len(surviving), good, transform)
+    return MatchReport(a.detector_id, len(a), len(b), n_kept, good, transform)
 
 
 def match_regions(img_a: GrayImage, img_b: GrayImage,

@@ -9,7 +9,7 @@ radians/meters when module-level objects are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import DetectorConfig
@@ -35,7 +35,6 @@ class RunConfig:
     # imaging
     grid_resolution_m: float = 0.005
     blur_sigma_px: float = 1.0
-    occupancy_threshold: int = -1          # -1 = Otsu
     # detection & matching
     detectors: tuple[str, ...] = ("orb", "brisk")
     corner_threshold: int = 15
@@ -102,9 +101,6 @@ class RunConfig:
                              f"got {self.grid_resolution_m}")
         if self.scan_spacing_m <= 0:
             raise ValueError(f"scan_spacing_m must be positive, got {self.scan_spacing_m}")
-        if not -1 <= self.occupancy_threshold <= 255:
-            raise ValueError(f"occupancy_threshold must be -1 (Otsu) or in [0, 255], "
-                             f"got {self.occupancy_threshold}")
         return self
 
 

@@ -11,7 +11,7 @@ heading and the radar boresight is ``theta_rad + config.mount_angle_rad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -126,9 +126,8 @@ def default_bin_count(config: RadarConfig) -> int:
 
 
 def simulate_echo(scene: Sequence[Scatterer], radar: Pose2, config: RadarConfig,
-                  n_bins: int, noise_std: float = 0.0,
-                  rng: np.random.Generator | None = None) -> RawScan:
-    """Raw echo at one radar pose: FOV-visible scatterer replicas plus noise.
+                  n_bins: int) -> RawScan:
+    """Noiseless raw echo at one radar pose: FOV-visible scatterer replicas.
 
     Each visible scatterer contributes the transmitted pulse delayed by its
     two-way travel time, scaled by sqrt(rcs) / R^2 (two-way spreading on
@@ -138,8 +137,6 @@ def simulate_echo(scene: Sequence[Scatterer], radar: Pose2, config: RadarConfig,
         raise ValueError(
             f"{n_bins} bins cover only {n_bins * range_bin_spacing(config):.3f} m, "
             f"less than range_max {config.range_max_m:g} m")
-    if noise_std > 0 and rng is None:
-        raise ValueError("noise requested but no rng supplied (pass a seeded Generator)")
 
     t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
     samples = np.zeros(n_bins, dtype=np.float64)
@@ -149,13 +146,11 @@ def simulate_echo(scene: Sequence[Scatterer], radar: Pose2, config: RadarConfig,
         rng_m = math.hypot(sc.x_m - radar.x_m, sc.y_m - radar.y_m)
         delay = 2.0 * rng_m / SPEED_OF_LIGHT
         samples += (math.sqrt(sc.rcs) / rng_m ** 2) * pulse_value(config, t - delay)
-    if noise_std > 0:
-        samples = samples + rng.normal(0.0, noise_std, size=n_bins)
     return RawScan(samples, radar)
 
 
 def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: RadarConfig,
-                 grid: ImageGrid, noise_std: float = 0.0,
+                 grid: ImageGrid, snr_db: float = math.inf,
                  rng: np.random.Generator | None = None,
                  n_bins: int | None = None) -> tuple[list[RawScan], np.ndarray]:
     """Full forward simulation over a trajectory plus the truth occupancy grid.
@@ -163,8 +158,10 @@ def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: Radar
     Returns one RawScan per (pose, radar) in pose-major, radar-minor order;
     scan k belongs to radar ``k % len(spec.radar_mounts)``. Scan poses carry
     the robot heading (mounts are applied via the per-radar config, matching
-    the back-projection convention). The truth grid marks the cell nearest
-    each scatterer.
+    the back-projection convention). Each echo is rendered once; Gaussian
+    noise sized by ``noise_std_for_snr(echoes, snr_db)`` is then added in
+    scan order from ``rng`` (the default infinite SNR adds none). The truth
+    grid marks the cell nearest each scatterer.
     """
     if n_bins is None:
         n_bins = default_bin_count(config)
@@ -173,7 +170,14 @@ def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: Radar
     for robot, radar_poses in generate_trajectory(spec, rng=rng):
         for cfg, rp in zip(configs, radar_poses):
             echo_pose = Pose2(rp.x_m, rp.y_m, robot.theta_rad)
-            scans.append(simulate_echo(scene, echo_pose, cfg, n_bins, noise_std, rng))
+            scans.append(simulate_echo(scene, echo_pose, cfg, n_bins))
+    noise_std = noise_std_for_snr(scans, snr_db)
+    if noise_std > 0:
+        if rng is None:
+            raise ValueError("noise requested but no rng supplied "
+                             "(pass a seeded Generator)")
+        scans = [RawScan(s.samples + rng.normal(0.0, noise_std, size=n_bins), s.pose)
+                 for s in scans]
 
     truth = np.zeros((grid.height_px, grid.width_px), dtype=bool)
     ox, oy = grid.origin_m
@@ -189,7 +193,7 @@ def noise_std_for_snr(scans: Sequence[RawScan], snr_db: float) -> float:
     """Noise sigma putting the strongest clean echo sample at snr_db above it.
 
     SNR here is peak signal amplitude over noise standard deviation in dB.
-    An infinite snr_db (or silent scans) gives 0, i.e. a noiseless rerun.
+    An infinite snr_db (or silent scans) gives 0, i.e. no noise.
     """
     if not scans:
         raise ValueError("no scans to measure")

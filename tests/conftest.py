@@ -19,7 +19,6 @@ from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, Scatterer,
                      quantize, render_scene)
 from sarloop.radar import (compress_scan, default_pulse_half_duration,
                            synthesize_pulse)
-from sarloop.simulate import noise_std_for_snr
 
 SIDE_MOUNTS = (math.pi / 2.0, -math.pi / 2.0)
 
@@ -45,9 +44,7 @@ def reconstruct(scene, n_poses, noise_seed, grid, config, snr_db=20.0):
     spec = TrajectorySpec((Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)),
                           scan_spacing_m=1.5 / (n_poses - 1),
                           radar_mounts=SIDE_MOUNTS)
-    clean, _ = render_scene(scene, spec, config, grid)
-    std = noise_std_for_snr(clean, snr_db)
-    scans, truth = render_scene(scene, spec, config, grid, noise_std=std,
+    scans, truth = render_scene(scene, spec, config, grid, snr_db=snr_db,
                                 rng=default_rng(noise_seed))
     pulse = synthesize_pulse(config, default_pulse_half_duration(config))
     configs = [replace(config, mount_angle_rad=SIDE_MOUNTS[k % 2])

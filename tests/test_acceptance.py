@@ -238,14 +238,15 @@ def test_10_matcher_cores_agree_with_reference_oracles():
     rng = np.random.default_rng(101)
     a = feature_set(rng.integers(0, 256, size=(50, 32)))
     b = feature_set(rng.integers(0, 256, size=(50, 32)))
-    for i, m in enumerate(knn_match(a, b)):
+    nearest, got = knn_match(a, b)
+    assert len(nearest) == 50
+    for i in range(50):
         dists = [sum((int(x) ^ int(y)).bit_count()
                      for x, y in zip(a.descriptors[i], b.descriptors[j]))
                  for j in range(50)]
         best = min(range(50), key=lambda j: (dists[j], j))
         second = min(dists[:best] + dists[best + 1:])
-        assert (m.index_a, m.index_b, m.distance, m.second_distance) == (
-            i, best, dists[best], second)
+        assert (nearest[i], got[i, 0], got[i, 1]) == (best, dists[best], second)
 
     truth = SimilarityTransform(0.97, 8.0, -15.0, 0.6)
     src = rng.uniform(0, 100, size=(10, 2))

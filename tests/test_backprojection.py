@@ -1,4 +1,4 @@
-"""FOV geometry, polygon rasterization, and image accumulation."""
+"""FOV geometry, polygon rasterization, and image summation."""
 
 import math
 
@@ -6,21 +6,13 @@ import numpy as np
 import pytest
 
 from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
-                     accumulate, backproject_scan, build_sar, derive_grid,
-                     fov_mask, fov_polygon, in_fov)
-from sarloop.backprojection import pixel_range, rasterize_polygon
+                     backproject_scan, build_sar, derive_grid, fov_mask,
+                     fov_polygon, in_fov)
+from sarloop.backprojection import rasterize_polygon
 from sarloop.radar import range_bin_spacing
 
 # coarse-grid config so annulus oracles stay cheap: bin spacing ~0.15 m
 COARSE = RadarConfig(1e9, 0.3e9, 0.2e9)
-
-
-def test_pixel_range():
-    radar = Pose2(0.0, 0.0, 0.0)
-    assert pixel_range((0.0, 0.0), radar) == 0.0
-    assert pixel_range((3.0, 4.0), radar) == pytest.approx(5.0)
-    assert pixel_range((1.2, -0.5), radar) == pytest.approx(1.3)
-    assert pixel_range((2.0, 1.0), Pose2(-1.0, -3.0, 0.7)) == pytest.approx(5.0)
 
 
 def test_in_fov_examples(table1):
@@ -140,28 +132,14 @@ def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
     return scans
 
 
-def test_accumulate_examples():
-    grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
-    part = backproject_scan(_random_scans(1)[0], COARSE, grid)
-    assert np.array_equal(accumulate([part]).pixels, part.pixels)
-    twice = accumulate([part, part])
-    assert np.array_equal(twice.pixels, 2 * part.pixels)
-    assert twice.scan_count == 2
-
-    other_grid = ImageGrid(30, 30, 0.2, origin_m=(-1.5, -1.5))
-    other = SarImage(other_grid, np.zeros((30, 30), complex), 1)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        accumulate([part, other])
-    with pytest.raises(ValueError):
-        accumulate([])
-
-
 def test_build_sar_matches_explicit_sum():
     grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
     scans = _random_scans(6, seed=3)
     total = build_sar(scans, COARSE, grid)
-    explicit = accumulate([backproject_scan(s, COARSE, grid) for s in scans])
-    assert np.array_equal(total.pixels, explicit.pixels)
+    explicit = np.zeros((30, 30), dtype=complex)
+    for s in scans:
+        explicit += backproject_scan(s, COARSE, grid).pixels
+    assert np.array_equal(total.pixels, explicit)
     assert total.scan_count == 6
 
     single = build_sar(scans[:1], COARSE, grid)

@@ -124,6 +124,17 @@ def test_match_refuses_mixed_detector_features(tmp_path, capsys):
     assert "orb" in err and "brisk" in err
 
 
+def test_match_reports_a_truncated_feature_file(tmp_path, capsys):
+    bad = tmp_path / "short.bin"
+    bad.write_bytes(b"SARLFEAT\x01\x00")  # valid magic, cut inside the header
+    rc = run("match", "--features-a", bad, "--features-b", bad,
+             "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_match_needs_images_or_features(tmp_path, capsys):
     assert run("match", "--out", tmp_path / "o") == 1
     assert "image" in capsys.readouterr().err

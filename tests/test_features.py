@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from sarloop import (DetectorConfig, FeatureSet, GrayImage, Keypoint,
-                     detect_and_describe, detect_corners, get_detector,
-                     register_detector)
-from sarloop.features import (available_detectors, describe_brisk,
-                              describe_orb, load_feature_set,
+                     detect_and_describe, detect_corners, register_detector)
+from sarloop.features import base as feature_base
+from sarloop.features import (brisk, load_feature_set, orb,
                               orientation_centroid, save_feature_set)
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
                                       bilinear_resize, build_pyramid,
@@ -161,9 +160,8 @@ def rot90_ccw_coords(x, y, side):
 def quarter_turn_distances(detector_id, base):
     side = base.shape[0]
     cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
-    det = get_detector(detector_id)
-    fa = det.detect_and_describe(gray(base), cfg)
-    fb = det.detect_and_describe(gray(np.rot90(base)), cfg)
+    fa = detect_and_describe(gray(base), cfg)
+    fb = detect_and_describe(gray(np.rot90(base)), cfg)
     index_b = {(kp.x_px, kp.y_px): i for i, kp in enumerate(fb.keypoints)}
     dists = []
     for i, kp in enumerate(fa.keypoints):
@@ -205,9 +203,8 @@ def test_brisk_descriptors_are_stable_under_quarter_turns():
 def test_descriptors_ignore_global_brightness(detector_id):
     base = random_u8((64, 64), seed=22, hi=200)
     cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
-    det = get_detector(detector_id)
-    fa = det.detect_and_describe(gray(base), cfg)
-    fb = det.detect_and_describe(gray(base + 40), cfg)
+    fa = detect_and_describe(gray(base), cfg)
+    fb = detect_and_describe(gray(base + 40), cfg)
     assert fa.keypoints == fb.keypoints
     assert np.array_equal(fa.descriptors, fb.descriptors)
     assert len(fa) > 10
@@ -223,27 +220,39 @@ def test_detection_is_deterministic(detector_id):
     assert np.array_equal(a.descriptors, b.descriptors)
 
 
-def test_describe_orb_drops_only_border_keypoints():
+def border_survivors(img, cfg, margin_px):
+    """Detected keypoints whose level coordinates clear the descriptor margin."""
+    shapes = [lv.shape for lv in build_pyramid(img.pixels, cfg.n_octaves)]
+    kept = []
+    for kp in detect_corners(img, cfg):
+        lx, ly = level_coords(kp)
+        h, w = shapes[kp.octave]
+        if margin_px <= lx <= w - 1 - margin_px and margin_px <= ly <= h - 1 - margin_px:
+            kept.append((kp.x_px, kp.y_px, kp.octave))
+    return kept
+
+
+def test_orb_drops_only_border_keypoints():
     img = gray(random_u8((64, 64), seed=24, hi=256))
-    kps = [Keypoint(5, 5, 1.0), Keypoint(32, 32, 2.0), Keypoint(40, 21, 3.0),
-           Keypoint(63, 63, 4.0)]
-    kept, desc = describe_orb(img, kps)
-    assert kept == [kps[1], kps[2]]  # margin is 21 px
-    assert desc.shape == (2, 32)
-    assert desc.dtype == np.uint8
+    cfg = DetectorConfig("orb", n_octaves=2, target_keypoints=10_000)
+    fs = detect_and_describe(img, cfg)
+    want = border_survivors(img, cfg, orb.BORDER_MARGIN_PX)  # 21 px
+    assert 0 < len(want) < len(detect_corners(img, cfg))
+    assert [(kp.x_px, kp.y_px, kp.octave) for kp in fs.keypoints] == want
+    assert fs.descriptors.shape == (len(want), 32)
+    assert fs.descriptors.dtype == np.uint8
 
 
-def test_describe_brisk_recomputes_angles():
+def test_brisk_drops_border_keypoints_and_sets_angles():
     img = gray(random_u8((64, 64), seed=25, hi=256))
-    kps = [Keypoint(30, 30, 1.0, angle_rad=0.0),
-           Keypoint(30, 30, 1.0, angle_rad=1.0),
-           Keypoint(5, 5, 1.0)]
-    kept, desc = describe_brisk(img, kps)
-    assert len(kept) == 2  # margin is 12 px; (5, 5) dropped
-    assert np.array_equal(desc[0], desc[1])  # input angle ignored
-    assert kept[0].angle_rad == kept[1].angle_rad
-    assert -math.pi < kept[0].angle_rad <= math.pi
-    assert desc.shape[1] == 64
+    cfg = DetectorConfig("brisk", n_octaves=2, target_keypoints=10_000)
+    fs = detect_and_describe(img, cfg)
+    want = border_survivors(img, cfg, brisk.BORDER_MARGIN_PX)  # 12 px
+    assert [(kp.x_px, kp.y_px, kp.octave) for kp in fs.keypoints] == want
+    assert fs.descriptors.shape == (len(want), 64)
+    angles = [kp.angle_rad for kp in fs.keypoints]
+    assert all(-math.pi < a <= math.pi for a in angles)
+    assert len(set(angles)) > 1  # orientation is computed per keypoint
 
 
 def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
@@ -258,13 +267,21 @@ def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
 
 # ----------------------------------------------------- registry and files
 
-def test_registry_lookup_and_errors():
-    assert {"orb", "brisk"} <= set(available_detectors())
-    assert get_detector("orb").detector_id == "orb"
+def test_registry_lookup_and_errors(monkeypatch):
+    monkeypatch.setattr(feature_base, "_DETECTORS", dict(feature_base._DETECTORS))
+    img = gray(random_u8((64, 64), seed=27, hi=256))
+    assert detect_and_describe(img, DetectorConfig("orb")).detector_id == "orb"
     with pytest.raises(KeyError, match="brisk"):
-        get_detector("surf")
+        detect_and_describe(img, DetectorConfig("surf"))
     with pytest.raises(ValueError, match="already registered"):
-        register_detector("orb")(object)
+        register_detector("orb")(lambda img, cfg: None)
+
+    @register_detector("empty")
+    def detect_nothing(img, cfg):
+        return FeatureSet(cfg.detector_id, (), np.zeros((0, 8), np.uint8))
+
+    fs = detect_and_describe(img, DetectorConfig("empty"))
+    assert (fs.detector_id, len(fs)) == ("empty", 0)
 
 
 def test_small_images_are_rejected():
@@ -315,3 +332,7 @@ def test_feature_file_round_trip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(ValueError):
         load_feature_set(trunc)
+    for size in (10, 20):  # cut inside the header
+        trunc.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="trunc.bin: truncated"):
+            load_feature_set(trunc)

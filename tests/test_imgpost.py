@@ -199,6 +199,14 @@ def test_float_dump_round_trip(tmp_path):
         read_float_dump(path)
 
 
+@pytest.mark.parametrize("size", [b"-2 -2", b"0 4", b"2.5 2", b"two 2"])
+def test_float_dump_rejects_bad_sizes(tmp_path, size):
+    path = tmp_path / "bad.f32"
+    path.write_bytes(size + b" 0.01\n" + bytes(32))
+    with pytest.raises(ValueError, match="bad.f32: width and height"):
+        read_float_dump(path)
+
+
 def test_sar_dump_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     z = rng.normal(size=(8, 11)) + 1j * rng.normal(size=(8, 11))
@@ -209,3 +217,11 @@ def test_sar_dump_round_trip(tmp_path):
     assert np.array_equal(back.pixels, z.astype(np.complex64))
     assert back.grid == sar.grid
     assert back.scan_count == 42
+
+
+@pytest.mark.parametrize("size", [b"-2 -2", b"4 0", b"2 1.5", b"x 2"])
+def test_sar_dump_rejects_bad_sizes(tmp_path, size):
+    path = tmp_path / "bad.cpx"
+    path.write_bytes(size + b" 0.01 0.0 0.0 1\n" + bytes(32))
+    with pytest.raises(ValueError, match="bad.cpx: width and height"):
+        read_sar_dump(path)

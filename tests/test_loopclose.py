@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from sarloop import (FeatureSet, Keypoint, LoopDecision, MatchPair,
-                     MatchReport, RansacConfig, SimilarityTransform,
-                     ValidationThresholds, estimate_similarity_ransac,
-                     fuse_transform, knn_match, match_regions, ratio_test,
-                     validate_loop, wrap_angle)
+from sarloop import (FeatureSet, Keypoint, LoopDecision, MatchReport,
+                     RansacConfig, SimilarityTransform, ValidationThresholds,
+                     estimate_similarity_ransac, fuse_transform, knn_match,
+                     match_regions, ratio_test, validate_loop, wrap_angle)
 from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
                                hamming_distances, match_feature_sets,
-                               matched_points, write_report_table)
+                               write_report_table)
 
 
 def feature_set(desc, detector_id="orb", coords=None):
@@ -34,24 +33,24 @@ def test_knn_match_agrees_with_exhaustive_search():
     rng = np.random.default_rng(31)
     a = feature_set(rng.integers(0, 256, size=(50, 32)))
     b = feature_set(rng.integers(0, 256, size=(40, 32)))
-    got = knn_match(a, b)
-    assert len(got) == 50
-    for i, m in enumerate(got):
+    nearest, got = knn_match(a, b)
+    assert nearest.shape == (50,) and got.shape == (50, 2)
+    for i in range(50):
         dists = [sum((int(x) ^ int(y)).bit_count()
                      for x, y in zip(a.descriptors[i], b.descriptors[j]))
                  for j in range(40)]
         best = min(range(40), key=lambda j: (dists[j], j))
         second = min(dists[:best] + dists[best + 1:])
-        assert (m.index_a, m.index_b) == (i, best)
-        assert (m.distance, m.second_distance) == (dists[best], second)
+        assert nearest[i] == best
+        assert (got[i, 0], got[i, 1]) == (dists[best], second)
 
 
 def test_knn_ties_pick_the_lower_index():
     a = feature_set([[7, 7]])
     b = feature_set([[9, 9], [7, 7], [7, 7]])  # two perfect candidates
-    (m,) = knn_match(a, b)
-    assert m.index_b == 1
-    assert (m.distance, m.second_distance) == (0, 0)
+    nearest, dists = knn_match(a, b)
+    assert nearest.tolist() == [1]
+    assert dists.tolist() == [[0, 0]]
 
 
 def test_knn_match_rejections():
@@ -60,32 +59,29 @@ def test_knn_match_rejections():
         knn_match(a, feature_set(np.zeros((3, 32)), "brisk"))
     with pytest.raises(ValueError, match="at least 2"):
         knn_match(a, feature_set(np.zeros((1, 32)), "orb"))
-    assert knn_match(feature_set(np.zeros((0, 32)), "orb"), a) == []
+    nearest, dists = knn_match(feature_set(np.zeros((0, 32)), "orb"), a)
+    assert nearest.shape == (0,) and dists.shape == (0, 2)
 
 
 def test_ratio_test_boundary_is_strict():
-    keep = MatchPair(0, 0, 2, 4)        # 2 < 0.75 * 4
-    edge = MatchPair(1, 1, 3, 4)        # 3 == 0.75 * 4: ambiguous, dropped
-    exact = MatchPair(2, 2, 0, 0)       # two perfect candidates, exact kept
-    assert ratio_test([keep, edge, exact]) == [keep, exact]
-    assert ratio_test([keep, edge, exact], 0.9) == [keep, edge, exact]
+    dists = np.array([[2, 4],      # 2 < 0.75 * 4
+                      [3, 4],      # 3 == 0.75 * 4: ambiguous, dropped
+                      [0, 0]])     # two perfect candidates, exact kept
+    assert ratio_test(dists).tolist() == [True, False, True]
+    assert ratio_test(dists, 0.9).tolist() == [True, True, True]
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="ratio"):
-            ratio_test([], bad)
-    with pytest.raises(ValueError):
-        MatchPair(0, 0, 5, 4)  # distance may not exceed the runner-up
+            ratio_test(dists, bad)
 
 
 def test_ratio_test_output_is_a_stable_subset():
     rng = np.random.default_rng(32)
-    matches = []
-    for i in range(50):
-        s = int(rng.integers(1, 60))
-        matches.append(MatchPair(i, i, int(rng.integers(0, s + 1)), s))
-    kept = ratio_test(matches)
-    assert all(m in matches for m in kept)
-    assert [m for m in matches if m in kept] == kept  # order preserved
-    assert ratio_test(kept) == kept  # idempotent
+    second = rng.integers(1, 60, size=50)
+    dists = np.column_stack([rng.integers(0, second + 1), second])
+    keep = ratio_test(dists)
+    assert keep.dtype == bool and keep.shape == (50,)
+    assert keep.tolist() == [int(d) < 0.75 * int(s) for d, s in dists]
+    assert ratio_test(dists[keep]).all()  # idempotent
 
 
 def similarity_apply(t, xy):
@@ -152,12 +148,20 @@ def test_ransac_refuses_degenerate_input():
         estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), seed=0)
 
 
-def test_matched_points_pulls_keypoint_coordinates():
-    a = feature_set(np.zeros((3, 4)), coords=[(1, 2), (3, 4), (5, 6)])
-    b = feature_set(np.zeros((3, 4)), coords=[(9, 8), (7, 6), (5, 4)])
-    src, dst = matched_points(a, b, [MatchPair(2, 0, 0, 1), MatchPair(0, 1, 0, 1)])
-    assert src.tolist() == [[5, 6], [1, 2]]
-    assert dst.tolist() == [[9, 8], [7, 6]]
+def test_match_feature_sets_pairs_coordinates_by_descriptor():
+    # b holds a's descriptors shuffled, each keypoint moved by (20, -8) px
+    rng = np.random.default_rng(35)
+    desc = rng.integers(0, 256, size=(8, 32))
+    xy = rng.uniform(0, 200, size=(8, 2))
+    perm = rng.permutation(8)
+    a = feature_set(desc, coords=xy)
+    b = feature_set(desc[perm], coords=xy[perm] + [20.0, -8.0])
+    report = match_feature_sets(a, b, resolution_m=0.005)
+    assert (report.total_matches, report.good_matches) == (8, 8)
+    t = report.transform
+    assert t.scale == pytest.approx(1.0, abs=1e-12)
+    assert t.tx_m == pytest.approx(0.1, abs=1e-9)
+    assert t.ty_m == pytest.approx(-0.04, abs=1e-9)
 
 
 def test_match_feature_sets_with_no_survivors():

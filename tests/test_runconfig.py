@@ -28,12 +28,10 @@ def test_parse_overrides_and_comments():
     cfg = parse_config_text(
         "snr_db = 14      # low-noise run\n"
         "detectors=brisk , orb\n"
-        "mounts_deg = 0, 180\n"
-        "occupancy_threshold=128\n")
+        "mounts_deg = 0, 180\n")
     assert cfg.snr_db == 14.0
     assert cfg.detectors == ("brisk", "orb")
     assert cfg.mounts_deg == (0.0, 180.0)
-    assert cfg.occupancy_threshold == 128
     assert cfg.ratio == 0.75  # untouched keys keep their defaults
 
 
@@ -51,8 +49,6 @@ def test_parse_errors():
 def test_validate_rejects_bad_values():
     with pytest.raises(ValueError, match="grid_resolution_m"):
         parse_config_text("grid_resolution_m=0\n")
-    with pytest.raises(ValueError, match="occupancy_threshold"):
-        parse_config_text("occupancy_threshold=300\n")
     with pytest.raises(ValueError, match="scan_spacing_m"):
         parse_config_text("scan_spacing_m=-0.1\n")
     with pytest.raises(ValueError):  # radar invariant: fs too low for fc+bw

@@ -107,12 +107,12 @@ def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
     assert np.allclose(two, math.sqrt(2.0) * one, rtol=1e-12, atol=1e-300)
 
 
-def test_echo_error_paths(table1):
+def test_echo_error_paths(table1, small_grid):
     with pytest.raises(ValueError, match="less than range_max"):
         simulate_echo([], Pose2(0, 0, 0), table1, 100)
     with pytest.raises(ValueError, match="rng"):
-        simulate_echo([], Pose2(0, 0, 0), table1, default_bin_count(table1),
-                      noise_std=0.1)
+        render_scene([Scatterer(0.5, 0.6, 1.0)], straight_spec(), table1,
+                     small_grid, snr_db=20.0)
     with pytest.raises(ValueError):
         Scatterer(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
@@ -147,12 +147,19 @@ def test_render_scene_truth_grid_marks_nearest_cells(table1, small_grid):
 def test_render_scene_noise_is_reproducible(table1, small_grid):
     scene = [Scatterer(0.5, 0.6, 1.0)]
     spec = straight_spec()
-    a, _ = render_scene(scene, spec, table1, small_grid, noise_std=0.01,
+    a, _ = render_scene(scene, spec, table1, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
-    b, _ = render_scene(scene, spec, table1, small_grid, noise_std=0.01,
+    b, _ = render_scene(scene, spec, table1, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.samples, sb.samples)
+    # noise is sized from the clean echoes and drawn in scan order
+    clean, _ = render_scene(scene, spec, table1, small_grid)
+    std = noise_std_for_snr(clean, 20.0)
+    rng = np.random.default_rng(7)
+    for sa, sc in zip(a, clean):
+        want = sc.samples + rng.normal(0.0, std, size=sc.samples.size)
+        assert np.array_equal(sa.samples, want)
 
 
 def test_noise_std_for_snr(table1, small_grid):
