@@ -6,8 +6,7 @@ back-projected over known poses into a complex SAR image, enhanced into an
 binary feature pipelines whose transforms must agree.
 """
 
-from .backprojection import (ImageGrid, SarImage, backproject_scan, build_sar,
-                             derive_grid, fov_mask, fov_polygon, in_fov)
+from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, fov_mask, in_fov
 from .features import (DetectorConfig, FeatureSet, Keypoint, detect_and_describe,
                        detect_corners, register_detector)
 from .geometry import Pose2, wrap_angle

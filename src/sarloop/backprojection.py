@@ -1,8 +1,10 @@
 """SAR image formation by back-projection.
 
-Each compressed scan is spread onto the pixels inside its field-of-view
-polygon (range window + beam cone around the boresight); the image is the
-coherent sum of these per-scan layers over all poses.
+Each compressed scan is spread onto the pixels whose centers lie in its
+field of view: the exact annular sector of ``in_fov`` (range window + beam
+cone around the boresight), the predicate the simulator also uses. Only the
+sector's bounding window is evaluated, and each scan is added into the
+accumulator in place; the image is the coherent sum over all poses.
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Pose2
+from .geometry import Pose2, wrap_angle
 from .radar import CompressedScan, RadarConfig, range_bin_spacing
-
-# Arc step used when turning the FOV cone into a polygon. At 2 degrees the
-# chord sagitta is below half a pixel for 5 mm pixels out to 3 m range.
-FOV_ARC_STEP_RAD = math.radians(2.0)
-
 
 @dataclass(frozen=True)
 class ImageGrid:
@@ -36,11 +33,14 @@ class ImageGrid:
     origin_m: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.resolution_m <= 0:
+        if not (self.resolution_m > 0 and math.isfinite(self.resolution_m)):
             raise ValueError(f"resolution_m must be positive, got {self.resolution_m}")
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width_px}x{self.height_px}")
-        object.__setattr__(self, "origin_m", (float(self.origin_m[0]), float(self.origin_m[1])))
+        origin = (float(self.origin_m[0]), float(self.origin_m[1]))
+        if not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin_m must be finite, got {origin}")
+        object.__setattr__(self, "origin_m", origin)
 
     def x_coords(self) -> np.ndarray:
         return self.origin_m[0] + np.arange(self.width_px) * self.resolution_m
@@ -63,6 +63,8 @@ class SarImage:
             raise ValueError(
                 f"pixel array shape {pixels.shape} does not match grid "
                 f"{self.grid.height_px}x{self.grid.width_px}")
+        if self.scan_count < 1:
+            raise ValueError(f"scan_count must be >= 1, got {self.scan_count}")
         object.__setattr__(self, "pixels", pixels)
 
 
@@ -70,7 +72,8 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     """Direct FOV predicate on world points (vectorized).
 
     True where range is within [range_min, range_max] and the bearing off
-    boresight (robot heading + mount angle) is within half the beamwidth.
+    boresight (robot heading + mount angle) is within half the beamwidth,
+    tested as ``along-boresight >= range * cos(beamwidth / 2)`` (beamwidth < pi).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -78,119 +81,69 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     dy = y - radar.y_m
     rng = np.hypot(dx, dy)
     boresight = radar.theta_rad + config.mount_angle_rad
-    bearing = np.arctan2(dy, dx) - boresight
-    bearing = np.mod(bearing + math.pi, 2.0 * math.pi) - math.pi
+    along = dx * math.cos(boresight) + dy * math.sin(boresight)
     return ((rng >= config.range_min_m) & (rng <= config.range_max_m)
-            & (np.abs(bearing) <= config.beamwidth_rad / 2.0))
+            & (along >= rng * math.cos(config.beamwidth_rad / 2.0)))
 
 
-def fov_polygon(radar: Pose2, config: RadarConfig,
-                arc_step_rad: float = FOV_ARC_STEP_RAD) -> tuple[np.ndarray, np.ndarray]:
-    """Closed polygon outlining the FOV annular sector (arcs chorded)."""
+def fov_window(radar: Pose2, config: RadarConfig, grid: ImageGrid) -> tuple[slice, slice]:
+    """Row and column slices of the grid holding every pixel inside the FOV.
+
+    The sector's bounding box comes from its four corners plus the far-arc
+    point on each axis direction inside the beam; it is padded by one pixel
+    (float slack of ``in_fov``) and clipped to the grid.
+    """
     half = config.beamwidth_rad / 2.0
     boresight = radar.theta_rad + config.mount_angle_rad
-    n_arc = max(1, int(math.ceil(config.beamwidth_rad / arc_step_rad)))
-    angles = boresight + np.linspace(-half, half, n_arc + 1)
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
-    xs = np.concatenate([radar.x_m + config.range_max_m * cos_a,
-                         radar.x_m + config.range_min_m * cos_a[::-1]])
-    ys = np.concatenate([radar.y_m + config.range_max_m * sin_a,
-                         radar.y_m + config.range_min_m * sin_a[::-1]])
-    return xs, ys
+    points = [(r, boresight + s * half) for r in (config.range_min_m, config.range_max_m)
+              for s in (-1.0, 1.0)]
+    points += [(config.range_max_m, axis) for axis in (0.0, math.pi / 2, math.pi, -math.pi / 2)
+               if abs(wrap_angle(axis - boresight)) <= half]
+    xs = [radar.x_m + r * math.cos(a) for r, a in points]
+    ys = [radar.y_m + r * math.sin(a) for r, a in points]
+
+    def span(lo: float, hi: float, origin: float, size: int) -> slice:
+        start = min(size, max(0, math.floor((lo - origin) / grid.resolution_m) - 1))
+        stop = max(start, min(size, math.ceil((hi - origin) / grid.resolution_m) + 2))
+        return slice(start, stop)
+
+    return (span(min(ys), max(ys), grid.origin_m[1], grid.height_px),
+            span(min(xs), max(xs), grid.origin_m[0], grid.width_px))
 
 
-def rasterize_polygon(poly_x: np.ndarray, poly_y: np.ndarray, grid: ImageGrid) -> np.ndarray:
-    """Scanline-fill a closed polygon over the grid's pixel centers."""
-    res = grid.resolution_m
-    ox, oy = grid.origin_m
-    mask = np.zeros((grid.height_px, grid.width_px), dtype=bool)
-
-    x0 = np.asarray(poly_x, dtype=np.float64)
-    y0 = np.asarray(poly_y, dtype=np.float64)
-    x1 = np.roll(x0, -1)
-    y1 = np.roll(y0, -1)
-
-    rows_parts = []
-    cross_parts = []
-    for ex0, ey0, ex1, ey1 in zip(x0, y0, x1, y1):
-        if ey0 == ey1:
-            continue
-        ylo, yhi = (ey0, ey1) if ey0 < ey1 else (ey1, ey0)
-        # half-open [ylo, yhi) so a scanline through a shared vertex is
-        # counted once per monotone chain
-        r_lo = max(0, math.ceil((ylo - oy) / res))
-        r_hi = min(grid.height_px - 1, math.ceil((yhi - oy) / res) - 1)
-        if r_hi < r_lo:
-            continue
-        rows = np.arange(r_lo, r_hi + 1)
-        yc = oy + rows * res
-        rows_parts.append(rows)
-        cross_parts.append(ex0 + (yc - ey0) * (ex1 - ex0) / (ey1 - ey0))
-
-    if not rows_parts:
-        return mask
-    rows = np.concatenate(rows_parts)
-    crossings = np.concatenate(cross_parts)
-    order = np.lexsort((crossings, rows))
-    rows = rows[order]
-    crossings = crossings[order]
-
-    group_bounds = np.flatnonzero(np.diff(rows)) + 1
-    starts = np.concatenate(([0], group_bounds))
-    ends = np.concatenate((group_bounds, [rows.size]))
-    for s, e in zip(starts, ends):
-        row = rows[s]
-        xs = crossings[s:e]
-        for k in range(0, xs.size - 1, 2):
-            c_lo = max(0, math.ceil((xs[k] - ox) / res))
-            c_hi = min(grid.width_px - 1, math.ceil((xs[k + 1] - ox) / res) - 1)
-            if c_hi >= c_lo:
-                mask[row, c_lo:c_hi + 1] = True
-    return mask
-
-
-def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid) -> np.ndarray:
-    """Boolean mask of grid pixels inside the radar's FOV polygon."""
-    return rasterize_polygon(*fov_polygon(radar, config), grid)
-
-
-def backproject_scan(scan: CompressedScan, config: RadarConfig, grid: ImageGrid) -> SarImage:
-    """Spread one compressed scan onto its FOV pixels.
-
-    Every masked pixel receives the bin at its rounded range index; pixels
-    outside the FOV (or mapping past the last bin) stay zero.
-    """
-    pixels = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
-    mask = fov_mask(scan.pose, config, grid)
-    rows, cols = np.nonzero(mask)
-    if rows.size:
-        dd = range_bin_spacing(config)
-        x = grid.origin_m[0] + cols * grid.resolution_m
-        y = grid.origin_m[1] + rows * grid.resolution_m
-        rng = np.hypot(x - scan.pose.x_m, y - scan.pose.y_m)
-        bins = np.floor(rng / dd + 0.5).astype(np.int64)
-        valid = bins < scan.bins.size
-        pixels[rows[valid], cols[valid]] = scan.bins[bins[valid]]
-    return SarImage(grid, pixels, scan_count=1)
+def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
+             rows: slice, cols: slice) -> np.ndarray:
+    """``in_fov`` at the pixel centers of the grid window ``[rows, cols]``."""
+    return in_fov(radar, config, grid.x_coords()[cols][np.newaxis, :],
+                  grid.y_coords()[rows][:, np.newaxis])
 
 
 def build_sar(scans: Iterable[CompressedScan], config: RadarConfig | Sequence[RadarConfig],
               grid: ImageGrid) -> SarImage:
     """Back-project and sum a scan stream (constant memory in scans).
 
-    ``config`` may be a single RadarConfig or one per scan (dual-radar
-    streams interleave scans with different mount angles).
+    Every pixel inside a scan's FOV receives the bin at its rounded range
+    index; pixels mapping past the last bin receive nothing. ``config`` may
+    be a single RadarConfig or one per scan (dual-radar streams interleave
+    scans with different mount angles).
     """
-    total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
+    total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)  # row-major
     count = 0
     configs = config if not isinstance(config, RadarConfig) else None
     for i, scan in enumerate(scans):
         cfg = configs[i] if configs is not None else config
-        total += backproject_scan(scan, cfg, grid).pixels
+        rows, cols = fov_window(scan.pose, cfg, grid)
+        r, c = np.nonzero(fov_mask(scan.pose, cfg, grid, rows, cols))
+        r += rows.start
+        c += cols.start
+        rng = np.hypot(grid.x_coords()[c] - scan.pose.x_m, grid.y_coords()[r] - scan.pose.y_m)
+        bins = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
+        valid = bins < scan.bins.size
+        total[(r * grid.width_px + c)[valid]] += scan.bins[bins[valid]]
         count += 1
     if count == 0:
         raise ValueError("no scans to back-project")
-    return SarImage(grid, total, scan_count=count)
+    return SarImage(grid, total.reshape(grid.height_px, grid.width_px), scan_count=count)
 
 
 def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float) -> ImageGrid:

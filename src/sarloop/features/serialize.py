@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..fileerrors import names_its_file
 from .base import FeatureSet, Keypoint
 
 MAGIC = b"SARLFEAT"
@@ -34,6 +35,7 @@ def save_feature_set(fs: FeatureSet, path: str | Path) -> None:
             fh.write(desc.tobytes())
 
 
+@names_its_file
 def load_feature_set(path: str | Path) -> FeatureSet:
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:

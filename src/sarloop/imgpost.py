@@ -14,6 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .backprojection import ImageGrid, SarImage
+from .fileerrors import names_its_file
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,7 @@ def write_pgm(img: GrayImage, path, origin_m: tuple[float, float] | None = None)
         fh.write(img.pixels.tobytes())
 
 
+@names_its_file
 def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
     """Read a P5 PGM, recovering resolution/origin comments when present."""
     with open(path, "rb") as fh:
@@ -168,7 +170,7 @@ def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
         raise ValueError(f"{path}: not a binary (P5) PGM")
     resolution = 1.0
     origin = None
-    tokens: list[int] = []
+    tokens: list[bytes] = []
     pos = 2
     while len(tokens) < 3:
         if pos >= len(data):
@@ -189,9 +191,12 @@ def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
             end = pos
             while end < len(data) and not data[end:end + 1].isspace():
                 end += 1
-            tokens.append(int(data[pos:end]))
+            tokens.append(data[pos:end])
             pos = end
-    width, height, maxval = tokens
+    width, height = _header_size(tokens)
+    maxval = int(tokens[2])
+    if origin is not None and not all(map(math.isfinite, origin)):
+        raise ValueError(f"non-finite origin {origin}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -211,25 +216,26 @@ def write_float_dump(img: GrayImage, path) -> None:
         fh.write(np.asarray(img.pixels, dtype="<f4").tobytes())
 
 
-def _dump_size(path, header: list[bytes]) -> tuple[int, int]:
-    """Width and height from a dump header; both must be positive integers."""
+def _header_size(header: list[bytes]) -> tuple[int, int]:
+    """Width and height from a file header; both must be positive integers."""
     try:
         width, height = int(header[0]), int(header[1])
     except ValueError:
         width = height = 0
     if width < 1 or height < 1:
-        raise ValueError(f"{path}: width and height must be positive integers, "
+        raise ValueError(f"width and height must be positive integers, "
                          f"got {header[0].decode(errors='replace')} "
                          f"{header[1].decode(errors='replace')}")
     return width, height
 
 
+@names_its_file
 def read_float_dump(path) -> GrayImage:
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: expected 'width height resolution_m' header")
-        width, height = _dump_size(path, header)
+        width, height = _header_size(header)
         resolution = float(header[2])
         payload = fh.read()
     expect = width * height * 4
@@ -250,13 +256,14 @@ def write_sar_dump(sar: SarImage, path) -> None:
         fh.write(np.asarray(sar.pixels, dtype="<c8").tobytes())
 
 
+@names_its_file
 def read_sar_dump(path) -> SarImage:
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 6:
             raise ValueError(
                 f"{path}: expected 'width height resolution_m ox oy scan_count' header")
-        width, height = _dump_size(path, header)
+        width, height = _header_size(header)
         resolution = float(header[2])
         origin = (float(header[3]), float(header[4]))
         scan_count = int(header[5])

@@ -40,6 +40,8 @@ class RadarConfig:
     mount_angle_rad: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"radar parameters must be finite, got {self}")
         if self.sample_rate_hz <= 2.0 * (self.center_freq_hz + self.bandwidth_hz / 2.0):
             raise ValueError(
                 "sample_rate_hz must exceed twice the highest pulse frequency "

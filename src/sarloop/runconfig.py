@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import DetectorConfig
+from .fileerrors import names_its_file
 from .loopclose import RansacConfig, ValidationThresholds
 from .radar import RadarConfig, Waveform, default_pulse_half_duration, synthesize_pulse
 
@@ -113,15 +114,14 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"unknown config key {key!r} (known keys: {known})")
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
-    if kind == "float":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
     if key == "detectors":
         return tuple(p.strip() for p in raw.split(",") if p.strip())
-    if key == "mounts_deg":
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    raise AssertionError(f"unhandled config field type for {key}")
+    try:
+        if key == "mounts_deg":
+            return tuple(float(p) for p in raw.split(",") if p.strip())
+        return {"float": float, "int": int}[kind](raw)
+    except ValueError:
+        raise ValueError(f"{key}: cannot parse {raw!r} as {kind}") from None
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -139,12 +139,17 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return RunConfig(**merged).validate()
 
 
+@names_its_file
+def _read_config_file(path: str | Path, base: RunConfig) -> RunConfig:
+    return parse_config_text(Path(path).read_text(), base)
+
+
 def load_config(path: str | Path | None,
                 overrides: list[str] | None = None) -> RunConfig:
     """Config from an optional file plus ``key=value`` override strings."""
     cfg = RunConfig()
     if path is not None:
-        cfg = parse_config_text(Path(path).read_text(), cfg)
+        cfg = _read_config_file(path, cfg)
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override must be key=value, got {item!r}")

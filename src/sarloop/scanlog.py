@@ -14,6 +14,7 @@ used for back-projection.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileerrors import names_its_file
 from .geometry import Pose2
 from .radar import RadarConfig, RawScan
 
@@ -58,6 +60,8 @@ class ScanLog:
         object.__setattr__(self, "records", tuple(self.records))
         if not self.mounts_rad:
             raise ValueError("need at least one radar mount")
+        if not all(map(math.isfinite, self.mounts_rad)):
+            raise ValueError(f"mount angles must be finite, got {self.mounts_rad}")
         lengths = {len(r.samples) for r in self.records}
         if len(lengths) > 1:
             raise ValueError(f"inconsistent sample counts across records: {sorted(lengths)}")
@@ -105,11 +109,13 @@ def save_scan_log(log: ScanLog, path: str | Path) -> None:
             fh.write(r.samples.astype("<f4").tobytes())
 
 
+@names_its_file
 def load_scan_log(path: str | Path) -> ScanLog:
     """Parse and validate a scan log.
 
     Raises with the offending record index on truncation or non-finite
-    values so bad captures are easy to locate.
+    values so bad captures are easy to locate. ``sample_count`` must be
+    positive unless the log holds no records.
     """
     data = Path(path).read_bytes()
     sep = data.find(b"\n\n")
@@ -144,6 +150,8 @@ def load_scan_log(path: str | Path) -> ScanLog:
 
     record_size = _FIXED.size + 4 * sample_count
     payload = data[sep + 2:]
+    if sample_count < (1 if payload else 0):
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if len(payload) % record_size:
         raise ValueError(
             f"{path}: record {len(payload) // record_size} truncated "

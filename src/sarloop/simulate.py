@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .backprojection import ImageGrid, in_fov
+from .fileerrors import names_its_file
 from .geometry import Pose2, wrap_angle
 from .radar import RadarConfig, RawScan, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
 
@@ -203,19 +204,26 @@ def noise_std_for_snr(scans: Sequence[RawScan], snr_db: float) -> float:
     return peak / 10.0 ** (snr_db / 20.0)
 
 
-def load_scene(path: str | Path) -> list[Scatterer]:
-    """Read a scene file: one ``x_m y_m rcs`` line per scatterer."""
-    scene = []
+def _load_rows(path, columns: str, make) -> list:
+    """``make(a, b, c)`` for each line of three numbers (``#`` comments)."""
+    rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'x_m y_m rcs', got {line!r}")
-        x, y, rcs = (float(p) for p in parts)
-        scene.append(Scatterer(x, y, rcs))
-    return scene
+        try:
+            a, b, c = (float(p) for p in body.split())
+            rows.append(make(a, b, c))
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: expected '{columns}', got {line!r} ({exc})") from None
+    return rows
+
+
+@names_its_file
+def load_scene(path: str | Path) -> list[Scatterer]:
+    """Read a scene file: one ``x_m y_m rcs`` line per scatterer."""
+    return _load_rows(path, "x_m y_m rcs", Scatterer)
 
 
 def save_scene(scene: Sequence[Scatterer], path: str | Path) -> None:
@@ -223,19 +231,10 @@ def save_scene(scene: Sequence[Scatterer], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@names_its_file
 def load_trajectory(path: str | Path) -> list[Pose2]:
     """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint."""
-    poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'x_m y_m theta_rad', got {line!r}")
-        x, y, theta = (float(p) for p in parts)
-        poses.append(Pose2(x, y, theta))
-    return poses
+    return _load_rows(path, "x_m y_m theta_rad", Pose2)
 
 
 def save_trajectory(poses: Sequence[Pose2], path: str | Path) -> None:

@@ -1,18 +1,41 @@
-"""FOV geometry, polygon rasterization, and image summation."""
+"""FOV geometry, the FOV window, and image summation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
-                     backproject_scan, build_sar, derive_grid, fov_mask,
-                     fov_polygon, in_fov)
-from sarloop.backprojection import rasterize_polygon
+                     build_sar, derive_grid, fov_mask, in_fov)
+from sarloop.backprojection import fov_window
 from sarloop.radar import range_bin_spacing
 
 # coarse-grid config so annulus oracles stay cheap: bin spacing ~0.15 m
 COARSE = RadarConfig(1e9, 0.3e9, 0.2e9)
+
+
+def full_grid_mask(pose, config, grid):
+    """``in_fov`` at every pixel center of the grid."""
+    xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
+    return in_fov(pose, config, xs, ys)
+
+
+def oracle_layer(scan, config, grid):
+    """Per-pixel full-grid back-projection of one scan.
+
+    A pixel whose center is in the FOV receives the bin at its rounded
+    range index; bins past the end of the scan leave it zero.
+    """
+    xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
+    rng = np.hypot(xs - scan.pose.x_m, ys - scan.pose.y_m)
+    bins = np.floor(rng / range_bin_spacing(config) + 0.5).astype(np.int64)
+    paint = full_grid_mask(scan.pose, config, grid) & (bins < scan.bins.size)
+    layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
+    layer[paint] = scan.bins[bins[paint]]
+    return layer
 
 
 def test_in_fov_examples(table1):
@@ -28,62 +51,74 @@ def test_in_fov_examples(table1):
 
 def test_in_fov_uses_heading_plus_mount(table1):
     # heading pi/4 with mount pi/4 puts the boresight on +y
-    import dataclasses
     cfg = dataclasses.replace(table1, mount_angle_rad=math.pi / 4)
     radar = Pose2(0.0, 0.0, math.pi / 4)
     assert in_fov(radar, cfg, 0.0, 1.0)
     assert not in_fov(radar, cfg, 1.0, 0.0)
 
 
-def test_rectangle_scanline_fill_is_exact():
-    # axis-aligned rectangle placed so no edge passes through a pixel center:
-    # the filled set must be exactly the centers strictly inside
-    grid = ImageGrid(8, 6, 0.1)
-    poly_x = np.array([0.05, 0.45, 0.45, 0.05])
-    poly_y = np.array([0.15, 0.15, 0.35, 0.35])
-    mask = rasterize_polygon(poly_x, poly_y, grid)
-    expected = np.zeros((6, 8), dtype=bool)
-    expected[2:4, 1:5] = True  # centers x in {0.1..0.4}, y in {0.2, 0.3}
-    assert np.array_equal(mask, expected)
+# boresights exactly on the axes, where the window takes a far-arc point
+AXIS_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
+headings = st.one_of(st.sampled_from(AXIS_ANGLES), st.floats(-math.pi, math.pi))
+beamwidths = st.one_of(st.just(math.nextafter(math.pi, 0.0)),
+                       st.floats(0.01, math.nextafter(math.pi, 0.0)))
 
 
-def test_mask_agrees_with_predicate_off_boundary(table1):
-    radar = Pose2(0.1, -0.2, 0.6)
-    grid = ImageGrid(200, 200, 0.02, origin_m=(-2.0 + radar.x_m, -2.0 + radar.y_m))
-    mask = fov_mask(radar, table1, grid)
-
-    rng = np.random.default_rng(12)
-    rows = rng.integers(0, grid.height_px, size=1000)
-    cols = rng.integers(0, grid.width_px, size=1000)
-    xs = grid.origin_m[0] + cols * grid.resolution_m
-    ys = grid.origin_m[1] + rows * grid.resolution_m
-    direct = in_fov(radar, table1, xs, ys)
-
-    # disagreements are allowed only within one pixel diagonal of the
-    # sector boundary (chord approximation + scanline quantization)
-    diag = grid.resolution_m * math.sqrt(2.0)
-    boresight = radar.theta_rad + table1.mount_angle_rad
-    for r, c, x, y, want in zip(rows, cols, xs, ys, direct):
-        if mask[r, c] == want:
-            continue
-        rho = math.hypot(x - radar.x_m, y - radar.y_m)
-        bearing = abs(_wrap(math.atan2(y - radar.y_m, x - radar.x_m) - boresight))
-        boundary_dist = min(abs(rho - table1.range_min_m),
-                            abs(rho - table1.range_max_m),
-                            rho * abs(table1.beamwidth_rad / 2 - bearing))
-        assert boundary_dist <= diag, (
-            f"mask/predicate disagree {boundary_dist:.4f} m from the boundary "
-            f"at ({x:.3f}, {y:.3f})")
+@st.composite
+def scenes(draw):
+    """A radar config, a pose and a small grid that may clip its FOV."""
+    r_min = draw(st.floats(0.05, 0.6))
+    config = RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(beamwidths),
+                         range_min_m=r_min, range_max_m=r_min + draw(st.floats(0.05, 0.9)),
+                         mount_angle_rad=draw(st.sampled_from((0.0, math.pi / 2))))
+    heading = draw(headings) - config.mount_angle_rad
+    pose = Pose2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), heading)
+    res = draw(st.sampled_from((0.02, 0.05, 0.1)))
+    grid = ImageGrid(draw(st.integers(1, 60)), draw(st.integers(1, 60)), res,
+                     origin_m=(draw(st.floats(-1.5, 0.5)), draw(st.floats(-1.5, 0.5))))
+    return config, pose, grid
 
 
-def _wrap(a):
-    return (a + math.pi) % (2 * math.pi) - math.pi
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+def test_fov_window_covers_every_in_fov_pixel(scene):
+    config, pose, grid = scene
+    rows, cols = fov_window(pose, config, grid)
+    assert 0 <= rows.start <= rows.stop <= grid.height_px
+    assert 0 <= cols.start <= cols.stop <= grid.width_px
+    inside = np.zeros((grid.height_px, grid.width_px), dtype=bool)
+    inside[rows, cols] = True
+    assert not (full_grid_mask(pose, config, grid) & ~inside).any()
+    assert np.array_equal(fov_mask(pose, config, grid, rows, cols),
+                          full_grid_mask(pose, config, grid)[rows, cols])
+
+
+def test_fov_window_is_the_sector_box_padded_by_one_pixel(table1):
+    # boresight +x: x spans [r_min cos 30deg, r_max], y spans +-r_max sin 30deg
+    grid = ImageGrid(800, 800, 0.01, origin_m=(-4.0, -4.0))
+    rows, cols = fov_window(Pose2(0.0, 0.0, 0.0), table1, grid)
+    half_y = table1.range_max_m * math.sin(math.radians(30))
+    for span, lo, hi in ((cols, table1.range_min_m * math.cos(math.radians(30)),
+                          table1.range_max_m), (rows, -half_y, half_y)):
+        lo_px, hi_px = (lo + 4.0) / 0.01, (hi + 4.0) / 0.01
+        assert lo_px - 2 - 1e-6 <= span.start <= lo_px - 1 + 1e-6
+        assert hi_px + 1 - 1e-6 <= span.stop - 1 <= hi_px + 2 + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_single_scan_matches_full_grid_oracle(scene, n_bins, seed):
+    config, pose, grid = scene
+    rng = np.random.default_rng(seed)
+    scan = CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins), pose)
+    assert np.array_equal(build_sar([scan], config, grid).pixels,
+                          oracle_layer(scan, config, grid))
 
 
 def test_backproject_zero_scan_is_zero():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
     scan = CompressedScan(np.zeros(64, dtype=complex), Pose2(0, 0, 0))
-    out = backproject_scan(scan, COARSE, grid)
+    out = build_sar([scan], COARSE, grid)
     assert np.all(out.pixels == 0)
     assert out.scan_count == 1
 
@@ -95,29 +130,31 @@ def test_single_bin_scan_paints_the_masked_annulus():
     hot_bin = 8
     bins = np.zeros(40, dtype=complex)
     bins[hot_bin] = 2.0 - 1.0j
-    out = backproject_scan(CompressedScan(bins, pose), COARSE, grid)
+    out = build_sar([CompressedScan(bins, pose)], COARSE, grid)
 
-    mask = fov_mask(pose, COARSE, grid)
+    painted = 0
     for r in range(grid.height_px):
         for c in range(grid.width_px):
             x = grid.origin_m[0] + c * grid.resolution_m
             y = grid.origin_m[1] + r * grid.resolution_m
             rho = math.hypot(x - pose.x_m, y - pose.y_m)
             expect = 0.0
-            if mask[r, c] and math.floor(rho / dd + 0.5) == hot_bin:
+            if in_fov(pose, COARSE, x, y) and math.floor(rho / dd + 0.5) == hot_bin:
                 expect = 2.0 - 1.0j
+                painted += 1
             assert out.pixels[r, c] == expect, (r, c)
+    assert painted > 0
 
 
 def test_bins_past_scan_end_contribute_zero():
     grid = ImageGrid(50, 50, 0.05, origin_m=(-1.25, -1.25))
     pose = Pose2(0.0, 0.0, 0.0)
     short = CompressedScan(np.full(4, 1.0 + 0j), pose)  # covers only ~0.6 m
-    out = backproject_scan(short, COARSE, grid)
+    out = build_sar([short], COARSE, grid)
     assert np.all(np.isfinite(out.pixels))
-    # pixels beyond the last bin stay zero even though they are masked
-    mask = fov_mask(pose, COARSE, grid)
-    assert mask.sum() > np.count_nonzero(out.pixels)
+    # pixels beyond the last bin stay zero even though they are in the FOV
+    assert full_grid_mask(pose, COARSE, grid).sum() > np.count_nonzero(out.pixels)
+    assert np.array_equal(out.pixels, oracle_layer(short, COARSE, grid))
 
 
 def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
@@ -138,13 +175,12 @@ def test_build_sar_matches_explicit_sum():
     total = build_sar(scans, COARSE, grid)
     explicit = np.zeros((30, 30), dtype=complex)
     for s in scans:
-        explicit += backproject_scan(s, COARSE, grid).pixels
+        explicit += oracle_layer(s, COARSE, grid)
     assert np.array_equal(total.pixels, explicit)
     assert total.scan_count == 6
 
     single = build_sar(scans[:1], COARSE, grid)
-    assert np.array_equal(single.pixels,
-                          backproject_scan(scans[0], COARSE, grid).pixels)
+    assert np.array_equal(single.pixels, oracle_layer(scans[0], COARSE, grid))
     with pytest.raises(ValueError):
         build_sar([], COARSE, grid)
 
@@ -161,31 +197,23 @@ def test_scan_order_permutation_is_harmless():
 def test_per_scan_energy_bound():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
     for scan in _random_scans(5, n_bins=30, seed=6):
-        part = backproject_scan(scan, COARSE, grid)
-        masked = int(fov_mask(scan.pose, COARSE, grid).sum())
+        part = build_sar([scan], COARSE, grid)
+        masked = int(full_grid_mask(scan.pose, COARSE, grid).sum())
         assert np.sum(np.abs(part.pixels)) <= masked * np.max(np.abs(scan.bins)) + 1e-9
 
 
 def test_side_mounted_radars_illuminate_disjoint_half_planes(table1):
-    import dataclasses
     grid = ImageGrid(120, 120, 0.05, origin_m=(-3.0, -3.0))
     pose = Pose2(0.0, 0.0, 0.0)  # heading +x
-    up = fov_mask(pose, dataclasses.replace(table1, mount_angle_rad=math.pi / 2), grid)
-    down = fov_mask(pose, dataclasses.replace(table1, mount_angle_rad=-math.pi / 2), grid)
+    up = full_grid_mask(pose, dataclasses.replace(table1, mount_angle_rad=math.pi / 2), grid)
+    down = full_grid_mask(pose, dataclasses.replace(table1, mount_angle_rad=-math.pi / 2),
+                          grid)
     assert up.any() and down.any()
     assert not (up & down).any()
     # and they land on the expected sides of the path
     ys = grid.origin_m[1] + np.arange(grid.height_px) * grid.resolution_m
     assert ys[np.nonzero(up)[0]].min() > 0
     assert ys[np.nonzero(down)[0]].max() < 0
-
-
-def test_fov_polygon_is_closed_ring(table1):
-    xs, ys = fov_polygon(Pose2(0.3, -0.1, 0.2), table1)
-    assert len(xs) == len(ys) >= 8
-    rho = np.hypot(xs - 0.3, ys + 0.1)
-    assert rho.min() == pytest.approx(table1.range_min_m, rel=1e-9)
-    assert rho.max() == pytest.approx(table1.range_max_m, rel=1e-9)
 
 
 def test_derive_grid_covers_trajectory_padded_by_range(table1):
@@ -205,5 +233,8 @@ def test_grid_validation():
         ImageGrid(0, 10, 0.1)
     with pytest.raises(ValueError):
         ImageGrid(10, 10, 0.0)
+    for origin in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="origin"):
+            ImageGrid(10, 10, 0.1, origin_m=origin)
     with pytest.raises(ValueError):
         SarImage(ImageGrid(4, 4, 0.1), np.zeros((3, 4), complex), 1)

@@ -1,6 +1,8 @@
 """Corner detection, binary descriptors, and the detector registry."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -336,3 +338,22 @@ def test_feature_file_round_trip(tmp_path):
         trunc.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match="trunc.bin: truncated"):
             load_feature_set(trunc)
+
+
+def feature_file(ident=b"orb", x=1.0, octave=0):
+    """Bytes of a one-keypoint feature file with a 32-byte descriptor."""
+    return (b"SARLFEAT" + struct.pack("<II", 1, len(ident)) + ident
+            + struct.pack("<II", 1, 256) + struct.pack("<ffffi", x, 2.0, 1.0, 0.0, octave)
+            + bytes(32))
+
+
+@pytest.mark.parametrize("content", [feature_file(ident=b"\xff\xfe"),
+                                     feature_file(x=math.nan), feature_file(octave=-1)],
+                         ids=["non-utf8-id", "nan-x", "negative-octave"])
+def test_feature_file_errors_name_the_file(tmp_path, content):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_feature_set(path)
+    path.write_bytes(feature_file())
+    assert load_feature_set(path).keypoints[0].x_px == 1.0

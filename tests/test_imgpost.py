@@ -1,6 +1,7 @@
 """Image enhancement chain and the on-disk image formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,3 +226,38 @@ def test_sar_dump_rejects_bad_sizes(tmp_path, size):
     path.write_bytes(size + b" 0.01 0.0 0.0 1\n" + bytes(32))
     with pytest.raises(ValueError, match="bad.cpx: width and height"):
         read_sar_dump(path)
+
+
+def names(path):
+    """Expect a ValueError whose message contains ``path``."""
+    return pytest.raises(ValueError, match=re.escape(str(path)))
+
+
+@pytest.mark.parametrize("header", [b"4 2 abc 0.0 0.0 1", b"4 2 0.01 0.0 0.0 x",
+                                    b"4 2 -0.01 0.0 0.0 1", b"4 2 0.01 nan 0.0 1",
+                                    b"4 2 0.01 0.0 0.0 0"])
+def test_sar_dump_names_the_file_on_a_bad_header(tmp_path, header):
+    path = tmp_path / "bad.cpx"
+    path.write_bytes(header + b"\n" + bytes(4 * 2 * 8))
+    with names(path):
+        read_sar_dump(path)
+
+
+@pytest.mark.parametrize("header", [b"4 2 nan", b"4 2 abc"])
+def test_float_dump_names_the_file_on_a_bad_resolution(tmp_path, header):
+    path = tmp_path / "bad.f32"
+    path.write_bytes(header + b"\n" + bytes(4 * 2 * 4))
+    with names(path):
+        read_float_dump(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\nab 2\n255\n", b"P5\n-2 -2\n255\n",
+                                    b"P5\n# resolution_m xyz\n2 2\n255\n",
+                                    b"P5\n# resolution_m -1\n2 2\n255\n",
+                                    b"P5\n# origin_m nan 0.0\n2 2\n255\n",
+                                    b"P5\n0 5\n255\n", b"P5\n2 2\nmax\n"])
+def test_pgm_names_the_file_on_a_bad_header(tmp_path, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(4))
+    with names(path):
+        read_pgm(path)

@@ -1,6 +1,7 @@
 """Run configuration parsing, validation, and object builders."""
 
 import math
+import re
 
 import pytest
 
@@ -91,3 +92,14 @@ def test_pulse_builder_derives_duration_when_unset():
     fixed = parse_config_text("pulse_half_duration_s=1.2e-9\n").pulse()
     assert len(fixed) > len(auto)
     assert fixed.sample_rate_hz == 23.328e9
+
+
+@pytest.mark.parametrize("text, key", [("snr_db=abc\n", "snr_db"), ("seed=1.5\n", "seed"),
+                                       ("mounts_deg=90,left\n", "mounts_deg"),
+                                       ("grid_resolution_m=-1\n", "grid_resolution_m")])
+def test_load_config_names_the_file_and_the_key(tmp_path, text, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load_config(path)
+    assert key in str(err.value)

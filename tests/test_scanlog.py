@@ -1,6 +1,7 @@
 """Scan-log binary format: round trips and corruption diagnostics."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -166,3 +167,22 @@ def test_to_raw_scans_applies_the_mounts(table1, log):
         assert np.array_equal(scan.samples, rec.samples.astype(np.float64))
     for i, mount in enumerate(MOUNTS):
         assert log.config_for(i).mount_angle_rad == mount
+
+
+@pytest.mark.parametrize("old, new, records", [
+    (b"sample_count=24", b"sample_count=two", True),
+    (b"sample_count=24", b"sample_count=0", True),
+    (b"sample_count=0", b"sample_count=-9", False),
+    (b"radar_count=2", b"radar_count=0", True),
+    (b"radar_count=2", b"radar_count=0", False),
+    (b"range_min_m=0.4", b"range_min_m=3.5", True),
+    (b"format=", b"\xff\xfeformat=", True),
+    (b"mount_0_rad=", b"mount_0_rad=nan#", True)])
+def test_header_value_errors_name_the_file(log, tmp_path, old, new, records):
+    path = tmp_path / "scan.bin"
+    save_scan_log(log if records else ScanLog(log.config, MOUNTS, ()), path)
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_scan_log(path)

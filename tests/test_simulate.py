@@ -1,6 +1,7 @@
 """Forward simulation: trajectory sampling, echo synthesis, scene files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,14 @@ def test_scene_and_trajectory_files_round_trip(tmp_path):
     bad.write_text("0.25 -0.5\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         load_scene(bad)
+
+
+@pytest.mark.parametrize("load", [load_scene, load_trajectory])
+def test_non_numeric_fields_name_the_file_and_line(tmp_path, load):
+    path = tmp_path / "bad.txt"
+    path.write_text("0.25 -0.5 1.0\n0.5 abc 1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2")):
+        load(path)
+    path.write_bytes(b"0.25 -0.5 \xff\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load(path)
