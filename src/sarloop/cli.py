@@ -25,8 +25,9 @@ import numpy as np
 
 from . import imgpost
 from .backprojection import build_sar, derive_grid
-from .features import detect_and_describe, load_feature_set, save_feature_set
-from .loopclose import match_feature_sets, validate_loop, write_report_table
+from .features import load_feature_set, save_feature_set
+from .loopclose import (detect_and_match, match_feature_sets, validate_loop,
+                        write_report_table)
 from .radar import compress_scan
 from .runconfig import RunConfig, load_config
 from .scanlog import load_scan_log, log_from_simulation, save_scan_log
@@ -120,28 +121,23 @@ def cmd_post(args) -> int:
 def _match_images(args, cfg: RunConfig, out: Path, with_decision: bool) -> int:
     img_a, _ = imgpost.read_pgm(args.image_a)
     img_b, _ = imgpost.read_pgm(args.image_b)
-    if img_a.resolution_m != img_b.resolution_m:
-        raise ValueError(f"image resolutions differ: {img_a.resolution_m} "
-                         f"vs {img_b.resolution_m}")
     det_cfgs = cfg.detector_configs()
     if with_decision and len(det_cfgs) < 2:
         raise ValueError("loop validation needs two detectors "
                          f"(configured: {', '.join(cfg.detectors) or 'none'})")
-    feature_paths, reports = [], []
+    feature_paths = []
     for dc in det_cfgs:
         feature_paths += [out / f"features_{dc.detector_id}_a.bin",
                           out / f"features_{dc.detector_id}_b.bin"]
     table = out / ("loopclose.tsv" if with_decision else "matches.tsv")
     _ensure_fresh(feature_paths + [table], args.overwrite)
 
-    for k, dc in enumerate(det_cfgs):
-        fa = detect_and_describe(img_a, dc)
-        fb = detect_and_describe(img_b, dc)
+    matched = detect_and_match(img_a, img_b, det_cfgs, ratio=cfg.ratio,
+                               ransac=cfg.ransac_config(), seed=cfg.seed)
+    for k, (fa, fb, _) in enumerate(matched):
         save_feature_set(fa, feature_paths[2 * k])
         save_feature_set(fb, feature_paths[2 * k + 1])
-        reports.append(match_feature_sets(
-            fa, fb, ratio=cfg.ratio, ransac=cfg.ransac_config(),
-            seed=cfg.seed + k, resolution_m=img_a.resolution_m))
+    reports = [report for _, _, report in matched]
 
     decision = None
     if with_decision:

@@ -1,10 +1,11 @@
 """Concentric-ring binary descriptor with per-ring smoothing.
 
-60 sampling points (center + 4 rings) are read from Gaussian-smoothed
-copies of the image, with smoothing proportional to ring radius so outer
-points average over wider support. Long-distance point pairs vote for the
-keypoint's orientation via their intensity gradients; the 512 shortest
-pairs, rotated by that orientation, produce the descriptor bits.
+60 sampling points (center + 4 rings) are read from the image smoothed
+by a Gaussian proportional to the ring radius, so outer points average
+over wider support; the smoothing is evaluated only at those points.
+Long-distance point pairs vote for the keypoint's orientation via their
+intensity gradients; the 512 shortest pairs, rotated by that orientation,
+produce the descriptor bits.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from ..imgpost import GrayImage
 from .base import DetectorConfig, FeatureSet, register_detector, require_min_size
-from .corners import build_pyramid, detect_on_levels, level_coords, with_angle
+from .corners import (build_pyramid, detect_on_levels, level_coords,
+                      smoothed_at, with_angle)
 from .patterns import ring_pairs, ring_points
 
 DESCRIPTOR_BITS = 512
@@ -37,8 +38,8 @@ def _gauss_kernel_fp(sigma: float) -> np.ndarray:
     """Fixed-point separable Gaussian weights (radius 3*sigma).
 
     The center weight absorbs the rounding residue so every kernel sums to
-    exactly _KERNEL_SCALE; all smoothed copies then share one gain and a
-    uniform brightness offset shifts them all by the same exact amount.
+    exactly _KERNEL_SCALE, so all point responses share one gain (see
+    ``smoothed_at`` for when their sums are exact).
     """
     r = int(math.ceil(3.0 * sigma))
     x = np.arange(-r, r + 1, dtype=np.float64)
@@ -48,36 +49,18 @@ def _gauss_kernel_fp(sigma: float) -> np.ndarray:
     return ki
 
 
-def _smoothed_stack(pixels: np.ndarray) -> list[np.ndarray]:
-    """One smoothed copy of the image per distinct point sigma.
-
-    Kernels use integer fixed-point weights so that on integer images the
-    responses are exact sums: a uniform brightness offset shifts every
-    response by the same amount and no comparison bit can flip.
-    """
-    arr = np.asarray(pixels)
-    if np.issubdtype(arr.dtype, np.integer):
-        work = arr.astype(np.int64)
-    else:
-        work = arr.astype(np.float64)
-    out = []
-    for s in _UNIQUE_SIGMAS:
-        k = _gauss_kernel_fp(float(s))
-        rows = ndimage.convolve1d(work, k, axis=0, mode="reflect")
-        out.append(ndimage.convolve1d(rows, k, axis=1, mode="reflect"))
-    return out
+_KERNELS = [_gauss_kernel_fp(float(s)) for s in _UNIQUE_SIGMAS]
 
 
-def _sample(stack: list[np.ndarray], x: float, y: float,
-            angle: float) -> np.ndarray:
+def _sample(level: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
     """All 60 point responses around (x, y), pattern rotated by angle."""
     c, s = math.cos(angle), math.sin(angle)
     sx = np.floor(c * _POINTS[:, 0] - s * _POINTS[:, 1] + x + 0.5).astype(np.intp)
     sy = np.floor(s * _POINTS[:, 0] + c * _POINTS[:, 1] + y + 0.5).astype(np.intp)
     vals = np.empty(len(_POINTS), dtype=np.float64)
-    for idx in range(len(stack)):
+    for idx, kernel in enumerate(_KERNELS):
         sel = _SIGMA_INDEX == idx
-        vals[sel] = stack[idx][sy[sel], sx[sel]]
+        vals[sel] = smoothed_at(level, kernel, sy[sel], sx[sel])
     return vals
 
 
@@ -101,15 +84,14 @@ def detect_brisk(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     """Segment-test corners + long-pair orientation + ring comparisons."""
     require_min_size(img.pixels)
     levels = build_pyramid(img.pixels, cfg.n_octaves)
-    stacks = [_smoothed_stack(lv) for lv in levels]
     kept, rows = [], []
     for kp in detect_on_levels(levels, cfg):
         lx, ly = level_coords(kp)
-        stack = stacks[kp.octave]
-        if not _in_margin(lx, ly, stack[0].shape):
+        level = levels[kp.octave]
+        if not _in_margin(lx, ly, level.shape):
             continue
-        angle = _orientation(_sample(stack, lx, ly, 0.0))
-        vals = _sample(stack, lx, ly, angle)
+        angle = _orientation(_sample(level, lx, ly, 0.0))
+        vals = _sample(level, lx, ly, angle)
         bits = vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]]
         kept.append(with_angle(kp, angle))
         rows.append(np.packbits(bits))

@@ -63,7 +63,9 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     The score is max over the 16 candidate 9-long arcs of the arc's weakest
     contrast against the center, evaluated for the brighter and darker cases
     separately; a pixel is a corner exactly when the score exceeds the
-    threshold.
+    threshold. Any 9-long arc covers at least 2 of the 4 compass pixels
+    (circle indices 0, 4, 8, 12), so only pixels where 2 compass contrasts
+    pass the threshold with one sign are scored.
     """
     img = np.asarray(pixels, dtype=np.float32)
     h, w = img.shape
@@ -71,22 +73,49 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     if h < 7 or w < 7:
         return scores
     center = img[3:h - 3, 3:w - 3]
-    diffs = [img[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc] - center
-             for dr, dc in CIRCLE_OFFSETS]
-
-    def best_arc(deltas):
-        best = np.full(center.shape, -np.inf, dtype=np.float32)
-        for start in range(16):
-            arc_min = deltas[start].copy()
-            for step in range(1, ARC_LENGTH):
-                np.minimum(arc_min, deltas[(start + step) % 16], out=arc_min)
-            np.maximum(best, arc_min, out=best)
-        return best
-
-    score = np.maximum(best_arc(diffs), best_arc([-d for d in diffs]))
+    brighter = np.zeros(center.shape, dtype=np.uint8)
+    darker = np.zeros(center.shape, dtype=np.uint8)
+    for dr, dc in CIRCLE_OFFSETS[::4]:
+        d = img[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc] - center
+        brighter += d > threshold
+        darker += d < -threshold
+    rows, cols = np.nonzero((brighter >= 2) | (darker >= 2))
+    rows += 3
+    cols += 3
+    offsets = np.asarray(CIRCLE_OFFSETS)
+    deltas = (img[rows + offsets[:, :1], cols + offsets[:, 1:]]
+              - img[rows, cols])
+    ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
+    # (sign, start, pixel, step): both signs' arcs from all 16 starts.
+    arcs = np.lib.stride_tricks.sliding_window_view(
+        np.stack([ring, -ring]), ARC_LENGTH, axis=1)
+    score = arcs.min(axis=-1).max(axis=(0, 1))
     score[score <= threshold] = 0.0
-    scores[3:h - 3, 3:w - 3] = score
+    scores[rows, cols] = score
     return scores
+
+
+def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
+                sx: np.ndarray) -> np.ndarray:
+    """``level`` smoothed by ``kernel`` along rows then columns, at (sy, sx).
+
+    The two reflect-mode ``ndimage.convolve1d`` passes run only on the
+    points' bounding box padded by the kernel radius and clipped to the
+    level (points must lie inside it). Each box pixel reads the same inputs
+    in the same order as on the full image, and a clipped side is the image
+    edge, so the values equal full-image smoothing bit for bit. Sums are
+    float64; with integer weights they are exact only on an integer-valued
+    level, i.e. level 0 of an integer image, where a uniform brightness
+    offset then shifts every response equally. Resampled levels round.
+    """
+    r = len(kernel) // 2
+    h, w = level.shape
+    r0, r1 = max(int(sy.min()) - r, 0), min(int(sy.max()) + r + 1, h)
+    c0, c1 = max(int(sx.min()) - r, 0), min(int(sx.max()) + r + 1, w)
+    window = np.asarray(level[r0:r1, c0:c1], dtype=np.float64)
+    rows = ndimage.convolve1d(window, kernel, axis=0, mode="reflect")
+    smoothed = ndimage.convolve1d(rows, kernel, axis=1, mode="reflect")
+    return smoothed[sy - r0, sx - c0]
 
 
 def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

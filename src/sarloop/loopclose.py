@@ -205,27 +205,36 @@ def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
     return MatchReport(a.detector_id, len(a), len(b), n_kept, good, transform)
 
 
-def match_regions(img_a: GrayImage, img_b: GrayImage,
-                  cfgs: Sequence[DetectorConfig], *, ratio: float = 0.75,
-                  ransac: RansacConfig = RansacConfig(),
-                  seed: int = 0) -> list[MatchReport]:
-    """Full per-detector pipeline on one candidate image pair.
+def detect_and_match(img_a: GrayImage, img_b: GrayImage,
+                     cfgs: Sequence[DetectorConfig], *, ratio: float = 0.75,
+                     ransac: RansacConfig = RansacConfig(), seed: int = 0,
+                     ) -> list[tuple[FeatureSet, FeatureSet, MatchReport]]:
+    """Per config: both images' features and their MatchReport (seed + k).
 
-    Runs each configured detector on both images, matches, filters, and
-    fits; one MatchReport per config. Images must share a pixel size so
-    translations convert to meters consistently.
+    Equal pixel arrays are detected once, as detection reads nothing else.
+    Images must share a pixel size so translations convert to meters.
     """
     if img_a.resolution_m != img_b.resolution_m:
         raise ValueError(f"image resolutions differ: "
                          f"{img_a.resolution_m} vs {img_b.resolution_m}")
-    reports = []
+    same_pixels = np.array_equal(img_a.pixels, img_b.pixels)
+    out = []
     for k, cfg in enumerate(cfgs):
         fa = detect_and_describe(img_a, cfg)
-        fb = detect_and_describe(img_b, cfg)
-        reports.append(match_feature_sets(
+        fb = fa if same_pixels else detect_and_describe(img_b, cfg)
+        out.append((fa, fb, match_feature_sets(
             fa, fb, ratio=ratio, ransac=ransac, seed=seed + k,
-            resolution_m=img_a.resolution_m))
-    return reports
+            resolution_m=img_a.resolution_m)))
+    return out
+
+
+def match_regions(img_a: GrayImage, img_b: GrayImage,
+                  cfgs: Sequence[DetectorConfig], *, ratio: float = 0.75,
+                  ransac: RansacConfig = RansacConfig(),
+                  seed: int = 0) -> list[MatchReport]:
+    """One MatchReport per config from ``detect_and_match``."""
+    return [report for _, _, report in detect_and_match(
+        img_a, img_b, cfgs, ratio=ratio, ransac=ransac, seed=seed)]
 
 
 def fuse_transform(ta: SimilarityTransform, na: int,

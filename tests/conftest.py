@@ -17,6 +17,7 @@ from numpy.random import default_rng
 from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, Scatterer,
                      TrajectorySpec, build_sar, gaussian_blur, positive_image,
                      quantize, render_scene)
+from sarloop.features import base as feature_base
 from sarloop.radar import (compress_scan, default_pulse_half_duration,
                            synthesize_pulse)
 
@@ -72,3 +73,19 @@ def five_scatterer(table1):
     run.elapsed_s = time.perf_counter() - t0
     run.scene = scene
     return run
+
+
+@pytest.fixture
+def detector_calls(monkeypatch):
+    """Detector ids in the order the registered detectors get called."""
+    calls = []
+
+    def spy(name, detect):
+        def counted(img, cfg):
+            calls.append(name)
+            return detect(img, cfg)
+        return counted
+
+    monkeypatch.setattr(feature_base, "_DETECTORS",
+                        {n: spy(n, f) for n, f in feature_base._DETECTORS.items()})
+    return calls

@@ -44,6 +44,18 @@ def test_pipeline_on_a_small_scene(small_scene, tmp_path, capsys):
     assert table[-1].startswith("fused\t")
 
 
+def test_self_pair_detects_once_and_writes_equal_feature_files(
+        small_scene, tmp_path, detector_calls):
+    scene, traj = small_scene
+    out = tmp_path / "run"
+    assert run("pipeline", "--scene", scene, "--trajectory", traj,
+               "--out", out, *FAST) == 0
+    assert detector_calls == ["orb", "brisk"]
+    for det in ("orb", "brisk"):
+        assert ((out / f"features_{det}_a.bin").read_bytes()
+                == (out / f"features_{det}_b.bin").read_bytes())
+
+
 def test_bundled_demo_pipeline_accepts_its_own_map(tmp_path, capsys):
     rc = run("pipeline", "--scene", f"{DEMO}/scene.txt",
              "--trajectory", f"{DEMO}/trajectory.txt", "--out", tmp_path / "demo")

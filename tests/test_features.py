@@ -6,6 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from sarloop import (DetectorConfig, FeatureSet, GrayImage, Keypoint,
                      detect_and_describe, detect_corners, register_detector)
@@ -14,7 +17,8 @@ from sarloop.features import (brisk, load_feature_set, orb,
                               orientation_centroid, save_feature_set)
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
                                       bilinear_resize, build_pyramid,
-                                      level_coords, segment_test_scores)
+                                      level_coords, segment_test_scores,
+                                      smoothed_at)
 
 RES = 0.005
 
@@ -40,11 +44,8 @@ def test_circle_offsets_trace_the_radius3_ring_clockwise():
     assert ARC_LENGTH == 9
 
 
-def test_segment_test_matches_per_pixel_oracle():
-    img = random_u8((40, 40), seed=11, hi=256).astype(np.float32)
-    threshold = 12.0
-    got = segment_test_scores(img, threshold)
-
+def segment_test_oracle(img, threshold):
+    """Per-pixel segment test: every 9-arc, both signs, no pruning."""
     h, w = img.shape
     want = np.zeros((h, w), dtype=np.float32)
     for r in range(3, h - 3):
@@ -58,8 +59,62 @@ def test_segment_test_matches_per_pixel_oracle():
                     score = max(score, arc)
             if score > threshold:
                 want[r, c] = score
+    return want
+
+
+def test_segment_test_matches_per_pixel_oracle():
+    img = random_u8((40, 40), seed=11, hi=256).astype(np.float32)
+    threshold = 12.0
+    got = segment_test_scores(img, threshold)
+    want = segment_test_oracle(img, threshold)
     assert np.array_equal(got, want)
     assert np.all(got[:3] == 0) and np.all(got[:, -3:] == 0)
+
+
+sides = st.integers(1, 40)
+thresholds = st.one_of(st.integers(1, 60).map(float),
+                       st.floats(0.25, 60.0).map(lambda t: round(t, 3)))
+
+
+@st.composite
+def random_or_plateau_images(draw):
+    h, w = draw(sides), draw(sides)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 256, (h, w)).astype(np.float32)
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
+    return np.asarray(levels, np.float32)[rng.integers(0, len(levels), (h, w))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_or_plateau_images(), thresholds)
+def test_segment_test_matches_the_oracle_on_random_and_plateau_images(img, threshold):
+    got = segment_test_scores(img, threshold)
+    assert got.dtype == np.float32
+    assert got.tobytes() == segment_test_oracle(img, threshold).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(7, 16), st.integers(7, 16), st.integers(0, 15).filter(lambda s: s % 4),
+       st.integers(ARC_LENGTH - 1, ARC_LENGTH + 2), st.sampled_from((1.0, -1.0)),
+       thresholds, st.sampled_from((0.5, 1.0, 1.001, 2.0)), st.data())
+def test_arcs_lighting_two_compass_pixels_are_scored(h, w, start, length, sign,
+                                                      threshold, gain, data):
+    # A 9-arc starting off a compass index covers exactly 2 of the 4 compass
+    # pixels: the least evidence the pruning rule admits.
+    r = data.draw(st.integers(3, h - 4))
+    c = data.draw(st.integers(3, w - 4))
+    floor = np.float32(100.0)
+    img = np.full((h, w), floor, np.float32)
+    for k in range(start, start + length):
+        dr, dc = CIRCLE_OFFSETS[k % 16]
+        img[r + dr, c + dc] = floor + sign * threshold * gain
+    got = segment_test_scores(img, threshold)
+    assert got.tobytes() == segment_test_oracle(img, threshold).tobytes()
+    assert sum(1 for k in range(start, start + ARC_LENGTH) if k % 4 == 0) == 2
+    dr, dc = CIRCLE_OFFSETS[start]
+    contrast = abs(img[r + dr, c + dc] - floor)
+    assert (got[r, c] > 0) == (length >= ARC_LENGTH and contrast > threshold)
 
 
 def test_raising_the_threshold_only_zeroes_weak_scores():
@@ -153,6 +208,38 @@ def test_orientation_follows_the_intensity_gradient():
 
 
 # ------------------------------------------------------------- descriptors
+
+@st.composite
+def resampled_levels_and_samples(draw):
+    """A non-integer bilinear pyramid level and sample points touching its edges."""
+    h, w = draw(st.integers(8, 70)), draw(st.integers(8, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = build_pyramid(rng.integers(0, 256, (h, w)).astype(np.uint8),
+                          draw(st.integers(2, 4)))[-1]
+    lh, lw = level.shape
+    rows = st.one_of(st.sampled_from((0, lh - 1)), st.integers(0, lh - 1))
+    cols = st.one_of(st.sampled_from((0, lw - 1)), st.integers(0, lw - 1))
+    points = draw(st.lists(st.tuples(rows, cols), min_size=1, max_size=12))
+    sy, sx = np.array(points, dtype=np.intp).T
+    return level, sy, sx
+
+
+SMOOTHING_KERNELS = [*brisk._KERNELS, orb._BOX]
+
+
+@settings(max_examples=150, deadline=None)
+@given(resampled_levels_and_samples())
+def test_windowed_smoothing_equals_full_image_smoothing(sample):
+    level, sy, sx = sample
+    assert not np.array_equal(level, np.round(level))
+    for kernel in SMOOTHING_KERNELS:
+        full = ndimage.convolve1d(level.astype(np.float64), kernel, axis=0,
+                                  mode="reflect")
+        full = ndimage.convolve1d(full, kernel, axis=1, mode="reflect")
+        got = smoothed_at(level, kernel, sy, sx)
+        assert got.dtype == np.float64
+        assert got.tobytes() == full[sy, sx].tobytes()
+
 
 def rot90_ccw_coords(x, y, side):
     """Where pixel (x, y) lands after np.rot90 of a side x side image."""

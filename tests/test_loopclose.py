@@ -326,3 +326,27 @@ def test_match_regions_self_pair_is_a_clean_identity(five_scatterer):
         assert abs(r.transform.rot_rad) < 1e-6
     decision = validate_loop(*reports)
     assert decision.accepted and decision.reasons == ()
+
+
+def test_identical_pixels_are_detected_once_per_detector(five_scatterer,
+                                                         detector_calls):
+    from sarloop import DetectorConfig, GrayImage
+    from sarloop.loopclose import detect_and_match
+    img = five_scatterer.image
+    copy = GrayImage(img.pixels.copy(), img.resolution_m)
+    cfgs = [DetectorConfig("orb"), DetectorConfig("brisk")]
+    matched = detect_and_match(img, copy, cfgs, seed=9)
+    assert detector_calls == ["orb", "brisk"]
+    for k, (fa, fb, report) in enumerate(matched):
+        assert fb is fa
+        assert report == match_feature_sets(fa, fa, seed=9 + k,
+                                            resolution_m=img.resolution_m)
+
+
+def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls):
+    from sarloop import DetectorConfig, GrayImage
+    img = five_scatterer.image
+    shifted = GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
+    assert shifted.pixels.shape == img.pixels.shape
+    match_regions(img, shifted, [DetectorConfig("orb"), DetectorConfig("brisk")])
+    assert detector_calls == ["orb", "orb", "brisk", "brisk"]
