@@ -3,20 +3,30 @@
 Each compressed scan is spread onto the pixels whose centers lie in its
 field of view: the exact annular sector of ``in_fov`` (range window + beam
 cone around the boresight), the predicate the simulator also uses. Only the
-sector's bounding window is evaluated, and each scan is added into the
-accumulator in place; the image is the coherent sum over all poses.
+sector's bounding window is evaluated, in blocks of ``BLOCK_ROWS`` rows that
+take each pixel's range once for the sector test and the bin. A scan's blocks
+cover disjoint rows and run on one thread per usable core (the affinity mask
+where the OS has one); the next scan starts when all are done, so each pixel
+sums its scans in scan order and the image's bytes do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Pose2, wrap_angle
 from .radar import CompressedScan, RadarConfig, range_bin_spacing
+
+BLOCK_ROWS = 64  # rows per unit of work: few enough that its temporaries stay in cache
+
 
 @dataclass(frozen=True)
 class ImageGrid:
@@ -75,11 +85,13 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     boresight (robot heading + mount angle) is within half the beamwidth,
     tested as ``along-boresight >= range * cos(beamwidth / 2)`` (beamwidth < pi).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dx = x - radar.x_m
-    dy = y - radar.y_m
-    rng = np.hypot(dx, dy)
+    dx = np.asarray(x, dtype=np.float64) - radar.x_m
+    dy = np.asarray(y, dtype=np.float64) - radar.y_m
+    return _sector(radar, config, dx, dy, np.hypot(dx, dy))
+
+
+def _sector(radar: Pose2, config: RadarConfig, dx, dy, rng) -> np.ndarray:
+    """``in_fov`` on offsets from the radar and their precomputed range."""
     boresight = radar.theta_rad + config.mount_angle_rad
     along = dx * math.cos(boresight) + dy * math.sin(boresight)
     return ((rng >= config.range_min_m) & (rng <= config.range_max_m)
@@ -118,6 +130,18 @@ def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
                   grid.y_coords()[rows][:, np.newaxis])
 
 
+def _add_block(total: np.ndarray, xs: np.ndarray, ys: np.ndarray, scan: CompressedScan,
+               padded: np.ndarray, cfg: RadarConfig, cols: slice, rows: slice) -> None:
+    """Add a scan into ``total[rows, cols]``; pixels outside the FOV read ``padded[-1] == 0``."""
+    dx = xs[cols][np.newaxis, :] - scan.pose.x_m
+    dy = ys[rows][:, np.newaxis] - scan.pose.y_m
+    rng = np.hypot(dx, dy)
+    # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
+    idx = (rng / range_bin_spacing(cfg) + 0.5).astype(np.intp)
+    idx[~_sector(scan.pose, cfg, dx, dy, rng) | (idx > scan.bins.size)] = scan.bins.size
+    total[rows, cols] += padded[idx]
+
+
 def build_sar(scans: Iterable[CompressedScan], config: RadarConfig | Sequence[RadarConfig],
               grid: ImageGrid) -> SarImage:
     """Back-project and sum a scan stream (constant memory in scans).
@@ -127,23 +151,23 @@ def build_sar(scans: Iterable[CompressedScan], config: RadarConfig | Sequence[Ra
     be a single RadarConfig or one per scan (dual-radar streams interleave
     scans with different mount angles).
     """
-    total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)  # row-major
+    total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
+    xs, ys = grid.x_coords(), grid.y_coords()
     count = 0
     configs = config if not isinstance(config, RadarConfig) else None
-    for i, scan in enumerate(scans):
-        cfg = configs[i] if configs is not None else config
-        rows, cols = fov_window(scan.pose, cfg, grid)
-        r, c = np.nonzero(fov_mask(scan.pose, cfg, grid, rows, cols))
-        r += rows.start
-        c += cols.start
-        rng = np.hypot(grid.x_coords()[c] - scan.pose.x_m, grid.y_coords()[r] - scan.pose.y_m)
-        bins = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
-        valid = bins < scan.bins.size
-        total[(r * grid.width_px + c)[valid]] += scan.bins[bins[valid]]
-        count += 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(cores) as pool:
+        for i, scan in enumerate(scans):
+            cfg = configs[i] if configs is not None else config
+            rows, cols = fov_window(scan.pose, cfg, grid)
+            add = partial(_add_block, total, xs, ys, scan, np.append(scan.bins, 0), cfg, cols)
+            # Blocks cover disjoint rows; the next scan waits for all of them.
+            list(pool.map(add, (slice(r, min(r + BLOCK_ROWS, rows.stop))
+                                for r in range(rows.start, rows.stop, BLOCK_ROWS))))
+            count += 1
     if count == 0:
         raise ValueError("no scans to back-project")
-    return SarImage(grid, total.reshape(grid.height_px, grid.width_px), scan_count=count)
+    return SarImage(grid, total, scan_count=count)
 
 
 def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float) -> ImageGrid:

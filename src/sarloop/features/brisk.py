@@ -52,16 +52,21 @@ def _gauss_kernel_fp(sigma: float) -> np.ndarray:
 _KERNELS = [_gauss_kernel_fp(float(s)) for s in _UNIQUE_SIGMAS]
 
 
-def _sample(level: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
-    """All 60 point responses around (x, y), pattern rotated by angle."""
+def _smooth_boxes(level: np.ndarray, x: float, y: float) -> np.ndarray:
+    """Per sigma, the level smoothed on the pixels within BORDER_MARGIN_PX
+    of the rounded (x, y), where the pattern lands at any angle."""
+    cx, cy, r = math.floor(x + 0.5), math.floor(y + 0.5), BORDER_MARGIN_PX
+    ys, xs = np.mgrid[cy - r:cy + r + 1, cx - r:cx + r + 1]
+    return np.stack([smoothed_at(level, kernel, ys, xs) for kernel in _KERNELS])
+
+
+def _sample(boxes: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
+    """All 60 responses around (x, y) from its ``_smooth_boxes``, pattern rotated by angle."""
     c, s = math.cos(angle), math.sin(angle)
     sx = np.floor(c * _POINTS[:, 0] - s * _POINTS[:, 1] + x + 0.5).astype(np.intp)
     sy = np.floor(s * _POINTS[:, 0] + c * _POINTS[:, 1] + y + 0.5).astype(np.intp)
-    vals = np.empty(len(_POINTS), dtype=np.float64)
-    for idx, kernel in enumerate(_KERNELS):
-        sel = _SIGMA_INDEX == idx
-        vals[sel] = smoothed_at(level, kernel, sy[sel], sx[sel])
-    return vals
+    r = BORDER_MARGIN_PX
+    return boxes[_SIGMA_INDEX, sy - math.floor(y + 0.5) + r, sx - math.floor(x + 0.5) + r]
 
 
 def _orientation(values: np.ndarray) -> float:
@@ -90,8 +95,9 @@ def detect_brisk(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
         level = levels[kp.octave]
         if not _in_margin(lx, ly, level.shape):
             continue
-        angle = _orientation(_sample(level, lx, ly, 0.0))
-        vals = _sample(level, lx, ly, angle)
+        boxes = _smooth_boxes(level, lx, ly)
+        angle = _orientation(_sample(boxes, lx, ly, 0.0))
+        vals = _sample(boxes, lx, ly, angle)
         bits = vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]]
         kept.append(with_angle(kp, angle))
         rows.append(np.packbits(bits))

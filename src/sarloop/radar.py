@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
 
 from .geometry import Pose2
 
@@ -182,8 +182,10 @@ def matched_filter(received: Waveform, pulse: Waveform) -> Waveform:
             f"pulse {pulse.sample_rate_hz:g} Hz")
     # Correlate against the pulse, aligned on the pulse's own t=0 sample.
     center = int(round(-pulse.t0_s * pulse.sample_rate_hz))
-    reversed_pulse = pulse.samples[::-1]
-    full = sp_signal.fftconvolve(received.samples, reversed_pulse, mode="full")
+    n = len(received) + len(pulse) - 1
+    m = sp_fft.next_fast_len(n, real=True)
+    full = sp_fft.irfft(sp_fft.rfft(received.samples, m) * sp_fft.rfft(pulse.samples[::-1], m),
+                        m)[:n]
     start = len(pulse) - 1 - center
     out = full[start:start + len(received)]
     return Waveform(out, t0_s=received.t0_s, sample_rate_hz=received.sample_rate_hz)
@@ -196,8 +198,10 @@ def analytic_signal(w: Waveform) -> np.ndarray:
     discrete Hilbert transform (frequency-domain construction). The
     magnitude is the signal envelope.
     """
-    imag = np.imag(sp_signal.hilbert(w.samples))
-    return w.samples + 1j * imag
+    spectrum = sp_fft.fft(w.samples)
+    spectrum[1:(len(w) + 1) // 2] *= 2.0
+    spectrum[len(w) // 2 + 1:] = 0.0
+    return w.samples + 1j * np.imag(sp_fft.ifft(spectrum))
 
 
 def range_bin_spacing(config: RadarConfig) -> float:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,13 @@ from hypothesis import strategies as st
 
 from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
                      build_sar, derive_grid, fov_mask, in_fov)
-from sarloop.backprojection import fov_window
-from sarloop.radar import range_bin_spacing
+from sarloop.backprojection import BLOCK_ROWS, fov_window
+from sarloop.cli import main
+from sarloop.radar import compress_scan, range_bin_spacing
+from sarloop.runconfig import load_config
+from sarloop.scanlog import load_scan_log
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 # coarse-grid config so annulus oracles stay cheap: bin spacing ~0.15 m
 COARSE = RadarConfig(1e9, 0.3e9, 0.2e9)
@@ -36,6 +45,22 @@ def oracle_layer(scan, config, grid):
     layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     layer[paint] = scan.bins[bins[paint]]
     return layer
+
+
+def scatter_oracle(scans, configs, grid):
+    """Back-projection as a scatter-add: mask each window, find its in-FOV
+    pixels, take their range again, and add the bins into a flat image."""
+    total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)
+    for scan, cfg in zip(scans, configs):
+        rows, cols = fov_window(scan.pose, cfg, grid)
+        r, c = np.nonzero(fov_mask(scan.pose, cfg, grid, rows, cols))
+        r += rows.start
+        c += cols.start
+        rng = np.hypot(grid.x_coords()[c] - scan.pose.x_m, grid.y_coords()[r] - scan.pose.y_m)
+        bins = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
+        valid = bins < scan.bins.size
+        total[(r * grid.width_px + c)[valid]] += scan.bins[bins[valid]]
+    return total.reshape(grid.height_px, grid.width_px)
 
 
 def test_in_fov_examples(table1):
@@ -238,3 +263,92 @@ def test_grid_validation():
             ImageGrid(10, 10, 0.1, origin_m=origin)
     with pytest.raises(ValueError):
         SarImage(ImageGrid(4, 4, 0.1), np.zeros((3, 4), complex), 1)
+
+
+@pytest.fixture(scope="module")
+def demo_scans(tmp_path_factory):
+    """The bundled demo's compressed scans (both mounts) and its grid."""
+    out = tmp_path_factory.mktemp("demo")
+    assert main(["simulate", "--scene", str(DEMO / "scene.txt"),
+                 "--trajectory", str(DEMO / "trajectory.txt"), "--out", str(out)]) == 0
+    cfg = load_config(None, [])
+    log = load_scan_log(out / "scanlog.bin")
+    pairs = log.to_raw_scans()
+    scans = [compress_scan(raw, cfg.pulse()) for raw, _ in pairs]
+    grid = derive_grid([s.pose for s in scans], log.config, cfg.grid_resolution_m)
+    return scans, [c for _, c in pairs], grid
+
+
+def test_demo_map_equals_the_scatter_oracle(demo_scans):
+    scans, configs, grid = demo_scans
+    assert len(scans) == 122
+    assert len({c.mount_angle_rad for c in configs}) == 2
+    assert grid.height_px % BLOCK_ROWS
+    sar = build_sar(scans, configs, grid)
+    assert sar.pixels.tobytes() == scatter_oracle(scans, configs, grid).tobytes()
+
+
+@st.composite
+def block_scenes(draw):
+    """Scans whose windows span several row blocks of a grid whose height is
+    not a multiple of BLOCK_ROWS; the first scan sits on the grid's bottom
+    edge looking along it, so its window is clipped there."""
+    height = draw(st.integers(2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS).filter(
+        lambda h: h % BLOCK_ROWS))
+    grid = ImageGrid(draw(st.integers(1, 120)), height, 0.01,
+                     origin_m=(draw(st.floats(-1.0, 0.0)), draw(st.floats(-1.0, 0.0))))
+    configs, scans = [], []
+    for k in range(draw(st.integers(1, 4))):
+        r_min = draw(st.floats(0.05, 0.5))
+        configs.append(RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(
+            st.floats(1.0, math.nextafter(math.pi, 0.0))), range_min_m=r_min,
+            range_max_m=r_min + draw(st.floats(1.0, 2.0))))
+        if k == 0:
+            y, heading = grid.origin_m[1], draw(st.sampled_from((0.0, math.pi)))
+        else:
+            y, heading = draw(st.floats(-1.0, 2.0)), draw(headings)
+        pose = Pose2(draw(st.floats(-1.0, 1.0)), y, heading)
+        n_bins = draw(st.integers(1, 20))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scans.append(CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins),
+                                    pose))
+    return scans, configs, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_scenes())
+def test_row_blocks_match_the_scatter_oracle(scene):
+    scans, configs, grid = scene
+    rows, _ = fov_window(scans[0].pose, configs[0], grid)
+    assert rows.start == 0
+    assert np.array_equal(build_sar(scans, configs, grid).pixels,
+                          scatter_oracle(scans, configs, grid))
+
+
+def test_repeated_and_streamed_calls_give_the_same_bytes():
+    grid = ImageGrid(150, 3 * BLOCK_ROWS + 5, 0.02, origin_m=(-1.5, -2.0))
+    scans = _random_scans(8, pose_spread=1.0, seed=9)
+    first = build_sar(scans, COARSE, grid).pixels.tobytes()
+    for _ in range(2):
+        assert build_sar(scans, COARSE, grid).pixels.tobytes() == first
+    assert build_sar((s for s in scans), COARSE, grid).pixels.tobytes() == first
+
+
+def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
+    # Every scan's window is the same single block of the grid, so blocks of
+    # different scans run concurrently or out of scan order would lose
+    # updates or round differently.
+    grid = ImageGrid(300, BLOCK_ROWS - 3, 0.01, origin_m=(0.0, -0.3))
+    rng = np.random.default_rng(10)
+    scans = [CompressedScan(rng.normal(size=40) + 1j * rng.normal(size=40),
+                            Pose2(rng.uniform(-0.1, 0.1), 0.0, 0.0)) for _ in range(48)]
+    expect = scatter_oracle(scans, [COARSE] * len(scans), grid).tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(1) as runner:
+            sar = runner.submit(build_sar, scans, COARSE, grid).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sar.pixels.tobytes() == expect

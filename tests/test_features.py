@@ -241,6 +241,23 @@ def test_windowed_smoothing_equals_full_image_smoothing(sample):
         assert got.tobytes() == full[sy, sx].tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(-math.pi, math.pi))
+def test_brisk_samples_equal_per_point_smoothing(seed, fx, fy, angle):
+    """One smoothing per sigma serves the pattern at any angle."""
+    level = np.random.default_rng(seed).integers(0, 256, (30, 31)).astype(np.float32)
+    x, y = brisk.BORDER_MARGIN_PX + 5 * fx, brisk.BORDER_MARGIN_PX + 5 * fy
+    got = brisk._sample(brisk._smooth_boxes(level, x, y), x, y, angle)
+    c, s = math.cos(angle), math.sin(angle)
+    px, py = brisk._POINTS.T
+    sx = np.floor(c * px - s * py + x + 0.5).astype(np.intp)
+    sy = np.floor(s * px + c * py + y + 0.5).astype(np.intp)
+    for idx, kernel in enumerate(brisk._KERNELS):
+        sel = brisk._SIGMA_INDEX == idx
+        assert got[sel].tobytes() == smoothed_at(level, kernel, sy[sel], sx[sel]).tobytes()
+
+
 def rot90_ccw_coords(x, y, side):
     """Where pixel (x, y) lands after np.rot90 of a side x side image."""
     return y, side - 1 - x

@@ -1,20 +1,24 @@
 """Pulse synthesis, matched filtering, and range-bin arithmetic.
 
 Oracles are deliberately independent of the implementation: the spectrum
-checks use a hand-rolled DFT, and the matched-filter alignment check uses a
-direct sliding-dot-product correlation.
+checks use a hand-rolled DFT, the matched-filter alignment check uses a
+direct sliding-dot-product correlation, and ``scipy.signal`` (imported only
+here) pins the FFT arithmetic bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import signal
+
 
 from sarloop import RadarConfig, Waveform
 from sarloop.radar import (SPEED_OF_LIGHT, analytic_signal, compress_scan,
                            default_pulse_half_duration, matched_filter,
                            pulse_value, range_bin_spacing, range_to_bin,
                            synthesize_pulse)
+from sarloop.runconfig import load_config
 
 
 @pytest.fixture()
@@ -214,3 +218,26 @@ def test_compress_scan_keeps_pose_and_length(table1, pulse):
     assert comp.bins.shape == (400,)
     assert comp.pose == scan.pose
     assert np.iscomplexobj(comp.bins)
+
+
+@pytest.mark.parametrize("n_received", [2, 7, 64, 257, 1000, 1001])
+@pytest.mark.parametrize("n_pulse", [None, 2, 16, 33])
+def test_fft_rebuild_equals_scipy_signal_bit_for_bit(n_received, n_pulse):
+    """fftconvolve and hilbert as oracles; None is the demo config's pulse.
+
+    Lengths start at 2: with a one-sample side fftconvolve multiplies
+    directly instead of going through the FFT, which rounds differently.
+    """
+    pulse = load_config(None, []).pulse()
+    rng = np.random.default_rng(n_received * 100 + (n_pulse or 0))
+    if n_pulse is not None:
+        pulse = Waveform(rng.normal(size=n_pulse), -(n_pulse // 2) / pulse.sample_rate_hz,
+                         pulse.sample_rate_hz)
+    received = Waveform(rng.normal(size=n_received), 0.0, pulse.sample_rate_hz)
+    full = signal.fftconvolve(received.samples, pulse.samples[::-1], mode="full")
+    start = len(pulse) - 1 - int(round(-pulse.t0_s * pulse.sample_rate_hz))
+    filtered = matched_filter(received, pulse)
+    assert filtered.samples.tobytes() == full[start:start + n_received].tobytes()
+    for w in (received, filtered):
+        expect = w.samples + 1j * np.imag(signal.hilbert(w.samples))
+        assert analytic_signal(w).tobytes() == expect.tobytes()
