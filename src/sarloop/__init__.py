@@ -6,9 +6,9 @@ back-projected over known poses into a complex SAR image, enhanced into an
 binary feature pipelines whose transforms must agree.
 """
 
-from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, fov_mask, in_fov
+from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, in_fov
 from .features import (DetectorConfig, FeatureSet, Keypoint, detect_and_describe,
-                       detect_corners, register_detector)
+                       register_detector)
 from .geometry import Pose2, wrap_angle
 from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
                       occupancy_from_image, otsu_threshold, positive_image, quantize)
@@ -18,11 +18,10 @@ from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTrans
                         validate_loop)
 from .radar import (CompressedScan, RadarConfig, RawScan, Waveform, analytic_signal,
                     compress_scan, default_pulse_half_duration, matched_filter,
-                    pulse_value, range_bin_spacing, range_to_bin, synthesize_pulse)
+                    pulse_value, range_bin_spacing, synthesize_pulse)
 from .runconfig import RunConfig, load_config
 from .scanlog import ScanLog, ScanRecord, load_scan_log, save_scan_log
 from .simulate import (Scatterer, TrajectorySpec, generate_trajectory, load_scene,
-                       load_trajectory, noise_std_for_snr, render_scene, save_scene,
-                       save_trajectory, simulate_echo)
+                       load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
 
 __version__ = "0.1.0"

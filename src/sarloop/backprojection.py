@@ -131,36 +131,32 @@ def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
 
 
 def _add_block(total: np.ndarray, xs: np.ndarray, ys: np.ndarray, scan: CompressedScan,
-               padded: np.ndarray, cfg: RadarConfig, cols: slice, rows: slice) -> None:
+               padded: np.ndarray, cols: slice, rows: slice) -> None:
     """Add a scan into ``total[rows, cols]``; pixels outside the FOV read ``padded[-1] == 0``."""
     dx = xs[cols][np.newaxis, :] - scan.pose.x_m
     dy = ys[rows][:, np.newaxis] - scan.pose.y_m
     rng = np.hypot(dx, dy)
     # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
-    idx = (rng / range_bin_spacing(cfg) + 0.5).astype(np.intp)
-    idx[~_sector(scan.pose, cfg, dx, dy, rng) | (idx > scan.bins.size)] = scan.bins.size
+    idx = (rng / range_bin_spacing(scan.config) + 0.5).astype(np.intp)
+    idx[~_sector(scan.pose, scan.config, dx, dy, rng) | (idx > scan.bins.size)] = scan.bins.size
     total[rows, cols] += padded[idx]
 
 
-def build_sar(scans: Iterable[CompressedScan], config: RadarConfig | Sequence[RadarConfig],
-              grid: ImageGrid) -> SarImage:
+def build_sar(scans: Iterable[CompressedScan], grid: ImageGrid) -> SarImage:
     """Back-project and sum a scan stream (constant memory in scans).
 
-    Every pixel inside a scan's FOV receives the bin at its rounded range
-    index; pixels mapping past the last bin receive nothing. ``config`` may
-    be a single RadarConfig or one per scan (dual-radar streams interleave
-    scans with different mount angles).
+    Each scan is imaged with its own radar, ``scan.config``: every pixel
+    inside its FOV receives the bin at its rounded range index; pixels
+    mapping past the last bin receive nothing.
     """
     total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     xs, ys = grid.x_coords(), grid.y_coords()
     count = 0
-    configs = config if not isinstance(config, RadarConfig) else None
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(cores) as pool:
-        for i, scan in enumerate(scans):
-            cfg = configs[i] if configs is not None else config
-            rows, cols = fov_window(scan.pose, cfg, grid)
-            add = partial(_add_block, total, xs, ys, scan, np.append(scan.bins, 0), cfg, cols)
+        for scan in scans:
+            rows, cols = fov_window(scan.pose, scan.config, grid)
+            add = partial(_add_block, total, xs, ys, scan, np.append(scan.bins, 0), cols)
             # Blocks cover disjoint rows; the next scan waits for all of them.
             list(pool.map(add, (slice(r, min(r + BLOCK_ROWS, rows.stop))
                                 for r in range(rows.start, rows.stop, BLOCK_ROWS))))

@@ -69,8 +69,7 @@ def cmd_simulate(args) -> int:
     spec = TrajectorySpec(tuple(waypoints), cfg.scan_spacing_m,
                           radar_mounts=cfg.mounts_rad())
     radar = cfg.radar_config()
-    radar_poses = [p for _, poses in generate_trajectory(spec) for p in poses]
-    grid = derive_grid(radar_poses, radar, cfg.grid_resolution_m)
+    grid = derive_grid(generate_trajectory(spec), radar, cfg.grid_resolution_m)
     scans, truth = render_scene(scene, spec, radar, grid, snr_db=cfg.snr_db,
                                 rng=np.random.default_rng(cfg.seed))
     save_scan_log(log_from_simulation(scans, radar, cfg.mounts_rad()), log_path)
@@ -91,12 +90,10 @@ def cmd_backproject(args) -> int:
     if not log.records:
         raise ValueError(f"{args.scanlog}: scan log has no records")
     pulse = cfg.pulse()
-    pairs = log.to_raw_scans()
-    compressed = [compress_scan(raw, pulse) for raw, _ in pairs]
-    configs = [c for _, c in pairs]
+    compressed = [compress_scan(raw, pulse) for raw in log.to_raw_scans()]
     grid = derive_grid([s.pose for s in compressed], log.config,
                        cfg.grid_resolution_m)
-    sar = build_sar(compressed, configs, grid)
+    sar = build_sar(compressed, grid)
     imgpost.write_sar_dump(sar, sar_path)
     print(f"wrote {sar_path} ({grid.width_px}x{grid.height_px} px, "
           f"{sar.scan_count} scans)")

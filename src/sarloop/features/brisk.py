@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from ..imgpost import GrayImage
-from .base import DetectorConfig, FeatureSet, register_detector, require_min_size
-from .corners import (build_pyramid, detect_on_levels, level_coords,
-                      smoothed_at, with_angle)
+from .base import DetectorConfig, FeatureSet, register_detector
+from .corners import describe_keypoints, smoothed_at
 from .patterns import ring_pairs, ring_points
 
 DESCRIPTOR_BITS = 512
@@ -78,28 +77,14 @@ def _orientation(values: np.ndarray) -> float:
     return math.atan2(g[1], g[0])
 
 
-def _in_margin(x: float, y: float, shape: tuple[int, int]) -> bool:
-    h, w = shape
-    return (BORDER_MARGIN_PX <= x <= w - 1 - BORDER_MARGIN_PX
-            and BORDER_MARGIN_PX <= y <= h - 1 - BORDER_MARGIN_PX)
+def _describe(level: np.ndarray, x: float, y: float) -> tuple[float, np.ndarray]:
+    boxes = _smooth_boxes(level, x, y)
+    angle = _orientation(_sample(boxes, x, y, 0.0))
+    vals = _sample(boxes, x, y, angle)
+    return angle, np.packbits(vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]])
 
 
 @register_detector("brisk")
 def detect_brisk(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     """Segment-test corners + long-pair orientation + ring comparisons."""
-    require_min_size(img.pixels)
-    levels = build_pyramid(img.pixels, cfg.n_octaves)
-    kept, rows = [], []
-    for kp in detect_on_levels(levels, cfg):
-        lx, ly = level_coords(kp)
-        level = levels[kp.octave]
-        if not _in_margin(lx, ly, level.shape):
-            continue
-        boxes = _smooth_boxes(level, lx, ly)
-        angle = _orientation(_sample(boxes, lx, ly, 0.0))
-        vals = _sample(boxes, lx, ly, angle)
-        bits = vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]]
-        kept.append(with_angle(kp, angle))
-        rows.append(np.packbits(bits))
-    desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    return FeatureSet("brisk", tuple(kept), desc)
+    return describe_keypoints(img, cfg, "brisk", BORDER_MARGIN_PX, DESCRIPTOR_BITS, _describe)

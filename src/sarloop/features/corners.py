@@ -4,7 +4,8 @@ Detection front end shared by both descriptors: a pixel is a corner when
 an arc of at least 9 contiguous pixels on its radius-3 Bresenham circle is
 uniformly brighter (or darker) than the center by more than the threshold.
 The corner score is the largest threshold that still passes, which makes
-``score > threshold`` and the segment test the same predicate.
+``score > threshold`` and the segment test the same predicate. Both
+detectors also share the keypoint loop, ``describe_keypoints``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..imgpost import GrayImage
-from .base import DetectorConfig, Keypoint, require_min_size
+from .base import DetectorConfig, FeatureSet, Keypoint, require_min_size
 
 # Radius-3 circle, 16 pixels, starting at the top and walking clockwise so
 # list adjacency equals geometric adjacency (rows grow downward).
@@ -141,27 +142,40 @@ def detect_on_levels(levels: list[np.ndarray], cfg: DetectorConfig) -> list[Keyp
     return found[:cfg.target_keypoints]
 
 
-def detect_corners(img: GrayImage, cfg: DetectorConfig) -> list[Keypoint]:
-    """Segment-test keypoints over the full pyramid, strongest first.
+def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
+                       margin_px: int, descriptor_bits: int, describe) -> FeatureSet:
+    """Detect corners over the pyramid and describe each on its own level.
 
-    Keypoint coordinates are scaled back to the base image; ``octave``
-    records the level that fired.
+    Keypoints closer than ``margin_px`` to their level's edge are dropped;
+    ``describe(level, x, y)`` returns the angle and packed descriptor of each
+    other keypoint at level coordinates (x, y).
     """
     require_min_size(img.pixels)
-    return detect_on_levels(build_pyramid(img.pixels, cfg.n_octaves), cfg)
+    levels = build_pyramid(img.pixels, cfg.n_octaves)
+    kept, rows = [], []
+    for kp in detect_on_levels(levels, cfg):
+        lx, ly = level_coords(kp)
+        level = levels[kp.octave]
+        h, w = level.shape
+        if not (margin_px <= lx <= w - 1 - margin_px and margin_px <= ly <= h - 1 - margin_px):
+            continue
+        angle, bits = describe(level, lx, ly)
+        kept.append(replace(kp, angle_rad=angle))
+        rows.append(bits)
+    desc = np.vstack(rows) if rows else np.empty((0, descriptor_bits // 8), np.uint8)
+    return FeatureSet(detector_id, tuple(kept), desc)
 
 
-def orientation_centroid(img, kp: Keypoint, radius_px: int = 15) -> float:
-    """Dominant direction from intensity moments on a circular patch.
+def orientation_centroid(pixels: np.ndarray, x: float, y: float, radius_px: int) -> float:
+    """Dominant direction from intensity moments on a circular patch at (x, y).
 
     Returns atan2(m01, m10); a patch with zero first moments (radially
     symmetric or empty) reports angle 0. The radius is clamped so the disc
     stays inside the image.
     """
-    pixels = img.pixels if isinstance(img, GrayImage) else np.asarray(img)
     h, w = pixels.shape
-    cx = int(math.floor(kp.x_px + 0.5))
-    cy = int(math.floor(kp.y_px + 0.5))
+    cx = int(math.floor(x + 0.5))
+    cy = int(math.floor(y + 0.5))
     r = min(radius_px, cx, cy, w - 1 - cx, h - 1 - cy)
     if r < 1:
         return 0.0
@@ -179,7 +193,3 @@ def level_coords(kp: Keypoint) -> tuple[float, float]:
     """Keypoint position in its own octave's pixel frame."""
     s = SCALE_STEP ** kp.octave
     return kp.x_px / s, kp.y_px / s
-
-
-def with_angle(kp: Keypoint, angle_rad: float) -> Keypoint:
-    return replace(kp, angle_rad=angle_rad)

@@ -15,10 +15,8 @@ import math
 import numpy as np
 
 from ..imgpost import GrayImage
-from .base import (DetectorConfig, FeatureSet, Keypoint, register_detector,
-                   require_min_size)
-from .corners import (build_pyramid, detect_on_levels, level_coords,
-                      orientation_centroid, smoothed_at, with_angle)
+from .base import DetectorConfig, FeatureSet, register_detector
+from .corners import describe_keypoints, orientation_centroid, smoothed_at
 from .patterns import PAIR_PATTERN
 
 DESCRIPTOR_BITS = 256
@@ -32,36 +30,18 @@ _PATTERN = np.asarray(PAIR_PATTERN, dtype=np.float64)  # (256, 4): x1 y1 x2 y2
 _BOX = np.ones(5, dtype=np.int64)
 
 
-def _describe_at(level: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
+def _describe(level: np.ndarray, x: float, y: float) -> tuple[float, np.ndarray]:
+    angle = orientation_centroid(level, x, y, ORIENTATION_RADIUS_PX)
     c, s = math.cos(angle), math.sin(angle)
     px = _PATTERN[:, (0, 2)]
     py = _PATTERN[:, (1, 3)]
     sx = np.floor(c * px - s * py + x + 0.5).astype(np.intp)
     sy = np.floor(s * px + c * py + y + 0.5).astype(np.intp)
     vals = smoothed_at(level, _BOX, sy, sx)
-    return np.packbits(vals[:, 0] < vals[:, 1])
-
-
-def _in_margin(x: float, y: float, shape: tuple[int, int]) -> bool:
-    h, w = shape
-    return (BORDER_MARGIN_PX <= x <= w - 1 - BORDER_MARGIN_PX
-            and BORDER_MARGIN_PX <= y <= h - 1 - BORDER_MARGIN_PX)
+    return angle, np.packbits(vals[:, 0] < vals[:, 1])
 
 
 @register_detector("orb")
 def detect_orb(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     """Segment-test corners + centroid orientation + steered pair pattern."""
-    require_min_size(img.pixels)
-    levels = build_pyramid(img.pixels, cfg.n_octaves)
-    kept, rows = [], []
-    for kp in detect_on_levels(levels, cfg):
-        lx, ly = level_coords(kp)
-        level = levels[kp.octave]
-        if not _in_margin(lx, ly, level.shape):
-            continue
-        angle = orientation_centroid(level, Keypoint(lx, ly, kp.response),
-                                     ORIENTATION_RADIUS_PX)
-        kept.append(with_angle(kp, angle))
-        rows.append(_describe_at(level, lx, ly, angle))
-    desc = np.vstack(rows) if rows else np.empty((0, DESCRIPTOR_BITS // 8), np.uint8)
-    return FeatureSet("orb", tuple(kept), desc)
+    return describe_keypoints(img, cfg, "orb", BORDER_MARGIN_PX, DESCRIPTOR_BITS, _describe)

@@ -85,10 +85,12 @@ class Waveform:
 
 @dataclass(frozen=True)
 class RawScan:
-    """One raw echo series acquired at a known radar pose."""
+    """One raw echo series: the robot pose it was acquired at and the radar
+    that fired it (``config.mount_angle_rad`` is that radar's mount)."""
 
     samples: np.ndarray
     pose: Pose2
+    config: RadarConfig
 
     def __post_init__(self):
         if np.iscomplexobj(self.samples):
@@ -104,11 +106,13 @@ class CompressedScan:
     """Range-compressed echo: complex analytic samples indexed by range bin.
 
     Bin ``k`` corresponds to one-way range ``k * range_bin_spacing(config)``.
-    The bin count equals the raw-scan sample count.
+    The bin count equals the raw-scan sample count; ``pose`` and ``config``
+    are the raw scan's.
     """
 
     bins: np.ndarray
     pose: Pose2
+    config: RadarConfig
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
@@ -209,21 +213,8 @@ def range_bin_spacing(config: RadarConfig) -> float:
     return SPEED_OF_LIGHT / (2.0 * config.sample_rate_hz)
 
 
-def range_to_bin(range_m: float, config: RadarConfig, n_bins: int | None = None) -> int:
-    """Nearest range-bin index for a one-way range.
-
-    With ``n_bins`` given, ranges mapping past the last bin raise.
-    """
-    if range_m < 0:
-        raise ValueError(f"range_m must be non-negative, got {range_m}")
-    idx = int(math.floor(range_m / range_bin_spacing(config) + 0.5))
-    if n_bins is not None and idx >= n_bins:
-        raise ValueError(f"range {range_m:g} m falls in bin {idx}, beyond the {n_bins}-bin scan")
-    return idx
-
-
 def compress_scan(scan: RawScan, pulse: Waveform) -> CompressedScan:
     """Matched-filter a raw scan and convert it to complex analytic bins."""
     filtered = matched_filter(
         Waveform(scan.samples, t0_s=0.0, sample_rate_hz=pulse.sample_rate_hz), pulse)
-    return CompressedScan(analytic_signal(filtered), scan.pose)
+    return CompressedScan(analytic_signal(filtered), scan.pose, scan.config)

@@ -91,7 +91,16 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        """Force module-level invariant checks (radar, detectors, matcher)."""
+        """Force module-level invariant checks (radar, detectors, matcher).
+
+        Every float key and each mount angle must be finite, except
+        ``snr_db=inf``, which means no noise.
+        """
+        for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
+            value = getattr(self, key)
+            values = value if key == "mounts_deg" else (value,)
+            if not all(map(math.isfinite, values)) and (key, value) != ("snr_db", math.inf):
+                raise ValueError(f"{key} must be finite, got {value}")
         self.radar_config()
         self.pulse()
         self.detector_configs()

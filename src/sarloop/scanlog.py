@@ -8,8 +8,8 @@ followed by fixed-size little-endian records:
     samples f32 * sample_count
 
 Record poses carry the robot heading; each radar's mount angle lives in
-the header, so ``config_for(radar_index)`` rebuilds the per-stream config
-used for back-projection.
+the header, so ``to_raw_scans`` gives every scan the config of the radar
+that fired it.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ class ScanLog:
     def config_for(self, radar_index: int) -> RadarConfig:
         return replace(self.config, mount_angle_rad=self.mounts_rad[radar_index])
 
-    def to_raw_scans(self) -> list[tuple[RawScan, RadarConfig]]:
-        """Per-record raw scans paired with their mount-specific configs."""
+    def to_raw_scans(self) -> list[RawScan]:
+        """Per-record raw scans, each with its radar's mount-specific config."""
         configs = [self.config_for(i) for i in range(len(self.mounts_rad))]
-        return [(RawScan(r.samples.astype(np.float64), r.pose),
-                 configs[r.radar_index]) for r in self.records]
+        return [RawScan(r.samples.astype(np.float64), r.pose, configs[r.radar_index])
+                for r in self.records]
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:

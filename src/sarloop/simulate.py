@@ -1,11 +1,12 @@
 """Synthetic trajectories and radar echoes from point-scatterer scenes.
 
 Stands in for a real acquisition run: a robot path is sampled at a fixed
-scan spacing, and each (pose, radar) pair yields a raw echo built from
-pulse replicas of the scatterers inside that radar's FOV.
+scan spacing, and at each robot pose every radar fires once. A radar's echo
+is built from pulse replicas of the scatterers inside its FOV.
 
-Convention used throughout the package: a pose's ``theta_rad`` is the robot
-heading and the radar boresight is ``theta_rad + config.mount_angle_rad``.
+Convention used throughout the package: every radar fires from the robot
+pose, whose ``theta_rad`` is the robot heading; the scan's ``config`` carries
+the radar's mount, so its boresight is ``theta_rad + config.mount_angle_rad``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .backprojection import ImageGrid, in_fov
 from .fileerrors import names_its_file
-from .geometry import Pose2, wrap_angle
+from .geometry import Pose2
 from .radar import RadarConfig, RawScan, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
 
 # Extra bins past range_max so pulse tails near the far edge are not clipped.
@@ -48,17 +49,13 @@ class TrajectorySpec:
     """Piecewise-linear robot path sampled every ``scan_spacing_m``.
 
     Waypoint headings are ignored; the heading at each sample comes from the
-    segment being traversed. ``lever_arm_m`` offsets the radar phase centers
-    from the robot center, in the robot frame. The odometry noise fields add
-    cumulative per-step Gaussian drift to the reported poses (off by default).
+    segment being traversed. Every radar in ``radar_mounts`` (boresight
+    angles relative to the heading) fires from the robot pose at each sample.
     """
 
     waypoints: tuple[Pose2, ...]
     scan_spacing_m: float
     radar_mounts: tuple[float, ...] = DEFAULT_MOUNTS
-    lever_arm_m: tuple[float, float] = (0.0, 0.0)
-    odo_step_std_m: float = 0.0
-    odo_heading_std_rad: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
@@ -71,15 +68,10 @@ class TrajectorySpec:
             raise ValueError("need at least one radar mount angle")
 
 
-def generate_trajectory(spec: TrajectorySpec,
-                        rng: np.random.Generator | None = None
-                        ) -> list[tuple[Pose2, list[Pose2]]]:
-    """Sample (robot pose, per-radar pose) pairs along the path.
+def generate_trajectory(spec: TrajectorySpec) -> list[Pose2]:
+    """Robot poses at arc lengths 0, s, 2s, ... along the piecewise-linear path.
 
-    Poses are taken at arc lengths 0, s, 2s, ... along the piecewise-linear
-    path. A sample falling exactly on a corner takes the outgoing segment's
-    heading. Each radar pose has the lever arm applied and its boresight
-    baked into theta (heading + mount angle).
+    A sample falling exactly on a corner takes the outgoing segment's heading.
     """
     pts = np.array([[w.x_m, w.y_m] for w in spec.waypoints], dtype=np.float64)
     seg = np.diff(pts, axis=0)
@@ -93,31 +85,15 @@ def generate_trajectory(spec: TrajectorySpec,
     n_steps = int(math.floor(total / spec.scan_spacing_m + 1e-9))
     s_values = np.minimum(np.arange(n_steps + 1) * spec.scan_spacing_m, total)
 
-    drift_xy = np.zeros(2)
-    drift_theta = 0.0
     out = []
     for s in s_values:
         idx = int(np.searchsorted(cum, s, side="right")) - 1
         idx = min(idx, len(seg_len) - 1)
         while seg_len[idx] == 0.0 and idx + 1 < len(seg_len):
             idx += 1
-        frac = (s - cum[idx]) / seg_len[idx]
-        pos = pts[idx] + frac * seg[idx]
-        theta = float(headings[idx])
-        if spec.odo_step_std_m > 0 or spec.odo_heading_std_rad > 0:
-            if rng is None:
-                raise ValueError("odometry noise requested but no rng supplied")
-            drift_xy = drift_xy + rng.normal(0.0, spec.odo_step_std_m, size=2)
-            drift_theta += rng.normal(0.0, spec.odo_heading_std_rad)
-        robot = Pose2(float(pos[0] + drift_xy[0]), float(pos[1] + drift_xy[1]),
-                      wrap_angle(theta + drift_theta))
-        cos_t, sin_t = math.cos(robot.theta_rad), math.sin(robot.theta_rad)
-        lx, ly = spec.lever_arm_m
-        rx = robot.x_m + cos_t * lx - sin_t * ly
-        ry = robot.y_m + sin_t * lx + cos_t * ly
-        radars = [Pose2(rx, ry, wrap_angle(robot.theta_rad + mount))
-                  for mount in spec.radar_mounts]
-        out.append((robot, radars))
+        pos = pts[idx] + (s - cum[idx]) / seg_len[idx] * seg[idx]
+        # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
+        out.append(Pose2(float(pos[0] + 0.0), float(pos[1] + 0.0), float(headings[idx])))
     return out
 
 
@@ -126,9 +102,10 @@ def default_bin_count(config: RadarConfig) -> int:
     return int(math.ceil(config.range_max_m / range_bin_spacing(config))) + _EXTRA_TAIL_BINS
 
 
-def simulate_echo(scene: Sequence[Scatterer], radar: Pose2, config: RadarConfig,
+def simulate_echo(scene: Sequence[Scatterer], pose: Pose2, config: RadarConfig,
                   n_bins: int) -> RawScan:
-    """Noiseless raw echo at one radar pose: FOV-visible scatterer replicas.
+    """Noiseless raw echo of the radar ``config`` fired at ``pose``: the
+    replicas of the scatterers in its FOV.
 
     Each visible scatterer contributes the transmitted pulse delayed by its
     two-way travel time, scaled by sqrt(rcs) / R^2 (two-way spreading on
@@ -142,12 +119,12 @@ def simulate_echo(scene: Sequence[Scatterer], radar: Pose2, config: RadarConfig,
     t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
     samples = np.zeros(n_bins, dtype=np.float64)
     for sc in scene:
-        if not bool(in_fov(radar, config, sc.x_m, sc.y_m)):
+        if not bool(in_fov(pose, config, sc.x_m, sc.y_m)):
             continue
-        rng_m = math.hypot(sc.x_m - radar.x_m, sc.y_m - radar.y_m)
+        rng_m = math.hypot(sc.x_m - pose.x_m, sc.y_m - pose.y_m)
         delay = 2.0 * rng_m / SPEED_OF_LIGHT
         samples += (math.sqrt(sc.rcs) / rng_m ** 2) * pulse_value(config, t - delay)
-    return RawScan(samples, radar)
+    return RawScan(samples, pose, config)
 
 
 def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: RadarConfig,
@@ -156,28 +133,24 @@ def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: Radar
                  n_bins: int | None = None) -> tuple[list[RawScan], np.ndarray]:
     """Full forward simulation over a trajectory plus the truth occupancy grid.
 
-    Returns one RawScan per (pose, radar) in pose-major, radar-minor order;
-    scan k belongs to radar ``k % len(spec.radar_mounts)``. Scan poses carry
-    the robot heading (mounts are applied via the per-radar config, matching
-    the back-projection convention). Each echo is rendered once; Gaussian
-    noise sized by ``noise_std_for_snr(echoes, snr_db)`` is then added in
-    scan order from ``rng`` (the default infinite SNR adds none). The truth
-    grid marks the cell nearest each scatterer.
+    Returns one RawScan per (pose, radar) in pose-major, radar-minor order:
+    at each robot pose every mount of ``spec.radar_mounts`` fires, and its
+    scan carries ``config`` with that mount. Each echo is rendered once;
+    Gaussian noise sized by ``noise_std_for_snr(echoes, snr_db)`` is then
+    added in scan order from ``rng`` (the default infinite SNR adds none).
+    The truth grid marks the cell nearest each scatterer.
     """
     if n_bins is None:
         n_bins = default_bin_count(config)
     configs = [replace(config, mount_angle_rad=m) for m in spec.radar_mounts]
-    scans = []
-    for robot, radar_poses in generate_trajectory(spec, rng=rng):
-        for cfg, rp in zip(configs, radar_poses):
-            echo_pose = Pose2(rp.x_m, rp.y_m, robot.theta_rad)
-            scans.append(simulate_echo(scene, echo_pose, cfg, n_bins))
+    scans = [simulate_echo(scene, robot, cfg, n_bins)
+             for robot in generate_trajectory(spec) for cfg in configs]
     noise_std = noise_std_for_snr(scans, snr_db)
     if noise_std > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied "
                              "(pass a seeded Generator)")
-        scans = [RawScan(s.samples + rng.normal(0.0, noise_std, size=n_bins), s.pose)
+        scans = [replace(s, samples=s.samples + rng.normal(0.0, noise_std, size=n_bins))
                  for s in scans]
 
     truth = np.zeros((grid.height_px, grid.width_px), dtype=bool)
@@ -226,17 +199,7 @@ def load_scene(path: str | Path) -> list[Scatterer]:
     return _load_rows(path, "x_m y_m rcs", Scatterer)
 
 
-def save_scene(scene: Sequence[Scatterer], path: str | Path) -> None:
-    lines = [f"{sc.x_m!r} {sc.y_m!r} {sc.rcs!r}" for sc in scene]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 @names_its_file
 def load_trajectory(path: str | Path) -> list[Pose2]:
     """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint."""
     return _load_rows(path, "x_m y_m theta_rad", Pose2)
-
-
-def save_trajectory(poses: Sequence[Pose2], path: str | Path) -> None:
-    lines = [f"{p.x_m!r} {p.y_m!r} {p.theta_rad!r}" for p in poses]
-    Path(path).write_text("\n".join(lines) + "\n")

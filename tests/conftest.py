@@ -7,7 +7,6 @@ acceptance tests.
 
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,9 +47,7 @@ def reconstruct(scene, n_poses, noise_seed, grid, config, snr_db=20.0):
     scans, truth = render_scene(scene, spec, config, grid, snr_db=snr_db,
                                 rng=default_rng(noise_seed))
     pulse = synthesize_pulse(config, default_pulse_half_duration(config))
-    configs = [replace(config, mount_angle_rad=SIDE_MOUNTS[k % 2])
-               for k in range(len(scans))]
-    sar = build_sar([compress_scan(s, pulse) for s in scans], configs, grid)
+    sar = build_sar([compress_scan(s, pulse) for s in scans], grid)
     image = quantize(gaussian_blur(positive_image(sar), 1.0))
     return SimpleNamespace(sar=sar, image=image, truth=truth, grid=grid)
 

@@ -68,7 +68,7 @@ def test_03_matched_filter_recovers_randomized_delays_at_low_snr(table1):
         true_bin = int(rng.integers(50, n_bins - 50))
         clean = pulse_value(table1, t - true_bin / table1.sample_rate_hz)
         sigma = np.max(np.abs(clean)) / 10.0 ** (snr_db / 20.0)
-        scan = RawScan(clean + rng.normal(0.0, sigma, n_bins), Pose2(0, 0, 0))
+        scan = RawScan(clean + rng.normal(0.0, sigma, n_bins), Pose2(0, 0, 0), table1)
         peak = int(np.argmax(np.abs(compress_scan(scan, pulse).bins)))
         errors.append(peak - true_bin)
     # sigma is the same in every trial: true_bin is an integer, so each

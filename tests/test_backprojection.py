@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
-                     build_sar, derive_grid, fov_mask, in_fov)
-from sarloop.backprojection import BLOCK_ROWS, fov_window
+                     build_sar, derive_grid, in_fov)
+from sarloop.backprojection import BLOCK_ROWS, fov_mask, fov_window
 from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
@@ -32,26 +32,27 @@ def full_grid_mask(pose, config, grid):
     return in_fov(pose, config, xs, ys)
 
 
-def oracle_layer(scan, config, grid):
-    """Per-pixel full-grid back-projection of one scan.
+def oracle_layer(scan, grid):
+    """Per-pixel full-grid back-projection of one scan with its own radar.
 
     A pixel whose center is in the FOV receives the bin at its rounded
     range index; bins past the end of the scan leave it zero.
     """
     xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
     rng = np.hypot(xs - scan.pose.x_m, ys - scan.pose.y_m)
-    bins = np.floor(rng / range_bin_spacing(config) + 0.5).astype(np.int64)
-    paint = full_grid_mask(scan.pose, config, grid) & (bins < scan.bins.size)
+    bins = np.floor(rng / range_bin_spacing(scan.config) + 0.5).astype(np.int64)
+    paint = full_grid_mask(scan.pose, scan.config, grid) & (bins < scan.bins.size)
     layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     layer[paint] = scan.bins[bins[paint]]
     return layer
 
 
-def scatter_oracle(scans, configs, grid):
+def scatter_oracle(scans, grid):
     """Back-projection as a scatter-add: mask each window, find its in-FOV
     pixels, take their range again, and add the bins into a flat image."""
     total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)
-    for scan, cfg in zip(scans, configs):
+    for scan in scans:
+        cfg = scan.config
         rows, cols = fov_window(scan.pose, cfg, grid)
         r, c = np.nonzero(fov_mask(scan.pose, cfg, grid, rows, cols))
         r += rows.start
@@ -135,15 +136,14 @@ def test_fov_window_is_the_sector_box_padded_by_one_pixel(table1):
 def test_single_scan_matches_full_grid_oracle(scene, n_bins, seed):
     config, pose, grid = scene
     rng = np.random.default_rng(seed)
-    scan = CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins), pose)
-    assert np.array_equal(build_sar([scan], config, grid).pixels,
-                          oracle_layer(scan, config, grid))
+    scan = CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins), pose, config)
+    assert np.array_equal(build_sar([scan], grid).pixels, oracle_layer(scan, grid))
 
 
 def test_backproject_zero_scan_is_zero():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
-    scan = CompressedScan(np.zeros(64, dtype=complex), Pose2(0, 0, 0))
-    out = build_sar([scan], COARSE, grid)
+    scan = CompressedScan(np.zeros(64, dtype=complex), Pose2(0, 0, 0), COARSE)
+    out = build_sar([scan], grid)
     assert np.all(out.pixels == 0)
     assert out.scan_count == 1
 
@@ -155,7 +155,7 @@ def test_single_bin_scan_paints_the_masked_annulus():
     hot_bin = 8
     bins = np.zeros(40, dtype=complex)
     bins[hot_bin] = 2.0 - 1.0j
-    out = build_sar([CompressedScan(bins, pose)], COARSE, grid)
+    out = build_sar([CompressedScan(bins, pose, COARSE)], grid)
 
     painted = 0
     for r in range(grid.height_px):
@@ -174,12 +174,12 @@ def test_single_bin_scan_paints_the_masked_annulus():
 def test_bins_past_scan_end_contribute_zero():
     grid = ImageGrid(50, 50, 0.05, origin_m=(-1.25, -1.25))
     pose = Pose2(0.0, 0.0, 0.0)
-    short = CompressedScan(np.full(4, 1.0 + 0j), pose)  # covers only ~0.6 m
-    out = build_sar([short], COARSE, grid)
+    short = CompressedScan(np.full(4, 1.0 + 0j), pose, COARSE)  # covers only ~0.6 m
+    out = build_sar([short], grid)
     assert np.all(np.isfinite(out.pixels))
     # pixels beyond the last bin stay zero even though they are in the FOV
     assert full_grid_mask(pose, COARSE, grid).sum() > np.count_nonzero(out.pixels)
-    assert np.array_equal(out.pixels, oracle_layer(short, COARSE, grid))
+    assert np.array_equal(out.pixels, oracle_layer(short, grid))
 
 
 def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
@@ -190,31 +190,31 @@ def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
         pose = Pose2(rng.uniform(-pose_spread, pose_spread),
                      rng.uniform(-pose_spread, pose_spread),
                      rng.uniform(-math.pi, math.pi))
-        scans.append(CompressedScan(bins, pose))
+        scans.append(CompressedScan(bins, pose, COARSE))
     return scans
 
 
 def test_build_sar_matches_explicit_sum():
     grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
     scans = _random_scans(6, seed=3)
-    total = build_sar(scans, COARSE, grid)
+    total = build_sar(scans, grid)
     explicit = np.zeros((30, 30), dtype=complex)
     for s in scans:
-        explicit += oracle_layer(s, COARSE, grid)
+        explicit += oracle_layer(s, grid)
     assert np.array_equal(total.pixels, explicit)
     assert total.scan_count == 6
 
-    single = build_sar(scans[:1], COARSE, grid)
-    assert np.array_equal(single.pixels, oracle_layer(scans[0], COARSE, grid))
+    single = build_sar(scans[:1], grid)
+    assert np.array_equal(single.pixels, oracle_layer(scans[0], grid))
     with pytest.raises(ValueError):
-        build_sar([], COARSE, grid)
+        build_sar([], grid)
 
 
 def test_scan_order_permutation_is_harmless():
     grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
     scans = _random_scans(8, seed=4)
-    forward = build_sar(scans, COARSE, grid).pixels
-    backward = build_sar(scans[::-1], COARSE, grid).pixels
+    forward = build_sar(scans, grid).pixels
+    backward = build_sar(scans[::-1], grid).pixels
     scale = np.max(np.abs(forward))
     assert np.allclose(forward, backward, rtol=1e-6, atol=1e-6 * scale)
 
@@ -222,7 +222,7 @@ def test_scan_order_permutation_is_harmless():
 def test_per_scan_energy_bound():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
     for scan in _random_scans(5, n_bins=30, seed=6):
-        part = build_sar([scan], COARSE, grid)
+        part = build_sar([scan], grid)
         masked = int(full_grid_mask(scan.pose, COARSE, grid).sum())
         assert np.sum(np.abs(part.pixels)) <= masked * np.max(np.abs(scan.bins)) + 1e-9
 
@@ -273,19 +273,18 @@ def demo_scans(tmp_path_factory):
                  "--trajectory", str(DEMO / "trajectory.txt"), "--out", str(out)]) == 0
     cfg = load_config(None, [])
     log = load_scan_log(out / "scanlog.bin")
-    pairs = log.to_raw_scans()
-    scans = [compress_scan(raw, cfg.pulse()) for raw, _ in pairs]
+    scans = [compress_scan(raw, cfg.pulse()) for raw in log.to_raw_scans()]
     grid = derive_grid([s.pose for s in scans], log.config, cfg.grid_resolution_m)
-    return scans, [c for _, c in pairs], grid
+    return scans, grid
 
 
 def test_demo_map_equals_the_scatter_oracle(demo_scans):
-    scans, configs, grid = demo_scans
+    scans, grid = demo_scans
     assert len(scans) == 122
-    assert len({c.mount_angle_rad for c in configs}) == 2
+    assert len({s.config.mount_angle_rad for s in scans}) == 2
     assert grid.height_px % BLOCK_ROWS
-    sar = build_sar(scans, configs, grid)
-    assert sar.pixels.tobytes() == scatter_oracle(scans, configs, grid).tobytes()
+    sar = build_sar(scans, grid)
+    assert sar.pixels.tobytes() == scatter_oracle(scans, grid).tobytes()
 
 
 @st.composite
@@ -297,12 +296,12 @@ def block_scenes(draw):
         lambda h: h % BLOCK_ROWS))
     grid = ImageGrid(draw(st.integers(1, 120)), height, 0.01,
                      origin_m=(draw(st.floats(-1.0, 0.0)), draw(st.floats(-1.0, 0.0))))
-    configs, scans = [], []
+    scans = []
     for k in range(draw(st.integers(1, 4))):
         r_min = draw(st.floats(0.05, 0.5))
-        configs.append(RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(
+        config = RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(
             st.floats(1.0, math.nextafter(math.pi, 0.0))), range_min_m=r_min,
-            range_max_m=r_min + draw(st.floats(1.0, 2.0))))
+            range_max_m=r_min + draw(st.floats(1.0, 2.0)))
         if k == 0:
             y, heading = grid.origin_m[1], draw(st.sampled_from((0.0, math.pi)))
         else:
@@ -311,27 +310,26 @@ def block_scenes(draw):
         n_bins = draw(st.integers(1, 20))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         scans.append(CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins),
-                                    pose))
-    return scans, configs, grid
+                                    pose, config))
+    return scans, grid
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_scenes())
 def test_row_blocks_match_the_scatter_oracle(scene):
-    scans, configs, grid = scene
-    rows, _ = fov_window(scans[0].pose, configs[0], grid)
+    scans, grid = scene
+    rows, _ = fov_window(scans[0].pose, scans[0].config, grid)
     assert rows.start == 0
-    assert np.array_equal(build_sar(scans, configs, grid).pixels,
-                          scatter_oracle(scans, configs, grid))
+    assert np.array_equal(build_sar(scans, grid).pixels, scatter_oracle(scans, grid))
 
 
 def test_repeated_and_streamed_calls_give_the_same_bytes():
     grid = ImageGrid(150, 3 * BLOCK_ROWS + 5, 0.02, origin_m=(-1.5, -2.0))
     scans = _random_scans(8, pose_spread=1.0, seed=9)
-    first = build_sar(scans, COARSE, grid).pixels.tobytes()
+    first = build_sar(scans, grid).pixels.tobytes()
     for _ in range(2):
-        assert build_sar(scans, COARSE, grid).pixels.tobytes() == first
-    assert build_sar((s for s in scans), COARSE, grid).pixels.tobytes() == first
+        assert build_sar(scans, grid).pixels.tobytes() == first
+    assert build_sar((s for s in scans), grid).pixels.tobytes() == first
 
 
 def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
@@ -341,14 +339,15 @@ def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
     grid = ImageGrid(300, BLOCK_ROWS - 3, 0.01, origin_m=(0.0, -0.3))
     rng = np.random.default_rng(10)
     scans = [CompressedScan(rng.normal(size=40) + 1j * rng.normal(size=40),
-                            Pose2(rng.uniform(-0.1, 0.1), 0.0, 0.0)) for _ in range(48)]
-    expect = scatter_oracle(scans, [COARSE] * len(scans), grid).tobytes()
+                            Pose2(rng.uniform(-0.1, 0.1), 0.0, 0.0), COARSE)
+             for _ in range(48)]
+    expect = scatter_oracle(scans, grid).tobytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(1) as runner:
-            sar = runner.submit(build_sar, scans, COARSE, grid).result(timeout=120)
+            sar = runner.submit(build_sar, scans, grid).result(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert sar.pixels.tobytes() == expect

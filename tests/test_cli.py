@@ -194,3 +194,16 @@ def test_unknown_config_key_is_reported(small_scene, tmp_path, capsys):
              "--out", tmp_path / "o", "--set", "range_maxm=2")
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["pulse_half_duration_s=inf", "grid_resolution_m=nan",
+                                     "scan_spacing_m=nan", "snr_db=nan", "snr_db=-inf",
+                                     "mounts_deg=90,nan"])
+def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, setting):
+    scene, traj = small_scene
+    rc = run("simulate", "--scene", scene, "--trajectory", traj,
+             "--out", tmp_path / "o", *FAST, "--set", setting)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert setting.split("=")[0] in err
+    assert "Traceback" not in err

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sarloop import (DetectorConfig, FeatureSet, GrayImage, Keypoint,
-                     detect_and_describe, detect_corners, register_detector)
+                     detect_and_describe, register_detector)
 from sarloop.features import base as feature_base
-from sarloop.features import (brisk, load_feature_set, orb,
-                              orientation_centroid, save_feature_set)
+from sarloop.features import brisk, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
                                       bilinear_resize, build_pyramid,
-                                      level_coords, segment_test_scores,
+                                      detect_on_levels, level_coords,
+                                      orientation_centroid, segment_test_scores,
                                       smoothed_at)
 
 RES = 0.005
@@ -25,6 +25,11 @@ RES = 0.005
 
 def gray(px):
     return GrayImage(np.asarray(px), RES)
+
+
+def pyramid_corners(img, cfg):
+    """Segment-test keypoints over the full pyramid, strongest first."""
+    return detect_on_levels(build_pyramid(img.pixels, cfg.n_octaves), cfg)
 
 
 def random_u8(shape, seed, lo=0, hi=200):
@@ -125,15 +130,15 @@ def test_raising_the_threshold_only_zeroes_weak_scores():
 
 
 def test_constant_image_yields_no_corners():
-    kps = detect_corners(gray(np.full((48, 48), 90, np.uint8)),
-                         DetectorConfig("orb"))
+    kps = pyramid_corners(gray(np.full((48, 48), 90, np.uint8)),
+                          DetectorConfig("orb"))
     assert kps == []
 
 
 def test_bright_square_corners_are_localized():
     px = np.full((64, 64), 30, np.uint8)
     px[20:41, 16:37] = 220
-    kps = detect_corners(gray(px), DetectorConfig("orb", n_octaves=1))
+    kps = pyramid_corners(gray(px), DetectorConfig("orb", n_octaves=1))
     corners = {(16, 20), (36, 20), (16, 40), (36, 40)}
     for cx, cy in corners:
         d = min(math.hypot(kp.x_px - cx, kp.y_px - cy) for kp in kps)
@@ -143,9 +148,9 @@ def test_bright_square_corners_are_localized():
 def test_single_octave_keypoints_are_the_3x3_score_maxima():
     img = random_u8((64, 64), seed=13, hi=256)
     threshold = 15
-    kps = detect_corners(gray(img),
-                         DetectorConfig("orb", corner_threshold=threshold,
-                                        n_octaves=1, target_keypoints=10_000))
+    kps = pyramid_corners(gray(img),
+                          DetectorConfig("orb", corner_threshold=threshold,
+                                         n_octaves=1, target_keypoints=10_000))
     assert len(kps) > 20
     scores = segment_test_scores(img, threshold)
     got = {(int(kp.y_px), int(kp.x_px)) for kp in kps}
@@ -162,8 +167,8 @@ def test_single_octave_keypoints_are_the_3x3_score_maxima():
 
 def test_keypoints_rank_strongest_first_and_cap():
     img = gray(random_u8((64, 64), seed=14, hi=256))
-    full = detect_corners(img, DetectorConfig("orb", target_keypoints=10_000))
-    top = detect_corners(img, DetectorConfig("orb", target_keypoints=5))
+    full = pyramid_corners(img, DetectorConfig("orb", target_keypoints=10_000))
+    top = pyramid_corners(img, DetectorConfig("orb", target_keypoints=5))
     assert top == full[:5]
     responses = [kp.response for kp in full]
     assert responses == sorted(responses, reverse=True)
@@ -196,15 +201,15 @@ def test_keypoint_coordinates_map_back_to_their_level():
 
 def test_orientation_follows_the_intensity_gradient():
     ramp_x = np.tile(np.arange(41, dtype=float), (41, 1))
-    kp = Keypoint(20, 20, 1.0)
-    assert orientation_centroid(ramp_x, kp) == pytest.approx(0.0, abs=0.1)
-    assert orientation_centroid(ramp_x.T, kp) == pytest.approx(math.pi / 2, abs=0.1)
-    assert orientation_centroid(-ramp_x, kp) == pytest.approx(math.pi, abs=0.1)
+    at = (20, 20, orb.ORIENTATION_RADIUS_PX)
+    assert orientation_centroid(ramp_x, *at) == pytest.approx(0.0, abs=0.1)
+    assert orientation_centroid(ramp_x.T, *at) == pytest.approx(math.pi / 2, abs=0.1)
+    assert orientation_centroid(-ramp_x, *at) == pytest.approx(math.pi, abs=0.1)
     # symmetric integer patch: moments cancel exactly, angle defined as 0
     dy, dx = np.mgrid[-20:21, -20:21]
     blob = np.round(200 * np.exp(-(dx ** 2 + dy ** 2) / 50.0))
-    assert orientation_centroid(blob, kp) == 0.0
-    assert orientation_centroid(np.full((41, 41), 9.0), kp) == 0.0
+    assert orientation_centroid(blob, *at) == 0.0
+    assert orientation_centroid(np.full((41, 41), 9.0), *at) == 0.0
 
 
 # ------------------------------------------------------------- descriptors
@@ -330,7 +335,7 @@ def border_survivors(img, cfg, margin_px):
     """Detected keypoints whose level coordinates clear the descriptor margin."""
     shapes = [lv.shape for lv in build_pyramid(img.pixels, cfg.n_octaves)]
     kept = []
-    for kp in detect_corners(img, cfg):
+    for kp in pyramid_corners(img, cfg):
         lx, ly = level_coords(kp)
         h, w = shapes[kp.octave]
         if margin_px <= lx <= w - 1 - margin_px and margin_px <= ly <= h - 1 - margin_px:
@@ -343,7 +348,7 @@ def test_orb_drops_only_border_keypoints():
     cfg = DetectorConfig("orb", n_octaves=2, target_keypoints=10_000)
     fs = detect_and_describe(img, cfg)
     want = border_survivors(img, cfg, orb.BORDER_MARGIN_PX)  # 21 px
-    assert 0 < len(want) < len(detect_corners(img, cfg))
+    assert 0 < len(want) < len(pyramid_corners(img, cfg))
     assert [(kp.x_px, kp.y_px, kp.octave) for kp in fs.keypoints] == want
     assert fs.descriptors.shape == (len(want), 32)
     assert fs.descriptors.dtype == np.uint8

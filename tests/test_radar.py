@@ -16,8 +16,7 @@ from scipy import signal
 from sarloop import RadarConfig, Waveform
 from sarloop.radar import (SPEED_OF_LIGHT, analytic_signal, compress_scan,
                            default_pulse_half_duration, matched_filter,
-                           pulse_value, range_bin_spacing, range_to_bin,
-                           synthesize_pulse)
+                           pulse_value, range_bin_spacing, synthesize_pulse)
 from sarloop.runconfig import load_config
 
 
@@ -199,24 +198,14 @@ def test_bin_spacing_identity(table1):
             == pytest.approx(SPEED_OF_LIGHT, rel=1e-12))
 
 
-def test_range_to_bin(table1):
-    dd = range_bin_spacing(table1)
-    assert range_to_bin(0.0, table1) == 0
-    assert range_to_bin(dd, table1) == 1
-    assert range_to_bin(1.0, table1) == 156
-    with pytest.raises(ValueError):
-        range_to_bin(-0.1, table1)
-    with pytest.raises(ValueError, match="beyond"):
-        range_to_bin(1.0, table1, n_bins=100)
-
-
 def test_compress_scan_keeps_pose_and_length(table1, pulse):
     from sarloop import Pose2, RawScan
     rng = np.random.default_rng(2)
-    scan = RawScan(rng.normal(size=400), Pose2(1.0, -2.0, 0.5))
+    scan = RawScan(rng.normal(size=400), Pose2(1.0, -2.0, 0.5), table1)
     comp = compress_scan(scan, pulse)
     assert comp.bins.shape == (400,)
     assert comp.pose == scan.pose
+    assert comp.config == scan.config
     assert np.iscomplexobj(comp.bins)
 
 

@@ -13,9 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sarloop import (FeatureSet, GrayImage, ImageGrid, Keypoint, Pose2, RadarConfig,
-                     SarImage, Scatterer, ScanLog, ScanRecord, load_config,
-                     load_scan_log, load_scene, load_trajectory, save_scan_log,
-                     save_scene, save_trajectory)
+                     SarImage, ScanLog, ScanRecord, load_config, load_scan_log,
+                     load_scene, load_trajectory, save_scan_log)
 from sarloop.features import load_feature_set, save_feature_set
 from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
                              write_float_dump, write_pgm, write_sar_dump)
@@ -49,11 +48,11 @@ def _feature_set(path):
 
 
 def _scene(path):
-    save_scene([Scatterer(0.25, -0.5, 1.0), Scatterer(1.5, 0.75, 2.5)], path)
+    path.write_text("0.25 -0.5 1.0\n1.5 0.75 2.5\n")
 
 
 def _trajectory(path):
-    save_trajectory([Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.25, 0.5)], path)
+    path.write_text("0.0 0.0 0.0\n1.5 0.25 0.5\n")
 
 
 def _config(path):

@@ -56,6 +56,10 @@ def test_validate_rejects_bad_values():
         parse_config_text("sample_rate_hz=1e9\n")
 
 
+def test_infinite_snr_stays_valid_and_means_no_noise():
+    assert parse_config_text("snr_db=inf\n").snr_db == math.inf
+
+
 def test_load_config_merges_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("snr_db=12\nseed=5\n")

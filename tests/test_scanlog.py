@@ -149,7 +149,7 @@ def test_log_validation(table1):
 
 def test_log_from_simulation_layout(table1):
     poses = [Pose2(0.1 * k, 0.0, 0.0) for k in range(3)]
-    scans = [RawScan(np.full(16, float(k)), poses[k // 2]) for k in range(6)]
+    scans = [RawScan(np.full(16, float(k)), poses[k // 2], table1) for k in range(6)]
     log = log_from_simulation(scans, table1, MOUNTS)
     assert [r.timestamp_s for r in log.records] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
     assert [r.radar_index for r in log.records] == [0, 1, 0, 1, 0, 1]
@@ -159,10 +159,11 @@ def test_log_from_simulation_layout(table1):
 
 
 def test_to_raw_scans_applies_the_mounts(table1, log):
-    pairs = log.to_raw_scans()
-    assert len(pairs) == 4
-    for (scan, cfg), rec in zip(pairs, log.records):
-        assert cfg.mount_angle_rad == MOUNTS[rec.radar_index]
+    scans = log.to_raw_scans()
+    assert len(scans) == 4
+    for scan, rec in zip(scans, log.records):
+        assert scan.config.mount_angle_rad == MOUNTS[rec.radar_index]
+        assert scan.config == log.config_for(rec.radar_index)
         assert scan.pose == rec.pose
         assert np.array_equal(scan.samples, rec.samples.astype(np.float64))
     for i, mount in enumerate(MOUNTS):

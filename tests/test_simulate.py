@@ -9,8 +9,7 @@ import pytest
 from sarloop import (Pose2, Scatterer, TrajectorySpec, compress_scan,
                      default_pulse_half_duration, generate_trajectory,
                      load_scene, load_trajectory, noise_std_for_snr,
-                     render_scene, save_scene, save_trajectory, simulate_echo,
-                     synthesize_pulse)
+                     render_scene, simulate_echo, synthesize_pulse)
 from sarloop.radar import range_bin_spacing
 from sarloop.simulate import default_bin_count
 
@@ -22,17 +21,19 @@ def straight_spec(length_m=1.0, spacing_m=0.1, **kw):
 def test_straight_path_sampling():
     samples = generate_trajectory(straight_spec())
     assert len(samples) == 11
-    xs = [robot.x_m for robot, _ in samples]
+    xs = [robot.x_m for robot in samples]
     assert xs == pytest.approx(np.arange(11) * 0.1)
-    assert all(robot.y_m == 0 and robot.theta_rad == 0 for robot, _ in samples)
+    assert all(robot.y_m == 0 and robot.theta_rad == 0 for robot in samples)
 
 
-def test_mount_angle_bakes_into_radar_heading():
+def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
     spec = straight_spec(radar_mounts=(math.pi / 2,))
-    for robot, radars in generate_trajectory(spec):
-        assert len(radars) == 1
-        assert radars[0].theta_rad == pytest.approx(math.pi / 2)
-        assert (radars[0].x_m, radars[0].y_m) == (robot.x_m, robot.y_m)
+    scans, _ = render_scene([], spec, table1, small_grid)
+    robots = generate_trajectory(spec)
+    assert len(scans) == len(robots)
+    for scan, robot in zip(scans, robots):
+        assert scan.config.mount_angle_rad == pytest.approx(math.pi / 2)
+        assert scan.pose == robot
 
 
 def test_corner_heading_switches_to_outgoing_segment():
@@ -40,18 +41,9 @@ def test_corner_heading_switches_to_outgoing_segment():
                           radar_mounts=(0.0,))
     samples = generate_trajectory(spec)
     assert len(samples) == 9  # arc lengths 0.0 .. 2.0
-    for k, (robot, _) in enumerate(samples):
+    for k, robot in enumerate(samples):
         want = 0.0 if k < 4 else math.pi / 2  # the s=1.0 sample sits on the corner
         assert robot.theta_rad == pytest.approx(want)
-
-
-def test_lever_arm_rotates_with_heading():
-    spec = TrajectorySpec((Pose2(0, 0, 0), Pose2(0, 1, 0)), 0.5,
-                          radar_mounts=(0.0,), lever_arm_m=(0.1, 0.05))
-    robot, radars = generate_trajectory(spec)[0]
-    # heading +pi/2: x' = -ly, y' = +lx
-    assert radars[0].x_m == pytest.approx(-0.05)
-    assert radars[0].y_m == pytest.approx(0.1)
 
 
 def test_trajectory_rejections():
@@ -63,8 +55,6 @@ def test_trajectory_rejections():
         TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.0)
     with pytest.raises(ValueError):
         TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1, radar_mounts=())
-    with pytest.raises(ValueError, match="rng"):
-        generate_trajectory(straight_spec(odo_step_std_m=0.01))
 
 
 def test_empty_scene_echo_is_silent(table1):
@@ -126,6 +116,7 @@ def test_render_scene_scan_layout(table1, small_grid):
     scans, truth = render_scene(scene, spec, table1, small_grid)
     assert len(scans) == 22  # 11 poses x 2 radars
     assert all(s.pose.theta_rad == 0.0 for s in scans)  # robot heading, not boresight
+    assert [s.config.mount_angle_rad for s in scans] == [math.pi / 2, -math.pi / 2] * 11
     # only the +y-looking radar sees the scatterer
     up = np.array([np.abs(s.samples).max() for s in scans[0::2]])
     down = np.array([np.abs(s.samples).max() for s in scans[1::2]])
@@ -176,12 +167,12 @@ def test_noise_std_for_snr(table1, small_grid):
 def test_scene_and_trajectory_files_round_trip(tmp_path):
     scene = [Scatterer(0.25, -0.5, 1.0), Scatterer(1.5, 0.75, 2.5)]
     path = tmp_path / "scene.txt"
-    save_scene(scene, path)
+    path.write_text("".join(f"{sc.x_m!r} {sc.y_m!r} {sc.rcs!r}\n" for sc in scene))
     assert load_scene(path) == scene
 
     poses = [Pose2(0, 0, 0), Pose2(1.5, 0.25, math.pi / 2)]
     tpath = tmp_path / "traj.txt"
-    save_trajectory(poses, tpath)
+    tpath.write_text("".join(f"{p.x_m!r} {p.y_m!r} {p.theta_rad!r}\n" for p in poses))
     assert load_trajectory(tpath) == poses
 
     commented = tmp_path / "commented.txt"
