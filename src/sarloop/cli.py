@@ -66,13 +66,12 @@ def cmd_simulate(args) -> int:
 
     scene = load_scene(args.scene)
     waypoints = load_trajectory(args.trajectory)
-    spec = TrajectorySpec(tuple(waypoints), cfg.scan_spacing_m,
-                          radar_mounts=cfg.mounts_rad())
-    radar = cfg.radar_config()
-    grid = derive_grid(generate_trajectory(spec), radar, cfg.grid_resolution_m)
-    scans, truth = render_scene(scene, spec, radar, grid, snr_db=cfg.snr_db,
+    poses = generate_trajectory(TrajectorySpec(tuple(waypoints), cfg.scan_spacing_m))
+    radars = cfg.radars()
+    grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
+    scans, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
                                 rng=np.random.default_rng(cfg.seed))
-    save_scan_log(log_from_simulation(scans, radar, cfg.mounts_rad()), log_path)
+    save_scan_log(log_from_simulation(scans, radars), log_path)
     imgpost.write_pgm(
         imgpost.GrayImage(truth.astype(np.uint8) * 255, grid.resolution_m),
         truth_path, origin_m=grid.origin_m)
@@ -89,9 +88,10 @@ def cmd_backproject(args) -> int:
     log = load_scan_log(args.scanlog)
     if not log.records:
         raise ValueError(f"{args.scanlog}: scan log has no records")
-    pulse = cfg.pulse()
-    compressed = [compress_scan(raw, pulse) for raw in log.to_raw_scans()]
-    grid = derive_grid([s.pose for s in compressed], log.config,
+    # Each scan is focused with the radar the log's header gives it, not
+    # with the run config's radar keys.
+    compressed = [compress_scan(raw) for raw in log.to_raw_scans()]
+    grid = derive_grid([s.pose for s in compressed], log.radars[0],
                        cfg.grid_resolution_m)
     sar = build_sar(compressed, grid)
     imgpost.write_sar_dump(sar, sar_path)

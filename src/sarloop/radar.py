@@ -213,8 +213,10 @@ def range_bin_spacing(config: RadarConfig) -> float:
     return SPEED_OF_LIGHT / (2.0 * config.sample_rate_hz)
 
 
-def compress_scan(scan: RawScan, pulse: Waveform) -> CompressedScan:
-    """Matched-filter a raw scan and convert it to complex analytic bins."""
+def compress_scan(scan: RawScan) -> CompressedScan:
+    """Matched-filter a raw scan with its radar's pulse and convert it to
+    complex analytic bins."""
+    pulse = synthesize_pulse(scan.config, default_pulse_half_duration(scan.config))
     filtered = matched_filter(
         Waveform(scan.samples, t0_s=0.0, sample_rate_hz=pulse.sample_rate_hz), pulse)
     return CompressedScan(analytic_signal(filtered), scan.pose, scan.config)

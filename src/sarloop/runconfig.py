@@ -15,7 +15,7 @@ from pathlib import Path
 from .features import DetectorConfig
 from .fileerrors import names_its_file
 from .loopclose import RansacConfig, ValidationThresholds
-from .radar import RadarConfig, Waveform, default_pulse_half_duration, synthesize_pulse
+from .radar import RadarConfig
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class RunConfig:
     range_min_m: float = 0.4
     range_max_m: float = 3.0
     mounts_deg: tuple[float, ...] = (90.0, -90.0)
-    pulse_half_duration_s: float = 0.0     # 0 = derive from the envelope decay
     # simulation
     scan_spacing_m: float = 0.025
     snr_db: float = 20.0
@@ -54,8 +53,9 @@ class RunConfig:
 
     # ---- builders -------------------------------------------------------
 
-    def radar_config(self, mount_angle_rad: float = 0.0) -> RadarConfig:
-        return RadarConfig(
+    def radars(self) -> tuple[RadarConfig, ...]:
+        """One radar per ``mounts_deg`` entry, in that order."""
+        return tuple(RadarConfig(
             sample_rate_hz=self.sample_rate_hz,
             center_freq_hz=self.center_freq_hz,
             bandwidth_hz=self.bandwidth_hz,
@@ -63,16 +63,8 @@ class RunConfig:
             beamwidth_rad=math.radians(self.beamwidth_deg),
             range_min_m=self.range_min_m,
             range_max_m=self.range_max_m,
-            mount_angle_rad=mount_angle_rad,
-        )
-
-    def mounts_rad(self) -> tuple[float, ...]:
-        return tuple(math.radians(m) for m in self.mounts_deg)
-
-    def pulse(self) -> Waveform:
-        cfg = self.radar_config()
-        half = self.pulse_half_duration_s or default_pulse_half_duration(cfg)
-        return synthesize_pulse(cfg, half)
+            mount_angle_rad=math.radians(mount),
+        ) for mount in self.mounts_deg)
 
     def detector_configs(self) -> list[DetectorConfig]:
         return [DetectorConfig(name, self.corner_threshold, self.n_octaves,
@@ -91,28 +83,36 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        """Force module-level invariant checks (radar, detectors, matcher).
+        """Reject a bad value, naming its key, before any stage runs.
 
         Every float key and each mount angle must be finite, except
-        ``snr_db=inf``, which means no noise.
+        ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
+        lie in their range; and the radars and detectors must build.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
             values = value if key == "mounts_deg" else (value,)
             if not all(map(math.isfinite, values)) and (key, value) != ("snr_db", math.inf):
                 raise ValueError(f"{key} must be finite, got {value}")
-        self.radar_config()
-        self.pulse()
+        for allowed, holds, keys in _RANGES:
+            for key in keys:
+                if not holds(getattr(self, key)):
+                    raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)}")
+        if not self.mounts_deg:
+            raise ValueError("mounts_deg must name at least one radar")
+        self.radars()
         self.detector_configs()
-        self.ransac_config()
-        self.thresholds()
-        if self.grid_resolution_m <= 0:
-            raise ValueError(f"grid_resolution_m must be positive, "
-                             f"got {self.grid_resolution_m}")
-        if self.scan_spacing_m <= 0:
-            raise ValueError(f"scan_spacing_m must be positive, got {self.scan_spacing_m}")
         return self
 
+
+# (allowed range, its test, the keys it holds for)
+_RANGES = (
+    ("> 0", lambda v: v > 0, ("scan_spacing_m", "grid_resolution_m", "ransac_inlier_px")),
+    (">= 0", lambda v: v >= 0, ("blur_sigma_px", "min_good_matches", "scale_tol",
+                                "translation_tol_mm", "rotation_tol_deg", "seed")),
+    (">= 1", lambda v: v >= 1, ("ransac_iters",)),
+    ("in (0, 1)", lambda v: 0 < v < 1, ("ratio",)),
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 

@@ -7,14 +7,14 @@ followed by fixed-size little-endian records:
     timestamp f64 | radar_index u32 | x f64 | y f64 | theta f64 |
     samples f32 * sample_count
 
-Record poses carry the robot heading; each radar's mount angle lives in
-the header, so ``to_raw_scans`` gives every scan the config of the radar
-that fired it.
+Record poses carry the robot heading. The header holds one radar
+description plus one mount angle per radar, so the radars may differ only
+in mount; ``to_raw_scans`` gives every scan the config of the radar that
+fired it.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,48 +49,44 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class ScanLog:
-    """Radar description plus the ordered acquisition records."""
+    """The radars, which differ only in mount, plus the ordered records."""
 
-    config: RadarConfig            # mount_angle_rad 0; mounts held separately
-    mounts_rad: tuple[float, ...]
+    radars: tuple[RadarConfig, ...]
     records: tuple[ScanRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mounts_rad", tuple(self.mounts_rad))
+        object.__setattr__(self, "radars", tuple(self.radars))
         object.__setattr__(self, "records", tuple(self.records))
-        if not self.mounts_rad:
-            raise ValueError("need at least one radar mount")
-        if not all(map(math.isfinite, self.mounts_rad)):
-            raise ValueError(f"mount angles must be finite, got {self.mounts_rad}")
+        if not self.radars:
+            raise ValueError("need at least one radar")
+        unmounted = {replace(r, mount_angle_rad=0.0) for r in self.radars}
+        if len(unmounted) > 1:
+            raise ValueError(f"the radars of one log may differ only in mount, got {self.radars}")
         lengths = {len(r.samples) for r in self.records}
         if len(lengths) > 1:
             raise ValueError(f"inconsistent sample counts across records: {sorted(lengths)}")
         for i, r in enumerate(self.records):
-            if r.radar_index >= len(self.mounts_rad):
+            if r.radar_index >= len(self.radars):
                 raise ValueError(
                     f"record {i}: radar_index {r.radar_index} out of range "
-                    f"(log has {len(self.mounts_rad)} radars)")
+                    f"(log has {len(self.radars)} radars)")
 
     @property
     def sample_count(self) -> int:
         return len(self.records[0].samples) if self.records else 0
 
-    def config_for(self, radar_index: int) -> RadarConfig:
-        return replace(self.config, mount_angle_rad=self.mounts_rad[radar_index])
-
     def to_raw_scans(self) -> list[RawScan]:
-        """Per-record raw scans, each with its radar's mount-specific config."""
-        configs = [self.config_for(i) for i in range(len(self.mounts_rad))]
-        return [RawScan(r.samples.astype(np.float64), r.pose, configs[r.radar_index])
+        """Per-record raw scans, each with the config of the radar that fired it."""
+        return [RawScan(r.samples.astype(np.float64), r.pose, self.radars[r.radar_index])
                 for r in self.records]
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:
-    cfg = log.config
+    cfg = log.radars[0]
     header = [
         f"format={FORMAT_NAME}",
         f"version={VERSION}",
-        f"radar_count={len(log.mounts_rad)}",
+        f"radar_count={len(log.radars)}",
         f"sample_count={log.sample_count}",
         f"sample_rate_hz={cfg.sample_rate_hz!r}",
         f"center_freq_hz={cfg.center_freq_hz!r}",
@@ -100,7 +96,7 @@ def save_scan_log(log: ScanLog, path: str | Path) -> None:
         f"range_min_m={cfg.range_min_m!r}",
         f"range_max_m={cfg.range_max_m!r}",
     ]
-    header += [f"mount_{i}_rad={m!r}" for i, m in enumerate(log.mounts_rad)]
+    header += [f"mount_{i}_rad={r.mount_angle_rad!r}" for i, r in enumerate(log.radars)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode())
         for r in log.records:
@@ -144,7 +140,8 @@ def load_scan_log(path: str | Path) -> ScanLog:
             range_min_m=float(fields["range_min_m"]),
             range_max_m=float(fields["range_max_m"]),
         )
-        mounts = tuple(float(fields[f"mount_{i}_rad"]) for i in range(radar_count))
+        radars = tuple(replace(config, mount_angle_rad=float(fields[f"mount_{i}_rad"]))
+                       for i in range(radar_count))
     except KeyError as exc:
         raise ValueError(f"{path}: header missing key {exc}") from None
 
@@ -170,22 +167,25 @@ def load_scan_log(path: str | Path) -> ScanLog:
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"{path}: record {i}: non-finite samples")
         records.append(ScanRecord(ts, radar_index, Pose2(x, y, theta), samples.copy()))
-    return ScanLog(config, mounts, tuple(records))
+    return ScanLog(radars, tuple(records))
 
 
-def log_from_simulation(scans: Sequence[RawScan], config: RadarConfig,
-                        mounts_rad: Sequence[float]) -> ScanLog:
+def log_from_simulation(scans: Sequence[RawScan], radars: Sequence[RadarConfig]) -> ScanLog:
     """Wrap simulator output (pose-major, radar-minor order) in a ScanLog.
 
-    Timestamps are the pose indices in seconds, giving deterministic bytes.
+    Each record's radar index is the position of its scan's config in
+    ``radars``. Timestamps are the pose indices in seconds, giving
+    deterministic bytes.
     """
-    n_radars = len(mounts_rad)
-    if len(scans) % n_radars:
-        raise ValueError(f"{len(scans)} scans is not a multiple of {n_radars} radars")
-    records = [
-        ScanRecord(float(k // n_radars), k % n_radars, s.pose,
-                   np.asarray(s.samples, dtype=np.float32))
-        for k, s in enumerate(scans)
-    ]
-    base = replace(config, mount_angle_rad=0.0)
-    return ScanLog(base, tuple(mounts_rad), tuple(records))
+    radars = tuple(radars)
+    if not radars:
+        raise ValueError("need at least one radar")
+    if len(scans) % len(radars):
+        raise ValueError(f"{len(scans)} scans is not a multiple of {len(radars)} radars")
+    records = []
+    for k, s in enumerate(scans):
+        if s.config not in radars:
+            raise ValueError(f"scan {k}: its radar {s.config} is not one of the log's radars")
+        records.append(ScanRecord(float(k // len(radars)), radars.index(s.config), s.pose,
+                                  np.asarray(s.samples, dtype=np.float32)))
+    return ScanLog(radars, tuple(records))

@@ -26,8 +26,6 @@ from .radar import RadarConfig, RawScan, SPEED_OF_LIGHT, pulse_value, range_bin_
 # Extra bins past range_max so pulse tails near the far edge are not clipped.
 _EXTRA_TAIL_BINS = 64
 
-DEFAULT_MOUNTS = (math.pi / 2.0, -math.pi / 2.0)
-
 
 @dataclass(frozen=True)
 class Scatterer:
@@ -49,23 +47,18 @@ class TrajectorySpec:
     """Piecewise-linear robot path sampled every ``scan_spacing_m``.
 
     Waypoint headings are ignored; the heading at each sample comes from the
-    segment being traversed. Every radar in ``radar_mounts`` (boresight
-    angles relative to the heading) fires from the robot pose at each sample.
+    segment being traversed.
     """
 
     waypoints: tuple[Pose2, ...]
     scan_spacing_m: float
-    radar_mounts: tuple[float, ...] = DEFAULT_MOUNTS
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        object.__setattr__(self, "radar_mounts", tuple(self.radar_mounts))
         if len(self.waypoints) < 2:
             raise ValueError("need at least 2 waypoints")
         if self.scan_spacing_m <= 0:
             raise ValueError(f"scan_spacing_m must be positive, got {self.scan_spacing_m}")
-        if not self.radar_mounts:
-            raise ValueError("need at least one radar mount angle")
 
 
 def generate_trajectory(spec: TrajectorySpec) -> list[Pose2]:
@@ -127,24 +120,24 @@ def simulate_echo(scene: Sequence[Scatterer], pose: Pose2, config: RadarConfig,
     return RawScan(samples, pose, config)
 
 
-def render_scene(scene: Sequence[Scatterer], spec: TrajectorySpec, config: RadarConfig,
-                 grid: ImageGrid, snr_db: float = math.inf,
+def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
+                 radars: Sequence[RadarConfig], grid: ImageGrid, snr_db: float = math.inf,
                  rng: np.random.Generator | None = None,
                  n_bins: int | None = None) -> tuple[list[RawScan], np.ndarray]:
-    """Full forward simulation over a trajectory plus the truth occupancy grid.
+    """Full forward simulation over robot poses plus the truth occupancy grid.
 
     Returns one RawScan per (pose, radar) in pose-major, radar-minor order:
-    at each robot pose every mount of ``spec.radar_mounts`` fires, and its
-    scan carries ``config`` with that mount. Each echo is rendered once;
-    Gaussian noise sized by ``noise_std_for_snr(echoes, snr_db)`` is then
-    added in scan order from ``rng`` (the default infinite SNR adds none).
-    The truth grid marks the cell nearest each scatterer.
+    at each robot pose every radar of ``radars`` fires, and its scan carries
+    that radar's config. Each echo is rendered once; Gaussian noise sized by
+    ``noise_std_for_snr(echoes, snr_db)`` is then added in scan order from
+    ``rng`` (the default infinite SNR adds none). The truth grid marks the
+    cell nearest each scatterer.
     """
+    if not radars:
+        raise ValueError("need at least one radar")
     if n_bins is None:
-        n_bins = default_bin_count(config)
-    configs = [replace(config, mount_angle_rad=m) for m in spec.radar_mounts]
-    scans = [simulate_echo(scene, robot, cfg, n_bins)
-             for robot in generate_trajectory(spec) for cfg in configs]
+        n_bins = max(map(default_bin_count, radars))
+    scans = [simulate_echo(scene, robot, radar, n_bins) for robot in poses for radar in radars]
     noise_std = noise_std_for_snr(scans, snr_db)
     if noise_std > 0:
         if rng is None:

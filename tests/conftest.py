@@ -7,6 +7,7 @@ acceptance tests.
 
 import math
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,11 +15,9 @@ import pytest
 from numpy.random import default_rng
 
 from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, Scatterer,
-                     TrajectorySpec, build_sar, gaussian_blur, positive_image,
-                     quantize, render_scene)
+                     TrajectorySpec, build_sar, compress_scan, gaussian_blur,
+                     generate_trajectory, positive_image, quantize, render_scene)
 from sarloop.features import base as feature_base
-from sarloop.radar import (compress_scan, default_pulse_half_duration,
-                           synthesize_pulse)
 
 SIDE_MOUNTS = (math.pi / 2.0, -math.pi / 2.0)
 
@@ -35,38 +34,42 @@ def table1():
 
 
 @pytest.fixture(scope="session")
+def side_radars(table1):
+    """The Table 1 radar on the left and on the right side of the robot."""
+    return tuple(replace(table1, mount_angle_rad=m) for m in SIDE_MOUNTS)
+
+
+@pytest.fixture(scope="session")
 def small_grid():
     return ImageGrid(120, 120, 0.02, origin_m=(-0.2, -1.2))
 
 
-def reconstruct(scene, n_poses, noise_seed, grid, config, snr_db=20.0):
+def reconstruct(scene, n_poses, noise_seed, grid, radars, snr_db=20.0):
     """Straight 1.5 m two-radar run: simulate, compress, back-project, post."""
-    spec = TrajectorySpec((Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)),
-                          scan_spacing_m=1.5 / (n_poses - 1),
-                          radar_mounts=SIDE_MOUNTS)
-    scans, truth = render_scene(scene, spec, config, grid, snr_db=snr_db,
+    poses = generate_trajectory(TrajectorySpec(
+        (Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)), scan_spacing_m=1.5 / (n_poses - 1)))
+    scans, truth = render_scene(scene, poses, radars, grid, snr_db=snr_db,
                                 rng=default_rng(noise_seed))
-    pulse = synthesize_pulse(config, default_pulse_half_duration(config))
-    sar = build_sar([compress_scan(s, pulse) for s in scans], grid)
+    sar = build_sar([compress_scan(s) for s in scans], grid)
     image = quantize(gaussian_blur(positive_image(sar), 1.0))
     return SimpleNamespace(sar=sar, image=image, truth=truth, grid=grid)
 
 
 @pytest.fixture(scope="session")
-def reconstruct_fn(table1):
+def reconstruct_fn(side_radars):
     def build(scene, n_poses=40, noise_seed=0, snr_db=20.0):
         grid = ImageGrid(400, 400, 0.005, origin_m=(-0.25, -1.0))
-        return reconstruct(scene, n_poses, noise_seed, grid, table1, snr_db)
+        return reconstruct(scene, n_poses, noise_seed, grid, side_radars, snr_db)
     return build
 
 
 @pytest.fixture(scope="session")
-def five_scatterer(table1):
+def five_scatterer(side_radars):
     """The reference scene at SNR 20 dB, timed for the runtime budget check."""
     scene = [Scatterer(x, y, 1.0) for x, y in FIVE_SCATTERERS]
     grid = ImageGrid(400, 400, 0.005, origin_m=(-0.25, -1.0))
     t0 = time.perf_counter()
-    run = reconstruct(scene, 60, 42, grid, table1)
+    run = reconstruct(scene, 60, 42, grid, side_radars)
     run.elapsed_s = time.perf_counter() - t0
     run.scene = scene
     return run

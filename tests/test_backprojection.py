@@ -273,8 +273,8 @@ def demo_scans(tmp_path_factory):
                  "--trajectory", str(DEMO / "trajectory.txt"), "--out", str(out)]) == 0
     cfg = load_config(None, [])
     log = load_scan_log(out / "scanlog.bin")
-    scans = [compress_scan(raw, cfg.pulse()) for raw in log.to_raw_scans()]
-    grid = derive_grid([s.pose for s in scans], log.config, cfg.grid_resolution_m)
+    scans = [compress_scan(raw) for raw in log.to_raw_scans()]
+    grid = derive_grid([s.pose for s in scans], log.radars[0], cfg.grid_resolution_m)
     return scans, grid
 
 

@@ -108,7 +108,7 @@ def test_existing_outputs_are_refused_without_overwrite(small_scene, tmp_path,
 def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):
     from sarloop import ScanLog, save_scan_log
     log_path = tmp_path / "empty.bin"
-    save_scan_log(ScanLog(table1, (0.0,), ()), log_path)
+    save_scan_log(ScanLog((table1,), ()), log_path)
     rc = run("backproject", "--scanlog", log_path, "--out", tmp_path / "o")
     assert rc == 1
     assert "no records" in capsys.readouterr().err
@@ -196,14 +196,31 @@ def test_unknown_config_key_is_reported(small_scene, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["pulse_half_duration_s=inf", "grid_resolution_m=nan",
-                                     "scan_spacing_m=nan", "snr_db=nan", "snr_db=-inf",
-                                     "mounts_deg=90,nan"])
+@pytest.mark.parametrize("setting", [
+    "grid_resolution_m=nan", "scan_spacing_m=nan", "snr_db=nan", "snr_db=-inf",
+    "mounts_deg=90,nan", "ratio=1.5", "ratio=0", "blur_sigma_px=-1", "ransac_iters=0",
+    "ransac_inlier_px=0", "ransac_inlier_px=-1", "min_good_matches=-3",
+    "scale_tol=-0.1", "translation_tol_mm=-1", "rotation_tol_deg=-1", "seed=-1"])
 def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, setting):
+    """Non-finite and out-of-range values fail at load, before any stage runs."""
     scene, traj = small_scene
     rc = run("simulate", "--scene", scene, "--trajectory", traj,
              "--out", tmp_path / "o", *FAST, "--set", setting)
     err = capsys.readouterr().err
     assert rc == 1
+    assert not (tmp_path / "o").exists()
     assert setting.split("=")[0] in err
     assert "Traceback" not in err
+
+
+def test_backproject_takes_the_radar_from_the_log(small_scene, tmp_path):
+    scene, traj = small_scene
+    rate = ["--set", "sample_rate_hz=30e9"]
+    assert run("simulate", "--scene", scene, "--trajectory", traj,
+               "--out", tmp_path, *FAST, *rate) == 0
+    log = tmp_path / "scanlog.bin"
+    assert run("backproject", "--scanlog", log, "--out", tmp_path / "default", *FAST) == 0
+    assert run("backproject", "--scanlog", log, "--out", tmp_path / "matching",
+               *FAST, *rate) == 0
+    assert ((tmp_path / "default" / "sar.cpx").read_bytes()
+            == (tmp_path / "matching" / "sar.cpx").read_bytes())

@@ -6,6 +6,7 @@ direct sliding-dot-product correlation, and ``scipy.signal`` (imported only
 here) pins the FFT arithmetic bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from sarloop import RadarConfig, Waveform
 from sarloop.radar import (SPEED_OF_LIGHT, analytic_signal, compress_scan,
                            default_pulse_half_duration, matched_filter,
                            pulse_value, range_bin_spacing, synthesize_pulse)
-from sarloop.runconfig import load_config
 
 
 @pytest.fixture()
@@ -45,6 +45,9 @@ def test_pulse_peak_amplitude_is_one_volt(pulse):
 
 
 def test_pulse_is_time_symmetric(pulse):
+    # odd length, with t = 0 the middle sample
+    assert len(pulse) % 2 == 1
+    assert pulse.t0_s * pulse.sample_rate_hz == -(len(pulse) // 2)
     assert np.allclose(pulse.samples, pulse.samples[::-1], atol=1e-12)
 
 
@@ -198,26 +201,30 @@ def test_bin_spacing_identity(table1):
             == pytest.approx(SPEED_OF_LIGHT, rel=1e-12))
 
 
-def test_compress_scan_keeps_pose_and_length(table1, pulse):
+def test_compress_scan_keeps_pose_and_length(table1):
     from sarloop import Pose2, RawScan
     rng = np.random.default_rng(2)
-    scan = RawScan(rng.normal(size=400), Pose2(1.0, -2.0, 0.5), table1)
-    comp = compress_scan(scan, pulse)
-    assert comp.bins.shape == (400,)
-    assert comp.pose == scan.pose
-    assert comp.config == scan.config
-    assert np.iscomplexobj(comp.bins)
+    for radar in (table1, dataclasses.replace(table1, sample_rate_hz=30e9)):
+        scan = RawScan(rng.normal(size=400), Pose2(1.0, -2.0, 0.5), radar)
+        comp = compress_scan(scan)
+        # matched-filtered with the pulse of the scan's own radar
+        pulse = synthesize_pulse(radar, default_pulse_half_duration(radar))
+        assert comp.bins.tobytes() == analytic_signal(matched_filter(
+            Waveform(scan.samples, 0.0, radar.sample_rate_hz), pulse)).tobytes()
+        assert comp.bins.shape == (400,)
+        assert comp.pose == scan.pose
+        assert comp.config == scan.config
+        assert np.iscomplexobj(comp.bins)
 
 
 @pytest.mark.parametrize("n_received", [2, 7, 64, 257, 1000, 1001])
 @pytest.mark.parametrize("n_pulse", [None, 2, 16, 33])
-def test_fft_rebuild_equals_scipy_signal_bit_for_bit(n_received, n_pulse):
-    """fftconvolve and hilbert as oracles; None is the demo config's pulse.
+def test_fft_rebuild_equals_scipy_signal_bit_for_bit(pulse, n_received, n_pulse):
+    """fftconvolve and hilbert as oracles; None is the Table 1 radar's pulse.
 
     Lengths start at 2: with a one-sample side fftconvolve multiplies
     directly instead of going through the FFT, which rounds differently.
     """
-    pulse = load_config(None, []).pulse()
     rng = np.random.default_rng(n_received * 100 + (n_pulse or 0))
     if n_pulse is not None:
         pulse = Waveform(rng.normal(size=n_pulse), -(n_pulse // 2) / pulse.sample_rate_hz,

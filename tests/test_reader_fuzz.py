@@ -21,10 +21,11 @@ from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
 
 
 def _scan_log(path):
-    cfg = RadarConfig(1e9, 0.3e9, 0.2e9)
+    radars = [RadarConfig(1e9, 0.3e9, 0.2e9, mount_angle_rad=m)
+              for m in (math.pi / 2, -math.pi / 2)]
     records = [ScanRecord(float(k), k % 2, Pose2(0.1 * k, 0.0, 0.2), np.ones(6, np.float32))
                for k in range(2)]
-    save_scan_log(ScanLog(cfg, (math.pi / 2, -math.pi / 2), records), path)
+    save_scan_log(ScanLog(radars, records), path)
 
 
 def _sar_dump(path):

@@ -11,13 +11,15 @@ from sarloop.runconfig import parse_config_text
 
 def test_defaults_validate_and_mirror_the_radar_setup():
     cfg = RunConfig().validate()
-    radar = cfg.radar_config()
-    assert radar.sample_rate_hz == 23.328e9
-    assert radar.center_freq_hz == 7.29e9
-    assert radar.bandwidth_hz == 2.0e9
-    assert radar.beamwidth_rad == pytest.approx(math.radians(60))
-    assert (radar.range_min_m, radar.range_max_m) == (0.4, 3.0)
-    assert cfg.mounts_rad() == pytest.approx((math.pi / 2, -math.pi / 2))
+    left, right = cfg.radars()
+    for radar in (left, right):
+        assert radar.sample_rate_hz == 23.328e9
+        assert radar.center_freq_hz == 7.29e9
+        assert radar.bandwidth_hz == 2.0e9
+        assert radar.beamwidth_rad == pytest.approx(math.radians(60))
+        assert (radar.range_min_m, radar.range_max_m) == (0.4, 3.0)
+    assert left.mount_angle_rad == pytest.approx(math.pi / 2)
+    assert right.mount_angle_rad == pytest.approx(-math.pi / 2)
 
 
 def test_empty_text_is_the_default_config():
@@ -54,6 +56,8 @@ def test_validate_rejects_bad_values():
         parse_config_text("scan_spacing_m=-0.1\n")
     with pytest.raises(ValueError):  # radar invariant: fs too low for fc+bw
         parse_config_text("sample_rate_hz=1e9\n")
+    with pytest.raises(ValueError, match="mounts_deg"):
+        parse_config_text("mounts_deg=\n")
 
 
 def test_infinite_snr_stays_valid_and_means_no_noise():
@@ -88,14 +92,6 @@ def test_builders_convert_units():
     assert [d.detector_id for d in dets] == ["orb", "brisk"]
     assert all(d.corner_threshold == 11 and d.n_octaves == 2
                and d.target_keypoints == 50 for d in dets)
-
-
-def test_pulse_builder_derives_duration_when_unset():
-    auto = RunConfig().pulse()
-    assert len(auto) % 2 == 1  # symmetric sample grid about t = 0
-    fixed = parse_config_text("pulse_half_duration_s=1.2e-9\n").pulse()
-    assert len(fixed) > len(auto)
-    assert fixed.sample_rate_hz == 23.328e9
 
 
 @pytest.mark.parametrize("text, key", [("snr_db=abc\n", "snr_db"), ("seed=1.5\n", "seed"),

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,19 +15,18 @@ MOUNTS = (math.pi / 2, -math.pi / 2)
 
 
 @pytest.fixture
-def log(table1):
+def log(side_radars):
     rng = np.random.default_rng(41)
     records = tuple(
         ScanRecord(float(k // 2), k % 2,
                    Pose2(0.1 * k, -0.05 * k, 0.2 * k),
                    rng.normal(size=24).astype(np.float32))
         for k in range(4))
-    return ScanLog(table1, MOUNTS, records)
+    return ScanLog(side_radars, records)
 
 
 def assert_logs_equal(a, b):
-    assert a.config == b.config
-    assert a.mounts_rad == b.mounts_rad
+    assert a.radars == b.radars
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.timestamp_s == rb.timestamp_s
@@ -49,14 +49,14 @@ def test_resave_is_byte_identical(log, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_empty_log_is_valid(table1, tmp_path):
-    empty = ScanLog(table1, MOUNTS, ())
+def test_empty_log_is_valid(side_radars, tmp_path):
+    empty = ScanLog(side_radars, ())
     assert empty.sample_count == 0
     path = tmp_path / "empty.bin"
     save_scan_log(empty, path)
     back = load_scan_log(path)
     assert back.records == ()
-    assert back.mounts_rad == MOUNTS
+    assert back.radars == side_radars
 
 
 def test_truncated_file_names_the_bad_record(log, tmp_path):
@@ -133,41 +133,52 @@ def test_header_errors(log, tmp_path):
         load_scan_log(badver)
 
 
-def test_log_validation(table1):
+def test_log_validation(table1, side_radars):
     rec24 = ScanRecord(0.0, 0, Pose2(0, 0, 0), np.zeros(24, np.float32))
     rec30 = ScanRecord(1.0, 1, Pose2(0, 0, 0), np.zeros(30, np.float32))
     with pytest.raises(ValueError, match="inconsistent sample counts"):
-        ScanLog(table1, MOUNTS, (rec24, rec30))
+        ScanLog(side_radars, (rec24, rec30))
     with pytest.raises(ValueError, match="radar_index 5"):
-        ScanLog(table1, MOUNTS,
+        ScanLog(side_radars,
                 (ScanRecord(0.0, 5, Pose2(0, 0, 0), np.zeros(24, np.float32)),))
-    with pytest.raises(ValueError, match="mount"):
-        ScanLog(table1, (), ())
+    with pytest.raises(ValueError, match="at least one radar"):
+        ScanLog((), ())
+    # the header holds one radar description, so only the mounts may differ
+    with pytest.raises(ValueError, match="differ only in mount"):
+        ScanLog((side_radars[0], replace(side_radars[1], range_max_m=2.0)), ())
     with pytest.raises(ValueError):
         ScanRecord(0.0, -1, Pose2(0, 0, 0), np.zeros(4, np.float32))
 
 
-def test_log_from_simulation_layout(table1):
+def test_log_from_simulation_layout(table1, side_radars):
     poses = [Pose2(0.1 * k, 0.0, 0.0) for k in range(3)]
-    scans = [RawScan(np.full(16, float(k)), poses[k // 2], table1) for k in range(6)]
-    log = log_from_simulation(scans, table1, MOUNTS)
+    scans = [RawScan(np.full(16, float(k)), poses[k // 2], side_radars[k % 2])
+             for k in range(6)]
+    log = log_from_simulation(scans, side_radars)
     assert [r.timestamp_s for r in log.records] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
     assert [r.radar_index for r in log.records] == [0, 1, 0, 1, 0, 1]
-    assert log.config.mount_angle_rad == 0.0
+    assert log.radars == side_radars
     with pytest.raises(ValueError, match="multiple"):
-        log_from_simulation(scans[:5], table1, MOUNTS)
+        log_from_simulation(scans[:5], side_radars)
+
+    # the index follows each scan's own radar, not its position in the list
+    right_first = scans[1::-1]
+    swapped = log_from_simulation(right_first, side_radars)
+    assert [r.radar_index for r in swapped.records] == [1, 0]
+    assert [s.config for s in swapped.to_raw_scans()] == [s.config for s in right_first]
+
+    with pytest.raises(ValueError, match="scan 0"):
+        log_from_simulation(scans[:2], (side_radars[1], table1))
 
 
-def test_to_raw_scans_applies_the_mounts(table1, log):
+def test_to_raw_scans_applies_the_mounts(log):
     scans = log.to_raw_scans()
     assert len(scans) == 4
     for scan, rec in zip(scans, log.records):
         assert scan.config.mount_angle_rad == MOUNTS[rec.radar_index]
-        assert scan.config == log.config_for(rec.radar_index)
+        assert scan.config == log.radars[rec.radar_index]
         assert scan.pose == rec.pose
         assert np.array_equal(scan.samples, rec.samples.astype(np.float64))
-    for i, mount in enumerate(MOUNTS):
-        assert log.config_for(i).mount_angle_rad == mount
 
 
 @pytest.mark.parametrize("old, new, records", [
@@ -181,7 +192,7 @@ def test_to_raw_scans_applies_the_mounts(table1, log):
     (b"mount_0_rad=", b"mount_0_rad=nan#", True)])
 def test_header_value_errors_name_the_file(log, tmp_path, old, new, records):
     path = tmp_path / "scan.bin"
-    save_scan_log(log if records else ScanLog(log.config, MOUNTS, ()), path)
+    save_scan_log(log if records else ScanLog(log.radars, ()), path)
     data = path.read_bytes()
     assert old in data
     path.write_bytes(data.replace(old, new, 1))

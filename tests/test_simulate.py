@@ -2,24 +2,25 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sarloop import (Pose2, Scatterer, TrajectorySpec, compress_scan,
-                     default_pulse_half_duration, generate_trajectory,
-                     load_scene, load_trajectory, noise_std_for_snr,
-                     render_scene, simulate_echo, synthesize_pulse)
+                     generate_trajectory, load_scene, load_trajectory,
+                     noise_std_for_snr, render_scene, simulate_echo)
 from sarloop.radar import range_bin_spacing
 from sarloop.simulate import default_bin_count
 
 
-def straight_spec(length_m=1.0, spacing_m=0.1, **kw):
-    return TrajectorySpec((Pose2(0, 0, 0), Pose2(length_m, 0, 0)), spacing_m, **kw)
+def straight_poses():
+    """Robot poses every 0.1 m along a 1 m path on the x axis."""
+    return generate_trajectory(TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1))
 
 
 def test_straight_path_sampling():
-    samples = generate_trajectory(straight_spec())
+    samples = straight_poses()
     assert len(samples) == 11
     xs = [robot.x_m for robot in samples]
     assert xs == pytest.approx(np.arange(11) * 0.1)
@@ -27,9 +28,9 @@ def test_straight_path_sampling():
 
 
 def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
-    spec = straight_spec(radar_mounts=(math.pi / 2,))
-    scans, _ = render_scene([], spec, table1, small_grid)
-    robots = generate_trajectory(spec)
+    robots = straight_poses()
+    scans, _ = render_scene([], robots, [replace(table1, mount_angle_rad=math.pi / 2)],
+                            small_grid)
     assert len(scans) == len(robots)
     for scan, robot in zip(scans, robots):
         assert scan.config.mount_angle_rad == pytest.approx(math.pi / 2)
@@ -37,8 +38,7 @@ def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
 
 
 def test_corner_heading_switches_to_outgoing_segment():
-    spec = TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0)), 0.25,
-                          radar_mounts=(0.0,))
+    spec = TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0)), 0.25)
     samples = generate_trajectory(spec)
     assert len(samples) == 9  # arc lengths 0.0 .. 2.0
     for k, robot in enumerate(samples):
@@ -53,8 +53,6 @@ def test_trajectory_rejections():
         TrajectorySpec((Pose2(0, 0, 0),), 0.1)
     with pytest.raises(ValueError):
         TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1, radar_mounts=())
 
 
 def test_empty_scene_echo_is_silent(table1):
@@ -72,8 +70,7 @@ def test_scatterer_outside_beam_contributes_nothing(table1):
 def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
     scan = simulate_echo([Scatterer(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1,
                          default_bin_count(table1))
-    pulse = synthesize_pulse(table1, default_pulse_half_duration(table1))
-    compressed = compress_scan(scan, pulse)
+    compressed = compress_scan(scan)
     assert int(np.argmax(np.abs(compressed.bins))) == 156
     assert math.floor(1.0 / range_bin_spacing(table1) + 0.5) == 156
 
@@ -98,22 +95,23 @@ def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
     assert np.allclose(two, math.sqrt(2.0) * one, rtol=1e-12, atol=1e-300)
 
 
-def test_echo_error_paths(table1, small_grid):
+def test_echo_error_paths(table1, side_radars, small_grid):
     with pytest.raises(ValueError, match="less than range_max"):
         simulate_echo([], Pose2(0, 0, 0), table1, 100)
     with pytest.raises(ValueError, match="rng"):
-        render_scene([Scatterer(0.5, 0.6, 1.0)], straight_spec(), table1,
+        render_scene([Scatterer(0.5, 0.6, 1.0)], straight_poses(), side_radars,
                      small_grid, snr_db=20.0)
+    with pytest.raises(ValueError, match="at least one radar"):
+        render_scene([], straight_poses(), (), small_grid)
     with pytest.raises(ValueError):
         Scatterer(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
         Scatterer(math.nan, 0.0, 1.0)
 
 
-def test_render_scene_scan_layout(table1, small_grid):
+def test_render_scene_scan_layout(side_radars, small_grid):
     scene = [Scatterer(0.5, 0.6, 1.0)]
-    spec = straight_spec(radar_mounts=(math.pi / 2, -math.pi / 2))
-    scans, truth = render_scene(scene, spec, table1, small_grid)
+    scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
     assert len(scans) == 22  # 11 poses x 2 radars
     assert all(s.pose.theta_rad == 0.0 for s in scans)  # robot heading, not boresight
     assert [s.config.mount_angle_rad for s in scans] == [math.pi / 2, -math.pi / 2] * 11
@@ -124,10 +122,10 @@ def test_render_scene_scan_layout(table1, small_grid):
     assert np.all(down == 0)
 
 
-def test_render_scene_truth_grid_marks_nearest_cells(table1, small_grid):
+def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
     scene = [Scatterer(0.5, 0.6, 1.0), Scatterer(0.514, 0.6, 1.0),
              Scatterer(9.0, 9.0, 1.0)]  # third lands off-grid
-    scans, truth = render_scene(scene, straight_spec(), table1, small_grid)
+    scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
     rows, cols = np.nonzero(truth)
     got = {(int(r), int(c)) for r, c in zip(rows, cols)}
     res, (ox, oy) = small_grid.resolution_m, small_grid.origin_m
@@ -136,17 +134,17 @@ def test_render_scene_truth_grid_marks_nearest_cells(table1, small_grid):
     assert got == want
 
 
-def test_render_scene_noise_is_reproducible(table1, small_grid):
+def test_render_scene_noise_is_reproducible(side_radars, small_grid):
     scene = [Scatterer(0.5, 0.6, 1.0)]
-    spec = straight_spec()
-    a, _ = render_scene(scene, spec, table1, small_grid, snr_db=20.0,
+    poses = straight_poses()
+    a, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
-    b, _ = render_scene(scene, spec, table1, small_grid, snr_db=20.0,
+    b, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.samples, sb.samples)
     # noise is sized from the clean echoes and drawn in scan order
-    clean, _ = render_scene(scene, spec, table1, small_grid)
+    clean, _ = render_scene(scene, poses, side_radars, small_grid)
     std = noise_std_for_snr(clean, 20.0)
     rng = np.random.default_rng(7)
     for sa, sc in zip(a, clean):
@@ -154,9 +152,9 @@ def test_render_scene_noise_is_reproducible(table1, small_grid):
         assert np.array_equal(sa.samples, want)
 
 
-def test_noise_std_for_snr(table1, small_grid):
-    scans, _ = render_scene([Scatterer(0.5, 0.6, 1.0)], straight_spec(),
-                            table1, small_grid)
+def test_noise_std_for_snr(side_radars, small_grid):
+    scans, _ = render_scene([Scatterer(0.5, 0.6, 1.0)], straight_poses(),
+                            side_radars, small_grid)
     peak = max(np.abs(s.samples).max() for s in scans)
     assert noise_std_for_snr(scans, 20.0) == pytest.approx(peak / 10.0)
     assert noise_std_for_snr(scans, math.inf) == 0.0
