@@ -16,9 +16,8 @@ from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTrans
                         ValidationThresholds, estimate_similarity_ransac,
                         fuse_transform, knn_match, match_regions, ratio_test,
                         validate_loop)
-from .radar import (CompressedScan, RadarConfig, RawScan, Waveform, analytic_signal,
-                    compress_scan, default_pulse_half_duration, matched_filter,
-                    pulse_value, range_bin_spacing, synthesize_pulse)
+from .radar import (CompressedScan, RadarConfig, RawScan, analytic_signal, compress_scan,
+                    matched_filter, pulse_value, radar_pulse, range_bin_spacing)
 from .runconfig import RunConfig, load_config
 from .scanlog import ScanLog, ScanRecord, load_scan_log, save_scan_log
 from .simulate import (Scatterer, TrajectorySpec, generate_trajectory, load_scene,

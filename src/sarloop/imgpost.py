@@ -114,18 +114,9 @@ def otsu_threshold(img: GrayImage) -> int:
     return int(np.argmax(between))
 
 
-def occupancy_from_image(img: GrayImage, threshold: int | None = None) -> np.ndarray:
-    """Binarize an 8-bit image: occupied where pixel > threshold.
-
-    threshold None picks Otsu's split automatically.
-    """
-    if not img.is_8bit:
-        raise ValueError("occupancy needs an 8-bit image (quantize first)")
-    if threshold is None:
-        threshold = otsu_threshold(img)
-    if not 0 <= threshold <= 255:
-        raise ValueError(f"threshold must be in [0, 255], got {threshold}")
-    return img.pixels > threshold
+def occupancy_from_image(img: GrayImage) -> np.ndarray:
+    """Binarize an 8-bit image: occupied where pixel > its Otsu threshold."""
+    return img.pixels > otsu_threshold(img)
 
 
 def cellwise_difference(predicted: np.ndarray, truth: np.ndarray) -> float:

@@ -191,7 +191,13 @@ def _keypoint_xy(fs: FeatureSet) -> np.ndarray:
 def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
                        ransac: RansacConfig = RansacConfig(), seed: int = 0,
                        resolution_m: float = 1.0) -> MatchReport:
-    """KNN + ratio test + RANSAC between two feature sets."""
+    """KNN + ratio test + RANSAC between two feature sets.
+
+    Fewer than two keypoints in b leave nothing to ratio-test against, so
+    the report has no matches and no transform.
+    """
+    if len(b) < 2 and a.detector_id == b.detector_id:
+        return MatchReport(a.detector_id, len(a), len(b), 0, 0, None)
     best, dists = knn_match(a, b)
     keep = ratio_test(dists, ratio)
     n_kept = int(np.count_nonzero(keep))

@@ -1,8 +1,10 @@
 """Radar pulse model and range compression.
 
-Defines the radar parameter set, synthesizes the transmitted
-Gaussian-envelope pulse, and turns raw echo series into complex
-range-compressed scans (matched filter + analytic signal).
+Defines the radar parameter set and the transmitted Gaussian-envelope
+pulse, and turns raw echo series into complex range-compressed scans.
+``compress_scan`` correlates each scan with ``radar_pulse(scan.config)``,
+the pulse over the span where its envelope is above 1e-4 of its peak, and
+takes the analytic signal; so a scan log's radar header fixes the pulse.
 """
 
 from __future__ import annotations
@@ -59,31 +61,6 @@ class RadarConfig:
 
 
 @dataclass(frozen=True)
-class Waveform:
-    """Real-valued sample sequence with a time origin.
-
-    ``samples[i]`` is the value at time ``t0_s + i / sample_rate_hz``.
-    """
-
-    samples: np.ndarray
-    t0_s: float
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise ValueError("complex input scans are not supported (radar ADC output is real)")
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class RawScan:
     """One raw echo series: the robot pose it was acquired at and the radar
     that fired it (``config.mount_angle_rad`` is that radar's mount)."""
@@ -98,6 +75,8 @@ class RawScan:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("scan samples must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("scan samples must be finite")
         object.__setattr__(self, "samples", samples)
 
 
@@ -142,70 +121,44 @@ def pulse_value(config: RadarConfig, t: np.ndarray) -> np.ndarray:
         2.0 * math.pi * config.center_freq_hz * t)
 
 
-def synthesize_pulse(config: RadarConfig, half_duration_s: float) -> Waveform:
-    """Sample the transmitted pulse on [-half_duration, +half_duration].
+def radar_pulse(config: RadarConfig) -> np.ndarray:
+    """The transmitted pulse sampled at ``config.sample_rate_hz``.
 
-    The sample grid is centered on t = 0 (which is always included, so the
-    peak sample equals ``pulse_amplitude_v``). Rejects durations too short
-    for the envelope to decay below 1e-3 of its peak at the edges.
+    The samples run from -n to +n sample periods, so the middle sample is
+    t = 0 and equals ``pulse_amplitude_v``; n is the last sample at which
+    the envelope is still above 1e-4 of its peak.
     """
-    if half_duration_s <= 0:
-        raise ValueError(f"half_duration_s must be positive, got {half_duration_s}")
     a = _envelope_coefficient(config)
-    min_half = math.sqrt(math.log(1e3) / a)
-    if half_duration_s < min_half:
-        raise ValueError(
-            f"half_duration_s={half_duration_s:g} too short: envelope only decays to "
-            f"{math.exp(-a * half_duration_s ** 2):.2e} of peak at the edge "
-            f"(need <= 1e-3, i.e. at least {min_half:.3e} s)")
-    n = int(math.floor(half_duration_s * config.sample_rate_hz))
-    t = np.arange(-n, n + 1, dtype=np.float64) / config.sample_rate_hz
-    return Waveform(pulse_value(config, t), t0_s=-n / config.sample_rate_hz,
-                    sample_rate_hz=config.sample_rate_hz)
+    n = int(math.floor(math.sqrt(math.log(1.0 / 1e-4) / a) * config.sample_rate_hz))
+    return pulse_value(config, np.arange(-n, n + 1, dtype=np.float64) / config.sample_rate_hz)
 
 
-def default_pulse_half_duration(config: RadarConfig, edge_ratio: float = 1e-4) -> float:
-    """Half duration at which the pulse envelope has decayed to edge_ratio."""
-    if not 0 < edge_ratio < 1:
-        raise ValueError(f"edge_ratio must be in (0, 1), got {edge_ratio}")
-    a = _envelope_coefficient(config)
-    return math.sqrt(math.log(1.0 / edge_ratio) / a)
-
-
-def matched_filter(received: Waveform, pulse: Waveform) -> Waveform:
+def matched_filter(received: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """Range-compress an echo by correlating it with the transmitted pulse.
 
-    Output sample k corresponds to the same time as received sample k, so a
-    point echo whose pulse replica is centered at two-way delay tau peaks at
-    index round(tau * fs) (for received.t0_s = 0). Output length equals the
-    received length.
+    The pulse's middle sample (``len(pulse) // 2``) is its t = 0, so output
+    sample k is the same time as received sample k, and a point echo whose
+    pulse replica is centered at two-way delay tau peaks at index
+    round(tau * fs). Output length equals the received length.
     """
-    if received.sample_rate_hz != pulse.sample_rate_hz:
-        raise ValueError(
-            f"sample-rate mismatch: received {received.sample_rate_hz:g} Hz, "
-            f"pulse {pulse.sample_rate_hz:g} Hz")
-    # Correlate against the pulse, aligned on the pulse's own t=0 sample.
-    center = int(round(-pulse.t0_s * pulse.sample_rate_hz))
     n = len(received) + len(pulse) - 1
     m = sp_fft.next_fast_len(n, real=True)
-    full = sp_fft.irfft(sp_fft.rfft(received.samples, m) * sp_fft.rfft(pulse.samples[::-1], m),
-                        m)[:n]
-    start = len(pulse) - 1 - center
-    out = full[start:start + len(received)]
-    return Waveform(out, t0_s=received.t0_s, sample_rate_hz=received.sample_rate_hz)
+    full = sp_fft.irfft(sp_fft.rfft(received, m) * sp_fft.rfft(pulse[::-1], m), m)[:n]
+    start = len(pulse) - 1 - len(pulse) // 2
+    return full[start:start + len(received)]
 
 
-def analytic_signal(w: Waveform) -> np.ndarray:
+def analytic_signal(x: np.ndarray) -> np.ndarray:
     """Complex sequence with no negative-frequency content.
 
     The real part equals the input exactly; the imaginary part is the
     discrete Hilbert transform (frequency-domain construction). The
     magnitude is the signal envelope.
     """
-    spectrum = sp_fft.fft(w.samples)
-    spectrum[1:(len(w) + 1) // 2] *= 2.0
-    spectrum[len(w) // 2 + 1:] = 0.0
-    return w.samples + 1j * np.imag(sp_fft.ifft(spectrum))
+    spectrum = sp_fft.fft(x)
+    spectrum[1:(len(x) + 1) // 2] *= 2.0
+    spectrum[len(x) // 2 + 1:] = 0.0
+    return x + 1j * np.imag(sp_fft.ifft(spectrum))
 
 
 def range_bin_spacing(config: RadarConfig) -> float:
@@ -214,9 +167,7 @@ def range_bin_spacing(config: RadarConfig) -> float:
 
 
 def compress_scan(scan: RawScan) -> CompressedScan:
-    """Matched-filter a raw scan with its radar's pulse and convert it to
-    complex analytic bins."""
-    pulse = synthesize_pulse(scan.config, default_pulse_half_duration(scan.config))
-    filtered = matched_filter(
-        Waveform(scan.samples, t0_s=0.0, sample_rate_hz=pulse.sample_rate_hz), pulse)
-    return CompressedScan(analytic_signal(filtered), scan.pose, scan.config)
+    """Matched-filter a raw scan with its radar's pulse (``radar_pulse``)
+    and convert it to complex analytic bins."""
+    return CompressedScan(analytic_signal(matched_filter(scan.samples, radar_pulse(scan.config))),
+                          scan.pose, scan.config)

@@ -111,6 +111,8 @@ _RANGES = (
     (">= 0", lambda v: v >= 0, ("blur_sigma_px", "min_good_matches", "scale_tol",
                                 "translation_tol_mm", "rotation_tol_deg", "seed")),
     (">= 1", lambda v: v >= 1, ("ransac_iters",)),
+    # a similarity fit needs 2 correspondences
+    (">= 2", lambda v: v >= 2, ("ransac_min_inliers",)),
     ("in (0, 1)", lambda v: 0 < v < 1, ("ratio",)),
 )
 

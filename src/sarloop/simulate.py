@@ -122,8 +122,7 @@ def simulate_echo(scene: Sequence[Scatterer], pose: Pose2, config: RadarConfig,
 
 def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
                  radars: Sequence[RadarConfig], grid: ImageGrid, snr_db: float = math.inf,
-                 rng: np.random.Generator | None = None,
-                 n_bins: int | None = None) -> tuple[list[RawScan], np.ndarray]:
+                 rng: np.random.Generator | None = None) -> tuple[list[RawScan], np.ndarray]:
     """Full forward simulation over robot poses plus the truth occupancy grid.
 
     Returns one RawScan per (pose, radar) in pose-major, radar-minor order:
@@ -135,8 +134,7 @@ def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
     """
     if not radars:
         raise ValueError("need at least one radar")
-    if n_bins is None:
-        n_bins = max(map(default_bin_count, radars))
+    n_bins = max(map(default_bin_count, radars))
     scans = [simulate_echo(scene, robot, radar, n_bins) for robot in poses for radar in radars]
     noise_std = noise_std_for_snr(scans, snr_db)
     if noise_std > 0:

@@ -12,10 +12,9 @@ from scipy import ndimage
 
 from sarloop import (DetectorConfig, GrayImage, ImageGrid, MatchReport,
                      Pose2, RawScan, SarImage, Scatterer, SimilarityTransform,
-                     compress_scan, default_pulse_half_duration, fuse_transform,
-                     knn_match, match_regions, occupancy_from_image,
-                     positive_image, cellwise_difference, synthesize_pulse,
-                     validate_loop, wrap_angle)
+                     compress_scan, fuse_transform, knn_match, match_regions,
+                     occupancy_from_image, positive_image, cellwise_difference,
+                     radar_pulse, validate_loop, wrap_angle)
 from sarloop.loopclose import estimate_similarity_ransac
 from sarloop.radar import pulse_value, range_bin_spacing
 from sarloop.simulate import default_bin_count
@@ -59,7 +58,7 @@ def test_03_matched_filter_recovers_randomized_delays_at_low_snr(table1):
     # only ~94 % of scans. So the bound is 4 CRB stds (4 bins, ~2.6 cm, a
     # third of the c/2B range resolution), and those peaks must be unbiased.
     n_bins = default_bin_count(table1)
-    pulse = synthesize_pulse(table1, default_pulse_half_duration(table1))
+    pulse = radar_pulse(table1)
     t = np.arange(n_bins) / table1.sample_rate_hz
     rng = np.random.default_rng(20260814)
     snr_db = 10.0
@@ -73,7 +72,7 @@ def test_03_matched_filter_recovers_randomized_delays_at_low_snr(table1):
         errors.append(peak - true_bin)
     # sigma is the same in every trial: true_bin is an integer, so each
     # clean peak is the pulse amplitude
-    tol = math.ceil(4.0 * delay_crb_bins(pulse.samples, sigma))
+    tol = math.ceil(4.0 * delay_crb_bins(pulse, sigma))
     errors = np.array(errors)
     near = errors[np.abs(errors) <= tol]
     assert near.size >= 99, (

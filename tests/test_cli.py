@@ -44,6 +44,21 @@ def test_pipeline_on_a_small_scene(small_scene, tmp_path, capsys):
     assert table[-1].startswith("fused\t")
 
 
+def test_featureless_map_rejects_the_loop(small_scene, tmp_path, capsys):
+    # no 8-bit contrast passes a segment-test threshold of 300: no keypoints
+    scene, traj = small_scene
+    out = tmp_path / "run"
+    rc = run("pipeline", "--scene", scene, "--trajectory", traj,
+             "--out", out, *FAST, "--set", "corner_threshold=300")
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "loop rejected (reasons: match count)" in captured.out
+    rows = [line.split("\t") for line in
+            (out / "loopclose.tsv").read_text().splitlines()[1:]]
+    assert [row[:5] for row in rows] == [[det, "0", "0", "0", "0"]
+                                         for det in ("orb", "brisk")]
+
+
 def test_self_pair_detects_once_and_writes_equal_feature_files(
         small_scene, tmp_path, detector_calls):
     scene, traj = small_scene
@@ -200,7 +215,8 @@ def test_unknown_config_key_is_reported(small_scene, tmp_path, capsys):
     "grid_resolution_m=nan", "scan_spacing_m=nan", "snr_db=nan", "snr_db=-inf",
     "mounts_deg=90,nan", "ratio=1.5", "ratio=0", "blur_sigma_px=-1", "ransac_iters=0",
     "ransac_inlier_px=0", "ransac_inlier_px=-1", "min_good_matches=-3",
-    "scale_tol=-0.1", "translation_tol_mm=-1", "rotation_tol_deg=-1", "seed=-1"])
+    "scale_tol=-0.1", "translation_tol_mm=-1", "rotation_tol_deg=-1", "seed=-1",
+    "ransac_min_inliers=-1", "ransac_min_inliers=0", "ransac_min_inliers=1"])
 def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, setting):
     """Non-finite and out-of-range values fail at load, before any stage runs."""
     scene, traj = small_scene

@@ -120,12 +120,11 @@ def test_otsu_splits_a_bimodal_image():
 
 
 def test_occupancy_threshold_handling():
-    px = np.array([[0, 100, 200]], dtype=np.uint8)
-    assert list(occupancy_from_image(gray(px), 150)[0]) == [False, False, True]
-    with pytest.raises(ValueError, match="threshold"):
-        occupancy_from_image(gray(px), 300)
+    # Otsu splits {0, 40} from {200}
+    px = np.array([[0, 40, 200]], dtype=np.uint8)
+    assert list(occupancy_from_image(gray(px))[0]) == [False, False, True]
     with pytest.raises(ValueError, match="8-bit"):
-        occupancy_from_image(gray(px.astype(float)), 150)
+        occupancy_from_image(gray(px.astype(float)))
 
 
 def test_cellwise_difference_examples():

@@ -175,6 +175,17 @@ def test_match_feature_sets_with_no_survivors():
     assert (report.n_keypoints_a, report.n_keypoints_b) == (3, 4)
 
 
+@pytest.mark.parametrize("n_b", [0, 1])
+def test_match_feature_sets_against_fewer_than_two_keypoints(n_b):
+    a = feature_set(np.zeros((3, 32)))
+    report = match_feature_sets(a, feature_set(np.zeros((n_b, 32))))
+    assert (report.n_keypoints_a, report.n_keypoints_b) == (3, n_b)
+    assert (report.total_matches, report.good_matches) == (0, 0)
+    assert report.transform is None
+    with pytest.raises(ValueError, match="detector mismatch"):
+        match_feature_sets(a, feature_set(np.zeros((n_b, 32)), "brisk"))
+
+
 def test_fuse_transform_examples():
     ta = SimilarityTransform(1.0, 1.0, 2.0, 0.1)
     tb = SimilarityTransform(1.0, 3.0, 4.0, 0.3)
