@@ -2,8 +2,8 @@
 
 Processing chain: raw echoes are range-compressed by a matched filter,
 back-projected over known poses into a complex SAR image, enhanced into an
-8-bit map, and candidate place revisits are confirmed by two independent
-binary feature pipelines whose transforms must agree.
+8-bit map, and candidate place revisits are confirmed by two binary
+descriptors of shared segment-test keypoints whose transforms must agree.
 """
 
 from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, in_fov
@@ -13,9 +13,9 @@ from .geometry import Pose2, wrap_angle
 from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
                       occupancy_from_image, otsu_threshold, positive_image, quantize)
 from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTransform,
-                        ValidationThresholds, estimate_similarity_ransac,
-                        fuse_transform, knn_match, match_regions, ratio_test,
-                        validate_loop)
+                        ValidationThresholds, detect_and_match,
+                        estimate_similarity_ransac, fuse_transform, knn_match,
+                        ratio_test, validate_loop)
 from .radar import (CompressedScan, RadarConfig, RawScan, analytic_signal, compress_scan,
                     matched_filter, pulse_value, radar_pulse, range_bin_spacing)
 from .runconfig import RunConfig, load_config

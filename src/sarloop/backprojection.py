@@ -4,11 +4,11 @@ Each compressed scan is spread onto the pixels whose centers lie in its
 field of view: the exact annular sector of ``in_fov`` (range window + beam
 cone around the boresight), the predicate the simulator also uses. Only the
 sector's bounding window is evaluated, in blocks of ``BLOCK_ROWS`` rows that
-take each pixel's range once for the sector test and the bin. A scan's blocks
-cover disjoint rows and run on one thread per usable core (the affinity mask
-where the OS has one); the next scan starts when all are done, so each pixel
-sums its scans in scan order and the image's bytes do not depend on the
-thread count.
+take each pixel's range once for the sector test and the bin. The grid's row
+blocks are the tasks, run on one thread per usable core (the affinity mask
+where the OS has one): a task alone writes its rows and adds every scan that
+reaches them in scan order, so the image's bytes do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,40 +129,40 @@ def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
                   grid.y_coords()[rows][:, np.newaxis])
 
 
-def _add_block(total: np.ndarray, xs: np.ndarray, ys: np.ndarray, scan: CompressedScan,
-               padded: np.ndarray, cols: slice, rows: slice) -> None:
-    """Add a scan into ``total[rows, cols]``; pixels outside the FOV read ``padded[-1] == 0``."""
-    dx = xs[cols][np.newaxis, :] - scan.pose.x_m
-    dy = ys[rows][:, np.newaxis] - scan.pose.y_m
-    rng = np.hypot(dx, dy)
-    # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
-    idx = (rng / range_bin_spacing(scan.config) + 0.5).astype(np.intp)
-    idx[~_sector(scan.pose, scan.config, dx, dy, rng) | (idx > scan.bins.size)] = scan.bins.size
-    total[rows, cols] += padded[idx]
-
-
 def build_sar(scans: Iterable[CompressedScan], grid: ImageGrid) -> SarImage:
-    """Back-project and sum a scan stream (constant memory in scans).
+    """Back-project scans and sum them in scan order.
 
     Each scan is imaged with its own radar, ``scan.config``: every pixel
     inside its FOV receives the bin at its rounded range index; pixels
     mapping past the last bin receive nothing.
     """
+    work = [(scan, *fov_window(scan.pose, scan.config, grid), np.append(scan.bins, 0))
+            for scan in scans]
+    if not work:
+        raise ValueError("no scans to back-project")
     total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     xs, ys = grid.x_coords(), grid.y_coords()
-    count = 0
+
+    def add_rows(start: int) -> None:
+        stop = min(start + BLOCK_ROWS, grid.height_px)
+        # This task alone writes rows [start, stop); it adds the scans in scan order.
+        for scan, rows, cols, padded in work:
+            lo, hi = max(start, rows.start), min(stop, rows.stop)
+            if lo >= hi:
+                continue
+            dx = xs[cols][np.newaxis, :] - scan.pose.x_m
+            dy = ys[lo:hi, np.newaxis] - scan.pose.y_m
+            rng = np.hypot(dx, dy)
+            # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
+            idx = (rng / range_bin_spacing(scan.config) + 0.5).astype(np.intp)
+            # Pixels outside the FOV read padded[-1] == 0.
+            idx[~_sector(scan.pose, scan.config, dx, dy, rng) | (idx > scan.bins.size)] = -1
+            total[lo:hi, cols] += padded[idx]
+
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(cores) as pool:
-        for scan in scans:
-            rows, cols = fov_window(scan.pose, scan.config, grid)
-            add = partial(_add_block, total, xs, ys, scan, np.append(scan.bins, 0), cols)
-            # Blocks cover disjoint rows; the next scan waits for all of them.
-            list(pool.map(add, (slice(r, min(r + BLOCK_ROWS, rows.stop))
-                                for r in range(rows.start, rows.stop, BLOCK_ROWS))))
-            count += 1
-    if count == 0:
-        raise ValueError("no scans to back-project")
-    return SarImage(grid, total, scan_count=count)
+        list(pool.map(add_rows, range(0, grid.height_px, BLOCK_ROWS)))
+    return SarImage(grid, total, scan_count=len(work))
 
 
 def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float) -> ImageGrid:

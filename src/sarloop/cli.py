@@ -50,12 +50,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_cfg(args) -> RunConfig:
+def _load_cfg(args, loop: bool = False) -> RunConfig:
+    """The run config; with ``loop``, one that a loop verdict can use."""
     config_path = args.config or os.environ.get("SARLOOP_CONFIG")
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    return load_config(config_path, overrides)
+    cfg = load_config(config_path, overrides)
+    if loop and len(cfg.detectors) != 2:
+        raise ValueError("loop validation needs two detectors "
+                         f"(configured: {', '.join(cfg.detectors) or 'none'})")
+    return cfg
 
 
 def cmd_simulate(args) -> int:
@@ -119,9 +124,6 @@ def _match_images(args, cfg: RunConfig, out: Path, with_decision: bool) -> int:
     img_a, _ = imgpost.read_pgm(args.image_a)
     img_b, _ = imgpost.read_pgm(args.image_b)
     det_cfgs = cfg.detector_configs()
-    if with_decision and len(det_cfgs) < 2:
-        raise ValueError("loop validation needs two detectors "
-                         f"(configured: {', '.join(cfg.detectors) or 'none'})")
     feature_paths = []
     for dc in det_cfgs:
         feature_paths += [out / f"features_{dc.detector_id}_a.bin",
@@ -169,11 +171,12 @@ def cmd_match(args) -> int:
 
 
 def cmd_loopclose(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, loop=True)
     return _match_images(args, cfg, _out_dir(args), with_decision=True)
 
 
 def cmd_pipeline(args) -> int:
+    _load_cfg(args, loop=True)  # a bad config fails before any stage runs
     ns = argparse.Namespace(**vars(args))
     out = Path(args.out)
     cmd_simulate(ns)

@@ -100,12 +100,17 @@ def register_detector(name: str):
     return wrap
 
 
+def registered_detectors() -> list[str]:
+    """Ids of the registered detectors, sorted."""
+    return sorted(_DETECTORS)
+
+
 def detect_and_describe(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     """Run the registered detector named by ``cfg.detector_id``."""
     try:
         detect = _DETECTORS[cfg.detector_id]
     except KeyError:
-        known = ", ".join(sorted(_DETECTORS)) or "none"
+        known = ", ".join(registered_detectors()) or "none"
         raise KeyError(f"unknown detector {cfg.detector_id!r} "
                        f"(registered: {known})") from None
     return detect(img, cfg)

@@ -47,13 +47,16 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def build_pyramid(pixels: np.ndarray, n_octaves: int) -> list[np.ndarray]:
-    """Octave images at scales 1.2**-k, each resampled from the base."""
+    """Octave images at scales 1.2**-k, each resampled from the base; no level
+    after the base has a short side under the segment test's 7 px."""
     base = np.asarray(pixels, dtype=np.float32)
     levels = [base]
     h, w = base.shape
     for k in range(1, n_octaves):
         s = SCALE_STEP ** k
-        oh, ow = max(1, round(h / s)), max(1, round(w / s))
+        oh, ow = round(h / s), round(w / s)
+        if min(oh, ow) < 7:
+            break
         levels.append(bilinear_resize(base, oh, ow))
     return levels
 
@@ -130,8 +133,6 @@ def detect_on_levels(levels: list[np.ndarray], cfg: DetectorConfig) -> list[Keyp
     """Run the segment test per octave, suppress, rank, and cap."""
     found = []
     for octave, img in enumerate(levels):
-        if min(img.shape) < 7:
-            continue
         scores = segment_test_scores(img, cfg.corner_threshold)
         rows, cols = _nms_peaks(scores)
         scale = SCALE_STEP ** octave

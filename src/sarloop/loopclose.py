@@ -1,8 +1,8 @@
 """Feature matching, similarity estimation, and loop-closure validation.
 
-Two independent descriptor pipelines are run on a candidate image pair;
-each yields good-match counts and a 4-DOF similarity (scale, rotation,
-translation). A loop closure is confirmed only when both pipelines agree:
+Two binary descriptors of shared segment-test keypoints match a candidate
+image pair; each yields good-match counts and a 4-DOF similarity (scale,
+rotation, translation). A loop closure is confirmed only when both agree:
 enough inliers each, scales near 1, and mutually consistent transforms.
 Confirmed transforms are fused by inlier-count weighting.
 
@@ -232,15 +232,6 @@ def detect_and_match(img_a: GrayImage, img_b: GrayImage,
             fa, fb, ratio=ratio, ransac=ransac, seed=seed + k,
             resolution_m=img_a.resolution_m)))
     return out
-
-
-def match_regions(img_a: GrayImage, img_b: GrayImage,
-                  cfgs: Sequence[DetectorConfig], *, ratio: float = 0.75,
-                  ransac: RansacConfig = RansacConfig(),
-                  seed: int = 0) -> list[MatchReport]:
-    """One MatchReport per config from ``detect_and_match``."""
-    return [report for _, _, report in detect_and_match(
-        img_a, img_b, cfgs, ratio=ratio, ransac=ransac, seed=seed)]
 
 
 def fuse_transform(ta: SimilarityTransform, na: int,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import DetectorConfig
+from .features.base import registered_detectors
 from .fileerrors import names_its_file
 from .loopclose import RansacConfig, ValidationThresholds
 from .radar import RadarConfig
@@ -87,7 +88,7 @@ class RunConfig:
 
         Every float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
-        lie in their range; and the radars and detectors must build.
+        lie in their range; ``detectors`` must be distinct registered ids.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
@@ -100,6 +101,10 @@ class RunConfig:
                     raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)}")
         if not self.mounts_deg:
             raise ValueError("mounts_deg must name at least one radar")
+        known = registered_detectors()
+        if len(set(self.detectors)) < len(self.detectors) or not set(self.detectors) <= set(known):
+            raise ValueError(f"detectors must be distinct ids of registered detectors "
+                             f"({', '.join(known)}), got {','.join(self.detectors)}")
         self.radars()
         self.detector_configs()
         return self

@@ -67,27 +67,22 @@ def generate_trajectory(spec: TrajectorySpec) -> list[Pose2]:
     A sample falling exactly on a corner takes the outgoing segment's heading.
     """
     pts = np.array([[w.x_m, w.y_m] for w in spec.waypoints], dtype=np.float64)
+    # A repeated waypoint would add a zero-length segment: drop it.
+    pts = pts[np.concatenate(([True], np.any(pts[1:] != pts[:-1], axis=1)))]
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     total = float(seg_len.sum())
     if total == 0.0:
         raise ValueError("degenerate path: zero total length")
     cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    headings = np.arctan2(seg[:, 1], seg[:, 0])
 
     n_steps = int(math.floor(total / spec.scan_spacing_m + 1e-9))
-    s_values = np.minimum(np.arange(n_steps + 1) * spec.scan_spacing_m, total)
-
-    out = []
-    for s in s_values:
-        idx = int(np.searchsorted(cum, s, side="right")) - 1
-        idx = min(idx, len(seg_len) - 1)
-        while seg_len[idx] == 0.0 and idx + 1 < len(seg_len):
-            idx += 1
-        pos = pts[idx] + (s - cum[idx]) / seg_len[idx] * seg[idx]
-        # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
-        out.append(Pose2(float(pos[0] + 0.0), float(pos[1] + 0.0), float(headings[idx])))
-    return out
+    s = np.minimum(np.arange(n_steps + 1) * spec.scan_spacing_m, total)
+    idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
+    # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
+    pos = pts[idx] + ((s - cum[idx]) / seg_len[idx])[:, np.newaxis] * seg[idx] + 0.0
+    headings = np.arctan2(seg[:, 1], seg[:, 0])[idx]
+    return [Pose2(float(x), float(y), float(h)) for (x, y), h in zip(pos, headings)]
 
 
 def default_bin_count(config: RadarConfig) -> int:

@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from sarloop import (DetectorConfig, GrayImage, ImageGrid, MatchReport,
                      Pose2, RawScan, SarImage, Scatterer, SimilarityTransform,
-                     compress_scan, fuse_transform, knn_match, match_regions,
+                     compress_scan, detect_and_match, fuse_transform, knn_match,
                      occupancy_from_image, positive_image, cellwise_difference,
                      radar_pulse, validate_loop, wrap_angle)
 from sarloop.loopclose import estimate_similarity_ransac
@@ -108,9 +108,8 @@ def test_05_known_warp_is_recovered_by_both_detectors(five_scatterer):
     rot = math.radians(5.0)
     tx_px, ty_px = 30.0, -20.0
     warped = warp_similarity(img, 1.0, rot, tx_px, ty_px)
-    reports = match_regions(img, warped,
-                            [DetectorConfig("orb"), DetectorConfig("brisk")],
-                            seed=5)
+    reports = [report for _, _, report in detect_and_match(
+        img, warped, [DetectorConfig("orb"), DetectorConfig("brisk")], seed=5)]
     res = img.resolution_m
     for r in reports:
         t = r.transform
@@ -140,12 +139,16 @@ def test_06_loop_decisions_discriminate_self_from_disjoint_pairs(
         pairs.append((reconstruct_fn(scene, noise_seed=2000 + i).image,
                       reconstruct_fn(scene, noise_seed=3000 + i).image))
 
+    def verdict(img_a, img_b, seed):
+        return validate_loop(*(report for _, _, report in detect_and_match(
+            img_a, img_b, detectors, seed=seed)))
+
     accepted_self, false_positives = 0, 0
     for i, (img_a, img_b) in enumerate(pairs):
-        same = validate_loop(*match_regions(img_a, img_b, detectors, seed=i))
+        same = verdict(img_a, img_b, i)
         accepted_self += same.accepted
         foreign = pairs[(i + 1) % 10][1]
-        cross = validate_loop(*match_regions(img_a, foreign, detectors, seed=i))
+        cross = verdict(img_a, foreign, i)
         false_positives += cross.accepted
     assert accepted_self == 10, f"only {accepted_self}/10 revisits accepted"
     assert false_positives == 0, f"{false_positives} disjoint pairs accepted"

@@ -333,14 +333,16 @@ def test_repeated_and_streamed_calls_give_the_same_bytes():
 
 
 def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
-    # Every scan's window is the same single block of the grid, so blocks of
-    # different scans run concurrently or out of scan order would lose
-    # updates or round differently.
-    grid = ImageGrid(300, BLOCK_ROWS - 3, 0.01, origin_m=(0.0, -0.3))
+    # Every scan's window covers all rows of a grid of several row blocks
+    # (the last one partial), so rows written by two tasks, or scans added
+    # out of scan order, would lose updates or round differently.
+    grid = ImageGrid(300, 4 * BLOCK_ROWS + 13, 0.005, origin_m=(0.0, -0.67))
     rng = np.random.default_rng(10)
     scans = [CompressedScan(rng.normal(size=40) + 1j * rng.normal(size=40),
                             Pose2(rng.uniform(-0.1, 0.1), 0.0, 0.0), COARSE)
              for _ in range(48)]
+    assert all(fov_window(s.pose, s.config, grid)[0] == slice(0, grid.height_px)
+               for s in scans)
     expect = scatter_oracle(scans, grid).tobytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
     interval = sys.getswitchinterval()

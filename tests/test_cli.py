@@ -229,6 +229,21 @@ def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, se
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("detectors", ["orb,orb", "orb,foo", "orb", "orb,brisk,orb"])
+def test_pipeline_checks_detectors_before_any_stage(small_scene, tmp_path, capsys,
+                                                    detectors):
+    scene, traj = small_scene
+    out = tmp_path / "o"
+    rc = run("pipeline", "--scene", scene, "--trajectory", traj, "--out", out,
+             *FAST, "--set", f"detectors={detectors}")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert "detectors" in err and "Traceback" not in err
+    if detectors != "orb":  # a repeated or unknown id: the registered ids are listed
+        assert "(brisk, orb)" in err
+
+
 def test_backproject_takes_the_radar_from_the_log(small_scene, tmp_path):
     scene, traj = small_scene
     rate = ["--set", "sample_rate_hz=30e9"]

@@ -331,6 +331,19 @@ def test_detection_is_deterministic(detector_id):
     assert np.array_equal(a.descriptors, b.descriptors)
 
 
+def test_pyramid_stops_before_a_level_too_small_for_the_segment_test():
+    img = gray(random_u8((64, 80), seed=28, hi=256))
+    levels = build_pyramid(img.pixels, 5000)
+    assert min(levels[-1].shape) >= 7
+    assert round(64 / SCALE_STEP ** len(levels)) < 7
+    assert ([lv.shape for lv in build_pyramid(img.pixels, len(levels))]
+            == [lv.shape for lv in levels])
+    deep = detect_and_describe(img, DetectorConfig("brisk", n_octaves=5000))
+    capped = detect_and_describe(img, DetectorConfig("brisk", n_octaves=len(levels)))
+    assert deep.keypoints == capped.keypoints
+    assert np.array_equal(deep.descriptors, capped.descriptors)
+
+
 def border_survivors(img, cfg, margin_px):
     """Detected keypoints whose level coordinates clear the descriptor margin."""
     shapes = [lv.shape for lv in build_pyramid(img.pixels, cfg.n_octaves)]

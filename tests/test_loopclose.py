@@ -7,8 +7,8 @@ import pytest
 
 from sarloop import (FeatureSet, Keypoint, LoopDecision, MatchReport,
                      RansacConfig, SimilarityTransform, ValidationThresholds,
-                     estimate_similarity_ransac, fuse_transform, knn_match,
-                     match_regions, ratio_test, validate_loop, wrap_angle)
+                     detect_and_match, estimate_similarity_ransac, fuse_transform,
+                     knn_match, ratio_test, validate_loop, wrap_angle)
 from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
                                hamming_distances, match_feature_sets,
                                write_report_table)
@@ -316,19 +316,19 @@ def test_report_table_layout(tmp_path):
     assert path.read_text() == accepted
 
 
-def test_match_regions_requires_matching_resolution(five_scatterer):
+def test_detect_and_match_requires_matching_resolution(five_scatterer):
     from sarloop import DetectorConfig, GrayImage
     img = five_scatterer.image
     other = GrayImage(img.pixels, img.resolution_m * 2)
     with pytest.raises(ValueError, match="resolutions differ"):
-        match_regions(img, other, [DetectorConfig("orb")])
+        detect_and_match(img, other, [DetectorConfig("orb")])
 
 
-def test_match_regions_self_pair_is_a_clean_identity(five_scatterer):
+def test_detect_and_match_self_pair_is_a_clean_identity(five_scatterer):
     from sarloop import DetectorConfig
     img = five_scatterer.image
-    reports = match_regions(img, img, [DetectorConfig("orb"),
-                                       DetectorConfig("brisk")], seed=9)
+    reports = [report for _, _, report in detect_and_match(
+        img, img, [DetectorConfig("orb"), DetectorConfig("brisk")], seed=9)]
     assert [r.detector_id for r in reports] == ["orb", "brisk"]
     for r in reports:
         assert r.good_matches >= 20
@@ -342,7 +342,6 @@ def test_match_regions_self_pair_is_a_clean_identity(five_scatterer):
 def test_identical_pixels_are_detected_once_per_detector(five_scatterer,
                                                          detector_calls):
     from sarloop import DetectorConfig, GrayImage
-    from sarloop.loopclose import detect_and_match
     img = five_scatterer.image
     copy = GrayImage(img.pixels.copy(), img.resolution_m)
     cfgs = [DetectorConfig("orb"), DetectorConfig("brisk")]
@@ -359,5 +358,5 @@ def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls)
     img = five_scatterer.image
     shifted = GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
     assert shifted.pixels.shape == img.pixels.shape
-    match_regions(img, shifted, [DetectorConfig("orb"), DetectorConfig("brisk")])
+    detect_and_match(img, shifted, [DetectorConfig("orb"), DetectorConfig("brisk")])
     assert detector_calls == ["orb", "orb", "brisk", "brisk"]

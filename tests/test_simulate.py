@@ -46,6 +46,20 @@ def test_corner_heading_switches_to_outgoing_segment():
         assert robot.theta_rad == pytest.approx(want)
 
 
+@pytest.mark.parametrize("repeat", [1, 2])
+def test_repeated_waypoints_add_no_samples(repeat):
+    # A path ending on (or passing through) a repeated waypoint is the same
+    # path as without the repeat; only the repeat's heading differs.
+    plain = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0))
+    for doubled in (plain + (Pose2(1, 1, 2.0),) * repeat,
+                    plain[:2] + (Pose2(1, 0, 2.0),) * repeat + plain[2:]):
+        assert (generate_trajectory(TrajectorySpec(doubled, 0.25))
+                == generate_trajectory(TrajectorySpec(plain, 0.25)))
+    ending = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 0, 0))
+    assert generate_trajectory(TrajectorySpec(ending, 0.25)) == [
+        Pose2(k * 0.25, 0.0, 0.0) for k in range(5)]
+
+
 def test_trajectory_rejections():
     with pytest.raises(ValueError, match="degenerate"):
         generate_trajectory(TrajectorySpec((Pose2(0, 0, 0), Pose2(0, 0, 0)), 0.1))
