@@ -2,13 +2,13 @@
 
 Each compressed scan is spread onto the pixels whose centers lie in its
 field of view: the exact annular sector of ``in_fov`` (range window + beam
-cone around the boresight), the predicate the simulator also uses. Only the
-sector's bounding window is evaluated, in blocks of ``BLOCK_ROWS`` rows that
-take each pixel's range once for the sector test and the bin. The grid's row
-blocks are the tasks, run on one thread per usable core (the affinity mask
-where the OS has one): a task alone writes its rows and adds every scan that
-reaches them in scan order, so the image's bytes do not depend on the thread
-count.
+cone around the boresight), the predicate the simulator also uses. On each
+block of ``BLOCK_ROWS`` rows, only the column span the sector can reach there
+is evaluated, taking each pixel's range once for the sector test and the bin.
+The grid's row blocks are the tasks, run on one thread per usable core (the
+affinity mask where the OS has one): a task alone writes its rows and adds
+every scan that reaches them in scan order, so the image's bytes do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -122,6 +122,33 @@ def fov_window(radar: Pose2, config: RadarConfig, grid: ImageGrid) -> tuple[slic
             span(min(xs), max(xs), grid.origin_m[0], grid.width_px))
 
 
+def block_spans(radar: Pose2, config: RadarConfig,
+                grid: ImageGrid) -> tuple[slice, np.ndarray]:
+    """``fov_window``'s rows, and on each row block they meet (row ``k``: block
+    ``rows.start // BLOCK_ROWS + k``) the window's column span ``[start, stop)``
+    that the far disk and the beam cone (beamwidth < pi: two half-planes through
+    the radar), each grown by a pixel, reach on its rows: a superset of ``in_fov``."""
+    rows, cols = fov_window(radar, config, grid)
+    res = grid.resolution_m
+    dy = grid.y_coords()[rows] - radar.y_m
+    hi = np.sqrt(np.maximum((config.range_max_m + res) ** 2 - dy * dy, 0.0))
+    lo = -hi
+    boresight = radar.theta_rad + config.mount_angle_rad
+    for side in (-1.0, 1.0):
+        # The cone lies on the side nx * dx + ny * dy >= 0 of this beam edge.
+        edge = boresight + side * config.beamwidth_rad / 2.0
+        nx, ny = side * math.sin(edge), -side * math.cos(edge)
+        if abs(nx) > 1e-12:  # an edge along the rows bounds no column
+            bound = (-res - ny * dy) / nx
+            lo, hi = (np.maximum(lo, bound), hi) if nx > 0 else (lo, np.minimum(hi, bound))
+    start = np.ceil((radar.x_m + lo - grid.origin_m[0]) / res)
+    stop = np.floor((radar.x_m + hi - grid.origin_m[0]) / res) + 1
+    # Each block's first row in the window; an empty window meets no block.
+    cuts = np.arange(-(rows.start % BLOCK_ROWS), dy.size, BLOCK_ROWS).clip(0)[:dy.size]
+    spans = np.stack([np.minimum.reduceat(start, cuts), np.maximum.reduceat(stop, cuts)], 1)
+    return rows, np.clip(spans, cols.start, cols.stop).astype(np.intp)
+
+
 def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
              rows: slice, cols: slice) -> np.ndarray:
     """``in_fov`` at the pixel centers of the grid window ``[rows, cols]``."""
@@ -134,9 +161,10 @@ def build_sar(scans: Iterable[CompressedScan], grid: ImageGrid) -> SarImage:
 
     Each scan is imaged with its own radar, ``scan.config``: every pixel
     inside its FOV receives the bin at its rounded range index; pixels
-    mapping past the last bin receive nothing.
+    mapping past the last bin receive nothing. On each row block, a scan is
+    evaluated only across its ``block_spans`` column span.
     """
-    work = [(scan, *fov_window(scan.pose, scan.config, grid), np.append(scan.bins, 0))
+    work = [(scan, *block_spans(scan.pose, scan.config, grid), np.append(scan.bins, 0))
             for scan in scans]
     if not work:
         raise ValueError("no scans to back-project")
@@ -146,10 +174,11 @@ def build_sar(scans: Iterable[CompressedScan], grid: ImageGrid) -> SarImage:
     def add_rows(start: int) -> None:
         stop = min(start + BLOCK_ROWS, grid.height_px)
         # This task alone writes rows [start, stop); it adds the scans in scan order.
-        for scan, rows, cols, padded in work:
+        for scan, rows, spans, padded in work:
             lo, hi = max(start, rows.start), min(stop, rows.stop)
             if lo >= hi:
                 continue
+            cols = slice(*spans[start // BLOCK_ROWS - rows.start // BLOCK_ROWS])
             dx = xs[cols][np.newaxis, :] - scan.pose.x_m
             dy = ys[lo:hi, np.newaxis] - scan.pose.y_m
             rng = np.hypot(dx, dy)

@@ -37,17 +37,20 @@ from .simulate import (TrajectorySpec, generate_trajectory, load_scene,
 PROG = "sarloop"
 
 
-def _ensure_fresh(paths: list[Path], overwrite: bool) -> None:
+def _outputs(args, *names: str) -> list[Path]:
+    """The named outputs in --out; existing ones are refused without --overwrite."""
+    paths = [Path(args.out) / name for name in names]
     clashes = [str(p) for p in paths if p.exists()]
-    if clashes and not overwrite:
+    if clashes and not args.overwrite:
         raise ValueError("refusing to overwrite existing outputs "
                          f"(pass --overwrite): {', '.join(clashes)}")
+    return paths
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _make_out(args) -> None:
+    """Make --out, once the command's inputs are loaded and its outputs
+    computed: a command that fails before it writes leaves no directory."""
+    Path(args.out).mkdir(parents=True, exist_ok=True)
 
 
 def _load_cfg(args, loop: bool = False) -> RunConfig:
@@ -65,9 +68,7 @@ def _load_cfg(args, loop: bool = False) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
-    log_path, truth_path = out / "scanlog.bin", out / "truth.pgm"
-    _ensure_fresh([log_path, truth_path], args.overwrite)
+    log_path, truth_path = _outputs(args, "scanlog.bin", "truth.pgm")
 
     scene = load_scene(args.scene)
     waypoints = load_trajectory(args.trajectory)
@@ -76,6 +77,7 @@ def cmd_simulate(args) -> int:
     grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
     scans, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
                                 rng=np.random.default_rng(cfg.seed))
+    _make_out(args)
     save_scan_log(log_from_simulation(scans, radars), log_path)
     imgpost.write_pgm(
         imgpost.GrayImage(truth.astype(np.uint8) * 255, grid.resolution_m),
@@ -86,9 +88,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_backproject(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
-    sar_path = out / "sar.cpx"
-    _ensure_fresh([sar_path], args.overwrite)
+    [sar_path] = _outputs(args, "sar.cpx")
 
     log = load_scan_log(args.scanlog)
     if not log.records:
@@ -99,6 +99,7 @@ def cmd_backproject(args) -> int:
     grid = derive_grid([s.pose for s in compressed], log.radars[0],
                        cfg.grid_resolution_m)
     sar = build_sar(compressed, grid)
+    _make_out(args)
     imgpost.write_sar_dump(sar, sar_path)
     print(f"wrote {sar_path} ({grid.width_px}x{grid.height_px} px, "
           f"{sar.scan_count} scans)")
@@ -107,12 +108,11 @@ def cmd_backproject(args) -> int:
 
 def cmd_post(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
-    pgm_path, dump_path = out / "image.pgm", out / "image.f32"
-    _ensure_fresh([pgm_path, dump_path], args.overwrite)
+    pgm_path, dump_path = _outputs(args, "image.pgm", "image.f32")
 
     sar = imgpost.read_sar_dump(args.sar)
     enhanced = imgpost.gaussian_blur(imgpost.positive_image(sar), cfg.blur_sigma_px)
+    _make_out(args)
     imgpost.write_float_dump(enhanced, dump_path)
     imgpost.write_pgm(imgpost.quantize(enhanced), pgm_path,
                       origin_m=sar.grid.origin_m)
@@ -120,19 +120,17 @@ def cmd_post(args) -> int:
     return 0
 
 
-def _match_images(args, cfg: RunConfig, out: Path, with_decision: bool) -> int:
+def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
     img_a, _ = imgpost.read_pgm(args.image_a)
     img_b, _ = imgpost.read_pgm(args.image_b)
     det_cfgs = cfg.detector_configs()
-    feature_paths = []
-    for dc in det_cfgs:
-        feature_paths += [out / f"features_{dc.detector_id}_a.bin",
-                          out / f"features_{dc.detector_id}_b.bin"]
-    table = out / ("loopclose.tsv" if with_decision else "matches.tsv")
-    _ensure_fresh(feature_paths + [table], args.overwrite)
+    *feature_paths, table = _outputs(
+        args, *(f"features_{dc.detector_id}_{side}.bin" for dc in det_cfgs for side in "ab"),
+        "loopclose.tsv" if with_decision else "matches.tsv")
 
     matched = detect_and_match(img_a, img_b, det_cfgs, ratio=cfg.ratio,
                                ransac=cfg.ransac_config(), seed=cfg.seed)
+    _make_out(args)
     for k, (fa, fb, _) in enumerate(matched):
         save_feature_set(fa, feature_paths[2 * k])
         save_feature_set(fb, feature_paths[2 * k + 1])
@@ -151,28 +149,27 @@ def _match_images(args, cfg: RunConfig, out: Path, with_decision: bool) -> int:
 
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     if args.features_a or args.features_b:
         if not (args.features_a and args.features_b):
             raise ValueError("--features-a and --features-b must be given together")
-        table = out / "matches.tsv"
-        _ensure_fresh([table], args.overwrite)
+        [table] = _outputs(args, "matches.tsv")
         fa = load_feature_set(args.features_a)
         fb = load_feature_set(args.features_b)
         report = match_feature_sets(
             fa, fb, ratio=cfg.ratio, ransac=cfg.ransac_config(),
             seed=cfg.seed, resolution_m=args.resolution_m)
+        _make_out(args)
         write_report_table(table, [report])
         print(f"wrote {table}")
         return 0
     if not (args.image_a and args.image_b):
         raise ValueError("need --image-a/--image-b or --features-a/--features-b")
-    return _match_images(args, cfg, out, with_decision=False)
+    return _match_images(args, cfg, with_decision=False)
 
 
 def cmd_loopclose(args) -> int:
     cfg = _load_cfg(args, loop=True)
-    return _match_images(args, cfg, _out_dir(args), with_decision=True)
+    return _match_images(args, cfg, with_decision=True)
 
 
 def cmd_pipeline(args) -> int:

@@ -9,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
                      build_sar, derive_grid, in_fov)
-from sarloop.backprojection import BLOCK_ROWS, fov_mask, fov_window
+from sarloop.backprojection import BLOCK_ROWS, block_spans, fov_mask, fov_window
 from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
 from sarloop.scanlog import load_scan_log
+from sarloop.simulate import TrajectorySpec, generate_trajectory, load_trajectory
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -129,6 +130,33 @@ def test_fov_window_is_the_sector_box_padded_by_one_pixel(table1):
         lo_px, hi_px = (lo + 4.0) / 0.01, (hi + 4.0) / 0.01
         assert lo_px - 2 - 1e-6 <= span.start <= lo_px - 1 + 1e-6
         assert hi_px + 1 - 1e-6 <= span.stop - 1 <= hi_px + 2 + 1e-6
+
+
+def assert_spans_cover_the_sector(pose, config, grid):
+    """Every pixel ``in_fov`` accepts lies in its row block's column span."""
+    rows, spans = block_spans(pose, config, grid)
+    cols = fov_window(pose, config, grid)[1]
+    first = rows.start // BLOCK_ROWS
+    blocks = -(-rows.stop // BLOCK_ROWS) - first if rows.stop > rows.start else 0
+    assert spans.shape == (blocks, 2)
+    assert ((cols.start <= spans) & (spans <= cols.stop)).all()
+    r, c = np.nonzero(full_grid_mask(pose, config, grid))
+    start, stop = spans[r // BLOCK_ROWS - first].T
+    assert ((start <= c) & (c < stop)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes(), st.sampled_from((None, -1.0, 1.0)), st.sampled_from(AXIS_ANGLES))
+@example((RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=0.5, range_min_m=0.05, range_max_m=0.55),
+          Pose2(0.0, 0.0), ImageGrid(1, 4, 0.02)), -1.0, math.pi / 2)  # pixels on the edge
+def test_block_spans_cover_every_in_fov_pixel(scene, edge, axis):
+    # pytest turns RuntimeWarning into an error (pyproject.toml), so a divide
+    # by zero or the sqrt of a negative fails here too.
+    config, pose, grid = scene
+    if edge is not None:  # a beam edge on an axis, where a half-plane bounds no column
+        boresight = axis + edge * config.beamwidth_rad / 2.0
+        pose = Pose2(pose.x_m, pose.y_m, boresight - config.mount_angle_rad)
+    assert_spans_cover_the_sector(pose, config, grid)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,6 +315,48 @@ def test_demo_map_equals_the_scatter_oracle(demo_scans):
     assert sar.pixels.tobytes() == scatter_oracle(scans, grid).tobytes()
 
 
+def test_block_spans_clip_the_demo_windows(demo_scans):
+    # The spans must skip most out-of-sector pixels of the windows, and come
+    # close to the exact per-block hull of the in-FOV pixels.
+    scans, grid = demo_scans
+    window = spanned = hull = 0
+    for scan in scans:
+        rows, cols = fov_window(scan.pose, scan.config, grid)
+        mask = fov_mask(scan.pose, scan.config, grid, rows, cols)
+        window += mask.size
+        first = rows.start // BLOCK_ROWS
+        for k, (start, stop) in enumerate(block_spans(scan.pose, scan.config, grid)[1]):
+            block = mask[max(0, (first + k) * BLOCK_ROWS - rows.start):
+                         (first + k + 1) * BLOCK_ROWS - rows.start]
+            spanned += len(block) * max(0, stop - start)
+            inside = np.nonzero(block.any(axis=0))[0]
+            hull += len(block) * (inside[-1] - inside[0] + 1 if inside.size else 0)
+    assert spanned <= 0.70 * window
+    assert spanned <= 1.02 * hull
+
+
+def test_rotated_demo_path_equals_the_scatter_oracle(side_radars):
+    # The demo path turned by 20 deg: with the side radars' 60 deg beams, no
+    # boresight or beam edge lies on an axis (at 30 deg, edges would be at 90).
+    turn = math.radians(20.0)
+    path = generate_trajectory(TrajectorySpec(
+        tuple(load_trajectory(DEMO / "trajectory.txt")), load_config(None, []).scan_spacing_m))
+    poses = [Pose2(p.x_m * math.cos(turn) - p.y_m * math.sin(turn),
+                   p.x_m * math.sin(turn) + p.y_m * math.cos(turn), p.theta_rad + turn)
+             for p in path[::6]]
+    for pose in poses:
+        for radar in side_radars:
+            for edge in (-1.0, 1.0):
+                angle = pose.theta_rad + radar.mount_angle_rad + edge * radar.beamwidth_rad / 2
+                assert abs(math.remainder(angle, math.pi / 2)) > 0.1
+    rng = np.random.default_rng(12)
+    scans = [CompressedScan(rng.normal(size=500) + 1j * rng.normal(size=500), pose, radar)
+             for pose in poses for radar in side_radars]
+    assert len(scans) == 22
+    grid = derive_grid(poses, side_radars[0], 0.005)
+    assert build_sar(scans, grid).pixels.tobytes() == scatter_oracle(scans, grid).tobytes()
+
+
 @st.composite
 def block_scenes(draw):
     """Scans whose windows span several row blocks of a grid whose height is
@@ -321,6 +391,8 @@ def test_row_blocks_match_the_scatter_oracle(scene):
     rows, _ = fov_window(scans[0].pose, scans[0].config, grid)
     assert rows.start == 0
     assert np.array_equal(build_sar(scans, grid).pixels, scatter_oracle(scans, grid))
+    for scan in scans:
+        assert_spans_cover_the_sector(scan.pose, scan.config, grid)
 
 
 def test_repeated_and_streamed_calls_give_the_same_bytes():

@@ -255,3 +255,23 @@ def test_backproject_takes_the_radar_from_the_log(small_scene, tmp_path):
                *FAST, *rate) == 0
     assert ((tmp_path / "default" / "sar.cpx").read_bytes()
             == (tmp_path / "matching" / "sar.cpx").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scene", "MISSING", "--trajectory", f"{DEMO}/trajectory.txt"),
+    ("simulate", "--scene", f"{DEMO}/scene.txt", "--trajectory", "MISSING"),
+    ("backproject", "--scanlog", "MISSING"),
+    ("post", "--sar", "MISSING"),
+    ("match", "--image-a", "MISSING", "--image-b", "MISSING"),
+    ("match", "--features-a", "MISSING", "--features-b", "MISSING"),
+    ("loopclose", "--image-a", "MISSING", "--image-b", "MISSING"),
+    ("pipeline", "--scene", "MISSING", "--trajectory", f"{DEMO}/trajectory.txt"),
+], ids=lambda argv: f"{argv[0]}-{argv[argv.index('MISSING') - 1].lstrip('-')}")
+def test_a_missing_input_leaves_no_output_directory(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.input"
+    rc = run(*(missing if a == "MISSING" else a for a in argv), "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert "error:" in err and "Traceback" not in err
