@@ -155,9 +155,8 @@ def cmd_match(args) -> int:
         [table] = _outputs(args, "matches.tsv")
         fa = load_feature_set(args.features_a)
         fb = load_feature_set(args.features_b)
-        report = match_feature_sets(
-            fa, fb, ratio=cfg.ratio, ransac=cfg.ransac_config(),
-            seed=cfg.seed, resolution_m=args.resolution_m)
+        report = match_feature_sets(fa, fb, ratio=cfg.ratio,
+                                    ransac=cfg.ransac_config(), seed=cfg.seed)
         _make_out(args)
         write_report_table(table, [report])
         print(f"wrote {table}")
@@ -224,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-b")
     p.add_argument("--features-a")
     p.add_argument("--features-b")
-    p.add_argument("--resolution-m", type=float, default=1.0,
-                   help="pixel size for feature-set inputs (default 1.0)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("loopclose", parents=[common],

@@ -54,7 +54,8 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Keypoints plus their packed binary descriptors.
+    """Keypoints plus their packed binary descriptors, on an image whose
+    pixels are ``resolution_m`` wide.
 
     descriptors is a (len(keypoints), bits/8) uint8 array; bit k of a
     descriptor is bit (7 - k % 8) of byte k // 8 (numpy packbits order).
@@ -64,8 +65,11 @@ class FeatureSet:
     detector_id: str
     keypoints: tuple[Keypoint, ...]
     descriptors: np.ndarray
+    resolution_m: float
 
     def __post_init__(self):
+        if not (self.resolution_m > 0 and math.isfinite(self.resolution_m)):
+            raise ValueError(f"resolution_m must be positive, got {self.resolution_m}")
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         desc = np.ascontiguousarray(np.asarray(self.descriptors, dtype=np.uint8))
         if desc.ndim != 2:

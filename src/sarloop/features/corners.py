@@ -11,7 +11,6 @@ detectors also share the keypoint loop, ``describe_keypoints``.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
@@ -129,17 +128,21 @@ def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(keep)
 
 
-def detect_on_levels(levels: list[np.ndarray], cfg: DetectorConfig) -> list[Keypoint]:
-    """Run the segment test per octave, suppress, rank, and cap."""
+def detect_on_levels(levels: list[np.ndarray],
+                     cfg: DetectorConfig) -> list[tuple[float, int, int, int]]:
+    """Run the segment test per octave, suppress, rank, and cap.
+
+    Each corner is ``(score, octave, row, col)`` at the integer pixel of its
+    level where the test fired; the strongest come first, ties broken by
+    octave, row and col.
+    """
     found = []
     for octave, img in enumerate(levels):
         scores = segment_test_scores(img, cfg.corner_threshold)
         rows, cols = _nms_peaks(scores)
-        scale = SCALE_STEP ** octave
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            found.append(Keypoint(c * scale, r * scale, float(scores[r, c]),
-                                  0.0, octave))
-    found.sort(key=lambda kp: (-kp.response, kp.octave, kp.y_px, kp.x_px))
+        found += zip(scores[rows, cols].tolist(), [octave] * len(rows),
+                     rows.tolist(), cols.tolist())
+    found.sort(key=lambda corner: (-corner[0], *corner[1:]))
     return found[:cfg.target_keypoints]
 
 
@@ -147,24 +150,25 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
                        margin_px: int, descriptor_bits: int, describe) -> FeatureSet:
     """Detect corners over the pyramid and describe each on its own level.
 
-    Keypoints closer than ``margin_px`` to their level's edge are dropped;
-    ``describe(level, x, y)`` returns the angle and packed descriptor of each
-    other keypoint at level coordinates (x, y).
+    Corners closer than ``margin_px`` to their level's edge are dropped;
+    ``describe(level, col, row)`` returns the angle and packed descriptor of
+    each other corner at its level pixel. Keypoints are placed at that pixel
+    scaled up to the base image.
     """
     require_min_size(img.pixels)
     levels = build_pyramid(img.pixels, cfg.n_octaves)
-    kept, rows = [], []
-    for kp in detect_on_levels(levels, cfg):
-        lx, ly = level_coords(kp)
-        level = levels[kp.octave]
+    kept, descs = [], []
+    for score, octave, row, col in detect_on_levels(levels, cfg):
+        level = levels[octave]
         h, w = level.shape
-        if not (margin_px <= lx <= w - 1 - margin_px and margin_px <= ly <= h - 1 - margin_px):
+        if not (margin_px <= col <= w - 1 - margin_px and margin_px <= row <= h - 1 - margin_px):
             continue
-        angle, bits = describe(level, lx, ly)
-        kept.append(replace(kp, angle_rad=angle))
-        rows.append(bits)
-    desc = np.vstack(rows) if rows else np.empty((0, descriptor_bits // 8), np.uint8)
-    return FeatureSet(detector_id, tuple(kept), desc)
+        angle, bits = describe(level, col, row)
+        scale = SCALE_STEP ** octave
+        kept.append(Keypoint(col * scale, row * scale, score, angle, octave))
+        descs.append(bits)
+    desc = np.vstack(descs) if descs else np.empty((0, descriptor_bits // 8), np.uint8)
+    return FeatureSet(detector_id, tuple(kept), desc, img.resolution_m)
 
 
 def orientation_centroid(pixels: np.ndarray, x: float, y: float, radius_px: int) -> float:
@@ -189,8 +193,3 @@ def orientation_centroid(pixels: np.ndarray, x: float, y: float, radius_px: int)
         return 0.0
     return math.atan2(m01, m10)
 
-
-def level_coords(kp: Keypoint) -> tuple[float, float]:
-    """Keypoint position in its own octave's pixel frame."""
-    s = SCALE_STEP ** kp.octave
-    return kp.x_px / s, kp.y_px / s

@@ -1,10 +1,12 @@
 """Versioned binary container for feature sets.
 
-Layout (all integers little-endian):
+Layout (all numbers little-endian), version 2:
   magic 8s = b"SARLFEAT", version u32, detector-id length u32, id bytes,
-  keypoint count u32, descriptor bit length u32; then per keypoint
+  keypoint count u32, descriptor bit length u32, resolution_m f64 (the
+  pixel size of the image the keypoints were found on); then per keypoint
   x f32, y f32, response f32, angle f32, octave i32, followed by the
-  packed descriptor bytes.
+  packed descriptor bytes. Version 1 files, which have no resolution_m,
+  are refused.
 """
 
 from __future__ import annotations
@@ -18,21 +20,29 @@ from ..fileerrors import names_its_file
 from .base import FeatureSet, Keypoint
 
 MAGIC = b"SARLFEAT"
-VERSION = 1
-_KP = struct.Struct("<ffffi")
+VERSION = 2
+
+
+def _records(n_bytes: int) -> np.dtype:
+    """One keypoint record: x, y, response, angle; octave; descriptor bytes."""
+    return np.dtype([("xy_response_angle", "<f4", (4,)), ("octave", "<i4"),
+                     ("descriptor", "u1", (n_bytes,))])
 
 
 def save_feature_set(fs: FeatureSet, path: str | Path) -> None:
     n_bytes = fs.descriptors.shape[1]
     ident = fs.detector_id.encode()
+    records = np.empty(len(fs), _records(n_bytes))
+    records["xy_response_angle"] = np.reshape(
+        [(kp.x_px, kp.y_px, kp.response, kp.angle_rad) for kp in fs.keypoints], (-1, 4))
+    records["octave"] = [kp.octave for kp in fs.keypoints]
+    records["descriptor"] = fs.descriptors
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(ident)))
         fh.write(ident)
-        fh.write(struct.pack("<II", len(fs.keypoints), n_bytes * 8))
-        for kp, desc in zip(fs.keypoints, fs.descriptors):
-            fh.write(_KP.pack(kp.x_px, kp.y_px, kp.response, kp.angle_rad, kp.octave))
-            fh.write(desc.tobytes())
+        fh.write(struct.pack("<IId", len(fs), n_bytes * 8, fs.resolution_m))
+        fh.write(records.tobytes())
 
 
 @names_its_file
@@ -42,26 +52,20 @@ def load_feature_set(path: str | Path) -> FeatureSet:
         raise ValueError(f"{path}: not a feature-set file (bad magic)")
     try:
         version, id_len = struct.unpack_from("<II", data, 8)
-        count, bits = struct.unpack_from("<II", data, 16 + id_len)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        count, bits, resolution_m = struct.unpack_from("<IId", data, 16 + id_len)
     except struct.error:
         raise ValueError(f"{path}: truncated feature-set header") from None
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
     detector_id = data[16:16 + id_len].decode()
-    pos = 24 + id_len
+    pos = 32 + id_len
     if bits % 8:
         raise ValueError(f"{path}: descriptor bit length {bits} not a multiple of 8")
-    n_bytes = bits // 8
-    record = _KP.size + n_bytes
-    if len(data) - pos != count * record:
+    records = _records(bits // 8)
+    if len(data) - pos != count * records.itemsize:
         raise ValueError(f"{path}: expected {count} records "
-                         f"({count * record} bytes), found {len(data) - pos}")
-    kps = []
-    desc = np.empty((count, n_bytes), dtype=np.uint8)
-    for i in range(count):
-        x, y, resp, angle, octave = _KP.unpack_from(data, pos)
-        pos += _KP.size
-        kps.append(Keypoint(x, y, resp, angle, octave))
-        desc[i] = np.frombuffer(data, dtype=np.uint8, count=n_bytes, offset=pos)
-        pos += n_bytes
-    return FeatureSet(detector_id, tuple(kps), desc)
+                         f"({count * records.itemsize} bytes), found {len(data) - pos}")
+    table = np.frombuffer(data, records, count=count, offset=pos)
+    kps = tuple(Keypoint(*floats, octave) for floats, octave
+                in zip(table["xy_response_angle"].tolist(), table["octave"].tolist()))
+    return FeatureSet(detector_id, kps, table["descriptor"].copy(), resolution_m)

@@ -262,6 +262,8 @@ def read_sar_dump(path) -> SarImage:
     expect = width * height * 8
     if len(payload) != expect:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expect}")
+    if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f4"))):
+        raise ValueError(f"{path}: non-finite pixel values")
     pixels = np.frombuffer(payload, dtype="<c8").reshape(height, width)
     grid = ImageGrid(width, height, resolution, origin)
     return SarImage(grid, pixels.astype(np.complex128), scan_count)

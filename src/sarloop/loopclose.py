@@ -126,8 +126,7 @@ def ratio_test(dists: np.ndarray, ratio: float = 0.75) -> np.ndarray:
 
 
 def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int,
-                               cfg: RansacConfig = RansacConfig(),
-                               resolution_m: float = 1.0,
+                               cfg: RansacConfig = RansacConfig(), *, resolution_m: float,
                                ) -> tuple[SimilarityTransform | None, np.ndarray]:
     """RANSAC similarity fit from pixel correspondences src -> dst.
 
@@ -189,13 +188,16 @@ def _keypoint_xy(fs: FeatureSet) -> np.ndarray:
 
 
 def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
-                       ransac: RansacConfig = RansacConfig(), seed: int = 0,
-                       resolution_m: float = 1.0) -> MatchReport:
+                       ransac: RansacConfig = RansacConfig(), seed: int = 0) -> MatchReport:
     """KNN + ratio test + RANSAC between two feature sets.
 
-    Fewer than two keypoints in b leave nothing to ratio-test against, so
-    the report has no matches and no transform.
+    Both sets must share a pixel size, which converts the translation to
+    meters. Fewer than two keypoints in b leave nothing to ratio-test
+    against, so the report has no matches and no transform.
     """
+    if a.resolution_m != b.resolution_m:
+        raise ValueError(f"image resolutions differ: "
+                         f"{a.resolution_m} vs {b.resolution_m}")
     if len(b) < 2 and a.detector_id == b.detector_id:
         return MatchReport(a.detector_id, len(a), len(b), 0, 0, None)
     best, dists = knn_match(a, b)
@@ -206,7 +208,7 @@ def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
     src = _keypoint_xy(a)[keep]
     dst = _keypoint_xy(b)[best[keep]]
     transform, inliers = estimate_similarity_ransac(
-        src, dst, seed, ransac, resolution_m)
+        src, dst, seed, ransac, resolution_m=a.resolution_m)
     good = int(inliers.sum()) if transform is not None else 0
     return MatchReport(a.detector_id, len(a), len(b), n_kept, good, transform)
 
@@ -217,20 +219,17 @@ def detect_and_match(img_a: GrayImage, img_b: GrayImage,
                      ) -> list[tuple[FeatureSet, FeatureSet, MatchReport]]:
     """Per config: both images' features and their MatchReport (seed + k).
 
-    Equal pixel arrays are detected once, as detection reads nothing else.
-    Images must share a pixel size so translations convert to meters.
+    An image equal to the other in pixels and pixel size is detected once,
+    as detection reads nothing else.
     """
-    if img_a.resolution_m != img_b.resolution_m:
-        raise ValueError(f"image resolutions differ: "
-                         f"{img_a.resolution_m} vs {img_b.resolution_m}")
-    same_pixels = np.array_equal(img_a.pixels, img_b.pixels)
+    same_image = (img_a.resolution_m == img_b.resolution_m
+                  and np.array_equal(img_a.pixels, img_b.pixels))
     out = []
     for k, cfg in enumerate(cfgs):
         fa = detect_and_describe(img_a, cfg)
-        fb = fa if same_pixels else detect_and_describe(img_b, cfg)
+        fb = fa if same_image else detect_and_describe(img_b, cfg)
         out.append((fa, fb, match_feature_sets(
-            fa, fb, ratio=ratio, ransac=ransac, seed=seed + k,
-            resolution_m=img_a.resolution_m)))
+            fa, fb, ratio=ratio, ransac=ransac, seed=seed + k)))
     return out
 
 

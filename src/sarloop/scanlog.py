@@ -16,7 +16,7 @@ fired it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +29,8 @@ from .radar import RadarConfig, RawScan
 FORMAT_NAME = "sarloop-scanlog"
 VERSION = 1
 _FIXED = struct.Struct("<dIddd")
+# The header describes one radar by its config fields; mounts follow per radar.
+_RADAR_KEYS = tuple(f.name for f in fields(RadarConfig) if f.name != "mount_angle_rad")
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,9 @@ class ScanLog:
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:
-    cfg = log.radars[0]
-    header = [
-        f"format={FORMAT_NAME}",
-        f"version={VERSION}",
-        f"radar_count={len(log.radars)}",
-        f"sample_count={log.sample_count}",
-        f"sample_rate_hz={cfg.sample_rate_hz!r}",
-        f"center_freq_hz={cfg.center_freq_hz!r}",
-        f"bandwidth_hz={cfg.bandwidth_hz!r}",
-        f"pulse_amplitude_v={cfg.pulse_amplitude_v!r}",
-        f"beamwidth_rad={cfg.beamwidth_rad!r}",
-        f"range_min_m={cfg.range_min_m!r}",
-        f"range_max_m={cfg.range_max_m!r}",
-    ]
+    header = [f"format={FORMAT_NAME}", f"version={VERSION}",
+              f"radar_count={len(log.radars)}", f"sample_count={log.sample_count}"]
+    header += [f"{key}={getattr(log.radars[0], key)!r}" for key in _RADAR_KEYS]
     header += [f"mount_{i}_rad={r.mount_angle_rad!r}" for i, r in enumerate(log.radars)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode())
@@ -117,30 +108,22 @@ def load_scan_log(path: str | Path) -> ScanLog:
     sep = data.find(b"\n\n")
     if sep < 0:
         raise ValueError(f"{path}: missing blank line terminating the header")
-    fields: dict[str, str] = {}
+    header: dict[str, str] = {}
     for line in data[:sep].decode().splitlines():
         if "=" not in line:
             raise ValueError(f"{path}: malformed header line {line!r}")
         key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        header[key.strip()] = value.strip()
 
     try:
-        if fields["format"] != FORMAT_NAME:
-            raise ValueError(f"{path}: not a scan log (format={fields['format']!r})")
-        if int(fields["version"]) != VERSION:
-            raise ValueError(f"{path}: unsupported version {fields['version']}")
-        radar_count = int(fields["radar_count"])
-        sample_count = int(fields["sample_count"])
-        config = RadarConfig(
-            sample_rate_hz=float(fields["sample_rate_hz"]),
-            center_freq_hz=float(fields["center_freq_hz"]),
-            bandwidth_hz=float(fields["bandwidth_hz"]),
-            pulse_amplitude_v=float(fields["pulse_amplitude_v"]),
-            beamwidth_rad=float(fields["beamwidth_rad"]),
-            range_min_m=float(fields["range_min_m"]),
-            range_max_m=float(fields["range_max_m"]),
-        )
-        radars = tuple(replace(config, mount_angle_rad=float(fields[f"mount_{i}_rad"]))
+        if header["format"] != FORMAT_NAME:
+            raise ValueError(f"{path}: not a scan log (format={header['format']!r})")
+        if int(header["version"]) != VERSION:
+            raise ValueError(f"{path}: unsupported version {header['version']}")
+        radar_count = int(header["radar_count"])
+        sample_count = int(header["sample_count"])
+        config = RadarConfig(**{key: float(header[key]) for key in _RADAR_KEYS})
+        radars = tuple(replace(config, mount_angle_rad=float(header[f"mount_{i}_rad"]))
                        for i in range(radar_count))
     except KeyError as exc:
         raise ValueError(f"{path}: header missing key {exc}") from None

@@ -278,7 +278,7 @@ def test_10_matcher_cores_agree_with_reference_oracles():
     truth = SimilarityTransform(0.97, 8.0, -15.0, 0.6)
     src = rng.uniform(0, 100, size=(10, 2))
     dst = similarity_apply(truth, src)
-    t, inliers = estimate_similarity_ransac(src, dst, seed=6)
+    t, inliers = estimate_similarity_ransac(src, dst, seed=6, resolution_m=1.0)
     assert inliers.all()
     assert abs(t.scale - truth.scale) <= 1e-9
     assert abs(t.tx_m - truth.tx_m) <= 1e-9

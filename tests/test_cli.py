@@ -6,8 +6,8 @@ import pytest
 from sarloop import GrayImage
 from sarloop.cli import main
 from sarloop.features import save_feature_set
-from sarloop import FeatureSet, Keypoint
-from sarloop.imgpost import write_pgm
+from sarloop import FeatureSet, ImageGrid, Keypoint, SarImage
+from sarloop.imgpost import write_pgm, write_sar_dump
 
 DEMO = "demo"
 FAST = ["--set", "range_max_m=1.2", "--set", "grid_resolution_m=0.01",
@@ -140,8 +140,8 @@ def test_backproject_rejects_garbage_input(tmp_path, capsys):
 def test_match_refuses_mixed_detector_features(tmp_path, capsys):
     rng = np.random.default_rng(51)
     kps = tuple(Keypoint(float(i), float(i), 1.0) for i in range(5))
-    fa = FeatureSet("orb", kps, rng.integers(0, 256, (5, 32)).astype(np.uint8))
-    fb = FeatureSet("brisk", kps, rng.integers(0, 256, (5, 64)).astype(np.uint8))
+    fa = FeatureSet("orb", kps, rng.integers(0, 256, (5, 32)).astype(np.uint8), 0.005)
+    fb = FeatureSet("brisk", kps, rng.integers(0, 256, (5, 64)).astype(np.uint8), 0.005)
     save_feature_set(fa, tmp_path / "a.bin")
     save_feature_set(fb, tmp_path / "b.bin")
     rc = run("match", "--features-a", tmp_path / "a.bin",
@@ -168,6 +168,61 @@ def test_match_needs_images_or_features(tmp_path, capsys):
     assert run("match", "--features-a", tmp_path / "only.bin",
                "--out", tmp_path / "o") == 1
     assert "together" in capsys.readouterr().err
+
+
+def submap(scene, waypoints, out):
+    """simulate -> backproject -> post of one pass; returns its image path."""
+    traj = out.with_suffix(".txt")
+    traj.write_text(waypoints)
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST) == 0
+    assert run("backproject", "--scanlog", out / "scanlog.bin", "--out", out, *FAST) == 0
+    assert run("post", "--sar", out / "sar.cpx", "--out", out, *FAST) == 0
+    return out / "image.pgm"
+
+
+def test_match_on_saved_features_reproduces_the_loopclose_rows(tmp_path):
+    # Two passes along one scene on grids 30 mm and 20 mm apart, so the
+    # fitted translations are far from zero: a feature file that lost its
+    # pixel size would scale them wrongly. Stored positions are f32, so the
+    # refit transform agrees with the in-memory one only to ~1e-4 mm here,
+    # within the printed precision on this pair.
+    scene = tmp_path / "scene.txt"
+    scene.write_text("0.2 0.6 1.0\n0.35 -0.5 1.2\n0.45 0.7 1.0\n0.1 -0.65 0.8\n")
+    a = submap(scene, "0 0 0\n0.5 0 0\n", tmp_path / "a")
+    b = submap(scene, "0.03 0.02 0\n0.53 0.02 0\n", tmp_path / "b")
+    pair = tmp_path / "pair"
+    assert run("loopclose", "--image-a", a, "--image-b", b, "--out", pair) == 0
+    rows = [line.split("\t") for line in (pair / "loopclose.tsv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["orb", "brisk"]
+    for k, row in enumerate(rows):
+        assert abs(float(row[6])) > 10.0  # tx_mm
+        out = tmp_path / f"match_{row[0]}"
+        # loopclose seeds detector k's RANSAC with seed + k
+        assert run("match", "--features-a", pair / f"features_{row[0]}_a.bin",
+                   "--features-b", pair / f"features_{row[0]}_b.bin", "--out", out,
+                   "--seed", k) == 0
+        [matched] = [line.split("\t") for line in
+                     (out / "matches.tsv").read_text().splitlines()[1:]]
+        assert matched[:9] == row[:9]
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_post_names_a_sar_dump_with_a_non_finite_pixel(tmp_path, capsys, part, value):
+    z = np.ones((6, 5), np.complex128)
+    if part == "real":
+        z[2, 3] = complex(value, 1.0)
+    else:
+        z[2, 3] = complex(1.0, value)
+    dump = tmp_path / "bad.cpx"
+    write_sar_dump(SarImage(ImageGrid(5, 6, 0.01), z, 1), dump)
+    out = tmp_path / "o"
+    rc = run("post", "--sar", dump, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {dump}: non-finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_loopclose_rejects_mismatched_resolutions(tmp_path, capsys):

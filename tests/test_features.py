@@ -15,10 +15,9 @@ from sarloop import (DetectorConfig, FeatureSet, GrayImage, Keypoint,
 from sarloop.features import base as feature_base
 from sarloop.features import brisk, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
-                                      bilinear_resize, build_pyramid,
-                                      detect_on_levels, level_coords,
-                                      orientation_centroid, segment_test_scores,
-                                      smoothed_at)
+                                      _nms_peaks, bilinear_resize, build_pyramid,
+                                      detect_on_levels, orientation_centroid,
+                                      segment_test_scores, smoothed_at)
 
 RES = 0.005
 
@@ -28,7 +27,8 @@ def gray(px):
 
 
 def pyramid_corners(img, cfg):
-    """Segment-test keypoints over the full pyramid, strongest first."""
+    """Segment-test corners over the full pyramid as (score, octave, row,
+    col), strongest first."""
     return detect_on_levels(build_pyramid(img.pixels, cfg.n_octaves), cfg)
 
 
@@ -141,7 +141,7 @@ def test_bright_square_corners_are_localized():
     kps = pyramid_corners(gray(px), DetectorConfig("orb", n_octaves=1))
     corners = {(16, 20), (36, 20), (16, 40), (36, 40)}
     for cx, cy in corners:
-        d = min(math.hypot(kp.x_px - cx, kp.y_px - cy) for kp in kps)
+        d = min(math.hypot(c - cx, r - cy) for _, _, r, c in kps)
         assert d <= 2.0, f"no corner near ({cx}, {cy})"
 
 
@@ -153,7 +153,7 @@ def test_single_octave_keypoints_are_the_3x3_score_maxima():
                                          n_octaves=1, target_keypoints=10_000))
     assert len(kps) > 20
     scores = segment_test_scores(img, threshold)
-    got = {(int(kp.y_px), int(kp.x_px)) for kp in kps}
+    got = {(r, c) for _, _, r, c in kps}
     for r, c in got:  # every keypoint tops its own neighborhood
         assert scores[r, c] > 0
         assert scores[r, c] == scores[r - 1:r + 2, c - 1:c + 2].max()
@@ -170,8 +170,8 @@ def test_keypoints_rank_strongest_first_and_cap():
     full = pyramid_corners(img, DetectorConfig("orb", target_keypoints=10_000))
     top = pyramid_corners(img, DetectorConfig("orb", target_keypoints=5))
     assert top == full[:5]
-    responses = [kp.response for kp in full]
-    assert responses == sorted(responses, reverse=True)
+    assert full == sorted(full, key=lambda k: (-k[0], k[1], k[2], k[3]))
+    assert len({k[0] for k in full}) < len(full)  # the ties are exercised
 
 
 def test_pyramid_shapes_shrink_by_the_scale_step():
@@ -191,12 +191,6 @@ def test_bilinear_resize_basics():
     out = bilinear_resize(ramp, 8, 30)
     expect = np.clip((np.arange(30) + 0.5) * (40 / 30) - 0.5, 0, 39)
     assert np.allclose(out, np.tile(expect, (8, 1)), atol=1e-4)
-
-
-def test_keypoint_coordinates_map_back_to_their_level():
-    kp = Keypoint(10 * SCALE_STEP ** 2, 7 * SCALE_STEP ** 2, 5.0, 0.0, 2)
-    lx, ly = level_coords(kp)
-    assert (lx, ly) == pytest.approx((10.0, 7.0))
 
 
 def test_orientation_follows_the_intensity_gradient():
@@ -345,15 +339,18 @@ def test_pyramid_stops_before_a_level_too_small_for_the_segment_test():
 
 
 def border_survivors(img, cfg, margin_px):
-    """Detected keypoints whose level coordinates clear the descriptor margin."""
-    shapes = [lv.shape for lv in build_pyramid(img.pixels, cfg.n_octaves)]
-    kept = []
-    for kp in pyramid_corners(img, cfg):
-        lx, ly = level_coords(kp)
-        h, w = shapes[kp.octave]
-        if margin_px <= lx <= w - 1 - margin_px and margin_px <= ly <= h - 1 - margin_px:
-            kept.append((kp.x_px, kp.y_px, kp.octave))
-    return kept
+    """(x, y, octave) of the uncapped 3x3 score maxima of every level that
+    clear the descriptor margin on their level, strongest first."""
+    found = []
+    for octave, level in enumerate(build_pyramid(img.pixels, cfg.n_octaves)):
+        scores = segment_test_scores(level, cfg.corner_threshold)
+        h, w = level.shape
+        rows, cols = _nms_peaks(scores)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            if margin_px <= c <= w - 1 - margin_px and margin_px <= r <= h - 1 - margin_px:
+                found.append((-float(scores[r, c]), octave, r, c))
+    assert len(found) <= cfg.target_keypoints
+    return [(c * SCALE_STEP ** o, r * SCALE_STEP ** o, o) for _, o, r, c in sorted(found)]
 
 
 def test_orb_drops_only_border_keypoints():
@@ -402,7 +399,7 @@ def test_registry_lookup_and_errors(monkeypatch):
 
     @register_detector("empty")
     def detect_nothing(img, cfg):
-        return FeatureSet(cfg.detector_id, (), np.zeros((0, 8), np.uint8))
+        return FeatureSet(cfg.detector_id, (), np.zeros((0, 8), np.uint8), img.resolution_m)
 
     fs = detect_and_describe(img, DetectorConfig("empty"))
     assert (fs.detector_id, len(fs)) == ("empty", 0)
@@ -427,10 +424,31 @@ def test_detector_config_validation():
 
 def test_feature_set_validation():
     with pytest.raises(ValueError, match="descriptors"):
-        FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((2, 32), np.uint8))
-    fs = FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((1, 32), np.uint8))
+        FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((2, 32), np.uint8), RES)
+    for bad in (0.0, -RES, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resolution_m"):
+            FeatureSet("orb", (), np.zeros((0, 32), np.uint8), bad)
+    fs = FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((1, 32), np.uint8), RES)
     assert fs.descriptor_bits == 256
     assert len(fs) == 1
+
+
+def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
+    # Level 3 is 869 px wide, so column 869 - 1 - 12 = 856 is the last one
+    # BRISK's 12 px margin admits. Scaling it up to the base image and back
+    # gives 856.0000000000001, which a float round trip would drop.
+    px = np.zeros((1201, 1501), np.uint8)
+    px[600:640, 1440:1480] = 200
+    cfg = DetectorConfig("brisk", target_keypoints=10_000)
+    levels = build_pyramid(px, cfg.n_octaves)
+    assert levels[3].shape[1] == 869
+    margin_cols = {c for _, o, _, c in detect_on_levels(levels, cfg)
+                   if o == 3 and c >= 854}
+    assert margin_cols >= {854, 855, 856}
+    fs = detect_and_describe(gray(px), cfg)
+    kept = {round(kp.x_px / SCALE_STEP ** 3) for kp in fs.keypoints if kp.octave == 3}
+    assert {854, 855, 856} <= kept
+    assert max(kept) == 856
 
 
 def test_feature_file_round_trip(tmp_path):
@@ -441,6 +459,7 @@ def test_feature_file_round_trip(tmp_path):
     save_feature_set(fs, path)
     back = load_feature_set(path)
     assert back.detector_id == fs.detector_id
+    assert back.resolution_m == RES
     assert np.array_equal(back.descriptors, fs.descriptors)
     for a, b in zip(back.keypoints, fs.keypoints):
         assert a.x_px == pytest.approx(b.x_px, abs=1e-4)
@@ -462,16 +481,25 @@ def test_feature_file_round_trip(tmp_path):
             load_feature_set(trunc)
 
 
-def feature_file(ident=b"orb", x=1.0, octave=0):
+def feature_file(ident=b"orb", x=1.0, octave=0, resolution_m=RES, version=2):
     """Bytes of a one-keypoint feature file with a 32-byte descriptor."""
-    return (b"SARLFEAT" + struct.pack("<II", 1, len(ident)) + ident
-            + struct.pack("<II", 1, 256) + struct.pack("<ffffi", x, 2.0, 1.0, 0.0, octave)
-            + bytes(32))
+    sizes = struct.pack("<II", 1, 256)
+    if version == 2:
+        sizes += struct.pack("<d", resolution_m)
+    return (b"SARLFEAT" + struct.pack("<II", version, len(ident)) + ident + sizes
+            + struct.pack("<ffffi", x, 2.0, 1.0, 0.0, octave) + bytes(32))
 
 
 @pytest.mark.parametrize("content", [feature_file(ident=b"\xff\xfe"),
-                                     feature_file(x=math.nan), feature_file(octave=-1)],
-                         ids=["non-utf8-id", "nan-x", "negative-octave"])
+                                     feature_file(x=math.nan), feature_file(octave=-1),
+                                     feature_file(resolution_m=0.0),
+                                     feature_file(resolution_m=-RES),
+                                     feature_file(resolution_m=math.nan),
+                                     feature_file(resolution_m=math.inf),
+                                     feature_file(version=1)],
+                         ids=["non-utf8-id", "nan-x", "negative-octave", "zero-resolution",
+                              "negative-resolution", "nan-resolution", "inf-resolution",
+                              "version-1"])
 def test_feature_file_errors_name_the_file(tmp_path, content):
     path = tmp_path / "bad.bin"
     path.write_bytes(content)
@@ -479,3 +507,19 @@ def test_feature_file_errors_name_the_file(tmp_path, content):
         load_feature_set(path)
     path.write_bytes(feature_file())
     assert load_feature_set(path).keypoints[0].x_px == 1.0
+
+
+def test_feature_file_records_keep_their_layout(tmp_path):
+    kps = (Keypoint(1.5, -2.25, 3.0, 0.5, 0), Keypoint(4.0, 5.0, 6.0, -0.5, 3))
+    desc = np.arange(64, dtype=np.uint8).reshape(2, 32)
+    path = tmp_path / "two.bin"
+    save_feature_set(FeatureSet("orb", kps, desc, 0.0125), path)
+    header = (b"SARLFEAT" + struct.pack("<II", 2, 3) + b"orb"
+              + struct.pack("<IId", 2, 256, 0.0125))
+    records = b"".join(struct.pack("<ffffi", kp.x_px, kp.y_px, kp.response,
+                                   kp.angle_rad, kp.octave) + row.tobytes()
+                       for kp, row in zip(kps, desc))
+    assert path.read_bytes() == header + records
+    back = load_feature_set(path)
+    assert back.keypoints == kps
+    assert np.array_equal(back.descriptors, desc)

@@ -14,12 +14,12 @@ from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
                                write_report_table)
 
 
-def feature_set(desc, detector_id="orb", coords=None):
+def feature_set(desc, detector_id="orb", coords=None, resolution_m=1.0):
     desc = np.asarray(desc, dtype=np.uint8)
     if coords is None:
         coords = [(float(i), float(i)) for i in range(desc.shape[0])]
     kps = tuple(Keypoint(x, y, 1.0) for x, y in coords)
-    return FeatureSet(detector_id, kps, desc)
+    return FeatureSet(detector_id, kps, desc, resolution_m)
 
 
 def test_hamming_distances_known_bytes():
@@ -95,17 +95,17 @@ def test_ransac_recovers_a_clean_transform_exactly():
     src = rng.uniform(0, 200, size=(12, 2))
     truth = SimilarityTransform(1.02, 14.0, -6.0, 0.3)
     dst = similarity_apply(truth, src)
-    t, inliers = estimate_similarity_ransac(src, dst, seed=1)
+    t, inliers = estimate_similarity_ransac(src, dst, seed=1, resolution_m=1.0)
     assert inliers.all()
     assert t.scale == pytest.approx(truth.scale, abs=1e-9)
     assert t.tx_m == pytest.approx(truth.tx_m, abs=1e-9)
     assert t.ty_m == pytest.approx(truth.ty_m, abs=1e-9)
     assert t.rot_rad == pytest.approx(truth.rot_rad, abs=1e-9)
 
-    same, _ = estimate_similarity_ransac(src, dst, seed=1)
+    same, _ = estimate_similarity_ransac(src, dst, seed=1, resolution_m=1.0)
     assert same == t  # deterministic for a fixed seed
 
-    ident, _ = estimate_similarity_ransac(src, src, seed=2)
+    ident, _ = estimate_similarity_ransac(src, src, seed=2, resolution_m=1.0)
     assert ident.scale == pytest.approx(1.0, abs=1e-12)
     assert abs(ident.tx_m) < 1e-9 and abs(ident.ty_m) < 1e-9
 
@@ -127,7 +127,7 @@ def test_ransac_survives_half_outliers():
         src = rng.uniform(0, 300, size=(20, 2))
         dst = similarity_apply(truth, src)
         dst[10:] = rng.uniform(0, 300, size=(10, 2))  # 50% outliers
-        t, inliers = estimate_similarity_ransac(src, dst, seed=trial)
+        t, inliers = estimate_similarity_ransac(src, dst, seed=trial, resolution_m=1.0)
         if (t is not None and inliers[:10].all()
                 and abs(t.scale - truth.scale) < 1e-2
                 and abs(t.tx_m - truth.tx_m) < 1.0
@@ -139,13 +139,15 @@ def test_ransac_survives_half_outliers():
 
 def test_ransac_refuses_degenerate_input():
     pts = np.zeros((5, 2))
-    t, inliers = estimate_similarity_ransac(pts, pts, seed=4)
+    t, inliers = estimate_similarity_ransac(pts, pts, seed=4, resolution_m=1.0)
     assert t is None
     assert not inliers.any()
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_similarity_ransac(np.zeros((1, 2)), np.zeros((1, 2)), seed=0)
+        estimate_similarity_ransac(np.zeros((1, 2)), np.zeros((1, 2)), seed=0,
+                                   resolution_m=1.0)
     with pytest.raises(ValueError, match="\\(n, 2\\)"):
-        estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), seed=0)
+        estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), seed=0,
+                                   resolution_m=1.0)
 
 
 def test_match_feature_sets_pairs_coordinates_by_descriptor():
@@ -154,9 +156,9 @@ def test_match_feature_sets_pairs_coordinates_by_descriptor():
     desc = rng.integers(0, 256, size=(8, 32))
     xy = rng.uniform(0, 200, size=(8, 2))
     perm = rng.permutation(8)
-    a = feature_set(desc, coords=xy)
-    b = feature_set(desc[perm], coords=xy[perm] + [20.0, -8.0])
-    report = match_feature_sets(a, b, resolution_m=0.005)
+    a = feature_set(desc, coords=xy, resolution_m=0.005)
+    b = feature_set(desc[perm], coords=xy[perm] + [20.0, -8.0], resolution_m=0.005)
+    report = match_feature_sets(a, b)
     assert (report.total_matches, report.good_matches) == (8, 8)
     t = report.transform
     assert t.scale == pytest.approx(1.0, abs=1e-12)
@@ -184,6 +186,15 @@ def test_match_feature_sets_against_fewer_than_two_keypoints(n_b):
     assert report.transform is None
     with pytest.raises(ValueError, match="detector mismatch"):
         match_feature_sets(a, feature_set(np.zeros((n_b, 32)), "brisk"))
+
+
+@pytest.mark.parametrize("n_b", [0, 1, 3])
+def test_match_feature_sets_refuses_different_pixel_sizes(n_b):
+    # checked before anything else, even when b is too small to match
+    a = feature_set(np.zeros((3, 32)), resolution_m=0.005)
+    b = feature_set(np.zeros((n_b, 32)), resolution_m=0.01)
+    with pytest.raises(ValueError, match="resolutions differ: 0.005 vs 0.01"):
+        match_feature_sets(a, b)
 
 
 def test_fuse_transform_examples():
@@ -349,8 +360,7 @@ def test_identical_pixels_are_detected_once_per_detector(five_scatterer,
     assert detector_calls == ["orb", "brisk"]
     for k, (fa, fb, report) in enumerate(matched):
         assert fb is fa
-        assert report == match_feature_sets(fa, fa, seed=9 + k,
-                                            resolution_m=img.resolution_m)
+        assert report == match_feature_sets(fa, fa, seed=9 + k)
 
 
 def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls):

@@ -44,7 +44,7 @@ def _pgm(path):
 
 def _feature_set(path):
     kps = (Keypoint(1.0, 2.0, 3.0, 0.5, 0), Keypoint(4.0, 5.0, 6.0, -0.5, 1))
-    save_feature_set(FeatureSet("orb", kps, np.arange(16, dtype=np.uint8).reshape(2, 8)),
+    save_feature_set(FeatureSet("orb", kps, np.arange(16, dtype=np.uint8).reshape(2, 8), 0.01),
                      path)
 
 
@@ -72,7 +72,7 @@ READERS = {
     "sar_dump": (read_sar_dump, _sar_dump, lambda d: _header_end(d, b"\n", 1)),
     "float_dump": (read_float_dump, _float_dump, lambda d: _header_end(d, b"\n", 1)),
     "pgm": (read_pgm, _pgm, lambda d: _header_end(d, b"\n255\n", 5)),
-    "feature_set": (load_feature_set, _feature_set, lambda d: 27),
+    "feature_set": (load_feature_set, _feature_set, lambda d: 35),
     "scene": (load_scene, _scene, len),
     "trajectory": (load_trajectory, _trajectory, len),
     "config": (load_config, _config, len),
