@@ -7,7 +7,7 @@ descriptors of shared segment-test keypoints whose transforms must agree.
 """
 
 from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, in_fov
-from .features import (DetectorConfig, FeatureSet, Keypoint, detect_and_describe,
+from .features import (KEYPOINT, DetectorConfig, FeatureSet, detect_and_describe,
                        register_detector)
 from .geometry import Pose2, wrap_angle
 from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
@@ -19,7 +19,7 @@ from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTrans
 from .radar import (CompressedScan, RadarConfig, RawScan, analytic_signal, compress_scan,
                     matched_filter, pulse_value, radar_pulse, range_bin_spacing)
 from .runconfig import RunConfig, load_config
-from .scanlog import ScanLog, ScanRecord, load_scan_log, save_scan_log
+from .scanlog import ScanLog, load_scan_log, record_dtype, save_scan_log
 from .simulate import (Scatterer, TrajectorySpec, generate_trajectory, load_scene,
                        load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
 

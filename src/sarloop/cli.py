@@ -91,7 +91,7 @@ def cmd_backproject(args) -> int:
     [sar_path] = _outputs(args, "sar.cpx")
 
     log = load_scan_log(args.scanlog)
-    if not log.records:
+    if len(log.records) == 0:
         raise ValueError(f"{args.scanlog}: scan log has no records")
     # Each scan is focused with the radar the log's header gives it, not
     # with the run config's radar keys.

@@ -1,4 +1,4 @@
-"""Keypoint/descriptor types and the detector registry."""
+"""The keypoint record, feature sets, and the detector registry."""
 
 from __future__ import annotations
 
@@ -12,22 +12,10 @@ from ..imgpost import GrayImage
 
 MIN_IMAGE_SIDE_PX = 32
 
-
-@dataclass(frozen=True)
-class Keypoint:
-    """Detected image feature, positioned in base-image pixel coordinates."""
-
-    x_px: float
-    y_px: float
-    response: float
-    angle_rad: float = 0.0
-    octave: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_px) and math.isfinite(self.y_px)):
-            raise ValueError(f"keypoint position must be finite, got {self}")
-        if self.octave < 0:
-            raise ValueError(f"octave must be >= 0, got {self.octave}")
+# One detected feature: its (x, y) in base-image pixels, corner response,
+# orientation in radians and pyramid octave. Feature files store it as is.
+KEYPOINT = np.dtype([("xy", "<f8", (2,)), ("response", "<f4"), ("angle", "<f4"),
+                     ("octave", "<i4")])
 
 
 @dataclass(frozen=True)
@@ -57,26 +45,34 @@ class FeatureSet:
     """Keypoints plus their packed binary descriptors, on an image whose
     pixels are ``resolution_m`` wide.
 
-    descriptors is a (len(keypoints), bits/8) uint8 array; bit k of a
-    descriptor is bit (7 - k % 8) of byte k // 8 (numpy packbits order).
-    Descriptors from different detector_ids are never comparable.
+    keypoints is a 1-D array of ``KEYPOINT`` records (a list of
+    ``((x, y), response, angle, octave)`` rows is converted); descriptors
+    is a (len(keypoints), bits/8) uint8 array; bit k of a descriptor is bit
+    (7 - k % 8) of byte k // 8 (numpy packbits order). Descriptors from
+    different detector_ids are never comparable.
     """
 
     detector_id: str
-    keypoints: tuple[Keypoint, ...]
+    keypoints: np.ndarray
     descriptors: np.ndarray
     resolution_m: float
 
     def __post_init__(self):
         if not (self.resolution_m > 0 and math.isfinite(self.resolution_m)):
             raise ValueError(f"resolution_m must be positive, got {self.resolution_m}")
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
-        desc = np.ascontiguousarray(np.asarray(self.descriptors, dtype=np.uint8))
+        kps = np.ascontiguousarray(self.keypoints, KEYPOINT)
+        if kps.ndim != 1:
+            raise ValueError(f"keypoints must be 1-D, got shape {kps.shape}")
+        bad = np.flatnonzero(~np.isfinite(kps["xy"]).all(axis=1) | (kps["octave"] < 0))
+        if bad.size:
+            raise ValueError(f"keypoint {bad[0]}: position must be finite and octave "
+                             f">= 0, got {kps[bad[0]]}")
+        desc = np.ascontiguousarray(self.descriptors, dtype=np.uint8)
         if desc.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got shape {desc.shape}")
-        if desc.shape[0] != len(self.keypoints):
-            raise ValueError(
-                f"{len(self.keypoints)} keypoints but {desc.shape[0]} descriptors")
+        if desc.shape[0] != len(kps):
+            raise ValueError(f"{len(kps)} keypoints but {desc.shape[0]} descriptors")
+        object.__setattr__(self, "keypoints", kps)
         object.__setattr__(self, "descriptors", desc)
 
     def __len__(self) -> int:

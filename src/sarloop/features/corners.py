@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from ..imgpost import GrayImage
-from .base import DetectorConfig, FeatureSet, Keypoint, require_min_size
+from .base import DetectorConfig, FeatureSet, require_min_size
 
 # Radius-3 circle, 16 pixels, starting at the top and walking clockwise so
 # list adjacency equals geometric adjacency (rows grow downward).
@@ -152,8 +152,8 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
 
     Corners closer than ``margin_px`` to their level's edge are dropped;
     ``describe(level, col, row)`` returns the angle and packed descriptor of
-    each other corner at its level pixel. Keypoints are placed at that pixel
-    scaled up to the base image.
+    each other corner at its level pixel. Each keypoint row holds that pixel
+    scaled up to the base image, the corner score, the angle and the octave.
     """
     require_min_size(img.pixels)
     levels = build_pyramid(img.pixels, cfg.n_octaves)
@@ -165,10 +165,10 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
             continue
         angle, bits = describe(level, col, row)
         scale = SCALE_STEP ** octave
-        kept.append(Keypoint(col * scale, row * scale, score, angle, octave))
+        kept.append(((col * scale, row * scale), score, angle, octave))
         descs.append(bits)
     desc = np.vstack(descs) if descs else np.empty((0, descriptor_bits // 8), np.uint8)
-    return FeatureSet(detector_id, tuple(kept), desc, img.resolution_m)
+    return FeatureSet(detector_id, kept, desc, img.resolution_m)
 
 
 def orientation_centroid(pixels: np.ndarray, x: float, y: float, radius_px: int) -> float:

@@ -1,11 +1,11 @@
 """Versioned binary container for feature sets.
 
-Layout (all numbers little-endian), version 2:
+Layout (all numbers little-endian), version 3:
   magic 8s = b"SARLFEAT", version u32, detector-id length u32, id bytes,
   keypoint count u32, descriptor bit length u32, resolution_m f64 (the
   pixel size of the image the keypoints were found on); then per keypoint
-  x f32, y f32, response f32, angle f32, octave i32, followed by the
-  packed descriptor bytes. Version 1 files, which have no resolution_m,
+  one ``KEYPOINT`` record (x f64, y f64, response f32, angle f32, octave
+  i32) followed by the packed descriptor bytes. Files of other versions
   are refused.
 """
 
@@ -17,25 +17,22 @@ from pathlib import Path
 import numpy as np
 
 from ..fileerrors import names_its_file
-from .base import FeatureSet, Keypoint
+from .base import KEYPOINT, FeatureSet
 
 MAGIC = b"SARLFEAT"
-VERSION = 2
+VERSION = 3
 
 
 def _records(n_bytes: int) -> np.dtype:
-    """One keypoint record: x, y, response, angle; octave; descriptor bytes."""
-    return np.dtype([("xy_response_angle", "<f4", (4,)), ("octave", "<i4"),
-                     ("descriptor", "u1", (n_bytes,))])
+    """One keypoint record and its descriptor bytes."""
+    return np.dtype([("keypoint", KEYPOINT), ("descriptor", "u1", (n_bytes,))])
 
 
 def save_feature_set(fs: FeatureSet, path: str | Path) -> None:
     n_bytes = fs.descriptors.shape[1]
     ident = fs.detector_id.encode()
     records = np.empty(len(fs), _records(n_bytes))
-    records["xy_response_angle"] = np.reshape(
-        [(kp.x_px, kp.y_px, kp.response, kp.angle_rad) for kp in fs.keypoints], (-1, 4))
-    records["octave"] = [kp.octave for kp in fs.keypoints]
+    records["keypoint"] = fs.keypoints
     records["descriptor"] = fs.descriptors
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -66,6 +63,4 @@ def load_feature_set(path: str | Path) -> FeatureSet:
         raise ValueError(f"{path}: expected {count} records "
                          f"({count * records.itemsize} bytes), found {len(data) - pos}")
     table = np.frombuffer(data, records, count=count, offset=pos)
-    kps = tuple(Keypoint(*floats, octave) for floats, octave
-                in zip(table["xy_response_angle"].tolist(), table["octave"].tolist()))
-    return FeatureSet(detector_id, kps, table["descriptor"].copy(), resolution_m)
+    return FeatureSet(detector_id, table["keypoint"], table["descriptor"], resolution_m)

@@ -154,13 +154,13 @@ def write_pgm(img: GrayImage, path, origin_m: tuple[float, float] | None = None)
 
 @names_its_file
 def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
-    """Read a P5 PGM, recovering resolution/origin comments when present."""
+    """Read a P5 PGM with its ``# resolution_m`` comment and, when present,
+    its ``# origin_m`` comment; a file without a pixel size is refused."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary (P5) PGM")
-    resolution = 1.0
-    origin = None
+    resolution = origin = None
     tokens: list[bytes] = []
     pos = 2
     while len(tokens) < 3:
@@ -190,6 +190,8 @@ def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
         raise ValueError(f"non-finite origin {origin}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if resolution is None:
+        raise ValueError(f"{path}: no '# resolution_m' comment, so the pixel size is unknown")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:

@@ -181,12 +181,6 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
     return transform, final
 
 
-def _keypoint_xy(fs: FeatureSet) -> np.ndarray:
-    """(n, 2) array of keypoint pixel coordinates."""
-    return np.array([(kp.x_px, kp.y_px) for kp in fs.keypoints],
-                    dtype=np.float64).reshape(-1, 2)
-
-
 def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
                        ransac: RansacConfig = RansacConfig(), seed: int = 0) -> MatchReport:
     """KNN + ratio test + RANSAC between two feature sets.
@@ -205,8 +199,8 @@ def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
     n_kept = int(np.count_nonzero(keep))
     if n_kept < 2:
         return MatchReport(a.detector_id, len(a), len(b), n_kept, 0, None)
-    src = _keypoint_xy(a)[keep]
-    dst = _keypoint_xy(b)[best[keep]]
+    src = a.keypoints["xy"][keep]
+    dst = b.keypoints["xy"][best[keep]]
     transform, inliers = estimate_similarity_ransac(
         src, dst, seed, ransac, resolution_m=a.resolution_m)
     good = int(inliers.sum()) if transform is not None else 0

@@ -88,7 +88,9 @@ class RunConfig:
 
         Every float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
-        lie in their range; ``detectors`` must be distinct registered ids.
+        lie in their range; ``mounts_deg`` must be distinct angles (a scan
+        log tells its radars apart by mount) and ``detectors`` distinct
+        registered ids.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
@@ -99,8 +101,9 @@ class RunConfig:
             for key in keys:
                 if not holds(getattr(self, key)):
                     raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)}")
-        if not self.mounts_deg:
-            raise ValueError("mounts_deg must name at least one radar")
+        if not self.mounts_deg or len(set(self.mounts_deg)) < len(self.mounts_deg):
+            raise ValueError(f"mounts_deg must name at least one radar, each at its own "
+                             f"angle, got {','.join(map(str, self.mounts_deg))}")
         known = registered_detectors()
         if len(set(self.detectors)) < len(self.detectors) or not set(self.detectors) <= set(known):
             raise ValueError(f"detectors must be distinct ids of registered detectors "

@@ -2,20 +2,20 @@
 
 The file starts with a human-readable ASCII header (one ``key=value`` per
 line, terminated by a blank line) describing the radar and record layout,
-followed by fixed-size little-endian records:
+followed by fixed-size little-endian records, ``record_dtype(sample_count)``:
 
     timestamp f64 | radar_index u32 | x f64 | y f64 | theta f64 |
     samples f32 * sample_count
 
-Record poses carry the robot heading. The header holds one radar
-description plus one mount angle per radar, so the radars may differ only
-in mount; ``to_raw_scans`` gives every scan the config of the radar that
-fired it.
+A ``ScanLog`` holds the records as that same numpy array, so saving is one
+``tobytes`` and loading one ``frombuffer``. Record poses carry the robot
+heading. The header holds one radar description plus one mount angle per
+radar, so the radars may differ only in mount; ``to_raw_scans`` gives every
+scan the config of the radar that fired it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -28,59 +28,66 @@ from .radar import RadarConfig, RawScan
 
 FORMAT_NAME = "sarloop-scanlog"
 VERSION = 1
-_FIXED = struct.Struct("<dIddd")
 # The header describes one radar by its config fields; mounts follow per radar.
 _RADAR_KEYS = tuple(f.name for f in fields(RadarConfig) if f.name != "mount_angle_rad")
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    timestamp_s: float
-    radar_index: int
-    pose: Pose2
-    samples: np.ndarray  # float32, shape (sample_count,)
+def record_dtype(sample_count: int) -> np.dtype:
+    """One scan record: timestamp, radar index, robot pose (x, y, theta) and
+    ``sample_count`` raw samples, packed as in the file."""
+    return np.dtype([("timestamp_s", "<f8"), ("radar_index", "<u4"), ("pose", "<f8", (3,)),
+                     ("samples", "<f4", (sample_count,))])
 
-    def __post_init__(self):
-        samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float32))
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        object.__setattr__(self, "samples", samples)
-        if self.radar_index < 0:
-            raise ValueError(f"radar_index must be >= 0, got {self.radar_index}")
+
+_FIELDS = record_dtype(0).names
 
 
 @dataclass(frozen=True)
 class ScanLog:
-    """The radars, which differ only in mount, plus the ordered records."""
+    """The radars, which differ only in mount, plus the ordered records: a
+    1-D ``record_dtype(sample_count)`` array.
+
+    Every timestamp, pose and sample must be finite and every radar index
+    name one of the radars; an error names the first record that fails.
+    """
 
     radars: tuple[RadarConfig, ...]
-    records: tuple[ScanRecord, ...]
+    records: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "radars", tuple(self.radars))
-        object.__setattr__(self, "records", tuple(self.records))
         if not self.radars:
             raise ValueError("need at least one radar")
         unmounted = {replace(r, mount_angle_rad=0.0) for r in self.radars}
         if len(unmounted) > 1:
             raise ValueError(f"the radars of one log may differ only in mount, got {self.radars}")
-        lengths = {len(r.samples) for r in self.records}
-        if len(lengths) > 1:
-            raise ValueError(f"inconsistent sample counts across records: {sorted(lengths)}")
-        for i, r in enumerate(self.records):
-            if r.radar_index >= len(self.radars):
-                raise ValueError(
-                    f"record {i}: radar_index {r.radar_index} out of range "
-                    f"(log has {len(self.radars)} radars)")
+        r = self.records
+        if not (isinstance(r, np.ndarray) and r.ndim == 1 and r.dtype.names == _FIELDS
+                and r.dtype == record_dtype(self.sample_count)):
+            raise ValueError(f"records must be a 1-D record_dtype array, "
+                             f"got {getattr(r, 'dtype', type(r))}")
+        failed = np.stack([
+            ~(np.isfinite(r["timestamp_s"]) & np.isfinite(r["pose"]).all(axis=1)),
+            r["radar_index"] >= len(self.radars),
+            ~np.isfinite(r["samples"]).all(axis=1)])
+        if failed.any():
+            i = int(failed.any(axis=0).argmax())
+            problem = ("non-finite timestamp or pose",
+                       f"radar_index {r['radar_index'][i]} out of range "
+                       f"(log has {len(self.radars)} radars)",
+                       "non-finite samples")[int(failed[:, i].argmax())]
+            raise ValueError(f"record {i}: {problem}")
 
     @property
     def sample_count(self) -> int:
-        return len(self.records[0].samples) if self.records else 0
+        return self.records.dtype["samples"].shape[0]
 
     def to_raw_scans(self) -> list[RawScan]:
         """Per-record raw scans, each with the config of the radar that fired it."""
-        return [RawScan(r.samples.astype(np.float64), r.pose, self.radars[r.radar_index])
-                for r in self.records]
+        r = self.records
+        return [RawScan(samples, Pose2(*pose), self.radars[index]) for samples, pose, index
+                in zip(r["samples"].astype(np.float64), r["pose"].tolist(),
+                       r["radar_index"].tolist())]
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:
@@ -90,19 +97,17 @@ def save_scan_log(log: ScanLog, path: str | Path) -> None:
     header += [f"mount_{i}_rad={r.mount_angle_rad!r}" for i, r in enumerate(log.radars)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode())
-        for r in log.records:
-            fh.write(_FIXED.pack(r.timestamp_s, r.radar_index,
-                                 r.pose.x_m, r.pose.y_m, r.pose.theta_rad))
-            fh.write(r.samples.astype("<f4").tobytes())
+        fh.write(log.records.tobytes())
 
 
 @names_its_file
 def load_scan_log(path: str | Path) -> ScanLog:
     """Parse and validate a scan log.
 
-    Raises with the offending record index on truncation or non-finite
-    values so bad captures are easy to locate. ``sample_count`` must be
-    positive unless the log holds no records.
+    Raises with the offending record index on truncation, non-finite
+    values or a radar index out of range, so bad captures are easy to
+    locate. ``sample_count`` must be positive unless the log holds no
+    records.
     """
     data = Path(path).read_bytes()
     sep = data.find(b"\n\n")
@@ -128,29 +133,15 @@ def load_scan_log(path: str | Path) -> ScanLog:
     except KeyError as exc:
         raise ValueError(f"{path}: header missing key {exc}") from None
 
-    record_size = _FIXED.size + 4 * sample_count
-    payload = data[sep + 2:]
-    if sample_count < (1 if payload else 0):
+    payload_len = len(data) - (sep + 2)
+    if sample_count < (1 if payload_len else 0):
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    if len(payload) % record_size:
+    record = record_dtype(sample_count)
+    if payload_len % record.itemsize:
         raise ValueError(
-            f"{path}: record {len(payload) // record_size} truncated "
-            f"({len(payload) % record_size} trailing bytes, record size {record_size})")
-    records = []
-    for i in range(len(payload) // record_size):
-        off = i * record_size
-        ts, radar_index, x, y, theta = _FIXED.unpack_from(payload, off)
-        if not all(np.isfinite(v) for v in (ts, x, y, theta)):
-            raise ValueError(f"{path}: record {i}: non-finite timestamp or pose")
-        if radar_index >= radar_count:
-            raise ValueError(f"{path}: record {i}: radar_index {radar_index} "
-                             f"out of range (radar_count {radar_count})")
-        samples = np.frombuffer(payload, dtype="<f4", count=sample_count,
-                                offset=off + _FIXED.size)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError(f"{path}: record {i}: non-finite samples")
-        records.append(ScanRecord(ts, radar_index, Pose2(x, y, theta), samples.copy()))
-    return ScanLog(radars, tuple(records))
+            f"{path}: record {payload_len // record.itemsize} truncated "
+            f"({payload_len % record.itemsize} trailing bytes, record size {record.itemsize})")
+    return ScanLog(radars, np.frombuffer(data, record, offset=sep + 2))
 
 
 def log_from_simulation(scans: Sequence[RawScan], radars: Sequence[RadarConfig]) -> ScanLog:
@@ -165,10 +156,12 @@ def log_from_simulation(scans: Sequence[RawScan], radars: Sequence[RadarConfig])
         raise ValueError("need at least one radar")
     if len(scans) % len(radars):
         raise ValueError(f"{len(scans)} scans is not a multiple of {len(radars)} radars")
-    records = []
     for k, s in enumerate(scans):
         if s.config not in radars:
             raise ValueError(f"scan {k}: its radar {s.config} is not one of the log's radars")
-        records.append(ScanRecord(float(k // len(radars)), radars.index(s.config), s.pose,
-                                  np.asarray(s.samples, dtype=np.float32)))
-    return ScanLog(radars, tuple(records))
+    records = np.empty(len(scans), record_dtype(len(scans[0].samples) if scans else 0))
+    records["timestamp_s"] = np.arange(len(scans)) // len(radars)
+    records["radar_index"] = [radars.index(s.config) for s in scans]
+    records["pose"] = [(s.pose.x_m, s.pose.y_m, s.pose.theta_rad) for s in scans]
+    records["samples"] = [s.samples for s in scans]
+    return ScanLog(radars, records)

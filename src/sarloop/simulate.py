@@ -187,5 +187,10 @@ def load_scene(path: str | Path) -> list[Scatterer]:
 
 @names_its_file
 def load_trajectory(path: str | Path) -> list[Pose2]:
-    """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint."""
-    return _load_rows(path, "x_m y_m theta_rad", Pose2)
+    """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint, at
+    least two distinct positions among them."""
+    waypoints = _load_rows(path, "x_m y_m theta_rad", Pose2)
+    if len({(w.x_m, w.y_m) for w in waypoints}) < 2:
+        raise ValueError(f"need at least 2 distinct waypoint positions, "
+                         f"got {len(waypoints)} waypoints")
+    return waypoints

@@ -6,7 +6,7 @@ import pytest
 from sarloop import GrayImage
 from sarloop.cli import main
 from sarloop.features import save_feature_set
-from sarloop import FeatureSet, ImageGrid, Keypoint, SarImage
+from sarloop import FeatureSet, ImageGrid, SarImage
 from sarloop.imgpost import write_pgm, write_sar_dump
 
 DEMO = "demo"
@@ -121,9 +121,9 @@ def test_existing_outputs_are_refused_without_overwrite(small_scene, tmp_path,
 
 
 def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):
-    from sarloop import ScanLog, save_scan_log
+    from sarloop import ScanLog, record_dtype, save_scan_log
     log_path = tmp_path / "empty.bin"
-    save_scan_log(ScanLog((table1,), ()), log_path)
+    save_scan_log(ScanLog((table1,), np.empty(0, record_dtype(0))), log_path)
     rc = run("backproject", "--scanlog", log_path, "--out", tmp_path / "o")
     assert rc == 1
     assert "no records" in capsys.readouterr().err
@@ -139,7 +139,7 @@ def test_backproject_rejects_garbage_input(tmp_path, capsys):
 
 def test_match_refuses_mixed_detector_features(tmp_path, capsys):
     rng = np.random.default_rng(51)
-    kps = tuple(Keypoint(float(i), float(i), 1.0) for i in range(5))
+    kps = [((float(i), float(i)), 1.0, 0.0, 0) for i in range(5)]
     fa = FeatureSet("orb", kps, rng.integers(0, 256, (5, 32)).astype(np.uint8), 0.005)
     fb = FeatureSet("brisk", kps, rng.integers(0, 256, (5, 64)).astype(np.uint8), 0.005)
     save_feature_set(fa, tmp_path / "a.bin")
@@ -183,9 +183,7 @@ def submap(scene, waypoints, out):
 def test_match_on_saved_features_reproduces_the_loopclose_rows(tmp_path):
     # Two passes along one scene on grids 30 mm and 20 mm apart, so the
     # fitted translations are far from zero: a feature file that lost its
-    # pixel size would scale them wrongly. Stored positions are f32, so the
-    # refit transform agrees with the in-memory one only to ~1e-4 mm here,
-    # within the printed precision on this pair.
+    # pixel size would scale them wrongly.
     scene = tmp_path / "scene.txt"
     scene.write_text("0.2 0.6 1.0\n0.35 -0.5 1.2\n0.45 0.7 1.0\n0.1 -0.65 0.8\n")
     a = submap(scene, "0 0 0\n0.5 0 0\n", tmp_path / "a")
@@ -297,6 +295,28 @@ def test_pipeline_checks_detectors_before_any_stage(small_scene, tmp_path, capsy
     assert "detectors" in err and "Traceback" not in err
     if detectors != "orb":  # a repeated or unknown id: the registered ids are listed
         assert "(brisk, orb)" in err
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("mounts_deg=90,90", "mounts_deg"),
+    ("TRAJECTORY", "need at least 2 distinct waypoint positions")],
+    ids=["repeated-mounts", "still-trajectory"])
+def test_simulate_names_what_would_have_made_a_bad_log(small_scene, tmp_path, capsys,
+                                                      setting, named):
+    # repeated mounts: every record would name the first radar; a path that
+    # does not move: the error names the trajectory file
+    scene, traj = small_scene
+    if setting == "TRAJECTORY":
+        traj = tmp_path / "still.txt"
+        traj.write_text("0.1 0.2 0\n0.1 0.2 0\n")
+        named = f"{traj}: {named}"
+    out = tmp_path / "o"
+    argv = ("--set", setting) if setting != "TRAJECTORY" else ()
+    rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST, *argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert named in err and "Traceback" not in err
 
 
 def test_backproject_takes_the_radar_from_the_log(small_scene, tmp_path):

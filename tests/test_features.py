@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from sarloop import (DetectorConfig, FeatureSet, GrayImage, Keypoint,
-                     detect_and_describe, register_detector)
+from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, detect_and_describe,
+                     register_detector)
 from sarloop.features import base as feature_base
 from sarloop.features import brisk, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
@@ -267,10 +267,10 @@ def quarter_turn_distances(detector_id, base):
     cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
     fa = detect_and_describe(gray(base), cfg)
     fb = detect_and_describe(gray(np.rot90(base)), cfg)
-    index_b = {(kp.x_px, kp.y_px): i for i, kp in enumerate(fb.keypoints)}
+    index_b = {(x, y): i for i, (x, y) in enumerate(fb.keypoints["xy"].tolist())}
     dists = []
-    for i, kp in enumerate(fa.keypoints):
-        j = index_b.get(rot90_ccw_coords(kp.x_px, kp.y_px, side))
+    for i, (x, y) in enumerate(fa.keypoints["xy"].tolist()):
+        j = index_b.get(rot90_ccw_coords(x, y, side))
         if j is not None:
             dists.append(hamming(fa.descriptors[i], fb.descriptors[j]))
     assert len(dists) >= 0.9 * max(len(fa), len(fb), 1)
@@ -310,7 +310,7 @@ def test_descriptors_ignore_global_brightness(detector_id):
     cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
     fa = detect_and_describe(gray(base), cfg)
     fb = detect_and_describe(gray(base + 40), cfg)
-    assert fa.keypoints == fb.keypoints
+    assert np.array_equal(fa.keypoints, fb.keypoints)
     assert np.array_equal(fa.descriptors, fb.descriptors)
     assert len(fa) > 10
 
@@ -321,7 +321,7 @@ def test_detection_is_deterministic(detector_id):
     cfg = DetectorConfig(detector_id)
     a = detect_and_describe(img, cfg)
     b = detect_and_describe(img, cfg)
-    assert a.keypoints == b.keypoints
+    assert np.array_equal(a.keypoints, b.keypoints)
     assert np.array_equal(a.descriptors, b.descriptors)
 
 
@@ -334,7 +334,7 @@ def test_pyramid_stops_before_a_level_too_small_for_the_segment_test():
             == [lv.shape for lv in levels])
     deep = detect_and_describe(img, DetectorConfig("brisk", n_octaves=5000))
     capped = detect_and_describe(img, DetectorConfig("brisk", n_octaves=len(levels)))
-    assert deep.keypoints == capped.keypoints
+    assert np.array_equal(deep.keypoints, capped.keypoints)
     assert np.array_equal(deep.descriptors, capped.descriptors)
 
 
@@ -359,7 +359,8 @@ def test_orb_drops_only_border_keypoints():
     fs = detect_and_describe(img, cfg)
     want = border_survivors(img, cfg, orb.BORDER_MARGIN_PX)  # 21 px
     assert 0 < len(want) < len(pyramid_corners(img, cfg))
-    assert [(kp.x_px, kp.y_px, kp.octave) for kp in fs.keypoints] == want
+    assert [(*xy, octave) for xy, octave in
+            zip(fs.keypoints["xy"].tolist(), fs.keypoints["octave"].tolist())] == want
     assert fs.descriptors.shape == (len(want), 32)
     assert fs.descriptors.dtype == np.uint8
 
@@ -369,11 +370,12 @@ def test_brisk_drops_border_keypoints_and_sets_angles():
     cfg = DetectorConfig("brisk", n_octaves=2, target_keypoints=10_000)
     fs = detect_and_describe(img, cfg)
     want = border_survivors(img, cfg, brisk.BORDER_MARGIN_PX)  # 12 px
-    assert [(kp.x_px, kp.y_px, kp.octave) for kp in fs.keypoints] == want
+    assert [(*xy, octave) for xy, octave in
+            zip(fs.keypoints["xy"].tolist(), fs.keypoints["octave"].tolist())] == want
     assert fs.descriptors.shape == (len(want), 64)
-    angles = [kp.angle_rad for kp in fs.keypoints]
-    assert all(-math.pi < a <= math.pi for a in angles)
-    assert len(set(angles)) > 1  # orientation is computed per keypoint
+    angles = fs.keypoints["angle"]
+    assert np.all((-np.float32(math.pi) <= angles) & (angles <= np.float32(math.pi)))
+    assert len(set(angles.tolist())) > 1  # orientation is computed per keypoint
 
 
 def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
@@ -382,7 +384,7 @@ def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
         fs = detect_and_describe(five_scatterer.image, DetectorConfig(detector_id))
         assert len(fs) >= 100
         for row, col in truth_rc:
-            d = min(math.hypot(kp.x_px - col, kp.y_px - row) for kp in fs.keypoints)
+            d = np.hypot(*(fs.keypoints["xy"] - (col, row)).T).min()
             assert d <= tol_px, f"{detector_id}: nearest kp {d:.2f} px from target"
 
 
@@ -399,7 +401,7 @@ def test_registry_lookup_and_errors(monkeypatch):
 
     @register_detector("empty")
     def detect_nothing(img, cfg):
-        return FeatureSet(cfg.detector_id, (), np.zeros((0, 8), np.uint8), img.resolution_m)
+        return FeatureSet(cfg.detector_id, [], np.zeros((0, 8), np.uint8), img.resolution_m)
 
     fs = detect_and_describe(img, DetectorConfig("empty"))
     assert (fs.detector_id, len(fs)) == ("empty", 0)
@@ -418,19 +420,24 @@ def test_detector_config_validation():
         DetectorConfig("orb", n_octaves=0)
     with pytest.raises(ValueError):
         DetectorConfig("orb", target_keypoints=0)
-    with pytest.raises(ValueError):
-        Keypoint(math.nan, 0.0, 1.0)
 
 
 def test_feature_set_validation():
+    one = [((0.0, 0.0), 1.0, 0.0, 0)]
     with pytest.raises(ValueError, match="descriptors"):
-        FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((2, 32), np.uint8), RES)
+        FeatureSet("orb", one, np.zeros((2, 32), np.uint8), RES)
     for bad in (0.0, -RES, math.nan, math.inf):
         with pytest.raises(ValueError, match="resolution_m"):
-            FeatureSet("orb", (), np.zeros((0, 32), np.uint8), bad)
-    fs = FeatureSet("orb", (Keypoint(0, 0, 1.0),), np.zeros((1, 32), np.uint8), RES)
+            FeatureSet("orb", [], np.zeros((0, 32), np.uint8), bad)
+    # every keypoint is checked, and the first bad one is named
+    for x, octave in ((math.nan, 0), (math.inf, 0), (1.0, -1)):
+        kps = one * 3 + [((x, 2.0), 1.0, 0.0, octave)] + one
+        with pytest.raises(ValueError, match="keypoint 3: position must be finite"):
+            FeatureSet("orb", kps, np.zeros((5, 32), np.uint8), RES)
+    fs = FeatureSet("orb", one, np.zeros((1, 32), np.uint8), RES)
     assert fs.descriptor_bits == 256
     assert len(fs) == 1
+    assert fs.keypoints.dtype == KEYPOINT
 
 
 def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
@@ -446,7 +453,7 @@ def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
                    if o == 3 and c >= 854}
     assert margin_cols >= {854, 855, 856}
     fs = detect_and_describe(gray(px), cfg)
-    kept = {round(kp.x_px / SCALE_STEP ** 3) for kp in fs.keypoints if kp.octave == 3}
+    kept = {round(x / SCALE_STEP ** 3) for x in fs.keypoints["xy"][fs.keypoints["octave"] == 3, 0]}
     assert {854, 855, 856} <= kept
     assert max(kept) == 856
 
@@ -461,11 +468,7 @@ def test_feature_file_round_trip(tmp_path):
     assert back.detector_id == fs.detector_id
     assert back.resolution_m == RES
     assert np.array_equal(back.descriptors, fs.descriptors)
-    for a, b in zip(back.keypoints, fs.keypoints):
-        assert a.x_px == pytest.approx(b.x_px, abs=1e-4)
-        assert a.y_px == pytest.approx(b.y_px, abs=1e-4)
-        assert a.angle_rad == pytest.approx(b.angle_rad, abs=1e-6)
-        assert a.octave == b.octave
+    assert back.keypoints.tobytes() == fs.keypoints.tobytes()
 
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTAFEAT" + bytes(64))
@@ -481,13 +484,16 @@ def test_feature_file_round_trip(tmp_path):
             load_feature_set(trunc)
 
 
-def feature_file(ident=b"orb", x=1.0, octave=0, resolution_m=RES, version=2):
-    """Bytes of a one-keypoint feature file with a 32-byte descriptor."""
+def feature_file(ident=b"orb", x=1.0, octave=0, resolution_m=RES, version=3):
+    """Bytes of a one-keypoint feature file with a 32-byte descriptor, laid
+    out as ``version`` lays it out."""
     sizes = struct.pack("<II", 1, 256)
-    if version == 2:
+    if version >= 2:
         sizes += struct.pack("<d", resolution_m)
+    keypoint = (struct.pack("<ddffi", x, 2.0, 1.0, 0.0, octave) if version == 3
+                else struct.pack("<ffffi", x, 2.0, 1.0, 0.0, octave))
     return (b"SARLFEAT" + struct.pack("<II", version, len(ident)) + ident + sizes
-            + struct.pack("<ffffi", x, 2.0, 1.0, 0.0, octave) + bytes(32))
+            + keypoint + bytes(32))
 
 
 @pytest.mark.parametrize("content", [feature_file(ident=b"\xff\xfe"),
@@ -496,30 +502,31 @@ def feature_file(ident=b"orb", x=1.0, octave=0, resolution_m=RES, version=2):
                                      feature_file(resolution_m=-RES),
                                      feature_file(resolution_m=math.nan),
                                      feature_file(resolution_m=math.inf),
-                                     feature_file(version=1)],
+                                     feature_file(version=1), feature_file(version=2)],
                          ids=["non-utf8-id", "nan-x", "negative-octave", "zero-resolution",
                               "negative-resolution", "nan-resolution", "inf-resolution",
-                              "version-1"])
+                              "version-1", "version-2"])
 def test_feature_file_errors_name_the_file(tmp_path, content):
     path = tmp_path / "bad.bin"
     path.write_bytes(content)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_feature_set(path)
     path.write_bytes(feature_file())
-    assert load_feature_set(path).keypoints[0].x_px == 1.0
+    assert load_feature_set(path).keypoints["xy"].tolist() == [[1.0, 2.0]]
 
 
 def test_feature_file_records_keep_their_layout(tmp_path):
-    kps = (Keypoint(1.5, -2.25, 3.0, 0.5, 0), Keypoint(4.0, 5.0, 6.0, -0.5, 3))
+    # x/y are f64, so a position off the f32 grid comes back exactly
+    rows = [((1.5, -2.25), 3.0, 0.5, 0), ((4.0 * 1.2 ** 3, 0.1), 6.0, -0.5, 3)]
     desc = np.arange(64, dtype=np.uint8).reshape(2, 32)
     path = tmp_path / "two.bin"
-    save_feature_set(FeatureSet("orb", kps, desc, 0.0125), path)
-    header = (b"SARLFEAT" + struct.pack("<II", 2, 3) + b"orb"
+    save_feature_set(FeatureSet("orb", rows, desc, 0.0125), path)
+    header = (b"SARLFEAT" + struct.pack("<II", 3, 3) + b"orb"
               + struct.pack("<IId", 2, 256, 0.0125))
-    records = b"".join(struct.pack("<ffffi", kp.x_px, kp.y_px, kp.response,
-                                   kp.angle_rad, kp.octave) + row.tobytes()
-                       for kp, row in zip(kps, desc))
+    records = b"".join(struct.pack("<ddffi", x, y, response, angle, octave) + row.tobytes()
+                       for ((x, y), response, angle, octave), row in zip(rows, desc))
     assert path.read_bytes() == header + records
     back = load_feature_set(path)
-    assert back.keypoints == kps
+    assert back.keypoints["xy"].tolist() == [list(xy) for xy, *_ in rows]
+    assert back.keypoints["octave"].tolist() == [0, 3]
     assert np.array_equal(back.descriptors, desc)

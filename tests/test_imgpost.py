@@ -177,13 +177,21 @@ def test_pgm_round_trip(tmp_path):
         read_pgm(notpgm)
 
 
-def test_pgm_readable_without_comments(tmp_path):
-    # bare header (no resolution/origin comments) still parses
+@pytest.mark.parametrize("comments", [b"", b"# origin_m 0.5 -0.25\n"],
+                         ids=["bare", "origin-only"])
+def test_pgm_without_a_pixel_size_is_refused(tmp_path, comments):
+    # with no pixel size, pixel shifts would be reported as meters
     path = tmp_path / "plain.pgm"
-    path.write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)))
+    path.write_bytes(b"P5\n" + comments + b"3 2\n255\n" + bytes(range(6)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no '# resolution_m' comment")):
+        read_pgm(path)
+
+
+def test_pgm_origin_comment_is_optional(tmp_path):
+    path = tmp_path / "plain.pgm"
+    path.write_bytes(b"P5\n# resolution_m 0.01\n3 2\n255\n" + bytes(range(6)))
     img, origin = read_pgm(path)
-    assert img.pixels.shape == (2, 3)
-    assert origin is None
+    assert (img.pixels.shape, img.resolution_m, origin) == ((2, 3), 0.01, None)
 
 
 def test_float_dump_round_trip(tmp_path):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sarloop import (FeatureSet, Keypoint, LoopDecision, MatchReport,
+from sarloop import (DetectorConfig, FeatureSet, GrayImage, LoopDecision, MatchReport,
                      RansacConfig, SimilarityTransform, ValidationThresholds,
                      detect_and_match, estimate_similarity_ransac, fuse_transform,
                      knn_match, ratio_test, validate_loop, wrap_angle)
+from sarloop.features import detect_and_describe, load_feature_set, save_feature_set
 from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
                                hamming_distances, match_feature_sets,
                                write_report_table)
@@ -18,7 +19,7 @@ def feature_set(desc, detector_id="orb", coords=None, resolution_m=1.0):
     desc = np.asarray(desc, dtype=np.uint8)
     if coords is None:
         coords = [(float(i), float(i)) for i in range(desc.shape[0])]
-    kps = tuple(Keypoint(x, y, 1.0) for x, y in coords)
+    kps = [(xy, 1.0, 0.0, 0) for xy in coords]
     return FeatureSet(detector_id, kps, desc, resolution_m)
 
 
@@ -195,6 +196,33 @@ def test_match_feature_sets_refuses_different_pixel_sizes(n_b):
     b = feature_set(np.zeros((n_b, 32)), resolution_m=0.01)
     with pytest.raises(ValueError, match="resolutions differ: 0.005 vs 0.01"):
         match_feature_sets(a, b)
+
+
+@pytest.mark.parametrize("seed, detector_id", [(0, "orb"), (1, "brisk")])
+def test_a_refit_from_saved_feature_sets_is_exact(five_scatterer, tmp_path, seed,
+                                                   detector_id):
+    # A pair shifted by (7, -3) px: scaled-up octave positions such as
+    # 57 * 1.2 = 68.39999999999999 are off the f32 grid, and the refit sees
+    # them only if the file keeps every bit of x/y.
+    img = five_scatterer.image
+    shifted = GrayImage(np.roll(img.pixels, (-3, 7), axis=(0, 1)), img.resolution_m)
+    cfg = DetectorConfig(detector_id)
+    fa, fb = detect_and_describe(img, cfg), detect_and_describe(shifted, cfg)
+    best, dists = knn_match(fa, fb)
+    keep = ratio_test(dists)
+    _, inliers = estimate_similarity_ransac(fa.keypoints["xy"][keep],
+                                            fb.keypoints["xy"][best[keep]], seed,
+                                            resolution_m=img.resolution_m)
+    assert fa.keypoints["octave"][keep][inliers].max() >= 1
+    assert fb.keypoints["octave"][best[keep]][inliers].max() >= 1
+
+    in_memory = match_feature_sets(fa, fb, seed=seed)
+    save_feature_set(fa, tmp_path / "a.bin")
+    save_feature_set(fb, tmp_path / "b.bin")
+    refit = match_feature_sets(load_feature_set(tmp_path / "a.bin"),
+                               load_feature_set(tmp_path / "b.bin"), seed=seed)
+    assert in_memory.good_matches >= 20
+    assert refit == in_memory
 
 
 def test_fuse_transform_examples():

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sarloop import (FeatureSet, GrayImage, ImageGrid, Keypoint, Pose2, RadarConfig,
-                     SarImage, ScanLog, ScanRecord, load_config, load_scan_log,
-                     load_scene, load_trajectory, save_scan_log)
+from sarloop import (FeatureSet, GrayImage, ImageGrid, RadarConfig, SarImage, ScanLog,
+                     load_config, load_scan_log, load_scene, load_trajectory, record_dtype,
+                     save_scan_log)
 from sarloop.features import load_feature_set, save_feature_set
 from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
                              write_float_dump, write_pgm, write_sar_dump)
@@ -23,8 +23,8 @@ from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
 def _scan_log(path):
     radars = [RadarConfig(1e9, 0.3e9, 0.2e9, mount_angle_rad=m)
               for m in (math.pi / 2, -math.pi / 2)]
-    records = [ScanRecord(float(k), k % 2, Pose2(0.1 * k, 0.0, 0.2), np.ones(6, np.float32))
-               for k in range(2)]
+    records = np.array([(k, k % 2, (0.1 * k, 0.0, 0.2), np.ones(6)) for k in range(2)],
+                       record_dtype(6))
     save_scan_log(ScanLog(radars, records), path)
 
 
@@ -43,7 +43,7 @@ def _pgm(path):
 
 
 def _feature_set(path):
-    kps = (Keypoint(1.0, 2.0, 3.0, 0.5, 0), Keypoint(4.0, 5.0, 6.0, -0.5, 1))
+    kps = [((1.0, 2.0), 3.0, 0.5, 0), ((4.0, 5.0), 6.0, -0.5, 1)]
     save_feature_set(FeatureSet("orb", kps, np.arange(16, dtype=np.uint8).reshape(2, 8), 0.01),
                      path)
 

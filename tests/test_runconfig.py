@@ -60,6 +60,13 @@ def test_validate_rejects_bad_values():
         parse_config_text("mounts_deg=\n")
 
 
+@pytest.mark.parametrize("mounts", ["90,90", "90,-90,90", "0,-0"])
+def test_repeated_mounts_are_refused(mounts):
+    # a scan log tells its radars apart by mount alone
+    with pytest.raises(ValueError, match="mounts_deg must name at least one radar, each at"):
+        parse_config_text(f"mounts_deg={mounts}\n")
+
+
 def test_infinite_snr_stays_valid_and_means_no_noise():
     assert parse_config_text("snr_db=inf\n").snr_db == math.inf
 

@@ -8,31 +8,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarloop import Pose2, RawScan, ScanLog, ScanRecord, load_scan_log, save_scan_log
+from sarloop import Pose2, RawScan, ScanLog, load_scan_log, record_dtype, save_scan_log
 from sarloop.scanlog import log_from_simulation
 
 MOUNTS = (math.pi / 2, -math.pi / 2)
 
 
+def two_radar_records(n, sample_count=24):
+    """``n`` records alternating between radars 0 and 1, two per pose."""
+    records = np.zeros(n, record_dtype(sample_count))
+    records["timestamp_s"] = np.arange(n) // 2
+    records["radar_index"] = np.arange(n) % 2
+    records["pose"] = np.arange(n)[:, None] * (0.1, -0.05, 0.2)
+    records["samples"] = np.random.default_rng(41).normal(size=(n, sample_count))
+    return records
+
+
 @pytest.fixture
 def log(side_radars):
-    rng = np.random.default_rng(41)
-    records = tuple(
-        ScanRecord(float(k // 2), k % 2,
-                   Pose2(0.1 * k, -0.05 * k, 0.2 * k),
-                   rng.normal(size=24).astype(np.float32))
-        for k in range(4))
-    return ScanLog(side_radars, records)
+    return ScanLog(side_radars, two_radar_records(4))
 
 
 def assert_logs_equal(a, b):
     assert a.radars == b.radars
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.timestamp_s == rb.timestamp_s
-        assert ra.radar_index == rb.radar_index
-        assert ra.pose == rb.pose
-        assert np.array_equal(ra.samples, rb.samples)
+    assert a.records.dtype == b.records.dtype
+    assert a.records.tobytes() == b.records.tobytes()
 
 
 def test_round_trip(log, tmp_path):
@@ -50,13 +50,12 @@ def test_resave_is_byte_identical(log, tmp_path):
 
 
 def test_empty_log_is_valid(side_radars, tmp_path):
-    empty = ScanLog(side_radars, ())
-    assert empty.sample_count == 0
-    path = tmp_path / "empty.bin"
-    save_scan_log(empty, path)
-    back = load_scan_log(path)
-    assert back.records == ()
-    assert back.radars == side_radars
+    for sample_count in (0, 24):
+        empty = ScanLog(side_radars, np.empty(0, record_dtype(sample_count)))
+        assert empty.sample_count == sample_count
+        path = tmp_path / "empty.bin"
+        save_scan_log(empty, path)
+        assert_logs_equal(load_scan_log(path), empty)
 
 
 def test_truncated_file_names_the_bad_record(log, tmp_path):
@@ -92,6 +91,27 @@ def test_nan_sample_names_the_bad_record(log, tmp_path):
     data[off:off + 4] = struct.pack("<f", math.inf)
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="record 2: non-finite samples"):
+        load_scan_log(path)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ({3: "pose", 7: "pose"}, "non-finite timestamp or pose"),
+    ({3: "samples", 7: "samples"}, "non-finite samples"),
+    ({3: "samples", 7: "pose"}, "non-finite samples"),
+    ({7: "samples", 3: "pose"}, "non-finite timestamp or pose")])
+def test_the_first_of_several_bad_records_is_named(side_radars, tmp_path, bad, reason):
+    path = tmp_path / "scan.bin"
+    save_scan_log(ScanLog(side_radars, two_radar_records(10)), path)
+    data = bytearray(path.read_bytes())
+    for record, field in bad.items():
+        if field == "pose":
+            off = record_field_offset(data, record, 20)  # y_m
+            data[off:off + 8] = struct.pack("<d", math.nan)
+        else:
+            off = record_field_offset(data, record, struct.calcsize("<dIddd") + 4 * 17)
+            data[off:off + 4] = struct.pack("<f", math.nan)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: record 3: {reason}")):
         load_scan_log(path)
 
 
@@ -133,21 +153,28 @@ def test_header_errors(log, tmp_path):
         load_scan_log(badver)
 
 
-def test_log_validation(table1, side_radars):
-    rec24 = ScanRecord(0.0, 0, Pose2(0, 0, 0), np.zeros(24, np.float32))
-    rec30 = ScanRecord(1.0, 1, Pose2(0, 0, 0), np.zeros(30, np.float32))
-    with pytest.raises(ValueError, match="inconsistent sample counts"):
-        ScanLog(side_radars, (rec24, rec30))
-    with pytest.raises(ValueError, match="radar_index 5"):
-        ScanLog(side_radars,
-                (ScanRecord(0.0, 5, Pose2(0, 0, 0), np.zeros(24, np.float32)),))
+def test_log_validation(side_radars):
+    records = two_radar_records(6)
+    records["radar_index"][4] = 5
+    with pytest.raises(ValueError, match="record 4: radar_index 5 out of range"):
+        ScanLog(side_radars, records)
+    records = two_radar_records(6)
+    records["samples"][2, 0] = np.inf
+    with pytest.raises(ValueError, match="record 2: non-finite samples"):
+        ScanLog(side_radars, records)
+    none = np.empty(0, record_dtype(24))
     with pytest.raises(ValueError, match="at least one radar"):
-        ScanLog((), ())
+        ScanLog((), none)
     # the header holds one radar description, so only the mounts may differ
     with pytest.raises(ValueError, match="differ only in mount"):
-        ScanLog((side_radars[0], replace(side_radars[1], range_max_m=2.0)), ())
-    with pytest.raises(ValueError):
-        ScanRecord(0.0, -1, Pose2(0, 0, 0), np.zeros(4, np.float32))
+        ScanLog((side_radars[0], replace(side_radars[1], range_max_m=2.0)), none)
+    # records are one 1-D array of the file's record layout
+    f8_samples = np.zeros(2, [("timestamp_s", "<f8"), ("radar_index", "<u4"),
+                              ("pose", "<f8", (3,)), ("samples", "<f8", (4,))])
+    for bad in ((), np.zeros((2, 2), record_dtype(4)), f8_samples,
+                np.zeros(2, [("samples", "<f4", (4,))])):
+        with pytest.raises(ValueError, match="record_dtype"):
+            ScanLog(side_radars, bad)
 
 
 def test_log_from_simulation_layout(table1, side_radars):
@@ -155,8 +182,8 @@ def test_log_from_simulation_layout(table1, side_radars):
     scans = [RawScan(np.full(16, float(k)), poses[k // 2], side_radars[k % 2])
              for k in range(6)]
     log = log_from_simulation(scans, side_radars)
-    assert [r.timestamp_s for r in log.records] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
-    assert [r.radar_index for r in log.records] == [0, 1, 0, 1, 0, 1]
+    assert log.records["timestamp_s"].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+    assert log.records["radar_index"].tolist() == [0, 1, 0, 1, 0, 1]
     assert log.radars == side_radars
     with pytest.raises(ValueError, match="multiple"):
         log_from_simulation(scans[:5], side_radars)
@@ -164,7 +191,7 @@ def test_log_from_simulation_layout(table1, side_radars):
     # the index follows each scan's own radar, not its position in the list
     right_first = scans[1::-1]
     swapped = log_from_simulation(right_first, side_radars)
-    assert [r.radar_index for r in swapped.records] == [1, 0]
+    assert swapped.records["radar_index"].tolist() == [1, 0]
     assert [s.config for s in swapped.to_raw_scans()] == [s.config for s in right_first]
 
     with pytest.raises(ValueError, match="scan 0"):
@@ -174,11 +201,11 @@ def test_log_from_simulation_layout(table1, side_radars):
 def test_to_raw_scans_applies_the_mounts(log):
     scans = log.to_raw_scans()
     assert len(scans) == 4
-    for scan, rec in zip(scans, log.records):
-        assert scan.config.mount_angle_rad == MOUNTS[rec.radar_index]
-        assert scan.config == log.radars[rec.radar_index]
-        assert scan.pose == rec.pose
-        assert np.array_equal(scan.samples, rec.samples.astype(np.float64))
+    for scan, (_, index, pose, samples) in zip(scans, log.records.tolist()):
+        assert scan.config.mount_angle_rad == MOUNTS[index]
+        assert scan.config == log.radars[index]
+        assert scan.pose == Pose2(*pose)
+        assert np.array_equal(scan.samples, samples.astype(np.float64))
 
 
 @pytest.mark.parametrize("old, new, records", [
@@ -192,7 +219,7 @@ def test_to_raw_scans_applies_the_mounts(log):
     (b"mount_0_rad=", b"mount_0_rad=nan#", True)])
 def test_header_value_errors_name_the_file(log, tmp_path, old, new, records):
     path = tmp_path / "scan.bin"
-    save_scan_log(log if records else ScanLog(log.radars, ()), path)
+    save_scan_log(log if records else ScanLog(log.radars, np.empty(0, record_dtype(0))), path)
     data = path.read_bytes()
     assert old in data
     path.write_bytes(data.replace(old, new, 1))

@@ -196,6 +196,16 @@ def test_scene_and_trajectory_files_round_trip(tmp_path):
         load_scene(bad)
 
 
+@pytest.mark.parametrize("text", ["", "# no rows\n", "0.5 0.25 0\n",
+                                  "0.5 0.25 0\n0.5 0.25 1.0\n0.5 0.25 -1.0\n"],
+                         ids=["empty", "comments-only", "one-waypoint", "one-position"])
+def test_a_trajectory_without_two_distinct_positions_names_the_file(tmp_path, text):
+    path = tmp_path / "still.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: need at least 2 distinct")):
+        load_trajectory(path)
+
+
 @pytest.mark.parametrize("load", [load_scene, load_trajectory])
 def test_non_numeric_fields_name_the_file_and_line(tmp_path, load):
     path = tmp_path / "bad.txt"
