@@ -20,7 +20,7 @@ from .radar import (CompressedScan, RadarConfig, RawScan, analytic_signal, compr
                     matched_filter, pulse_value, radar_pulse, range_bin_spacing)
 from .runconfig import RunConfig, load_config
 from .scanlog import ScanLog, load_scan_log, record_dtype, save_scan_log
-from .simulate import (Scatterer, TrajectorySpec, generate_trajectory, load_scene,
-                       load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
+from .simulate import (generate_trajectory, load_scene, load_trajectory, noise_std_for_snr,
+                       render_scene, simulate_echo)
 
 __version__ = "0.1.0"

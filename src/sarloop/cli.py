@@ -31,8 +31,7 @@ from .loopclose import (detect_and_match, match_feature_sets, validate_loop,
 from .radar import compress_scan
 from .runconfig import RunConfig, load_config
 from .scanlog import load_scan_log, log_from_simulation, save_scan_log
-from .simulate import (TrajectorySpec, generate_trajectory, load_scene,
-                       load_trajectory, render_scene)
+from .simulate import generate_trajectory, load_scene, load_trajectory, render_scene
 
 PROG = "sarloop"
 
@@ -71,8 +70,7 @@ def cmd_simulate(args) -> int:
     log_path, truth_path = _outputs(args, "scanlog.bin", "truth.pgm")
 
     scene = load_scene(args.scene)
-    waypoints = load_trajectory(args.trajectory)
-    poses = generate_trajectory(TrajectorySpec(tuple(waypoints), cfg.scan_spacing_m))
+    poses = generate_trajectory(load_trajectory(args.trajectory), cfg.scan_spacing_m)
     radars = cfg.radars()
     grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
     scans, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,

@@ -181,6 +181,12 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
     return transform, final
 
 
+def _same_resolution(a, b) -> None:
+    """Refuse two images or feature sets of different pixel sizes."""
+    if a.resolution_m != b.resolution_m:
+        raise ValueError(f"image resolutions differ: {a.resolution_m} vs {b.resolution_m}")
+
+
 def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
                        ransac: RansacConfig = RansacConfig(), seed: int = 0) -> MatchReport:
     """KNN + ratio test + RANSAC between two feature sets.
@@ -189,9 +195,7 @@ def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
     meters. Fewer than two keypoints in b leave nothing to ratio-test
     against, so the report has no matches and no transform.
     """
-    if a.resolution_m != b.resolution_m:
-        raise ValueError(f"image resolutions differ: "
-                         f"{a.resolution_m} vs {b.resolution_m}")
+    _same_resolution(a, b)
     if len(b) < 2 and a.detector_id == b.detector_id:
         return MatchReport(a.detector_id, len(a), len(b), 0, 0, None)
     best, dists = knn_match(a, b)
@@ -213,11 +217,11 @@ def detect_and_match(img_a: GrayImage, img_b: GrayImage,
                      ) -> list[tuple[FeatureSet, FeatureSet, MatchReport]]:
     """Per config: both images' features and their MatchReport (seed + k).
 
-    An image equal to the other in pixels and pixel size is detected once,
-    as detection reads nothing else.
+    Both images must share a pixel size, checked before detecting. An image
+    equal to the other is detected once, as detection reads nothing else.
     """
-    same_image = (img_a.resolution_m == img_b.resolution_m
-                  and np.array_equal(img_a.pixels, img_b.pixels))
+    _same_resolution(img_a, img_b)
+    same_image = np.array_equal(img_a.pixels, img_b.pixels)
     out = []
     for k, cfg in enumerate(cfgs):
         fa = detect_and_describe(img_a, cfg)

@@ -1,8 +1,9 @@
 """Synthetic trajectories and radar echoes from point-scatterer scenes.
 
 Stands in for a real acquisition run: a robot path is sampled at a fixed
-scan spacing, and at each robot pose every radar fires once. A radar's echo
-is built from pulse replicas of the scatterers inside its FOV.
+scan spacing, and at each robot pose every radar fires once. A scene is a
+float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows; a radar's echo sums, in
+one pass and in scene order, a pulse replica per scatterer inside its FOV.
 
 Convention used throughout the package: every radar fires from the robot
 pose, whose ``theta_rad`` is the robot heading; the scan's ``config`` carries
@@ -12,7 +13,7 @@ the radar's mount, so its boresight is ``theta_rad + config.mount_angle_rad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,46 +28,31 @@ from .radar import RadarConfig, RawScan, SPEED_OF_LIGHT, pulse_value, range_bin_
 _EXTRA_TAIL_BINS = 64
 
 
-@dataclass(frozen=True)
-class Scatterer:
-    """Point reflector with a non-negative radar cross-section."""
-
-    x_m: float
-    y_m: float
-    rcs: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_m) and math.isfinite(self.y_m)):
-            raise ValueError(f"scatterer position must be finite, got {self}")
-        if not (math.isfinite(self.rcs) and self.rcs >= 0):
-            raise ValueError(f"rcs must be >= 0, got {self.rcs}")
-
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Piecewise-linear robot path sampled every ``scan_spacing_m``.
-
-    Waypoint headings are ignored; the heading at each sample comes from the
-    segment being traversed.
-    """
-
-    waypoints: tuple[Pose2, ...]
-    scan_spacing_m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if len(self.waypoints) < 2:
-            raise ValueError("need at least 2 waypoints")
-        if self.scan_spacing_m <= 0:
-            raise ValueError(f"scan_spacing_m must be positive, got {self.scan_spacing_m}")
+def _scene_table(scene, where=lambda k: f"scatterer {k}") -> np.ndarray:
+    """``scene`` as a float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows (a
+    list of rows is converted). The first row with a non-finite position or
+    an rcs that is not a finite number >= 0 is refused, named ``where(k)``."""
+    table = np.asarray(scene, dtype=np.float64)
+    if table.shape == (0,):
+        table = table.reshape(0, 3)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError(f"a scene is (n, 3) rows of x_m, y_m, rcs, got shape {table.shape}")
+    bad = np.flatnonzero(~(np.isfinite(table).all(axis=1) & (table[:, 2] >= 0)))
+    if bad.size:
+        raise ValueError(f"{where(int(bad[0]))}: position must be finite and rcs >= 0, "
+                         f"got {table[bad[0]].tolist()}")
+    return table
 
 
-def generate_trajectory(spec: TrajectorySpec) -> list[Pose2]:
-    """Robot poses at arc lengths 0, s, 2s, ... along the piecewise-linear path.
-
-    A sample falling exactly on a corner takes the outgoing segment's heading.
-    """
-    pts = np.array([[w.x_m, w.y_m] for w in spec.waypoints], dtype=np.float64)
+def generate_trajectory(waypoints: Sequence[Pose2], scan_spacing_m: float) -> list[Pose2]:
+    """Robot poses every ``scan_spacing_m`` of arc length, from 0, along the
+    piecewise-linear path through ``waypoints``. Each takes the heading of its
+    segment (the outgoing one on a corner); waypoint headings are ignored."""
+    if len(waypoints) < 2:
+        raise ValueError(f"need at least 2 waypoints, got {len(waypoints)}")
+    if not scan_spacing_m > 0:
+        raise ValueError(f"scan_spacing_m must be positive, got {scan_spacing_m}")
+    pts = np.array([[w.x_m, w.y_m] for w in waypoints], dtype=np.float64)
     # A repeated waypoint would add a zero-length segment: drop it.
     pts = pts[np.concatenate(([True], np.any(pts[1:] != pts[:-1], axis=1)))]
     seg = np.diff(pts, axis=0)
@@ -76,8 +62,8 @@ def generate_trajectory(spec: TrajectorySpec) -> list[Pose2]:
         raise ValueError("degenerate path: zero total length")
     cum = np.concatenate(([0.0], np.cumsum(seg_len)))
 
-    n_steps = int(math.floor(total / spec.scan_spacing_m + 1e-9))
-    s = np.minimum(np.arange(n_steps + 1) * spec.scan_spacing_m, total)
+    n_steps = int(math.floor(total / scan_spacing_m + 1e-9))
+    s = np.minimum(np.arange(n_steps + 1) * scan_spacing_m, total)
     idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
     # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
     pos = pts[idx] + ((s - cum[idx]) / seg_len[idx])[:, np.newaxis] * seg[idx] + 0.0
@@ -90,33 +76,35 @@ def default_bin_count(config: RadarConfig) -> int:
     return int(math.ceil(config.range_max_m / range_bin_spacing(config))) + _EXTRA_TAIL_BINS
 
 
-def simulate_echo(scene: Sequence[Scatterer], pose: Pose2, config: RadarConfig,
-                  n_bins: int) -> RawScan:
+def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> RawScan:
     """Noiseless raw echo of the radar ``config`` fired at ``pose``: the
-    replicas of the scatterers in its FOV.
+    replicas of the scene's scatterers in its FOV, rendered in one pass.
 
     Each visible scatterer contributes the transmitted pulse delayed by its
     two-way travel time, scaled by sqrt(rcs) / R^2 (two-way spreading on
-    voltage). Scatterers outside the FOV cone contribute nothing.
+    voltage); the contributions are summed in scene order from +0.0.
+    Scatterers outside the FOV cone contribute nothing.
     """
+    table = _scene_table(scene)
     if n_bins * range_bin_spacing(config) < config.range_max_m:
         raise ValueError(
             f"{n_bins} bins cover only {n_bins * range_bin_spacing(config):.3f} m, "
             f"less than range_max {config.range_max_m:g} m")
 
+    with np.errstate(over="ignore"):  # a far scatterer's range is inf: out of range
+        visible = table[in_fov(pose, config, table[:, 0], table[:, 1])].tolist()
+    # Ranges from math.hypot: np.hypot can differ in the last bit.
+    rng_m = [math.hypot(x - pose.x_m, y - pose.y_m) for x, y, _ in visible]
+    amplitude = [math.sqrt(rcs) / r ** 2 for (_, _, rcs), r in zip(visible, rng_m)]
+    delay = 2.0 * np.array(rng_m) / SPEED_OF_LIGHT
     t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
-    samples = np.zeros(n_bins, dtype=np.float64)
-    for sc in scene:
-        if not bool(in_fov(pose, config, sc.x_m, sc.y_m)):
-            continue
-        rng_m = math.hypot(sc.x_m - pose.x_m, sc.y_m - pose.y_m)
-        delay = 2.0 * rng_m / SPEED_OF_LIGHT
-        samples += (math.sqrt(sc.rcs) / rng_m ** 2) * pulse_value(config, t - delay)
-    return RawScan(samples, pose, config)
+    replicas = np.array(amplitude)[:, np.newaxis] * pulse_value(config, t - delay[:, np.newaxis])
+    # Axis 0 of a C-ordered table is summed row after row, not pairwise.
+    return RawScan(replicas.sum(axis=0, initial=0.0), pose, config)
 
 
-def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
-                 radars: Sequence[RadarConfig], grid: ImageGrid, snr_db: float = math.inf,
+def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
+                 grid: ImageGrid, snr_db: float = math.inf,
                  rng: np.random.Generator | None = None) -> tuple[list[RawScan], np.ndarray]:
     """Full forward simulation over robot poses plus the truth occupancy grid.
 
@@ -125,12 +113,13 @@ def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
     that radar's config. Each echo is rendered once; Gaussian noise sized by
     ``noise_std_for_snr(echoes, snr_db)`` is then added in scan order from
     ``rng`` (the default infinite SNR adds none). The truth grid marks the
-    cell nearest each scatterer.
+    cell nearest each scatterer on the grid; one off it is not marked.
     """
+    table = _scene_table(scene)
     if not radars:
         raise ValueError("need at least one radar")
     n_bins = max(map(default_bin_count, radars))
-    scans = [simulate_echo(scene, robot, radar, n_bins) for robot in poses for radar in radars]
+    scans = [simulate_echo(table, robot, radar, n_bins) for robot in poses for radar in radars]
     noise_std = noise_std_for_snr(scans, snr_db)
     if noise_std > 0:
         if rng is None:
@@ -141,11 +130,11 @@ def render_scene(scene: Sequence[Scatterer], poses: Sequence[Pose2],
 
     truth = np.zeros((grid.height_px, grid.width_px), dtype=bool)
     ox, oy = grid.origin_m
-    for sc in scene:
-        col = int(math.floor((sc.x_m - ox) / grid.resolution_m + 0.5))
-        row = int(math.floor((sc.y_m - oy) / grid.resolution_m + 0.5))
-        if 0 <= row < grid.height_px and 0 <= col < grid.width_px:
-            truth[row, col] = True
+    with np.errstate(over="ignore"):  # a far scatterer's cell index is inf: off the grid
+        col = np.floor((table[:, 0] - ox) / grid.resolution_m + 0.5)
+        row = np.floor((table[:, 1] - oy) / grid.resolution_m + 0.5)
+    on = (row >= 0) & (row < grid.height_px) & (col >= 0) & (col < grid.width_px)
+    truth[row[on].astype(np.intp), col[on].astype(np.intp)] = True
     return scans, truth
 
 
@@ -153,26 +142,32 @@ def noise_std_for_snr(scans: Sequence[RawScan], snr_db: float) -> float:
     """Noise sigma putting the strongest clean echo sample at snr_db above it.
 
     SNR here is peak signal amplitude over noise standard deviation in dB.
-    An infinite snr_db (or silent scans) gives 0, i.e. no noise.
+    An snr_db of +inf, or one whose amplitude ratio passes the float range,
+    gives 0, i.e. no noise (as do silent scans); one too low for a finite
+    sigma is refused.
     """
     if not scans:
         raise ValueError("no scans to measure")
-    if math.isinf(snr_db):
-        return 0.0
     peak = max(float(np.max(np.abs(s.samples))) for s in scans)
-    return peak / 10.0 ** (snr_db / 20.0)
+    try:
+        ratio = 10.0 ** (snr_db / 20.0)
+    except OverflowError:  # past the float range: inf, as for snr_db = inf
+        ratio = math.inf
+    if not (ratio > 0.0 and math.isfinite(peak / ratio)):
+        raise ValueError(f"snr_db={snr_db:g} gives no finite noise sigma")
+    return peak / ratio
 
 
-def _load_rows(path, columns: str, make) -> list:
-    """``make(a, b, c)`` for each line of three numbers (``#`` comments)."""
-    rows = []
+def _load_rows(path, columns: str, make) -> dict:
+    """``{line number: make(a, b, c)}`` per line of three numbers (``#`` comments)."""
+    rows = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         try:
             a, b, c = (float(p) for p in body.split())
-            rows.append(make(a, b, c))
+            rows[lineno] = make(a, b, c)
         except ValueError as exc:
             raise ValueError(
                 f"{path}:{lineno}: expected '{columns}', got {line!r} ({exc})") from None
@@ -180,16 +175,18 @@ def _load_rows(path, columns: str, make) -> list:
 
 
 @names_its_file
-def load_scene(path: str | Path) -> list[Scatterer]:
-    """Read a scene file: one ``x_m y_m rcs`` line per scatterer."""
-    return _load_rows(path, "x_m y_m rcs", Scatterer)
+def load_scene(path: str | Path) -> np.ndarray:
+    """Read a scene file, one ``x_m y_m rcs`` line per scatterer, as an
+    ``(n, 3)`` table; a bad row is named by its line."""
+    rows = _load_rows(path, "x_m y_m rcs", lambda *row: row)
+    return _scene_table(list(rows.values()), lambda k: f"{path}:{list(rows)[k]}")
 
 
 @names_its_file
 def load_trajectory(path: str | Path) -> list[Pose2]:
     """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint, at
     least two distinct positions among them."""
-    waypoints = _load_rows(path, "x_m y_m theta_rad", Pose2)
+    waypoints = list(_load_rows(path, "x_m y_m theta_rad", Pose2).values())
     if len({(w.x_m, w.y_m) for w in waypoints}) < 2:
         raise ValueError(f"need at least 2 distinct waypoint positions, "
                          f"got {len(waypoints)} waypoints")

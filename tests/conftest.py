@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, Scatterer,
-                     TrajectorySpec, build_sar, compress_scan, gaussian_blur,
-                     generate_trajectory, positive_image, quantize, render_scene)
+from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, build_sar, compress_scan,
+                     gaussian_blur, generate_trajectory, positive_image, quantize,
+                     render_scene)
 from sarloop.features import base as feature_base
 
 SIDE_MOUNTS = (math.pi / 2.0, -math.pi / 2.0)
@@ -46,8 +46,8 @@ def small_grid():
 
 def reconstruct(scene, n_poses, noise_seed, grid, radars, snr_db=20.0):
     """Straight 1.5 m two-radar run: simulate, compress, back-project, post."""
-    poses = generate_trajectory(TrajectorySpec(
-        (Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)), scan_spacing_m=1.5 / (n_poses - 1)))
+    poses = generate_trajectory((Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)),
+                                scan_spacing_m=1.5 / (n_poses - 1))
     scans, truth = render_scene(scene, poses, radars, grid, snr_db=snr_db,
                                 rng=default_rng(noise_seed))
     sar = build_sar([compress_scan(s) for s in scans], grid)
@@ -66,7 +66,7 @@ def reconstruct_fn(side_radars):
 @pytest.fixture(scope="session")
 def five_scatterer(side_radars):
     """The reference scene at SNR 20 dB, timed for the runtime budget check."""
-    scene = [Scatterer(x, y, 1.0) for x, y in FIVE_SCATTERERS]
+    scene = [(x, y, 1.0) for x, y in FIVE_SCATTERERS]
     grid = ImageGrid(400, 400, 0.005, origin_m=(-0.25, -1.0))
     t0 = time.perf_counter()
     run = reconstruct(scene, 60, 42, grid, side_radars)

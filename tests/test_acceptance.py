@@ -11,7 +11,7 @@ import pytest
 from scipy import ndimage
 
 from sarloop import (DetectorConfig, GrayImage, ImageGrid, MatchReport,
-                     Pose2, RawScan, SarImage, Scatterer, SimilarityTransform,
+                     Pose2, RawScan, SarImage, SimilarityTransform,
                      compress_scan, detect_and_match, fuse_transform, knn_match,
                      occupancy_from_image, positive_image, cellwise_difference,
                      radar_pulse, validate_loop, wrap_angle)
@@ -132,9 +132,9 @@ def test_06_loop_decisions_discriminate_self_from_disjoint_pairs(
     for i in range(10):
         rng = np.random.default_rng(1000 + i)
         n = int(rng.integers(8, 13))
-        scene = [Scatterer(rng.uniform(0.0, 1.5),
-                           rng.choice([-1.0, 1.0]) * rng.uniform(0.45, 0.95),
-                           rng.uniform(0.6, 1.5))
+        scene = [(rng.uniform(0.0, 1.5),
+                  rng.choice([-1.0, 1.0]) * rng.uniform(0.45, 0.95),
+                  rng.uniform(0.6, 1.5))
                  for _ in range(n)]
         pairs.append((reconstruct_fn(scene, noise_seed=2000 + i).image,
                       reconstruct_fn(scene, noise_seed=3000 + i).image))

@@ -19,7 +19,7 @@ from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
 from sarloop.scanlog import load_scan_log
-from sarloop.simulate import TrajectorySpec, generate_trajectory, load_trajectory
+from sarloop.simulate import generate_trajectory, load_trajectory
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -339,8 +339,8 @@ def test_rotated_demo_path_equals_the_scatter_oracle(side_radars):
     # The demo path turned by 20 deg: with the side radars' 60 deg beams, no
     # boresight or beam edge lies on an axis (at 30 deg, edges would be at 90).
     turn = math.radians(20.0)
-    path = generate_trajectory(TrajectorySpec(
-        tuple(load_trajectory(DEMO / "trajectory.txt")), load_config(None, []).scan_spacing_m))
+    path = generate_trajectory(load_trajectory(DEMO / "trajectory.txt"),
+                               load_config(None, []).scan_spacing_m)
     poses = [Pose2(p.x_m * math.cos(turn) - p.y_m * math.sin(turn),
                    p.x_m * math.sin(turn) + p.y_m * math.cos(turn), p.theta_rad + turn)
              for p in path[::6]]

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, run in-process via main()."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from sarloop import GrayImage
 from sarloop.cli import main
 from sarloop.features import save_feature_set
 from sarloop import FeatureSet, ImageGrid, SarImage
-from sarloop.imgpost import write_pgm, write_sar_dump
+from sarloop.imgpost import read_pgm, write_pgm, write_sar_dump
 
 DEMO = "demo"
 FAST = ["--set", "range_max_m=1.2", "--set", "grid_resolution_m=0.01",
@@ -88,6 +90,41 @@ def test_simulate_is_reproducible(small_scene, tmp_path):
         assert rc == 0
     assert ((tmp_path / "a" / "scanlog.bin").read_bytes()
             == (tmp_path / "b" / "scanlog.bin").read_bytes())
+
+
+def test_a_far_scatterer_is_simulated_but_not_marked(small_scene, tmp_path, capsys):
+    # finite, but its truth cell index overflows to inf; RuntimeWarnings are errors
+    _, traj = small_scene
+    scene = tmp_path / "far.txt"
+    scene.write_text("0.2 0.6 1.0\n1e308 0 1\n-1.7e308 1.7e308 2\n0.35 -0.5 1.2\n")
+    out = tmp_path / "o"
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    truth, (ox, oy) = read_pgm(out / "truth.pgm")
+    res = truth.resolution_m
+    want = {(math.floor((y - oy) / res + 0.5), math.floor((x - ox) / res + 0.5))
+            for x, y in ((0.2, 0.6), (0.35, -0.5))}
+    assert {(int(r), int(c)) for r, c in zip(*np.nonzero(truth.pixels))} == want
+
+
+def test_an_snr_past_the_float_range_simulates_without_noise(small_scene, tmp_path):
+    scene, traj = small_scene
+    for snr in ("1e6", "inf"):
+        assert run("simulate", "--scene", scene, "--trajectory", traj,
+                   "--out", tmp_path / snr, *FAST, "--set", f"snr_db={snr}") == 0
+    for name in ("scanlog.bin", "truth.pgm"):
+        assert (tmp_path / "1e6" / name).read_bytes() == (tmp_path / "inf" / name).read_bytes()
+
+
+def test_an_snr_too_low_for_a_finite_noise_sigma_is_refused(small_scene, tmp_path, capsys):
+    scene, traj = small_scene
+    out = tmp_path / "o"
+    rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST,
+             "--set", "snr_db=-1e6")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not out.exists()
+    assert "snr_db" in err and "Traceback" not in err
 
 
 def test_stage_composition_matches_the_pipeline(small_scene, tmp_path):

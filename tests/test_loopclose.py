@@ -355,12 +355,13 @@ def test_report_table_layout(tmp_path):
     assert path.read_text() == accepted
 
 
-def test_detect_and_match_requires_matching_resolution(five_scatterer):
+def test_detect_and_match_requires_matching_resolution(five_scatterer, detector_calls):
     from sarloop import DetectorConfig, GrayImage
     img = five_scatterer.image
     other = GrayImage(img.pixels, img.resolution_m * 2)
     with pytest.raises(ValueError, match="resolutions differ"):
         detect_and_match(img, other, [DetectorConfig("orb")])
+    assert detector_calls == []  # refused before any detection
 
 
 def test_detect_and_match_self_pair_is_a_clean_identity(five_scatterer):

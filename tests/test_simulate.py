@@ -6,17 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from sarloop import (Pose2, Scatterer, TrajectorySpec, compress_scan,
-                     generate_trajectory, load_scene, load_trajectory,
-                     noise_std_for_snr, render_scene, simulate_echo)
-from sarloop.radar import range_bin_spacing
+from sarloop import (Pose2, compress_scan, generate_trajectory, in_fov, load_scene,
+                     load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
+from sarloop.radar import SPEED_OF_LIGHT, pulse_value, range_bin_spacing
 from sarloop.simulate import default_bin_count
 
 
 def straight_poses():
     """Robot poses every 0.1 m along a 1 m path on the x axis."""
-    return generate_trajectory(TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1))
+    return generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1)
 
 
 def test_straight_path_sampling():
@@ -38,8 +39,7 @@ def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
 
 
 def test_corner_heading_switches_to_outgoing_segment():
-    spec = TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0)), 0.25)
-    samples = generate_trajectory(spec)
+    samples = generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0)), 0.25)
     assert len(samples) == 9  # arc lengths 0.0 .. 2.0
     for k, robot in enumerate(samples):
         want = 0.0 if k < 4 else math.pi / 2  # the s=1.0 sample sits on the corner
@@ -53,20 +53,20 @@ def test_repeated_waypoints_add_no_samples(repeat):
     plain = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0))
     for doubled in (plain + (Pose2(1, 1, 2.0),) * repeat,
                     plain[:2] + (Pose2(1, 0, 2.0),) * repeat + plain[2:]):
-        assert (generate_trajectory(TrajectorySpec(doubled, 0.25))
-                == generate_trajectory(TrajectorySpec(plain, 0.25)))
+        assert generate_trajectory(doubled, 0.25) == generate_trajectory(plain, 0.25)
     ending = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 0, 0))
-    assert generate_trajectory(TrajectorySpec(ending, 0.25)) == [
+    assert generate_trajectory(ending, 0.25) == [
         Pose2(k * 0.25, 0.0, 0.0) for k in range(5)]
 
 
 def test_trajectory_rejections():
     with pytest.raises(ValueError, match="degenerate"):
-        generate_trajectory(TrajectorySpec((Pose2(0, 0, 0), Pose2(0, 0, 0)), 0.1))
-    with pytest.raises(ValueError):
-        TrajectorySpec((Pose2(0, 0, 0),), 0.1)
-    with pytest.raises(ValueError):
-        TrajectorySpec((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.0)
+        generate_trajectory((Pose2(0, 0, 0), Pose2(0, 0, 0)), 0.1)
+    with pytest.raises(ValueError, match="at least 2 waypoints"):
+        generate_trajectory((Pose2(0, 0, 0),), 0.1)
+    for spacing in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="scan_spacing_m must be positive"):
+            generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0)), spacing)
 
 
 def test_empty_scene_echo_is_silent(table1):
@@ -76,14 +76,13 @@ def test_empty_scene_echo_is_silent(table1):
 
 def test_scatterer_outside_beam_contributes_nothing(table1):
     off = math.radians(40)  # past the 30 deg half-beam
-    scene = [Scatterer(math.cos(off), math.sin(off), 1.0)]
+    scene = [(math.cos(off), math.sin(off), 1.0)]
     scan = simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
     assert np.all(scan.samples == 0)
 
 
 def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
-    scan = simulate_echo([Scatterer(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1,
-                         default_bin_count(table1))
+    scan = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1, default_bin_count(table1))
     compressed = compress_scan(scan)
     assert int(np.argmax(np.abs(compressed.bins))) == 156
     assert math.floor(1.0 / range_bin_spacing(table1) + 0.5) == 156
@@ -92,8 +91,7 @@ def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
 def test_echoes_superpose_exactly(table1):
     pose = Pose2(0, 0, 0)
     n = default_bin_count(table1)
-    parts = [Scatterer(0.8, 0.1, 1.0), Scatterer(1.3, -0.2, 0.7),
-             Scatterer(2.1, 0.4, 1.4)]
+    parts = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7), (2.1, 0.4, 1.4)]
     combined = simulate_echo(parts, pose, table1, n)
     sum_of_parts = sum(simulate_echo([s], pose, table1, n).samples for s in parts)
     assert np.array_equal(combined.samples, sum_of_parts)
@@ -102,8 +100,8 @@ def test_echoes_superpose_exactly(table1):
 def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
     pose = Pose2(0, 0, 0)
     n = default_bin_count(table1)
-    one = simulate_echo([Scatterer(1.0, 0.0, 1.0)], pose, table1, n).samples
-    two = simulate_echo([Scatterer(1.0, 0.0, 2.0)], pose, table1, n).samples
+    one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1, n).samples
+    two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1, n).samples
     assert np.any(one != 0)
     # atol absorbs subnormal tails at the envelope's underflow edge
     assert np.allclose(two, math.sqrt(2.0) * one, rtol=1e-12, atol=1e-300)
@@ -113,18 +111,41 @@ def test_echo_error_paths(table1, side_radars, small_grid):
     with pytest.raises(ValueError, match="less than range_max"):
         simulate_echo([], Pose2(0, 0, 0), table1, 100)
     with pytest.raises(ValueError, match="rng"):
-        render_scene([Scatterer(0.5, 0.6, 1.0)], straight_poses(), side_radars,
+        render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars,
                      small_grid, snr_db=20.0)
     with pytest.raises(ValueError, match="at least one radar"):
         render_scene([], straight_poses(), (), small_grid)
-    with pytest.raises(ValueError):
-        Scatterer(0.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        Scatterer(math.nan, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0, -1.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
+                                 (0.0, 0.0, math.inf), (0.0, 0.0, math.nan)])
+def test_the_first_bad_scatterer_is_named(table1, side_radars, small_grid, bad):
+    scene = [(0.5, 0.6, 1.0)] * 2 + [bad, (0.5, 0.6, 1.0), bad]
+    n = default_bin_count(table1)
+    with pytest.raises(ValueError, match=r"^scatterer 2: position must be finite and rcs >= 0"):
+        simulate_echo(scene, Pose2(0, 0, 0), table1, n)
+    with pytest.raises(ValueError, match=r"^scatterer 2: "):
+        render_scene(np.array(scene), straight_poses(), side_radars, small_grid)
+
+
+@pytest.mark.parametrize("scene", [[1.0, 2.0, 3.0], [(1.0, 2.0)], np.zeros((2, 3, 1))],
+                         ids=["flat", "two-columns", "3-d"])
+def test_a_scene_is_a_table_of_three_columns(table1, scene):
+    with pytest.raises(ValueError, match="rows of x_m, y_m, rcs"):
+        simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
+
+
+def test_a_row_list_and_its_table_render_the_same(table1):
+    rows = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7)]
+    n = default_bin_count(table1)
+    a = simulate_echo(rows, Pose2(0, 0, 0), table1, n).samples
+    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1, n).samples
+    assert a.tobytes() == b.tobytes()
+    assert np.any(a != 0)
 
 
 def test_render_scene_scan_layout(side_radars, small_grid):
-    scene = [Scatterer(0.5, 0.6, 1.0)]
+    scene = [(0.5, 0.6, 1.0)]
     scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
     assert len(scans) == 22  # 11 poses x 2 radars
     assert all(s.pose.theta_rad == 0.0 for s in scans)  # robot heading, not boresight
@@ -137,8 +158,8 @@ def test_render_scene_scan_layout(side_radars, small_grid):
 
 
 def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
-    scene = [Scatterer(0.5, 0.6, 1.0), Scatterer(0.514, 0.6, 1.0),
-             Scatterer(9.0, 9.0, 1.0)]  # third lands off-grid
+    scene = [(0.5, 0.6, 1.0), (0.514, 0.6, 1.0), (9.0, 9.0, 1.0),  # third lands off-grid
+             (1e308, 0.0, 1.0), (-1.7e308, 1.7e308, 1.0)]  # far off: not marked, no warning
     scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
     rows, cols = np.nonzero(truth)
     got = {(int(r), int(c)) for r, c in zip(rows, cols)}
@@ -149,7 +170,7 @@ def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
 
 
 def test_render_scene_noise_is_reproducible(side_radars, small_grid):
-    scene = [Scatterer(0.5, 0.6, 1.0)]
+    scene = [(0.5, 0.6, 1.0)]
     poses = straight_poses()
     a, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
@@ -167,8 +188,7 @@ def test_render_scene_noise_is_reproducible(side_radars, small_grid):
 
 
 def test_noise_std_for_snr(side_radars, small_grid):
-    scans, _ = render_scene([Scatterer(0.5, 0.6, 1.0)], straight_poses(),
-                            side_radars, small_grid)
+    scans, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
     peak = max(np.abs(s.samples).max() for s in scans)
     assert noise_std_for_snr(scans, 20.0) == pytest.approx(peak / 10.0)
     assert noise_std_for_snr(scans, math.inf) == 0.0
@@ -176,11 +196,30 @@ def test_noise_std_for_snr(side_radars, small_grid):
         noise_std_for_snr([], 10.0)
 
 
+def test_an_snr_past_the_float_range_adds_no_noise(side_radars, small_grid):
+    # 10 ** (snr_db / 20) overflows a float: the noise sigma is peak / inf = 0
+    scene, poses = [(0.5, 0.6, 1.0)], straight_poses()
+    scans, _ = render_scene(scene, poses, side_radars, small_grid)
+    assert noise_std_for_snr(scans, 1e6) == 0.0
+    clean, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=math.inf)
+    loud, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=1e6,
+                           rng=np.random.default_rng(1))
+    assert all(a.samples.tobytes() == b.samples.tobytes() for a, b in zip(clean, loud))
+
+
+@pytest.mark.parametrize("snr_db", [-1e6, -math.inf, math.nan])
+def test_an_snr_without_a_finite_noise_sigma_is_refused(side_radars, small_grid, snr_db):
+    scans, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
+    with pytest.raises(ValueError, match="snr_db=.* gives no finite noise sigma"):
+        noise_std_for_snr(scans, snr_db)
+
+
 def test_scene_and_trajectory_files_round_trip(tmp_path):
-    scene = [Scatterer(0.25, -0.5, 1.0), Scatterer(1.5, 0.75, 2.5)]
+    scene = np.array([(0.25, -0.5, 1.0), (1.5, 0.75, 2.5)])
     path = tmp_path / "scene.txt"
-    path.write_text("".join(f"{sc.x_m!r} {sc.y_m!r} {sc.rcs!r}\n" for sc in scene))
-    assert load_scene(path) == scene
+    path.write_text("".join(f"{x!r} {y!r} {rcs!r}\n" for x, y, rcs in scene.tolist()))
+    loaded = load_scene(path)
+    assert loaded.dtype == np.float64 and np.array_equal(loaded, scene)
 
     poses = [Pose2(0, 0, 0), Pose2(1.5, 0.25, math.pi / 2)]
     tpath = tmp_path / "traj.txt"
@@ -189,7 +228,10 @@ def test_scene_and_trajectory_files_round_trip(tmp_path):
 
     commented = tmp_path / "commented.txt"
     commented.write_text("# a scatterer\n0.25 -0.5 1.0\n\n1.5 0.75 2.5\n")
-    assert load_scene(commented) == scene
+    assert np.array_equal(load_scene(commented), scene)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no scatterers\n")
+    assert load_scene(empty).shape == (0, 3)
     bad = tmp_path / "bad.txt"
     bad.write_text("0.25 -0.5\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
@@ -215,3 +257,107 @@ def test_non_numeric_fields_name_the_file_and_line(tmp_path, load):
     path.write_bytes(b"0.25 -0.5 \xff\n")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)
+
+
+@pytest.mark.parametrize("row, line", [("0.3 nan 1.0", 4), ("0.3 0.2 -1.0", 4),
+                                       ("inf 0.2 1.0", 4)])
+def test_a_bad_scatterer_in_a_scene_file_names_its_line(tmp_path, row, line):
+    path = tmp_path / "scene.txt"
+    path.write_text(f"0.1 0.2 1.0\n\n# a comment\n{row}\n0.5 0.5 -2.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: position must be finite")):
+        load_scene(path)
+
+
+# The per-scatterer loop that the one-pass render replaced: the oracle for
+# its bytes, noise and truth grid included.
+def reference_echo(scene, pose, config, n_bins):
+    t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
+    samples = np.zeros(n_bins, dtype=np.float64)
+    for x, y, rcs in scene:
+        if not bool(in_fov(pose, config, x, y)):
+            continue
+        rng_m = math.hypot(x - pose.x_m, y - pose.y_m)
+        delay = 2.0 * rng_m / SPEED_OF_LIGHT
+        samples += (math.sqrt(rcs) / rng_m ** 2) * pulse_value(config, t - delay)
+    return samples
+
+
+def reference_render(scene, poses, radars, grid, snr_db, rng):
+    n_bins = max(map(default_bin_count, radars))
+    echoes = [reference_echo(scene, robot, radar, n_bins) for robot in poses for radar in radars]
+    noise_std = 0.0 if math.isinf(snr_db) else (
+        max(float(np.max(np.abs(e))) for e in echoes) / 10.0 ** (snr_db / 20.0))
+    if noise_std > 0:
+        echoes = [e + rng.normal(0.0, noise_std, size=n_bins) for e in echoes]
+    truth = np.zeros((grid.height_px, grid.width_px), dtype=bool)
+    ox, oy = grid.origin_m
+    for x, y, _ in scene:
+        col = int(math.floor((x - ox) / grid.resolution_m + 0.5))
+        row = int(math.floor((y - oy) / grid.resolution_m + 0.5))
+        if 0 <= row < grid.height_px and 0 <= col < grid.width_px:
+            truth[row, col] = True
+    return echoes, truth
+
+
+def polar(pose, radar, r, off, rcs):
+    """The scatterer at range r and bearing off boresight of the radar at pose."""
+    bearing = pose.theta_rad + radar.mount_angle_rad + off
+    return (pose.x_m + r * math.cos(bearing), pose.y_m + r * math.sin(bearing), rcs)
+
+
+@st.composite
+def scenes(draw, poses, radars):
+    """Up to 16 scatterers near the radars, some in the FOV, some on its range
+    or beam edges, some behind it or past its range, some with rcs 0, plus
+    repeats of drawn rows, shuffled."""
+    radar = radars[0]
+    ranges = st.one_of(st.floats(0.0, 3.6),
+                       st.sampled_from([radar.range_min_m, radar.range_max_m]))
+    bearings = st.one_of(st.floats(-math.pi, math.pi),
+                         st.sampled_from([-radar.beamwidth_rad / 2, radar.beamwidth_rad / 2]))
+    rcs = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    rows = draw(st.lists(st.builds(polar, st.sampled_from(poses), st.sampled_from(radars),
+                                   ranges, bearings, rcs), max_size=16))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows))
+
+
+FORWARD = Pose2(0.0, 0.0, 0.0)
+# Range from math.hypot, where np.hypot differs in the last bit.
+HYPOT_EDGE = [(0.75, -0.26, 1.0), (1.27, 0.3, 0.5)]
+# Twelve overlapping replicas, whose sum in scene order differs from a pairwise one.
+OVERLAPPING = [(1.0 + 0.003 * k, 0.01 * k - 0.05, 0.5 + 0.1 * k) for k in range(12)]
+# Behind the radar, at a range inside its bins.
+BEHIND = [(-1.0, 0.0, 1.0), (0.9, 0.0, 1.0)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(data=None, scene=[])
+@example(data=None, scene=HYPOT_EDGE)
+@example(data=None, scene=OVERLAPPING)
+@example(data=None, scene=BEHIND)
+@given(data=st.data(), scene=st.none())
+def test_one_pass_echo_equals_the_per_scatterer_loop(table1, data, scene):
+    if scene is None:
+        scene = data.draw(scenes([FORWARD], [table1]))
+    n = default_bin_count(table1)
+    got = simulate_echo(scene, FORWARD, table1, n).samples
+    assert got.tobytes() == reference_echo(scene, FORWARD, table1, n).tobytes()
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), snr_db=st.sampled_from([20.0, 3.0, math.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_noisy_render_equals_the_per_scatterer_loop(side_radars, small_grid, data, snr_db,
+                                                    seed):
+    poses = straight_poses()[::5]
+    scene = data.draw(scenes(poses, side_radars))
+    scans, truth = render_scene(scene, poses, side_radars, small_grid, snr_db=snr_db,
+                                rng=np.random.default_rng(seed))
+    echoes, want = reference_render(scene, poses, side_radars, small_grid, snr_db,
+                                    np.random.default_rng(seed))
+    assert [s.samples.tobytes() for s in scans] == [e.tobytes() for e in echoes]
+    assert truth.tobytes() == want.tobytes()
