@@ -16,8 +16,8 @@ from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTrans
                         ValidationThresholds, detect_and_match,
                         estimate_similarity_ransac, fuse_transform, knn_match,
                         ratio_test, validate_loop)
-from .radar import (CompressedScan, RadarConfig, RawScan, analytic_signal, compress_scan,
-                    matched_filter, pulse_value, radar_pulse, range_bin_spacing)
+from .radar import (RadarConfig, analytic_signal, compress_scan, matched_filter, pulse_value,
+                    radar_pulse, range_bin_spacing)
 from .runconfig import RunConfig, load_config
 from .scanlog import ScanLog, load_scan_log, record_dtype, save_scan_log
 from .simulate import (generate_trajectory, load_scene, load_trajectory, noise_std_for_snr,

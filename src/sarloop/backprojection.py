@@ -1,6 +1,8 @@
 """SAR image formation by back-projection.
 
-Each compressed scan is spread onto the pixels whose centers lie in its
+The scans are a scan log's records plus their compressed bins, one table
+row per record: each row is imaged at its record's pose with the radar its
+radar index names, spread onto the pixels whose centers lie in that radar's
 field of view: the exact annular sector of ``in_fov`` (range window + beam
 cone around the boresight), the predicate the simulator also uses. On each
 block of ``BLOCK_ROWS`` rows, only the column span the sector can reach there
@@ -17,12 +19,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import Pose2, wrap_angle
-from .radar import CompressedScan, RadarConfig, range_bin_spacing
+from .radar import RadarConfig, range_bin_spacing
+from .scanlog import ScanLog
 
 BLOCK_ROWS = 64  # rows per unit of work: few enough that its temporaries stay in cache
 
@@ -149,49 +152,51 @@ def block_spans(radar: Pose2, config: RadarConfig,
     return rows, np.clip(spans, cols.start, cols.stop).astype(np.intp)
 
 
-def fov_mask(radar: Pose2, config: RadarConfig, grid: ImageGrid,
-             rows: slice, cols: slice) -> np.ndarray:
-    """``in_fov`` at the pixel centers of the grid window ``[rows, cols]``."""
-    return in_fov(radar, config, grid.x_coords()[cols][np.newaxis, :],
-                  grid.y_coords()[rows][:, np.newaxis])
+def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
+    """Back-project the scans of ``log`` and sum them in scan order.
 
-
-def build_sar(scans: Iterable[CompressedScan], grid: ImageGrid) -> SarImage:
-    """Back-project scans and sum them in scan order.
-
-    Each scan is imaged with its own radar, ``scan.config``: every pixel
-    inside its FOV receives the bin at its rounded range index; pixels
-    mapping past the last bin receive nothing. On each row block, a scan is
-    evaluated only across its ``block_spans`` column span.
+    ``bins`` holds one row of compressed bins per record (``compress_scan``
+    of the log's samples). Each scan is imaged at its record's pose with the
+    radar its ``radar_index`` names: every pixel inside that radar's FOV
+    receives the bin at its rounded range index; pixels mapping past the
+    last bin receive nothing. On each row block, a scan is evaluated only
+    across its ``block_spans`` column span.
     """
-    work = [(scan, *block_spans(scan.pose, scan.config, grid), np.append(scan.bins, 0))
-            for scan in scans]
-    if not work:
+    if not len(log):
         raise ValueError("no scans to back-project")
+    if np.ndim(bins) != 2 or len(bins) != len(log):
+        raise ValueError(f"need one row of bins per scan: {len(log)} scans, "
+                         f"bins of shape {np.shape(bins)}")
+    n_bins = np.shape(bins)[1]
+    # Bin n_bins of each row is 0: pixels outside the FOV or past the last bin read it.
+    padded = np.zeros((len(log), n_bins + 1), dtype=np.complex128)
+    padded[:, :n_bins] = bins
+    radars = [log.radars[index] for index in log.records["radar_index"].tolist()]
+    work = [(pose, radar, *block_spans(pose, radar, grid), row)
+            for pose, radar, row in zip(log.poses(), radars, padded)]
     total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     xs, ys = grid.x_coords(), grid.y_coords()
 
     def add_rows(start: int) -> None:
         stop = min(start + BLOCK_ROWS, grid.height_px)
         # This task alone writes rows [start, stop); it adds the scans in scan order.
-        for scan, rows, spans, padded in work:
+        for pose, radar, rows, spans, row in work:
             lo, hi = max(start, rows.start), min(stop, rows.stop)
             if lo >= hi:
                 continue
             cols = slice(*spans[start // BLOCK_ROWS - rows.start // BLOCK_ROWS])
-            dx = xs[cols][np.newaxis, :] - scan.pose.x_m
-            dy = ys[lo:hi, np.newaxis] - scan.pose.y_m
+            dx = xs[cols][np.newaxis, :] - pose.x_m
+            dy = ys[lo:hi, np.newaxis] - pose.y_m
             rng = np.hypot(dx, dy)
             # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
-            idx = (rng / range_bin_spacing(scan.config) + 0.5).astype(np.intp)
-            # Pixels outside the FOV read padded[-1] == 0.
-            idx[~_sector(scan.pose, scan.config, dx, dy, rng) | (idx > scan.bins.size)] = -1
-            total[lo:hi, cols] += padded[idx]
+            idx = (rng / range_bin_spacing(radar) + 0.5).astype(np.intp)
+            idx[~_sector(pose, radar, dx, dy, rng) | (idx > n_bins)] = -1
+            total[lo:hi, cols] += row[idx]
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(cores) as pool:
         list(pool.map(add_rows, range(0, grid.height_px, BLOCK_ROWS)))
-    return SarImage(grid, total, scan_count=len(work))
+    return SarImage(grid, total, scan_count=len(log))
 
 
 def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float) -> ImageGrid:

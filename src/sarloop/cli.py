@@ -4,14 +4,17 @@ Stages and their file hand-offs:
 
     simulate    scene + waypoints -> scanlog.bin, truth.pgm
     backproject scanlog.bin      -> sar.cpx (complex image dump)
-    post        sar.cpx          -> image.pgm, image.f32
+    post        sar.cpx          -> image.pgm
     match       two images       -> features_*.bin, matches.tsv
     loopclose   two images       -> features_*.bin, loopclose.tsv
     pipeline    all of the above against the bundled stage outputs
 
-Every command is deterministic for fixed inputs, config, and seed; outputs
-are refused if they already exist unless --overwrite is given. A default
-config file may be named in the SARLOOP_CONFIG environment variable.
+``simulate`` saves the ``ScanLog`` that ``render_scene`` returns, and
+``backproject`` loads it, range-compresses its samples as one table and
+images them, so the library path gives the same bytes. Every command is
+deterministic for fixed inputs, config, and seed; outputs are refused if they
+already exist unless --overwrite is given. A default config file may be named
+in the SARLOOP_CONFIG environment variable.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .loopclose import (detect_and_match, match_feature_sets, validate_loop,
                         write_report_table)
 from .radar import compress_scan
 from .runconfig import RunConfig, load_config
-from .scanlog import load_scan_log, log_from_simulation, save_scan_log
+from .scanlog import load_scan_log, save_scan_log
 from .simulate import generate_trajectory, load_scene, load_trajectory, render_scene
 
 PROG = "sarloop"
@@ -73,14 +76,14 @@ def cmd_simulate(args) -> int:
     poses = generate_trajectory(load_trajectory(args.trajectory), cfg.scan_spacing_m)
     radars = cfg.radars()
     grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
-    scans, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
-                                rng=np.random.default_rng(cfg.seed))
+    log, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
+                              rng=np.random.default_rng(cfg.seed))
     _make_out(args)
-    save_scan_log(log_from_simulation(scans, radars), log_path)
+    save_scan_log(log, log_path)
     imgpost.write_pgm(
         imgpost.GrayImage(truth.astype(np.uint8) * 255, grid.resolution_m),
         truth_path, origin_m=grid.origin_m)
-    print(f"wrote {log_path} ({len(scans)} scans) and {truth_path}")
+    print(f"wrote {log_path} ({len(log)} scans) and {truth_path}")
     return 0
 
 
@@ -89,14 +92,13 @@ def cmd_backproject(args) -> int:
     [sar_path] = _outputs(args, "sar.cpx")
 
     log = load_scan_log(args.scanlog)
-    if len(log.records) == 0:
+    if len(log) == 0:
         raise ValueError(f"{args.scanlog}: scan log has no records")
-    # Each scan is focused with the radar the log's header gives it, not
+    # The scans are focused with the radars the log's header gives them, not
     # with the run config's radar keys.
-    compressed = [compress_scan(raw) for raw in log.to_raw_scans()]
-    grid = derive_grid([s.pose for s in compressed], log.radars[0],
-                       cfg.grid_resolution_m)
-    sar = build_sar(compressed, grid)
+    bins = compress_scan(log.records["samples"], log.radars[0])
+    grid = derive_grid(log.poses(), log.radars[0], cfg.grid_resolution_m)
+    sar = build_sar(log, bins, grid)
     _make_out(args)
     imgpost.write_sar_dump(sar, sar_path)
     print(f"wrote {sar_path} ({grid.width_px}x{grid.height_px} px, "
@@ -106,15 +108,14 @@ def cmd_backproject(args) -> int:
 
 def cmd_post(args) -> int:
     cfg = _load_cfg(args)
-    pgm_path, dump_path = _outputs(args, "image.pgm", "image.f32")
+    [pgm_path] = _outputs(args, "image.pgm")
 
     sar = imgpost.read_sar_dump(args.sar)
     enhanced = imgpost.gaussian_blur(imgpost.positive_image(sar), cfg.blur_sigma_px)
     _make_out(args)
-    imgpost.write_float_dump(enhanced, dump_path)
     imgpost.write_pgm(imgpost.quantize(enhanced), pgm_path,
                       origin_m=sar.grid.origin_m)
-    print(f"wrote {pgm_path} and {dump_path}")
+    print(f"wrote {pgm_path}")
     return 0
 
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backproject)
 
     p = sub.add_parser("post", parents=[common],
-                       help="complex SAR dump -> 8-bit PGM + float dump")
+                       help="complex SAR dump -> 8-bit PGM")
     p.add_argument("--sar", required=True)
     p.set_defaults(func=cmd_post)
 

@@ -46,21 +46,21 @@ def save_feature_set(fs: FeatureSet, path: str | Path) -> None:
 def load_feature_set(path: str | Path) -> FeatureSet:
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
-        raise ValueError(f"{path}: not a feature-set file (bad magic)")
+        raise ValueError("not a feature-set file (bad magic)")
     try:
         version, id_len = struct.unpack_from("<II", data, 8)
         if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise ValueError(f"unsupported version {version}")
         count, bits, resolution_m = struct.unpack_from("<IId", data, 16 + id_len)
     except struct.error:
-        raise ValueError(f"{path}: truncated feature-set header") from None
+        raise ValueError("truncated feature-set header") from None
     detector_id = data[16:16 + id_len].decode()
     pos = 32 + id_len
     if bits % 8:
-        raise ValueError(f"{path}: descriptor bit length {bits} not a multiple of 8")
+        raise ValueError(f"descriptor bit length {bits} not a multiple of 8")
     records = _records(bits // 8)
     if len(data) - pos != count * records.itemsize:
-        raise ValueError(f"{path}: expected {count} records "
+        raise ValueError(f"expected {count} records "
                          f"({count * records.itemsize} bytes), found {len(data) - pos}")
     table = np.frombuffer(data, records, count=count, offset=pos)
     return FeatureSet(detector_id, table["keypoint"], table["descriptor"], resolution_m)

@@ -2,7 +2,7 @@
 
 Pipeline: positive_image (real + magnitude, kills negative fringes) ->
 gaussian_blur -> quantize to 8 bits. Also holds the occupancy-map accuracy
-metric and the image file formats (binary PGM and raw float dumps).
+metric and the image file formats (binary PGM and the complex SAR dump).
 """
 
 from __future__ import annotations
@@ -159,13 +159,13 @@ def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary (P5) PGM")
+        raise ValueError("not a binary (P5) PGM")
     resolution = origin = None
     tokens: list[bytes] = []
     pos = 2
     while len(tokens) < 3:
         if pos >= len(data):
-            raise ValueError(f"{path}: truncated PGM header")
+            raise ValueError("truncated PGM header")
         ch = data[pos:pos + 1]
         if ch == b"#":
             eol = data.find(b"\n", pos)
@@ -189,24 +189,16 @@ def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
     if origin is not None and not all(map(math.isfinite, origin)):
         raise ValueError(f"non-finite origin {origin}")
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+        raise ValueError(f"unsupported maxval {maxval}")
     if resolution is None:
-        raise ValueError(f"{path}: no '# resolution_m' comment, so the pixel size is unknown")
+        raise ValueError("no '# resolution_m' comment, so the pixel size is unknown")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
-        raise ValueError(f"{path}: raster truncated "
+        raise ValueError("raster truncated "
                          f"({len(raster)} of {width * height} bytes)")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels.copy(), resolution), origin
-
-
-def write_float_dump(img: GrayImage, path) -> None:
-    """Raw analysis dump: ASCII `width height resolution_m` line, then
-    row-major little-endian float32 pixels."""
-    with open(path, "wb") as fh:
-        fh.write(f"{img.width_px} {img.height_px} {img.resolution_m!r}\n".encode())
-        fh.write(np.asarray(img.pixels, dtype="<f4").tobytes())
 
 
 def _header_size(header: list[bytes]) -> tuple[int, int]:
@@ -220,22 +212,6 @@ def _header_size(header: list[bytes]) -> tuple[int, int]:
                          f"got {header[0].decode(errors='replace')} "
                          f"{header[1].decode(errors='replace')}")
     return width, height
-
-
-@names_its_file
-def read_float_dump(path) -> GrayImage:
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected 'width height resolution_m' header")
-        width, height = _header_size(header)
-        resolution = float(header[2])
-        payload = fh.read()
-    expect = width * height * 4
-    if len(payload) != expect:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expect}")
-    pixels = np.frombuffer(payload, dtype="<f4").reshape(height, width)
-    return GrayImage(pixels.astype(np.float64), resolution)
 
 
 def write_sar_dump(sar: SarImage, path) -> None:
@@ -255,7 +231,7 @@ def read_sar_dump(path) -> SarImage:
         header = fh.readline().split()
         if len(header) != 6:
             raise ValueError(
-                f"{path}: expected 'width height resolution_m ox oy scan_count' header")
+                "expected 'width height resolution_m ox oy scan_count' header")
         width, height = _header_size(header)
         resolution = float(header[2])
         origin = (float(header[3]), float(header[4]))
@@ -263,9 +239,9 @@ def read_sar_dump(path) -> SarImage:
         payload = fh.read()
     expect = width * height * 8
     if len(payload) != expect:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expect}")
+        raise ValueError(f"payload is {len(payload)} bytes, expected {expect}")
     if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f4"))):
-        raise ValueError(f"{path}: non-finite pixel values")
+        raise ValueError("non-finite pixel values")
     pixels = np.frombuffer(payload, dtype="<c8").reshape(height, width)
     grid = ImageGrid(width, height, resolution, origin)
     return SarImage(grid, pixels.astype(np.complex128), scan_count)

@@ -1,10 +1,12 @@
 """Radar pulse model and range compression.
 
 Defines the radar parameter set and the transmitted Gaussian-envelope
-pulse, and turns raw echo series into complex range-compressed scans.
-``compress_scan`` correlates each scan with ``radar_pulse(scan.config)``,
-the pulse over the span where its envelope is above 1e-4 of its peak, and
-takes the analytic signal; so a scan log's radar header fixes the pulse.
+pulse, and turns raw echoes into complex range-compressed bins.
+``compress_scan(samples, config)`` correlates each row of samples with
+``radar_pulse(config)``, the pulse over the span where its envelope is above
+1e-4 of its peak, and takes the analytic signal: one call covers one scan or
+a scan log's whole ``(n_scans, n_bins)`` samples table. The radars of a log
+differ only in mount, so its header fixes the pulse.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-
-from .geometry import Pose2
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -60,46 +60,6 @@ class RadarConfig:
             raise ValueError("pulse_amplitude_v must be positive")
 
 
-@dataclass(frozen=True)
-class RawScan:
-    """One raw echo series: the robot pose it was acquired at and the radar
-    that fired it (``config.mount_angle_rad`` is that radar's mount)."""
-
-    samples: np.ndarray
-    pose: Pose2
-    config: RadarConfig
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.samples):
-            raise ValueError("complex input scans are not supported (radar ADC output is real)")
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("scan samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("scan samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
-class CompressedScan:
-    """Range-compressed echo: complex analytic samples indexed by range bin.
-
-    Bin ``k`` corresponds to one-way range ``k * range_bin_spacing(config)``.
-    The bin count equals the raw-scan sample count; ``pose`` and ``config``
-    are the raw scan's.
-    """
-
-    bins: np.ndarray
-    pose: Pose2
-    config: RadarConfig
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.size == 0:
-            raise ValueError("bins must be a non-empty 1-D sequence")
-        object.__setattr__(self, "bins", bins)
-
-
 def _envelope_coefficient(config: RadarConfig) -> float:
     """Decay coefficient a of the Gaussian envelope exp(-a t^2)."""
     frac_bw = config.bandwidth_hz / config.center_freq_hz
@@ -134,30 +94,34 @@ def radar_pulse(config: RadarConfig) -> np.ndarray:
 
 
 def matched_filter(received: np.ndarray, pulse: np.ndarray) -> np.ndarray:
-    """Range-compress an echo by correlating it with the transmitted pulse.
+    """Range-compress echoes along their last axis by correlating them with
+    the transmitted pulse.
 
     The pulse's middle sample (``len(pulse) // 2``) is its t = 0, so output
     sample k is the same time as received sample k, and a point echo whose
     pulse replica is centered at two-way delay tau peaks at index
-    round(tau * fs). Output length equals the received length.
+    round(tau * fs). The output has the shape of ``received``.
     """
-    n = len(received) + len(pulse) - 1
+    length = received.shape[-1]
+    n = length + len(pulse) - 1
     m = sp_fft.next_fast_len(n, real=True)
-    full = sp_fft.irfft(sp_fft.rfft(received, m) * sp_fft.rfft(pulse[::-1], m), m)[:n]
+    full = sp_fft.irfft(sp_fft.rfft(received, m) * sp_fft.rfft(pulse[::-1], m), m)[..., :n]
     start = len(pulse) - 1 - len(pulse) // 2
-    return full[start:start + len(received)]
+    return full[..., start:start + length]
 
 
 def analytic_signal(x: np.ndarray) -> np.ndarray:
-    """Complex sequence with no negative-frequency content.
+    """Complex sequences, along the last axis, with no negative-frequency
+    content.
 
     The real part equals the input exactly; the imaginary part is the
     discrete Hilbert transform (frequency-domain construction). The
     magnitude is the signal envelope.
     """
+    n = x.shape[-1]
     spectrum = sp_fft.fft(x)
-    spectrum[1:(len(x) + 1) // 2] *= 2.0
-    spectrum[len(x) // 2 + 1:] = 0.0
+    spectrum[..., 1:(n + 1) // 2] *= 2.0
+    spectrum[..., n // 2 + 1:] = 0.0
     return x + 1j * np.imag(sp_fft.ifft(spectrum))
 
 
@@ -166,8 +130,20 @@ def range_bin_spacing(config: RadarConfig) -> float:
     return SPEED_OF_LIGHT / (2.0 * config.sample_rate_hz)
 
 
-def compress_scan(scan: RawScan) -> CompressedScan:
-    """Matched-filter a raw scan with its radar's pulse (``radar_pulse``)
-    and convert it to complex analytic bins."""
-    return CompressedScan(analytic_signal(matched_filter(scan.samples, radar_pulse(scan.config))),
-                          scan.pose, scan.config)
+def compress_scan(samples, config: RadarConfig) -> np.ndarray:
+    """Complex analytic bins of raw echo samples matched-filtered with the
+    pulse of ``config`` (``radar_pulse``), along the last axis: one scan of
+    ``n_bins`` samples, or an ``(n_scans, n_bins)`` table, each row alone.
+
+    Bin ``k`` is one-way range ``k * range_bin_spacing(config)``. Samples
+    must be real (radar ADC output), finite and not empty.
+    """
+    if np.iscomplexobj(samples):
+        raise ValueError("complex input scans are not supported (radar ADC output is real)")
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim not in (1, 2) or samples.size == 0:
+        raise ValueError(f"scan samples must be a non-empty scan or table of scans, "
+                         f"got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValueError("scan samples must be finite")
+    return analytic_signal(matched_filter(samples, radar_pulse(config)))

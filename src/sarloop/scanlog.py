@@ -8,23 +8,24 @@ followed by fixed-size little-endian records, ``record_dtype(sample_count)``:
     samples f32 * sample_count
 
 A ``ScanLog`` holds the records as that same numpy array, so saving is one
-``tobytes`` and loading one ``frombuffer``. Record poses carry the robot
-heading. The header holds one radar description plus one mount angle per
-radar, so the radars may differ only in mount; ``to_raw_scans`` gives every
-scan the config of the radar that fired it.
+``tobytes`` and loading one ``frombuffer``; it is also the only in-memory
+form of a scan set, from ``render_scene`` to ``build_sar``. Record poses
+carry the robot heading, and a record's radar index names the radar that
+fired it. The header holds one radar description plus one mount angle per
+radar, so the radars may differ only in mount, and ``radars[0]`` fixes the
+pulse of every scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .fileerrors import names_its_file
 from .geometry import Pose2
-from .radar import RadarConfig, RawScan
+from .radar import RadarConfig
 
 FORMAT_NAME = "sarloop-scanlog"
 VERSION = 1
@@ -82,12 +83,12 @@ class ScanLog:
     def sample_count(self) -> int:
         return self.records.dtype["samples"].shape[0]
 
-    def to_raw_scans(self) -> list[RawScan]:
-        """Per-record raw scans, each with the config of the radar that fired it."""
-        r = self.records
-        return [RawScan(samples, Pose2(*pose), self.radars[index]) for samples, pose, index
-                in zip(r["samples"].astype(np.float64), r["pose"].tolist(),
-                       r["radar_index"].tolist())]
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def poses(self) -> list[Pose2]:
+        """The robot pose of each record."""
+        return [Pose2(*pose) for pose in self.records["pose"].tolist()]
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:
@@ -112,26 +113,26 @@ def load_scan_log(path: str | Path) -> ScanLog:
     data = Path(path).read_bytes()
     sep = data.find(b"\n\n")
     if sep < 0:
-        raise ValueError(f"{path}: missing blank line terminating the header")
+        raise ValueError("missing blank line terminating the header")
     header: dict[str, str] = {}
     for line in data[:sep].decode().splitlines():
         if "=" not in line:
-            raise ValueError(f"{path}: malformed header line {line!r}")
+            raise ValueError(f"malformed header line {line!r}")
         key, value = line.split("=", 1)
         header[key.strip()] = value.strip()
 
     try:
         if header["format"] != FORMAT_NAME:
-            raise ValueError(f"{path}: not a scan log (format={header['format']!r})")
+            raise ValueError(f"not a scan log (format={header['format']!r})")
         if int(header["version"]) != VERSION:
-            raise ValueError(f"{path}: unsupported version {header['version']}")
+            raise ValueError(f"unsupported version {header['version']}")
         radar_count = int(header["radar_count"])
         sample_count = int(header["sample_count"])
         config = RadarConfig(**{key: float(header[key]) for key in _RADAR_KEYS})
         radars = tuple(replace(config, mount_angle_rad=float(header[f"mount_{i}_rad"]))
                        for i in range(radar_count))
     except KeyError as exc:
-        raise ValueError(f"{path}: header missing key {exc}") from None
+        raise ValueError(f"header missing key {exc}") from None
 
     payload_len = len(data) - (sep + 2)
     if sample_count < (1 if payload_len else 0):
@@ -139,29 +140,6 @@ def load_scan_log(path: str | Path) -> ScanLog:
     record = record_dtype(sample_count)
     if payload_len % record.itemsize:
         raise ValueError(
-            f"{path}: record {payload_len // record.itemsize} truncated "
+            f"record {payload_len // record.itemsize} truncated "
             f"({payload_len % record.itemsize} trailing bytes, record size {record.itemsize})")
     return ScanLog(radars, np.frombuffer(data, record, offset=sep + 2))
-
-
-def log_from_simulation(scans: Sequence[RawScan], radars: Sequence[RadarConfig]) -> ScanLog:
-    """Wrap simulator output (pose-major, radar-minor order) in a ScanLog.
-
-    Each record's radar index is the position of its scan's config in
-    ``radars``. Timestamps are the pose indices in seconds, giving
-    deterministic bytes.
-    """
-    radars = tuple(radars)
-    if not radars:
-        raise ValueError("need at least one radar")
-    if len(scans) % len(radars):
-        raise ValueError(f"{len(scans)} scans is not a multiple of {len(radars)} radars")
-    for k, s in enumerate(scans):
-        if s.config not in radars:
-            raise ValueError(f"scan {k}: its radar {s.config} is not one of the log's radars")
-    records = np.empty(len(scans), record_dtype(len(scans[0].samples) if scans else 0))
-    records["timestamp_s"] = np.arange(len(scans)) // len(radars)
-    records["radar_index"] = [radars.index(s.config) for s in scans]
-    records["pose"] = [(s.pose.x_m, s.pose.y_m, s.pose.theta_rad) for s in scans]
-    records["samples"] = [s.samples for s in scans]
-    return ScanLog(radars, records)

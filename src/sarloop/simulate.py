@@ -4,16 +4,17 @@ Stands in for a real acquisition run: a robot path is sampled at a fixed
 scan spacing, and at each robot pose every radar fires once. A scene is a
 float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows; a radar's echo sums, in
 one pass and in scene order, a pulse replica per scatterer inside its FOV.
+``render_scene`` returns the run as a ``ScanLog``, the form the scan log
+file stores.
 
 Convention used throughout the package: every radar fires from the robot
-pose, whose ``theta_rad`` is the robot heading; the scan's ``config`` carries
-the radar's mount, so its boresight is ``theta_rad + config.mount_angle_rad``.
+pose, whose ``theta_rad`` is the robot heading; a record's radar carries its
+mount, so its boresight is ``theta_rad + mount_angle_rad``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +23,8 @@ import numpy as np
 from .backprojection import ImageGrid, in_fov
 from .fileerrors import names_its_file
 from .geometry import Pose2
-from .radar import RadarConfig, RawScan, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
+from .radar import RadarConfig, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
+from .scanlog import ScanLog, record_dtype
 
 # Extra bins past range_max so pulse tails near the far edge are not clipped.
 _EXTRA_TAIL_BINS = 64
@@ -76,7 +78,7 @@ def default_bin_count(config: RadarConfig) -> int:
     return int(math.ceil(config.range_max_m / range_bin_spacing(config))) + _EXTRA_TAIL_BINS
 
 
-def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> RawScan:
+def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> np.ndarray:
     """Noiseless raw echo of the radar ``config`` fired at ``pose``: the
     replicas of the scene's scatterers in its FOV, rendered in one pass.
 
@@ -100,33 +102,47 @@ def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> RawSc
     t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
     replicas = np.array(amplitude)[:, np.newaxis] * pulse_value(config, t - delay[:, np.newaxis])
     # Axis 0 of a C-ordered table is summed row after row, not pairwise.
-    return RawScan(replicas.sum(axis=0, initial=0.0), pose, config)
+    return replicas.sum(axis=0, initial=0.0)
 
 
 def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
                  grid: ImageGrid, snr_db: float = math.inf,
-                 rng: np.random.Generator | None = None) -> tuple[list[RawScan], np.ndarray]:
+                 rng: np.random.Generator | None = None) -> tuple[ScanLog, np.ndarray]:
     """Full forward simulation over robot poses plus the truth occupancy grid.
 
-    Returns one RawScan per (pose, radar) in pose-major, radar-minor order:
-    at each robot pose every radar of ``radars`` fires, and its scan carries
-    that radar's config. Each echo is rendered once; Gaussian noise sized by
-    ``noise_std_for_snr(echoes, snr_db)`` is then added in scan order from
-    ``rng`` (the default infinite SNR adds none). The truth grid marks the
-    cell nearest each scatterer on the grid; one off it is not marked.
+    Returns a ``ScanLog`` of ``radars`` with one record per (pose, radar) in
+    pose-major, radar-minor order: at each robot pose every radar fires, and
+    its record names that radar and carries the pose index as its timestamp
+    in seconds. The clean ``(n_scans, n_bins)`` echo table is rendered once;
+    Gaussian noise sized by ``noise_std_for_snr(echoes, snr_db)`` is then
+    added in one draw from ``rng`` (the default infinite SNR adds none), and
+    the result is stored as the records' f32 samples. Noise past the f32
+    range is refused. The truth grid marks the cell nearest each scatterer
+    on the grid; one off it is not marked.
     """
     table = _scene_table(scene)
+    radars = tuple(radars)
     if not radars:
         raise ValueError("need at least one radar")
     n_bins = max(map(default_bin_count, radars))
-    scans = [simulate_echo(table, robot, radar, n_bins) for robot in poses for radar in radars]
-    noise_std = noise_std_for_snr(scans, snr_db)
+    echoes = np.array([simulate_echo(table, robot, radar, n_bins)
+                       for robot in poses for radar in radars]).reshape(-1, n_bins)
+    noise_std = noise_std_for_snr(echoes, snr_db)
     if noise_std > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied "
                              "(pass a seeded Generator)")
-        scans = [replace(s, samples=s.samples + rng.normal(0.0, noise_std, size=n_bins))
-                 for s in scans]
+        echoes = echoes + rng.normal(0.0, noise_std, size=echoes.shape)
+    records = np.empty(len(echoes), record_dtype(n_bins))
+    records["timestamp_s"] = np.arange(len(echoes)) // len(radars)
+    records["radar_index"] = np.arange(len(echoes)) % len(radars)
+    records["pose"] = [(p.x_m, p.y_m, p.theta_rad) for p in poses for _ in radars]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        records["samples"] = echoes
+    if not np.isfinite(records["samples"]).all():
+        raise ValueError(f"snr_db={snr_db:g} gives noise sigma {noise_std:g}: echo "
+                         f"samples pass the f32 range of a scan log")
+    log = ScanLog(radars, records)
 
     truth = np.zeros((grid.height_px, grid.width_px), dtype=bool)
     ox, oy = grid.origin_m
@@ -135,20 +151,21 @@ def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
         row = np.floor((table[:, 1] - oy) / grid.resolution_m + 0.5)
     on = (row >= 0) & (row < grid.height_px) & (col >= 0) & (col < grid.width_px)
     truth[row[on].astype(np.intp), col[on].astype(np.intp)] = True
-    return scans, truth
+    return log, truth
 
 
-def noise_std_for_snr(scans: Sequence[RawScan], snr_db: float) -> float:
-    """Noise sigma putting the strongest clean echo sample at snr_db above it.
+def noise_std_for_snr(echoes, snr_db: float) -> float:
+    """Noise sigma putting the strongest sample of the clean echoes (any
+    array of them) at snr_db above it.
 
     SNR here is peak signal amplitude over noise standard deviation in dB.
     An snr_db of +inf, or one whose amplitude ratio passes the float range,
     gives 0, i.e. no noise (as do silent scans); one too low for a finite
     sigma is refused.
     """
-    if not scans:
-        raise ValueError("no scans to measure")
-    peak = max(float(np.max(np.abs(s.samples))) for s in scans)
+    if not np.size(echoes):
+        raise ValueError("no echoes to measure")
+    peak = float(np.max(np.abs(echoes)))
     try:
         ratio = 10.0 ** (snr_db / 20.0)
     except OverflowError:  # past the float range: inf, as for snr_db = inf

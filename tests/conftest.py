@@ -45,12 +45,14 @@ def small_grid():
 
 
 def reconstruct(scene, n_poses, noise_seed, grid, radars, snr_db=20.0):
-    """Straight 1.5 m two-radar run: simulate, compress, back-project, post."""
+    """Straight 1.5 m two-radar run: simulate, compress, back-project, post.
+
+    The scan log's f32 samples are imaged, as ``sarloop backproject`` does."""
     poses = generate_trajectory((Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)),
                                 scan_spacing_m=1.5 / (n_poses - 1))
-    scans, truth = render_scene(scene, poses, radars, grid, snr_db=snr_db,
-                                rng=default_rng(noise_seed))
-    sar = build_sar([compress_scan(s) for s in scans], grid)
+    log, truth = render_scene(scene, poses, radars, grid, snr_db=snr_db,
+                              rng=default_rng(noise_seed))
+    sar = build_sar(log, compress_scan(log.records["samples"], log.radars[0]), grid)
     image = quantize(gaussian_blur(positive_image(sar), 1.0))
     return SimpleNamespace(sar=sar, image=image, truth=truth, grid=grid)
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sarloop import (CompressedScan, ImageGrid, Pose2, RadarConfig, SarImage,
-                     build_sar, derive_grid, in_fov)
-from sarloop.backprojection import BLOCK_ROWS, block_spans, fov_mask, fov_window
+from sarloop import (ImageGrid, Pose2, RadarConfig, SarImage, ScanLog, build_sar, derive_grid,
+                     in_fov, record_dtype, save_scan_log)
+from sarloop.backprojection import BLOCK_ROWS, block_spans, fov_window
 from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
@@ -33,35 +33,58 @@ def full_grid_mask(pose, config, grid):
     return in_fov(pose, config, xs, ys)
 
 
-def oracle_layer(scan, grid):
-    """Per-pixel full-grid back-projection of one scan with its own radar.
+def make_log(poses, radars, radar_index=0):
+    """A scan log of one record per pose, record k fired by
+    ``radars[radar_index[k]]``. Its samples are a zero placeholder: ``build_sar``
+    reads the poses and radar indices, and takes the bins as a table."""
+    records = np.zeros(len(poses), record_dtype(1))
+    records["pose"] = [(p.x_m, p.y_m, p.theta_rad) for p in poses]
+    records["radar_index"] = radar_index
+    return ScanLog(tuple(radars), records)
+
+
+def random_bins(rng, n_scans, n_bins):
+    return rng.normal(size=(n_scans, n_bins)) + 1j * rng.normal(size=(n_scans, n_bins))
+
+
+def scans_of(log, bins):
+    """(pose, radar, bins row) per record."""
+    return [(pose, log.radars[index], row) for pose, index, row
+            in zip(log.poses(), log.records["radar_index"].tolist(), bins)]
+
+
+def oracle_layers(log, bins, grid):
+    """Per-pixel full-grid back-projection of each scan with its own radar.
 
     A pixel whose center is in the FOV receives the bin at its rounded
     range index; bins past the end of the scan leave it zero.
     """
     xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
-    rng = np.hypot(xs - scan.pose.x_m, ys - scan.pose.y_m)
-    bins = np.floor(rng / range_bin_spacing(scan.config) + 0.5).astype(np.int64)
-    paint = full_grid_mask(scan.pose, scan.config, grid) & (bins < scan.bins.size)
-    layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
-    layer[paint] = scan.bins[bins[paint]]
-    return layer
+    layers = []
+    for pose, radar, row in scans_of(log, bins):
+        rng = np.hypot(xs - pose.x_m, ys - pose.y_m)
+        index = np.floor(rng / range_bin_spacing(radar) + 0.5).astype(np.int64)
+        paint = full_grid_mask(pose, radar, grid) & (index < row.size)
+        layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
+        layer[paint] = row[index[paint]]
+        layers.append(layer)
+    return layers
 
 
-def scatter_oracle(scans, grid):
+def scatter_oracle(log, bins, grid):
     """Back-projection as a scatter-add: mask each window, find its in-FOV
     pixels, take their range again, and add the bins into a flat image."""
     total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)
-    for scan in scans:
-        cfg = scan.config
-        rows, cols = fov_window(scan.pose, cfg, grid)
-        r, c = np.nonzero(fov_mask(scan.pose, cfg, grid, rows, cols))
+    for pose, cfg, row in scans_of(log, bins):
+        rows, cols = fov_window(pose, cfg, grid)
+        r, c = np.nonzero(in_fov(pose, cfg, grid.x_coords()[cols][np.newaxis, :],
+                                 grid.y_coords()[rows][:, np.newaxis]))
         r += rows.start
         c += cols.start
-        rng = np.hypot(grid.x_coords()[c] - scan.pose.x_m, grid.y_coords()[r] - scan.pose.y_m)
-        bins = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
-        valid = bins < scan.bins.size
-        total[(r * grid.width_px + c)[valid]] += scan.bins[bins[valid]]
+        rng = np.hypot(grid.x_coords()[c] - pose.x_m, grid.y_coords()[r] - pose.y_m)
+        index = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
+        valid = index < row.size
+        total[(r * grid.width_px + c)[valid]] += row[index[valid]]
     return total.reshape(grid.height_px, grid.width_px)
 
 
@@ -116,7 +139,8 @@ def test_fov_window_covers_every_in_fov_pixel(scene):
     inside = np.zeros((grid.height_px, grid.width_px), dtype=bool)
     inside[rows, cols] = True
     assert not (full_grid_mask(pose, config, grid) & ~inside).any()
-    assert np.array_equal(fov_mask(pose, config, grid, rows, cols),
+    window_centers = (grid.x_coords()[cols][np.newaxis, :], grid.y_coords()[rows][:, np.newaxis])
+    assert np.array_equal(in_fov(pose, config, *window_centers),
                           full_grid_mask(pose, config, grid)[rows, cols])
 
 
@@ -163,15 +187,14 @@ def test_block_spans_cover_every_in_fov_pixel(scene, edge, axis):
 @given(scenes(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_single_scan_matches_full_grid_oracle(scene, n_bins, seed):
     config, pose, grid = scene
-    rng = np.random.default_rng(seed)
-    scan = CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins), pose, config)
-    assert np.array_equal(build_sar([scan], grid).pixels, oracle_layer(scan, grid))
+    log, bins = make_log([pose], [config]), random_bins(np.random.default_rng(seed), 1, n_bins)
+    [layer] = oracle_layers(log, bins, grid)
+    assert np.array_equal(build_sar(log, bins, grid).pixels, layer)
 
 
 def test_backproject_zero_scan_is_zero():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
-    scan = CompressedScan(np.zeros(64, dtype=complex), Pose2(0, 0, 0), COARSE)
-    out = build_sar([scan], grid)
+    out = build_sar(make_log([Pose2(0, 0, 0)], [COARSE]), np.zeros((1, 64), complex), grid)
     assert np.all(out.pixels == 0)
     assert out.scan_count == 1
 
@@ -181,9 +204,9 @@ def test_single_bin_scan_paints_the_masked_annulus():
     pose = Pose2(0.0, 0.0, 0.0)
     dd = range_bin_spacing(COARSE)
     hot_bin = 8
-    bins = np.zeros(40, dtype=complex)
-    bins[hot_bin] = 2.0 - 1.0j
-    out = build_sar([CompressedScan(bins, pose, COARSE)], grid)
+    bins = np.zeros((1, 40), dtype=complex)
+    bins[0, hot_bin] = 2.0 - 1.0j
+    out = build_sar(make_log([pose], [COARSE]), bins, grid)
 
     painted = 0
     for r in range(grid.height_px):
@@ -202,57 +225,71 @@ def test_single_bin_scan_paints_the_masked_annulus():
 def test_bins_past_scan_end_contribute_zero():
     grid = ImageGrid(50, 50, 0.05, origin_m=(-1.25, -1.25))
     pose = Pose2(0.0, 0.0, 0.0)
-    short = CompressedScan(np.full(4, 1.0 + 0j), pose, COARSE)  # covers only ~0.6 m
-    out = build_sar([short], grid)
+    short = np.full((1, 4), 1.0 + 0j)  # covers only ~0.6 m
+    log = make_log([pose], [COARSE])
+    out = build_sar(log, short, grid)
     assert np.all(np.isfinite(out.pixels))
     # pixels beyond the last bin stay zero even though they are in the FOV
     assert full_grid_mask(pose, COARSE, grid).sum() > np.count_nonzero(out.pixels)
-    assert np.array_equal(out.pixels, oracle_layer(short, grid))
+    assert np.array_equal(out.pixels, oracle_layers(log, short, grid)[0])
 
 
 def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
+    """A log of ``n`` COARSE scans at random poses and its random bins."""
     rng = np.random.default_rng(seed)
-    scans = []
-    for k in range(n):
-        bins = rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins)
-        pose = Pose2(rng.uniform(-pose_spread, pose_spread),
-                     rng.uniform(-pose_spread, pose_spread),
-                     rng.uniform(-math.pi, math.pi))
-        scans.append(CompressedScan(bins, pose, COARSE))
-    return scans
+    bins = random_bins(rng, n, n_bins)
+    poses = [Pose2(rng.uniform(-pose_spread, pose_spread), rng.uniform(-pose_spread, pose_spread),
+                   rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    return make_log(poses, [COARSE]), bins
 
 
 def test_build_sar_matches_explicit_sum():
     grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
-    scans = _random_scans(6, seed=3)
-    total = build_sar(scans, grid)
-    explicit = np.zeros((30, 30), dtype=complex)
-    for s in scans:
-        explicit += oracle_layer(s, grid)
-    assert np.array_equal(total.pixels, explicit)
+    log, bins = _random_scans(6, seed=3)
+    total = build_sar(log, bins, grid)
+    assert np.array_equal(total.pixels, sum(oracle_layers(log, bins, grid)))
     assert total.scan_count == 6
 
-    single = build_sar(scans[:1], grid)
-    assert np.array_equal(single.pixels, oracle_layer(scans[0], grid))
-    with pytest.raises(ValueError):
-        build_sar([], grid)
+    single = build_sar(ScanLog(log.radars, log.records[:1]), bins[:1], grid)
+    assert np.array_equal(single.pixels, oracle_layers(log, bins, grid)[0])
+    with pytest.raises(ValueError, match="no scans"):
+        build_sar(ScanLog(log.radars, log.records[:0]), bins[:0], grid)
+    # one row of bins per record, no more and no fewer
+    for rows in (bins[:5], np.vstack([bins, bins[:1]]), bins[0]):
+        with pytest.raises(ValueError, match="one row of bins per scan"):
+            build_sar(log, rows, grid)
 
 
 def test_scan_order_permutation_is_harmless():
     grid = ImageGrid(30, 30, 0.1, origin_m=(-1.5, -1.5))
-    scans = _random_scans(8, seed=4)
-    forward = build_sar(scans, grid).pixels
-    backward = build_sar(scans[::-1], grid).pixels
+    log, bins = _random_scans(8, seed=4)
+    forward = build_sar(log, bins, grid).pixels
+    backward = build_sar(ScanLog(log.radars, log.records[::-1]), bins[::-1], grid).pixels
     scale = np.max(np.abs(forward))
     assert np.allclose(forward, backward, rtol=1e-6, atol=1e-6 * scale)
 
 
 def test_per_scan_energy_bound():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
-    for scan in _random_scans(5, n_bins=30, seed=6):
-        part = build_sar([scan], grid)
-        masked = int(full_grid_mask(scan.pose, COARSE, grid).sum())
-        assert np.sum(np.abs(part.pixels)) <= masked * np.max(np.abs(scan.bins)) + 1e-9
+    log, bins = _random_scans(5, n_bins=30, seed=6)
+    for k, (pose, _, row) in enumerate(scans_of(log, bins)):
+        part = build_sar(ScanLog(log.radars, log.records[k:k + 1]), bins[k:k + 1], grid)
+        masked = int(full_grid_mask(pose, COARSE, grid).sum())
+        assert np.sum(np.abs(part.pixels)) <= masked * np.max(np.abs(row)) + 1e-9
+
+
+def test_build_sar_takes_each_scans_radar_from_its_record():
+    # Two radars that differ only in mount: a record's radar_index picks the
+    # one whose FOV its scan paints.
+    grid = ImageGrid(120, 120, 0.05, origin_m=(-3.0, -3.0))
+    radars = tuple(dataclasses.replace(COARSE, mount_angle_rad=m)
+                   for m in (math.pi / 2, -math.pi / 2))
+    pose = Pose2(0.0, 0.0, 0.0)
+    bins = np.ones((1, 30), complex)  # 30 bins reach past range_max
+    for index in (0, 1):
+        painted = build_sar(make_log([pose], radars, [index]), bins, grid).pixels != 0
+        assert painted.any()
+        assert np.array_equal(painted, full_grid_mask(pose, radars[index], grid))
 
 
 def test_side_mounted_radars_illuminate_disjoint_half_planes(table1):
@@ -295,37 +332,38 @@ def test_grid_validation():
 
 @pytest.fixture(scope="module")
 def demo_scans(tmp_path_factory):
-    """The bundled demo's compressed scans (both mounts) and its grid."""
+    """The bundled demo's scan log (both mounts), its compressed bins and its grid."""
     out = tmp_path_factory.mktemp("demo")
     assert main(["simulate", "--scene", str(DEMO / "scene.txt"),
                  "--trajectory", str(DEMO / "trajectory.txt"), "--out", str(out)]) == 0
     cfg = load_config(None, [])
     log = load_scan_log(out / "scanlog.bin")
-    scans = [compress_scan(raw) for raw in log.to_raw_scans()]
-    grid = derive_grid([s.pose for s in scans], log.radars[0], cfg.grid_resolution_m)
-    return scans, grid
+    bins = compress_scan(log.records["samples"], log.radars[0])
+    grid = derive_grid(log.poses(), log.radars[0], cfg.grid_resolution_m)
+    return log, bins, grid
 
 
 def test_demo_map_equals_the_scatter_oracle(demo_scans):
-    scans, grid = demo_scans
-    assert len(scans) == 122
-    assert len({s.config.mount_angle_rad for s in scans}) == 2
+    log, bins, grid = demo_scans
+    assert len(log) == 122
+    assert len({radar.mount_angle_rad for _, radar, _ in scans_of(log, bins)}) == 2
     assert grid.height_px % BLOCK_ROWS
-    sar = build_sar(scans, grid)
-    assert sar.pixels.tobytes() == scatter_oracle(scans, grid).tobytes()
+    sar = build_sar(log, bins, grid)
+    assert sar.pixels.tobytes() == scatter_oracle(log, bins, grid).tobytes()
 
 
 def test_block_spans_clip_the_demo_windows(demo_scans):
     # The spans must skip most out-of-sector pixels of the windows, and come
     # close to the exact per-block hull of the in-FOV pixels.
-    scans, grid = demo_scans
+    log, bins, grid = demo_scans
     window = spanned = hull = 0
-    for scan in scans:
-        rows, cols = fov_window(scan.pose, scan.config, grid)
-        mask = fov_mask(scan.pose, scan.config, grid, rows, cols)
+    for pose, radar, _ in scans_of(log, bins):
+        rows, cols = fov_window(pose, radar, grid)
+        mask = in_fov(pose, radar, grid.x_coords()[cols][np.newaxis, :],
+                      grid.y_coords()[rows][:, np.newaxis])
         window += mask.size
         first = rows.start // BLOCK_ROWS
-        for k, (start, stop) in enumerate(block_spans(scan.pose, scan.config, grid)[1]):
+        for k, (start, stop) in enumerate(block_spans(pose, radar, grid)[1]):
             block = mask[max(0, (first + k) * BLOCK_ROWS - rows.start):
                          (first + k + 1) * BLOCK_ROWS - rows.start]
             spanned += len(block) * max(0, stop - start)
@@ -349,59 +387,67 @@ def test_rotated_demo_path_equals_the_scatter_oracle(side_radars):
             for edge in (-1.0, 1.0):
                 angle = pose.theta_rad + radar.mount_angle_rad + edge * radar.beamwidth_rad / 2
                 assert abs(math.remainder(angle, math.pi / 2)) > 0.1
-    rng = np.random.default_rng(12)
-    scans = [CompressedScan(rng.normal(size=500) + 1j * rng.normal(size=500), pose, radar)
-             for pose in poses for radar in side_radars]
-    assert len(scans) == 22
+    log = make_log([pose for pose in poses for _ in side_radars], side_radars,
+                   [0, 1] * len(poses))
+    bins = random_bins(np.random.default_rng(12), len(log), 500)
+    assert len(log) == 22
     grid = derive_grid(poses, side_radars[0], 0.005)
-    assert build_sar(scans, grid).pixels.tobytes() == scatter_oracle(scans, grid).tobytes()
+    assert (build_sar(log, bins, grid).pixels.tobytes()
+            == scatter_oracle(log, bins, grid).tobytes())
 
 
 @st.composite
 def block_scenes(draw):
-    """Scans whose windows span several row blocks of a grid whose height is
-    not a multiple of BLOCK_ROWS; the first scan sits on the grid's bottom
-    edge looking along it, so its window is clipped there."""
+    """A log whose scans' windows span several row blocks of a grid whose
+    height is not a multiple of BLOCK_ROWS, and its bins; the first scan sits
+    on the grid's bottom edge looking along it, so its window is clipped
+    there. The log's radars differ only in mount, as a scan log's do."""
     height = draw(st.integers(2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS).filter(
         lambda h: h % BLOCK_ROWS))
     grid = ImageGrid(draw(st.integers(1, 120)), height, 0.01,
                      origin_m=(draw(st.floats(-1.0, 0.0)), draw(st.floats(-1.0, 0.0))))
-    scans = []
+    r_min = draw(st.floats(0.05, 0.5))
+    config = RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(
+        st.floats(1.0, math.nextafter(math.pi, 0.0))), range_min_m=r_min,
+        range_max_m=r_min + draw(st.floats(1.0, 2.0)))
+    radars = (config, dataclasses.replace(config, mount_angle_rad=draw(headings)))
+    poses, index = [], []
     for k in range(draw(st.integers(1, 4))):
-        r_min = draw(st.floats(0.05, 0.5))
-        config = RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=draw(
-            st.floats(1.0, math.nextafter(math.pi, 0.0))), range_min_m=r_min,
-            range_max_m=r_min + draw(st.floats(1.0, 2.0)))
         if k == 0:
             y, heading = grid.origin_m[1], draw(st.sampled_from((0.0, math.pi)))
         else:
             y, heading = draw(st.floats(-1.0, 2.0)), draw(headings)
-        pose = Pose2(draw(st.floats(-1.0, 1.0)), y, heading)
-        n_bins = draw(st.integers(1, 20))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        scans.append(CompressedScan(rng.normal(size=n_bins) + 1j * rng.normal(size=n_bins),
-                                    pose, config))
-    return scans, grid
+        poses.append(Pose2(draw(st.floats(-1.0, 1.0)), y, heading))
+        index.append(draw(st.sampled_from((0, 1))) if k else 0)
+    bins = random_bins(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       len(poses), draw(st.integers(1, 20)))
+    return make_log(poses, radars, index), bins, grid
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_scenes())
 def test_row_blocks_match_the_scatter_oracle(scene):
-    scans, grid = scene
-    rows, _ = fov_window(scans[0].pose, scans[0].config, grid)
+    log, bins, grid = scene
+    scans = scans_of(log, bins)
+    rows, _ = fov_window(*scans[0][:2], grid)
     assert rows.start == 0
-    assert np.array_equal(build_sar(scans, grid).pixels, scatter_oracle(scans, grid))
-    for scan in scans:
-        assert_spans_cover_the_sector(scan.pose, scan.config, grid)
+    assert np.array_equal(build_sar(log, bins, grid).pixels, scatter_oracle(log, bins, grid))
+    for pose, radar, _ in scans:
+        assert_spans_cover_the_sector(pose, radar, grid)
 
 
-def test_repeated_and_streamed_calls_give_the_same_bytes():
+def test_repeated_and_streamed_calls_give_the_same_bytes(tmp_path):
     grid = ImageGrid(150, 3 * BLOCK_ROWS + 5, 0.02, origin_m=(-1.5, -2.0))
-    scans = _random_scans(8, pose_spread=1.0, seed=9)
-    first = build_sar(scans, grid).pixels.tobytes()
+    log, bins = _random_scans(8, pose_spread=1.0, seed=9)
+    first = build_sar(log, bins, grid).pixels.tobytes()
     for _ in range(2):
-        assert build_sar(scans, grid).pixels.tobytes() == first
-    assert build_sar((s for s in scans), grid).pixels.tobytes() == first
+        assert build_sar(log, bins, grid).pixels.tobytes() == first
+    # streamed in from a file: read-only records over its bytes, and a
+    # column-major bins table
+    save_scan_log(log, tmp_path / "scanlog.bin")
+    streamed = load_scan_log(tmp_path / "scanlog.bin")
+    assert not streamed.records.flags.writeable
+    assert build_sar(streamed, np.asfortranarray(bins), grid).pixels.tobytes() == first
 
 
 def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
@@ -410,18 +456,17 @@ def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
     # out of scan order, would lose updates or round differently.
     grid = ImageGrid(300, 4 * BLOCK_ROWS + 13, 0.005, origin_m=(0.0, -0.67))
     rng = np.random.default_rng(10)
-    scans = [CompressedScan(rng.normal(size=40) + 1j * rng.normal(size=40),
-                            Pose2(rng.uniform(-0.1, 0.1), 0.0, 0.0), COARSE)
-             for _ in range(48)]
-    assert all(fov_window(s.pose, s.config, grid)[0] == slice(0, grid.height_px)
-               for s in scans)
-    expect = scatter_oracle(scans, grid).tobytes()
+    bins = random_bins(rng, 48, 40)
+    log = make_log([Pose2(x, 0.0, 0.0) for x in rng.uniform(-0.1, 0.1, 48)], [COARSE])
+    assert all(fov_window(pose, radar, grid)[0] == slice(0, grid.height_px)
+               for pose, radar, _ in scans_of(log, bins))
+    expect = scatter_oracle(log, bins, grid).tobytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(1) as runner:
-            sar = runner.submit(build_sar, scans, grid).result(timeout=120)
+            sar = runner.submit(build_sar, log, bins, grid).result(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert sar.pixels.tobytes() == expect

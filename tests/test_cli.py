@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sarloop import GrayImage
+from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, build_sar, compress_scan,
+                     derive_grid, generate_trajectory, load_config, load_scene,
+                     load_trajectory, render_scene, save_scan_log)
 from sarloop.cli import main
 from sarloop.features import save_feature_set
-from sarloop import FeatureSet, ImageGrid, SarImage
 from sarloop.imgpost import read_pgm, write_pgm, write_sar_dump
 
 DEMO = "demo"
@@ -38,9 +39,9 @@ def test_pipeline_on_a_small_scene(small_scene, tmp_path, capsys):
     assert rc == 0, captured.err
     assert "loop accepted" in captured.out
     for name in ("scanlog.bin", "truth.pgm", "sar.cpx", "image.pgm",
-                 "image.f32", "features_orb_a.bin", "features_brisk_b.bin",
-                 "loopclose.tsv"):
+                 "features_orb_a.bin", "features_brisk_b.bin", "loopclose.tsv"):
         assert (out / name).exists(), name
+    assert not (out / "image.f32").exists()  # post writes the 8-bit image only
     table = (out / "loopclose.tsv").read_text().splitlines()
     assert table[0].startswith("# detector_id\t")
     assert table[-1].startswith("fused\t")
@@ -117,14 +118,17 @@ def test_an_snr_past_the_float_range_simulates_without_noise(small_scene, tmp_pa
 
 
 def test_an_snr_too_low_for_a_finite_noise_sigma_is_refused(small_scene, tmp_path, capsys):
+    # -1e6: no finite sigma; -800: a finite sigma whose noise passes the f32
+    # range of the scan log (a numpy overflow warning would fail the test)
     scene, traj = small_scene
-    out = tmp_path / "o"
-    rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST,
-             "--set", "snr_db=-1e6")
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert not out.exists()
-    assert "snr_db" in err and "Traceback" not in err
+    for snr_db in ("-1e6", "-800"):
+        out = tmp_path / snr_db
+        rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST,
+                 "--set", f"snr_db={snr_db}")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert not out.exists()
+        assert "snr_db" in err and "Traceback" not in err
 
 
 def test_stage_composition_matches_the_pipeline(small_scene, tmp_path):
@@ -140,9 +144,30 @@ def test_stage_composition_matches_the_pipeline(small_scene, tmp_path):
     assert run("post", "--sar", staged / "sar.cpx", "--out", staged, *FAST) == 0
     assert run("loopclose", "--image-a", staged / "image.pgm",
                "--image-b", staged / "image.pgm", "--out", staged, *FAST) == 0
-    for name in ("scanlog.bin", "truth.pgm", "sar.cpx", "image.pgm",
-                 "image.f32", "loopclose.tsv"):
+    for name in ("scanlog.bin", "truth.pgm", "sar.cpx", "image.pgm", "loopclose.tsv"):
         assert ((piped / name).read_bytes() == (staged / name).read_bytes()), name
+
+
+def test_the_library_path_gives_the_cli_bytes(small_scene, tmp_path):
+    # render_scene's log is the scan log that simulate writes, and build_sar
+    # on its compressed samples is the image that backproject writes.
+    scene, traj = small_scene
+    out = tmp_path / "cli"
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", out,
+               "--seed", 3, *FAST) == 0
+    assert run("backproject", "--scanlog", out / "scanlog.bin", "--out", out, *FAST) == 0
+
+    cfg = load_config(None, FAST[1::2] + ["seed=3"])
+    radars = cfg.radars()
+    poses = generate_trajectory(load_trajectory(traj), cfg.scan_spacing_m)
+    grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
+    log, _ = render_scene(load_scene(scene), poses, radars, grid, snr_db=cfg.snr_db,
+                          rng=np.random.default_rng(cfg.seed))
+    save_scan_log(log, tmp_path / "scanlog.bin")
+    assert (tmp_path / "scanlog.bin").read_bytes() == (out / "scanlog.bin").read_bytes()
+    write_sar_dump(build_sar(log, compress_scan(log.records["samples"], log.radars[0]), grid),
+                   tmp_path / "sar.cpx")
+    assert (tmp_path / "sar.cpx").read_bytes() == (out / "sar.cpx").read_bytes()
 
 
 def test_existing_outputs_are_refused_without_overwrite(small_scene, tmp_path,

@@ -9,8 +9,7 @@ import pytest
 from sarloop import (GrayImage, ImageGrid, SarImage, cellwise_difference,
                      gaussian_blur, occupancy_from_image, otsu_threshold,
                      positive_image, quantize)
-from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
-                             write_float_dump, write_pgm, write_sar_dump)
+from sarloop.imgpost import read_pgm, read_sar_dump, write_pgm, write_sar_dump
 
 
 def gray(arr, res=0.01):
@@ -194,27 +193,6 @@ def test_pgm_origin_comment_is_optional(tmp_path):
     assert (img.pixels.shape, img.resolution_m, origin) == ((2, 3), 0.01, None)
 
 
-def test_float_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    img = gray(rng.normal(size=(9, 13)).astype(np.float32), res=0.005)
-    path = tmp_path / "img.f32"
-    write_float_dump(img, path)
-    back = read_float_dump(path)
-    assert np.array_equal(back.pixels, img.pixels.astype(np.float32))
-    assert back.resolution_m == img.resolution_m
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="payload"):
-        read_float_dump(path)
-
-
-@pytest.mark.parametrize("size", [b"-2 -2", b"0 4", b"2.5 2", b"two 2"])
-def test_float_dump_rejects_bad_sizes(tmp_path, size):
-    path = tmp_path / "bad.f32"
-    path.write_bytes(size + b" 0.01\n" + bytes(32))
-    with pytest.raises(ValueError, match="bad.f32: width and height"):
-        read_float_dump(path)
-
-
 def test_sar_dump_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     z = rng.normal(size=(8, 11)) + 1j * rng.normal(size=(8, 11))
@@ -248,14 +226,6 @@ def test_sar_dump_names_the_file_on_a_bad_header(tmp_path, header):
     path.write_bytes(header + b"\n" + bytes(4 * 2 * 8))
     with names(path):
         read_sar_dump(path)
-
-
-@pytest.mark.parametrize("header", [b"4 2 nan", b"4 2 abc"])
-def test_float_dump_names_the_file_on_a_bad_resolution(tmp_path, header):
-    path = tmp_path / "bad.f32"
-    path.write_bytes(header + b"\n" + bytes(4 * 2 * 4))
-    with names(path):
-        read_float_dump(path)
 
 
 @pytest.mark.parametrize("header", [b"P5\nab 2\n255\n", b"P5\n-2 -2\n255\n",

@@ -14,7 +14,7 @@ import pytest
 from scipy import signal
 
 
-from sarloop import Pose2, RadarConfig, RawScan
+from sarloop import RadarConfig
 from sarloop.radar import (SPEED_OF_LIGHT, analytic_signal, compress_scan,
                            matched_filter, pulse_value, radar_pulse,
                            range_bin_spacing)
@@ -170,16 +170,24 @@ def test_analytic_of_zeros_is_zeros():
 
 
 def test_complex_scan_input_rejected(table1):
-    with pytest.raises(ValueError, match="complex"):
-        RawScan(np.ones(8, dtype=np.complex128), Pose2(0, 0, 0), table1)
+    for shape in (8, (3, 8)):
+        with pytest.raises(ValueError, match="complex"):
+            compress_scan(np.ones(shape, dtype=np.complex128), table1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_scan_samples_rejected(table1, bad):
-    samples = np.zeros(8)
-    samples[3] = bad
-    with pytest.raises(ValueError, match="finite"):
-        RawScan(samples, Pose2(0, 0, 0), table1)
+    samples = np.zeros((3, 8), dtype=np.float32)
+    samples[2, 3] = bad
+    for scans in (samples[2], samples):
+        with pytest.raises(ValueError, match="finite"):
+            compress_scan(scans, table1)
+
+
+@pytest.mark.parametrize("shape", [0, (0, 8), (3, 0), (2, 3, 8)])
+def test_empty_or_higher_dimensional_scan_samples_rejected(table1, shape):
+    with pytest.raises(ValueError, match="non-empty scan or table of scans"):
+        compress_scan(np.zeros(shape), table1)
 
 
 # --- range bins --------------------------------------------------------------
@@ -204,15 +212,21 @@ def test_bin_spacing_identity(table1):
 def test_compress_scan_keeps_pose_and_length(table1):
     rng = np.random.default_rng(2)
     for radar in (table1, dataclasses.replace(table1, sample_rate_hz=30e9)):
-        scan = RawScan(rng.normal(size=400), Pose2(1.0, -2.0, 0.5), radar)
-        comp = compress_scan(scan)
-        # matched-filtered with the pulse of the scan's own radar
-        assert comp.bins.tobytes() == analytic_signal(matched_filter(
-            scan.samples, radar_pulse(radar))).tobytes()
-        assert comp.bins.shape == (400,)
-        assert comp.pose == scan.pose
-        assert comp.config == scan.config
-        assert np.iscomplexobj(comp.bins)
+        samples = rng.normal(size=400)
+        bins = compress_scan(samples, radar)
+        # matched-filtered with the pulse of the given radar
+        assert bins.tobytes() == analytic_signal(matched_filter(
+            samples, radar_pulse(radar))).tobytes()
+        assert bins.shape == (400,)
+        assert np.iscomplexobj(bins)
+        # a table is compressed row by row: each row equals its one-row call,
+        # bit for bit, and f32 samples (a scan log's) are widened first
+        table = rng.normal(size=(7, 531)).astype(np.float32)  # odd: the default bin count
+        rows = compress_scan(table, radar)
+        assert rows.shape == (7, 531) and rows.dtype == np.complex128
+        for row, scan in zip(rows, table):
+            assert row.tobytes() == compress_scan(scan, radar).tobytes()
+            assert row.tobytes() == compress_scan(scan.astype(np.float64), radar).tobytes()
 
 
 @pytest.mark.parametrize("n_received", [2, 7, 64, 257, 1000, 1001])

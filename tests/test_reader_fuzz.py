@@ -16,8 +16,7 @@ from sarloop import (FeatureSet, GrayImage, ImageGrid, RadarConfig, SarImage, Sc
                      load_config, load_scan_log, load_scene, load_trajectory, record_dtype,
                      save_scan_log)
 from sarloop.features import load_feature_set, save_feature_set
-from sarloop.imgpost import (read_float_dump, read_pgm, read_sar_dump,
-                             write_float_dump, write_pgm, write_sar_dump)
+from sarloop.imgpost import read_pgm, read_sar_dump, write_pgm, write_sar_dump
 
 
 def _scan_log(path):
@@ -31,10 +30,6 @@ def _scan_log(path):
 def _sar_dump(path):
     z = np.arange(6).reshape(2, 3) * (1 - 1j)
     write_sar_dump(SarImage(ImageGrid(3, 2, 0.01, origin_m=(0.5, -0.25)), z, 3), path)
-
-
-def _float_dump(path):
-    write_float_dump(GrayImage(np.arange(6.0).reshape(2, 3), 0.01), path)
 
 
 def _pgm(path):
@@ -70,7 +65,6 @@ def _header_end(data, marker, extra=0):
 READERS = {
     "scanlog": (load_scan_log, _scan_log, lambda d: _header_end(d, b"\n\n", 2)),
     "sar_dump": (read_sar_dump, _sar_dump, lambda d: _header_end(d, b"\n", 1)),
-    "float_dump": (read_float_dump, _float_dump, lambda d: _header_end(d, b"\n", 1)),
     "pgm": (read_pgm, _pgm, lambda d: _header_end(d, b"\n255\n", 5)),
     "feature_set": (load_feature_set, _feature_set, lambda d: 35),
     "scene": (load_scene, _scene, len),

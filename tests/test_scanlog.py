@@ -8,11 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarloop import Pose2, RawScan, ScanLog, load_scan_log, record_dtype, save_scan_log
-from sarloop.scanlog import log_from_simulation
-
-MOUNTS = (math.pi / 2, -math.pi / 2)
-
+from sarloop import Pose2, ScanLog, load_scan_log, record_dtype, render_scene, save_scan_log
 
 def two_radar_records(n, sample_count=24):
     """``n`` records alternating between radars 0 and 1, two per pose."""
@@ -39,6 +35,7 @@ def test_round_trip(log, tmp_path):
     path = tmp_path / "scan.bin"
     save_scan_log(log, path)
     assert_logs_equal(load_scan_log(path), log)
+    assert len(load_scan_log(path)) == len(log) == 4
 
 
 def test_resave_is_byte_identical(log, tmp_path):
@@ -53,6 +50,7 @@ def test_empty_log_is_valid(side_radars, tmp_path):
     for sample_count in (0, 24):
         empty = ScanLog(side_radars, np.empty(0, record_dtype(sample_count)))
         assert empty.sample_count == sample_count
+        assert len(empty) == 0
         path = tmp_path / "empty.bin"
         save_scan_log(empty, path)
         assert_logs_equal(load_scan_log(path), empty)
@@ -177,35 +175,26 @@ def test_log_validation(side_radars):
             ScanLog(side_radars, bad)
 
 
-def test_log_from_simulation_layout(table1, side_radars):
+def test_log_from_simulation_layout(side_radars, small_grid, tmp_path):
     poses = [Pose2(0.1 * k, 0.0, 0.0) for k in range(3)]
-    scans = [RawScan(np.full(16, float(k)), poses[k // 2], side_radars[k % 2])
-             for k in range(6)]
-    log = log_from_simulation(scans, side_radars)
+    scene = [(0.5, 0.6, 1.0)]
+    log, _ = render_scene(scene, poses, side_radars, small_grid)
     assert log.records["timestamp_s"].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
     assert log.records["radar_index"].tolist() == [0, 1, 0, 1, 0, 1]
     assert log.radars == side_radars
-    with pytest.raises(ValueError, match="multiple"):
-        log_from_simulation(scans[:5], side_radars)
+    path = tmp_path / "scan.bin"
+    save_scan_log(log, path)
+    assert_logs_equal(load_scan_log(path), log)
+    with pytest.raises(ValueError, match="at least one radar"):
+        render_scene(scene, poses, (), small_grid)
 
-    # the index follows each scan's own radar, not its position in the list
-    right_first = scans[1::-1]
-    swapped = log_from_simulation(right_first, side_radars)
-    assert swapped.records["radar_index"].tolist() == [1, 0]
-    assert [s.config for s in swapped.to_raw_scans()] == [s.config for s in right_first]
-
-    with pytest.raises(ValueError, match="scan 0"):
-        log_from_simulation(scans[:2], (side_radars[1], table1))
-
-
-def test_to_raw_scans_applies_the_mounts(log):
-    scans = log.to_raw_scans()
-    assert len(scans) == 4
-    for scan, (_, index, pose, samples) in zip(scans, log.records.tolist()):
-        assert scan.config.mount_angle_rad == MOUNTS[index]
-        assert scan.config == log.radars[index]
-        assert scan.pose == Pose2(*pose)
-        assert np.array_equal(scan.samples, samples.astype(np.float64))
+    # the index follows each record's own radar, not a fixed side
+    right_first = side_radars[::-1]
+    swapped, _ = render_scene(scene, poses, right_first, small_grid)
+    assert swapped.radars == right_first
+    assert swapped.records["radar_index"].tolist() == [0, 1, 0, 1, 0, 1]
+    assert swapped.records["samples"][0::2].tobytes() == log.records["samples"][1::2].tobytes()
+    assert swapped.records["samples"][1::2].tobytes() == log.records["samples"][0::2].tobytes()
 
 
 @pytest.mark.parametrize("old, new, records", [

@@ -30,12 +30,14 @@ def test_straight_path_sampling():
 
 def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
     robots = straight_poses()
-    scans, _ = render_scene([], robots, [replace(table1, mount_angle_rad=math.pi / 2)],
-                            small_grid)
-    assert len(scans) == len(robots)
-    for scan, robot in zip(scans, robots):
-        assert scan.config.mount_angle_rad == pytest.approx(math.pi / 2)
-        assert scan.pose == robot
+    log, _ = render_scene([], robots, [replace(table1, mount_angle_rad=math.pi / 2)],
+                          small_grid)
+    assert len(log) == len(robots)
+    assert log.poses() == robots
+    for index, pose, robot in zip(log.records["radar_index"], log.records["pose"].tolist(),
+                                  robots):
+        assert log.radars[index].mount_angle_rad == pytest.approx(math.pi / 2)
+        assert pose == [robot.x_m, robot.y_m, robot.theta_rad]
 
 
 def test_corner_heading_switches_to_outgoing_segment():
@@ -70,21 +72,20 @@ def test_trajectory_rejections():
 
 
 def test_empty_scene_echo_is_silent(table1):
-    scan = simulate_echo([], Pose2(0, 0, 0), table1, default_bin_count(table1))
-    assert np.all(scan.samples == 0)
+    echo = simulate_echo([], Pose2(0, 0, 0), table1, default_bin_count(table1))
+    assert np.all(echo == 0)
 
 
 def test_scatterer_outside_beam_contributes_nothing(table1):
     off = math.radians(40)  # past the 30 deg half-beam
     scene = [(math.cos(off), math.sin(off), 1.0)]
-    scan = simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
-    assert np.all(scan.samples == 0)
+    echo = simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
+    assert np.all(echo == 0)
 
 
 def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
-    scan = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1, default_bin_count(table1))
-    compressed = compress_scan(scan)
-    assert int(np.argmax(np.abs(compressed.bins))) == 156
+    echo = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1, default_bin_count(table1))
+    assert int(np.argmax(np.abs(compress_scan(echo, table1)))) == 156
     assert math.floor(1.0 / range_bin_spacing(table1) + 0.5) == 156
 
 
@@ -93,15 +94,15 @@ def test_echoes_superpose_exactly(table1):
     n = default_bin_count(table1)
     parts = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7), (2.1, 0.4, 1.4)]
     combined = simulate_echo(parts, pose, table1, n)
-    sum_of_parts = sum(simulate_echo([s], pose, table1, n).samples for s in parts)
-    assert np.array_equal(combined.samples, sum_of_parts)
+    sum_of_parts = sum(simulate_echo([s], pose, table1, n) for s in parts)
+    assert np.array_equal(combined, sum_of_parts)
 
 
 def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
     pose = Pose2(0, 0, 0)
     n = default_bin_count(table1)
-    one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1, n).samples
-    two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1, n).samples
+    one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1, n)
+    two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1, n)
     assert np.any(one != 0)
     # atol absorbs subnormal tails at the envelope's underflow edge
     assert np.allclose(two, math.sqrt(2.0) * one, rtol=1e-12, atol=1e-300)
@@ -138,21 +139,24 @@ def test_a_scene_is_a_table_of_three_columns(table1, scene):
 def test_a_row_list_and_its_table_render_the_same(table1):
     rows = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7)]
     n = default_bin_count(table1)
-    a = simulate_echo(rows, Pose2(0, 0, 0), table1, n).samples
-    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1, n).samples
+    a = simulate_echo(rows, Pose2(0, 0, 0), table1, n)
+    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1, n)
     assert a.tobytes() == b.tobytes()
     assert np.any(a != 0)
 
 
 def test_render_scene_scan_layout(side_radars, small_grid):
     scene = [(0.5, 0.6, 1.0)]
-    scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
-    assert len(scans) == 22  # 11 poses x 2 radars
-    assert all(s.pose.theta_rad == 0.0 for s in scans)  # robot heading, not boresight
-    assert [s.config.mount_angle_rad for s in scans] == [math.pi / 2, -math.pi / 2] * 11
+    log, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
+    assert len(log) == 22  # 11 poses x 2 radars
+    assert log.radars == side_radars
+    # pose-major, radar-minor; a record's timestamp is its pose index in seconds
+    assert log.records["timestamp_s"].tolist() == [float(k // 2) for k in range(22)]
+    assert log.records["radar_index"].tolist() == [0, 1] * 11
+    assert (log.records["pose"][:, 2] == 0.0).all()  # robot heading, not boresight
     # only the +y-looking radar sees the scatterer
-    up = np.array([np.abs(s.samples).max() for s in scans[0::2]])
-    down = np.array([np.abs(s.samples).max() for s in scans[1::2]])
+    up = np.abs(log.records["samples"][0::2]).max(axis=1)
+    down = np.abs(log.records["samples"][1::2]).max(axis=1)
     assert up.max() > 0
     assert np.all(down == 0)
 
@@ -160,7 +164,7 @@ def test_render_scene_scan_layout(side_radars, small_grid):
 def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
     scene = [(0.5, 0.6, 1.0), (0.514, 0.6, 1.0), (9.0, 9.0, 1.0),  # third lands off-grid
              (1e308, 0.0, 1.0), (-1.7e308, 1.7e308, 1.0)]  # far off: not marked, no warning
-    scans, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
+    _, truth = render_scene(scene, straight_poses(), side_radars, small_grid)
     rows, cols = np.nonzero(truth)
     got = {(int(r), int(c)) for r, c in zip(rows, cols)}
     res, (ox, oy) = small_grid.resolution_m, small_grid.origin_m
@@ -176,42 +180,45 @@ def test_render_scene_noise_is_reproducible(side_radars, small_grid):
                         rng=np.random.default_rng(7))
     b, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=20.0,
                         rng=np.random.default_rng(7))
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.samples, sb.samples)
-    # noise is sized from the clean echoes and drawn in scan order
-    clean, _ = render_scene(scene, poses, side_radars, small_grid)
+    assert a.records.tobytes() == b.records.tobytes()
+    # noise is sized from the clean echoes and drawn in scan order: one draw
+    # over the table gives the stream of one draw per scan
+    n_bins = default_bin_count(side_radars[0])
+    clean = np.array([simulate_echo(scene, robot, radar, n_bins)
+                      for robot in poses for radar in side_radars])
     std = noise_std_for_snr(clean, 20.0)
     rng = np.random.default_rng(7)
-    for sa, sc in zip(a, clean):
-        want = sc.samples + rng.normal(0.0, std, size=sc.samples.size)
-        assert np.array_equal(sa.samples, want)
+    for samples, echo in zip(a.records["samples"], clean):
+        want = echo + rng.normal(0.0, std, size=n_bins)
+        assert samples.tobytes() == want.astype(np.float32).tobytes()
 
 
 def test_noise_std_for_snr(side_radars, small_grid):
-    scans, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
-    peak = max(np.abs(s.samples).max() for s in scans)
-    assert noise_std_for_snr(scans, 20.0) == pytest.approx(peak / 10.0)
-    assert noise_std_for_snr(scans, math.inf) == 0.0
-    with pytest.raises(ValueError):
-        noise_std_for_snr([], 10.0)
+    log, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
+    echoes = log.records["samples"]
+    peak = float(np.abs(echoes).max())
+    assert noise_std_for_snr(echoes, 20.0) == pytest.approx(peak / 10.0)
+    assert noise_std_for_snr(echoes, math.inf) == 0.0
+    for empty in ([], np.empty((0, 8))):
+        with pytest.raises(ValueError, match="no echoes"):
+            noise_std_for_snr(empty, 10.0)
 
 
 def test_an_snr_past_the_float_range_adds_no_noise(side_radars, small_grid):
     # 10 ** (snr_db / 20) overflows a float: the noise sigma is peak / inf = 0
     scene, poses = [(0.5, 0.6, 1.0)], straight_poses()
-    scans, _ = render_scene(scene, poses, side_radars, small_grid)
-    assert noise_std_for_snr(scans, 1e6) == 0.0
     clean, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=math.inf)
+    assert noise_std_for_snr(clean.records["samples"], 1e6) == 0.0
     loud, _ = render_scene(scene, poses, side_radars, small_grid, snr_db=1e6,
                            rng=np.random.default_rng(1))
-    assert all(a.samples.tobytes() == b.samples.tobytes() for a, b in zip(clean, loud))
+    assert clean.records.tobytes() == loud.records.tobytes()
 
 
 @pytest.mark.parametrize("snr_db", [-1e6, -math.inf, math.nan])
 def test_an_snr_without_a_finite_noise_sigma_is_refused(side_radars, small_grid, snr_db):
-    scans, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
+    log, _ = render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars, small_grid)
     with pytest.raises(ValueError, match="snr_db=.* gives no finite noise sigma"):
-        noise_std_for_snr(scans, snr_db)
+        noise_std_for_snr(log.records["samples"], snr_db)
 
 
 def test_scene_and_trajectory_files_round_trip(tmp_path):
@@ -343,7 +350,7 @@ def test_one_pass_echo_equals_the_per_scatterer_loop(table1, data, scene):
     if scene is None:
         scene = data.draw(scenes([FORWARD], [table1]))
     n = default_bin_count(table1)
-    got = simulate_echo(scene, FORWARD, table1, n).samples
+    got = simulate_echo(scene, FORWARD, table1, n)
     assert got.tobytes() == reference_echo(scene, FORWARD, table1, n).tobytes()
 
 
@@ -355,9 +362,9 @@ def test_noisy_render_equals_the_per_scatterer_loop(side_radars, small_grid, dat
                                                     seed):
     poses = straight_poses()[::5]
     scene = data.draw(scenes(poses, side_radars))
-    scans, truth = render_scene(scene, poses, side_radars, small_grid, snr_db=snr_db,
-                                rng=np.random.default_rng(seed))
+    log, truth = render_scene(scene, poses, side_radars, small_grid, snr_db=snr_db,
+                              rng=np.random.default_rng(seed))
     echoes, want = reference_render(scene, poses, side_radars, small_grid, snr_db,
                                     np.random.default_rng(seed))
-    assert [s.samples.tobytes() for s in scans] == [e.tobytes() for e in echoes]
+    assert log.records["samples"].tobytes() == np.array(echoes, dtype=np.float32).tobytes()
     assert truth.tobytes() == want.tobytes()
