@@ -5,7 +5,8 @@ an arc of at least 9 contiguous pixels on its radius-3 Bresenham circle is
 uniformly brighter (or darker) than the center by more than the threshold.
 The corner score is the largest threshold that still passes, which makes
 ``score > threshold`` and the segment test the same predicate. Both
-detectors also share the keypoint loop, ``describe_keypoints``.
+detectors also share the keypoint loop, ``describe_keypoints``, and inside a
+``SharedFrontEnds`` scope one pyramid and corner list per image.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     c1 = np.minimum(c0 + 1, in_w - 1)
     fr = (rows - r0).astype(np.float32)[:, None]
     fc = (cols - c0).astype(np.float32)[None, :]
-    top = src[np.ix_(r0, c0)] * (1 - fc) + src[np.ix_(r0, c1)] * fc
-    bot = src[np.ix_(r1, c0)] * (1 - fc) + src[np.ix_(r1, c1)] * fc
-    return top * (1 - fr) + bot * fr
+    # Columns on every input row, then rows: the four-corner form's float32 ops.
+    across = src[:, c0] * (1 - fc) + src[:, c1] * fc
+    return across[r0] * (1 - fr) + across[r1] * fr
 
 
 def build_pyramid(pixels: np.ndarray, n_octaves: int) -> list[np.ndarray]:
@@ -82,12 +83,9 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
         d = img[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc] - center
         brighter += d > threshold
         darker += d < -threshold
-    rows, cols = np.nonzero((brighter >= 2) | (darker >= 2))
-    rows += 3
-    cols += 3
+    rows, cols = (i + 3 for i in np.nonzero((brighter >= 2) | (darker >= 2)))
     offsets = np.asarray(CIRCLE_OFFSETS)
-    deltas = (img[rows + offsets[:, :1], cols + offsets[:, 1:]]
-              - img[rows, cols])
+    deltas = img[rows + offsets[:, :1], cols + offsets[:, 1:]] - img[rows, cols]
     ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
     # (sign, start, pixel, step): both signs' arcs from all 16 starts.
     arcs = np.lib.stride_tricks.sliding_window_view(
@@ -122,10 +120,14 @@ def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
 
 
 def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices of 3x3 local maxima among positive scores."""
-    local_max = ndimage.maximum_filter(scores, size=3, mode="constant", cval=0.0)
-    keep = (scores > 0) & (scores == local_max)
-    return np.nonzero(keep)
+    """Row/col indices of 3x3 local maxima among positive scores. Neighbours
+    are clipped to the image, as zero padding never beats a positive score."""
+    rows, cols = np.nonzero(scores > 0)
+    dr, dc = np.mgrid[-1:2, -1:2].reshape(2, 1, 9)
+    h, w = scores.shape
+    around = scores[np.clip(rows[:, None] + dr, 0, h - 1), np.clip(cols[:, None] + dc, 0, w - 1)]
+    keep = scores[rows, cols] == around.max(axis=1)
+    return rows[keep], cols[keep]
 
 
 def detect_on_levels(levels: list[np.ndarray],
@@ -146,9 +148,22 @@ def detect_on_levels(levels: list[np.ndarray],
     return found[:cfg.target_keypoints]
 
 
+_SCOPES: list[dict] = []  # front ends of each open SharedFrontEnds, innermost last
+
+
+class SharedFrontEnds:
+    """Until left, ``describe_keypoints`` shares each image's front end."""
+
+    def __enter__(self):
+        _SCOPES.append({})
+
+    def __exit__(self, *exc):
+        _SCOPES.pop()
+
+
 def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
                        margin_px: int, descriptor_bits: int, describe) -> FeatureSet:
-    """Detect corners over the pyramid and describe each on its own level.
+    """Describe the image's ranked corners, each on its own pyramid level.
 
     Corners closer than ``margin_px`` to their level's edge are dropped;
     ``describe(level, col, row)`` returns the angle and packed descriptor of
@@ -156,9 +171,14 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
     scaled up to the base image, the corner score, the angle and the octave.
     """
     require_min_size(img.pixels)
-    levels = build_pyramid(img.pixels, cfg.n_octaves)
+    memo = _SCOPES[-1] if _SCOPES else {}
+    key = (id(img.pixels), cfg.corner_threshold, cfg.n_octaves, cfg.target_keypoints)
+    if key not in memo:  # one per (threshold, octaves, cap); holding the pixels keeps their id
+        levels = build_pyramid(img.pixels, cfg.n_octaves)
+        memo[key] = img.pixels, levels, detect_on_levels(levels, cfg)
+    _, levels, corners = memo[key]
     kept, descs = [], []
-    for score, octave, row, col in detect_on_levels(levels, cfg):
+    for score, octave, row, col in corners:
         level = levels[octave]
         h, w = level.shape
         if not (margin_px <= col <= w - 1 - margin_px and margin_px <= row <= h - 1 - margin_px):

@@ -9,11 +9,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+    """Wrap an angle to the interval (-pi, pi]; one already in it is kept."""
+    if -math.pi < theta <= math.pi:
+        return float(theta)
     wrapped = math.fmod(theta + math.pi, TWO_PI)
-    if wrapped <= 0.0:
-        wrapped += TWO_PI
-    return wrapped - math.pi
+    return wrapped - math.pi if wrapped > 0.0 else wrapped + TWO_PI - math.pi
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Feature matching, similarity estimation, and loop-closure validation.
 
-Two binary descriptors of shared segment-test keypoints match a candidate
-image pair; each yields good-match counts and a 4-DOF similarity (scale,
-rotation, translation). A loop closure is confirmed only when both agree:
-enough inliers each, scales near 1, and mutually consistent transforms.
-Confirmed transforms are fused by inlier-count weighting.
+Two binary descriptors of segment-test keypoints, found once per image,
+match a candidate image pair; each yields good-match counts and a 4-DOF
+similarity (scale, rotation, translation). A loop closure is confirmed only
+when both agree: enough inliers each, scales near 1, and mutually
+consistent transforms. Confirmed transforms are fused by inlier weighting.
 
 Transforms are held in meters/radians internally; the tab-separated report
 format mirrors the millimeters/degrees convention used for presentation.
@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import DetectorConfig, FeatureSet, detect_and_describe
+from .features.corners import SharedFrontEnds
 from .geometry import wrap_angle
 from .imgpost import GrayImage
 
@@ -217,18 +218,17 @@ def detect_and_match(img_a: GrayImage, img_b: GrayImage,
                      ) -> list[tuple[FeatureSet, FeatureSet, MatchReport]]:
     """Per config: both images' features and their MatchReport (seed + k).
 
-    Both images must share a pixel size, checked before detecting. An image
-    equal to the other is detected once, as detection reads nothing else.
+    Both images must share a pixel size, checked before detecting. All
+    detectors describe an image in one ``SharedFrontEnds`` scope before the
+    next image starts; an image equal to the other is detected once.
     """
     _same_resolution(img_a, img_b)
-    same_image = np.array_equal(img_a.pixels, img_b.pixels)
-    out = []
-    for k, cfg in enumerate(cfgs):
-        fa = detect_and_describe(img_a, cfg)
-        fb = fa if same_image else detect_and_describe(img_b, cfg)
-        out.append((fa, fb, match_feature_sets(
-            fa, fb, ratio=ratio, ransac=ransac, seed=seed + k)))
-    return out
+    sets = []
+    for img in [img_a] if np.array_equal(img_a.pixels, img_b.pixels) else [img_a, img_b]:
+        with SharedFrontEnds():
+            sets.append([detect_and_describe(img, cfg) for cfg in cfgs])
+    return [(fa, fb, match_feature_sets(fa, fb, ratio=ratio, ransac=ransac, seed=seed + k))
+            for k, (fa, fb) in enumerate(zip(sets[0], sets[-1]))]
 
 
 def fuse_transform(ta: SimilarityTransform, na: int,

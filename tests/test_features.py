@@ -193,6 +193,77 @@ def test_bilinear_resize_basics():
     assert np.allclose(out, np.tile(expect, (8, 1)), atol=1e-4)
 
 
+def reference_resize(img, out_h, out_w):
+    """``bilinear_resize`` as four ``np.ix_`` corner gathers: the form the
+    separable resize must reproduce bit for bit."""
+    src = np.asarray(img, dtype=np.float32)
+    in_h, in_w = src.shape
+    rows = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
+    cols = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
+    r0 = np.floor(rows).astype(np.intp)
+    c0 = np.floor(cols).astype(np.intp)
+    r1 = np.minimum(r0 + 1, in_h - 1)
+    c1 = np.minimum(c0 + 1, in_w - 1)
+    fr = (rows - r0).astype(np.float32)[:, None]
+    fc = (cols - c0).astype(np.float32)[None, :]
+    top = src[np.ix_(r0, c0)] * (1 - fc) + src[np.ix_(r0, c1)] * fc
+    bot = src[np.ix_(r1, c0)] * (1 - fc) + src[np.ix_(r1, c1)] * fc
+    return top * (1 - fr) + bot * fr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 60), st.integers(1, 60),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_separable_resize_equals_the_four_corner_form(in_h, in_w, out_h, out_w, seed,
+                                                      integer):
+    rng = np.random.default_rng(seed)
+    src = (rng.integers(0, 256, (in_h, in_w)).astype(np.uint8) if integer
+           else rng.normal(0.0, 1e3, (in_h, in_w)))
+    got = bilinear_resize(src, out_h, out_w)
+    want = reference_resize(src, out_h, out_w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_nms(scores):
+    """``_nms_peaks`` as a zero-padded 3x3 maximum filter over the whole map."""
+    local_max = ndimage.maximum_filter(scores, size=3, mode="constant", cval=0.0)
+    return np.nonzero((scores > 0) & (scores == local_max))
+
+
+@st.composite
+def score_maps(draw):
+    """Sparse score maps with plateaus of equal scores and positives on the border."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from((2, 3, 50)))  # few levels: many equal neighbours
+    scores = rng.integers(0, levels, (h, w)).astype(np.float32)
+    scores[rng.random((h, w)) < draw(st.floats(0.0, 1.0))] = 0.0
+    if draw(st.booleans()):
+        scores[[0, -1], :] = scores.max(initial=0.0) + 1.0  # border rows peak
+    if draw(st.booleans()):
+        scores = -scores  # negative scores are never peaks
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_maps())
+def test_candidate_nms_equals_the_maximum_filter(scores):
+    got, want = _nms_peaks(scores), reference_nms(scores)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_nms_keeps_every_pixel_of_an_equal_plateau_and_a_border_peak():
+    scores = np.zeros((5, 6), np.float32)
+    scores[2, 2:4] = 7.0   # two equal neighbours are both maxima
+    scores[0, 5] = 3.0     # a corner pixel next to nothing higher
+    scores[4, 0] = scores[3, 1] = 1.0
+    scores[4, 1] = 2.0     # beats both its neighbours
+    rows, cols = _nms_peaks(scores)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 5), (2, 2), (2, 3), (4, 1)]
+
+
 def test_orientation_follows_the_intensity_gradient():
     ramp_x = np.tile(np.arange(41, dtype=float), (41, 1))
     at = (20, 20, orb.ORIENTATION_RADIUS_PX)

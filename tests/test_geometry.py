@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sarloop import Pose2, wrap_angle
 
@@ -21,6 +23,18 @@ def test_wrap_angle_range_and_periodicity():
         assert -math.pi < w <= math.pi
         assert math.cos(w) == pytest.approx(math.cos(theta), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(theta), abs=1e-9)
+
+
+@given(st.floats(-math.pi, math.pi, exclude_min=True))
+def test_an_angle_in_range_is_returned_unchanged(theta):
+    assert wrap_angle(theta) == theta
+
+
+def test_pose_keeps_the_heading_it_was_given():
+    assert Pose2(0, 0, 0.1).theta_rad == 0.1  # read 0.10000000000000009
+    assert wrap_angle(0.05235987755982988) == 0.05235987755982988
+    assert wrap_angle(-math.pi) == math.pi  # -pi still maps to pi
+    assert wrap_angle(math.pi) == math.pi
 
 
 def test_pose_normalizes_heading():

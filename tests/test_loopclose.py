@@ -1,6 +1,7 @@
 """Descriptor matching, robust fitting, and the dual-detector verdict."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from sarloop import (DetectorConfig, FeatureSet, GrayImage, LoopDecision, MatchR
                      RansacConfig, SimilarityTransform, ValidationThresholds,
                      detect_and_match, estimate_similarity_ransac, fuse_transform,
                      knn_match, ratio_test, validate_loop, wrap_angle)
-from sarloop.features import detect_and_describe, load_feature_set, save_feature_set
+from sarloop.features import base as feature_base
+from sarloop.features import (corners, detect_and_describe, load_feature_set,
+                              register_detector, save_feature_set)
 from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
                                hamming_distances, match_feature_sets,
                                write_report_table)
@@ -398,4 +401,113 @@ def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls)
     shifted = GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
     assert shifted.pixels.shape == img.pixels.shape
     detect_and_match(img, shifted, [DetectorConfig("orb"), DetectorConfig("brisk")])
-    assert detector_calls == ["orb", "orb", "brisk", "brisk"]
+    assert detector_calls == ["orb", "brisk", "orb", "brisk"]  # image by image
+
+
+@pytest.fixture
+def pyramids(monkeypatch):
+    """Per ``build_pyramid`` call: weak references to the levels it built,
+    and how many levels of earlier calls were still alive when it began."""
+    built, alive = [], []
+    build = corners.build_pyramid
+
+    def counted(pixels, n_octaves):
+        alive.append(sum(ref() is not None for refs in built for ref in refs))
+        levels = build(pixels, n_octaves)
+        built.append([weakref.ref(level) for level in levels])
+        return levels
+
+    monkeypatch.setattr(corners, "build_pyramid", counted)
+    return built, alive
+
+
+def shifted_pair(five_scatterer):
+    img = five_scatterer.image
+    return img, GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
+
+
+def test_native_detectors_share_one_pyramid_per_image(five_scatterer, pyramids):
+    built, alive = pyramids
+    img, shifted = shifted_pair(five_scatterer)
+    cfgs = [DetectorConfig("orb"), DetectorConfig("brisk")]
+    detect_and_match(img, shifted, cfgs)
+    assert len(built) == 2  # one per image, for both detectors
+    assert alive == [0, 0]  # image A's pyramid was gone before image B's began
+    assert all(ref() is None for refs in built for ref in refs)
+    assert corners._SCOPES == []  # nothing outlives the call
+
+    built.clear()
+    detect_and_match(img, img, cfgs)
+    assert len(built) == 1
+
+    built.clear()
+    for cfg in cfgs:
+        detect_and_describe(img, cfg)
+    assert len(built) == 2  # outside detect_and_match, each call builds its own
+
+
+@pytest.mark.parametrize("brisk_cfg", [
+    DetectorConfig("brisk"),
+    DetectorConfig("brisk", corner_threshold=20),
+    DetectorConfig("brisk", target_keypoints=150),
+], ids=["shared", "threshold", "cap"])
+def test_shared_front_ends_describe_the_same_bytes(five_scatterer, pyramids, brisk_cfg):
+    built, _ = pyramids
+    img, shifted = shifted_pair(five_scatterer)
+    cfgs = [DetectorConfig("orb"), brisk_cfg]
+    matched = detect_and_match(img, shifted, cfgs)
+    # A front end per image and per distinct (threshold, octaves, cap).
+    assert len(built) == (2 if brisk_cfg == DetectorConfig("brisk") else 4)
+    for cfg, (fa, fb, _) in zip(cfgs, matched):
+        for got, want in ((fa, detect_and_describe(img, cfg)),
+                          (fb, detect_and_describe(shifted, cfg))):
+            assert (got.detector_id, got.resolution_m) == (want.detector_id, want.resolution_m)
+            assert got.keypoints.tobytes() == want.keypoints.tobytes()
+            assert got.descriptors.tobytes() == want.descriptors.tobytes()
+
+
+def test_a_registered_detector_runs_beside_orb(five_scatterer, monkeypatch):
+    monkeypatch.setattr(feature_base, "_DETECTORS", dict(feature_base._DETECTORS))
+    calls = []
+
+    @register_detector("rows")
+    def detect_rows(img, cfg):
+        """Eight pixels of the image row at each point of a coarse grid."""
+        calls.append((img, cfg))
+        ys, xs = np.mgrid[20:380:30, 20:380:30].reshape(2, -1)
+        desc = img.pixels[ys[:, None], xs[:, None] + np.arange(-4, 4)].astype(np.uint8)
+        kps = [((float(x), float(y)), 1.0, 0.0, 0) for x, y in zip(xs, ys)]
+        return FeatureSet(cfg.detector_id, kps, desc, img.resolution_m)
+
+    img, shifted = shifted_pair(five_scatterer)
+    cfgs = [DetectorConfig("orb"), DetectorConfig("rows")]
+    (oa, ob, orb_report), (ra, rb, _) = detect_and_match(img, shifted, cfgs, seed=4)
+    assert len(calls) == 2
+    assert calls[0][0] is img and calls[1][0] is shifted
+    assert calls[0][1] is cfgs[1] and calls[1][1] is cfgs[1]
+    assert ra.descriptors.tobytes() == detect_rows(img, cfgs[1]).descriptors.tobytes()
+    assert rb.descriptors.tobytes() == detect_rows(shifted, cfgs[1]).descriptors.tobytes()
+    (alone_a, alone_b, alone_report), = detect_and_match(img, shifted, cfgs[:1], seed=4)
+    assert orb_report == alone_report
+    assert oa.descriptors.tobytes() == alone_a.descriptors.tobytes()
+    assert ob.keypoints.tobytes() == alone_b.keypoints.tobytes()
+
+
+def test_a_detector_may_describe_another_image_inside_the_scope(five_scatterer,
+                                                                 monkeypatch):
+    monkeypatch.setattr(feature_base, "_DETECTORS", dict(feature_base._DETECTORS))
+
+    @register_detector("orb_mirrored")
+    def detect_mirrored(img, cfg):
+        """ORB on the image mirrored left to right."""
+        mirrored = GrayImage(img.pixels[:, ::-1], img.resolution_m)
+        fs = detect_and_describe(mirrored, DetectorConfig("orb"))
+        return FeatureSet(cfg.detector_id, fs.keypoints, fs.descriptors, fs.resolution_m)
+
+    img, shifted = shifted_pair(five_scatterer)
+    cfgs = [DetectorConfig("orb"), DetectorConfig("orb_mirrored")]
+    _, (fa, fb, _) = detect_and_match(img, shifted, cfgs)
+    for got, source in ((fa, img), (fb, shifted)):
+        want = detect_mirrored(source, cfgs[1])
+        assert got.keypoints.tobytes() == want.keypoints.tobytes()
+        assert got.descriptors.tobytes() == want.descriptors.tobytes()
