@@ -12,8 +12,7 @@ from .features import (KEYPOINT, DetectorConfig, FeatureSet, detect_and_describe
 from .geometry import Pose2, wrap_angle
 from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
                       occupancy_from_image, otsu_threshold, positive_image, quantize)
-from .loopclose import (LoopDecision, MatchReport, RansacConfig, SimilarityTransform,
-                        ValidationThresholds, detect_and_match,
+from .loopclose import (LoopDecision, MatchReport, SimilarityTransform, detect_and_match,
                         estimate_similarity_ransac, fuse_transform, knn_match,
                         ratio_test, validate_loop)
 from .radar import (RadarConfig, analytic_signal, compress_scan, matched_filter, pulse_value,

@@ -122,13 +122,11 @@ def cmd_post(args) -> int:
 def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
     img_a, _ = imgpost.read_pgm(args.image_a)
     img_b, _ = imgpost.read_pgm(args.image_b)
-    det_cfgs = cfg.detector_configs()
     *feature_paths, table = _outputs(
-        args, *(f"features_{dc.detector_id}_{side}.bin" for dc in det_cfgs for side in "ab"),
+        args, *(f"features_{det}_{side}.bin" for det in cfg.detectors for side in "ab"),
         "loopclose.tsv" if with_decision else "matches.tsv")
 
-    matched = detect_and_match(img_a, img_b, det_cfgs, ratio=cfg.ratio,
-                               ransac=cfg.ransac_config(), seed=cfg.seed)
+    matched = detect_and_match(img_a, img_b, cfg)
     _make_out(args)
     for k, (fa, fb, _) in enumerate(matched):
         save_feature_set(fa, feature_paths[2 * k])
@@ -137,7 +135,7 @@ def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
 
     decision = None
     if with_decision:
-        decision = validate_loop(reports[0], reports[1], cfg.thresholds())
+        decision = validate_loop(reports[0], reports[1], cfg)
         verdict = "accepted" if decision.accepted else "rejected"
         detail = "" if decision.accepted else f" (reasons: {', '.join(decision.reasons)})"
         print(f"loop {verdict}{detail}")
@@ -149,13 +147,15 @@ def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
     if args.features_a or args.features_b:
+        if args.image_a or args.image_b:
+            raise ValueError("match takes --image-a/--image-b or --features-a/--features-b, "
+                             "not both")
         if not (args.features_a and args.features_b):
             raise ValueError("--features-a and --features-b must be given together")
         [table] = _outputs(args, "matches.tsv")
         fa = load_feature_set(args.features_a)
         fb = load_feature_set(args.features_b)
-        report = match_feature_sets(fa, fb, ratio=cfg.ratio,
-                                    ransac=cfg.ransac_config(), seed=cfg.seed)
+        report = match_feature_sets(fa, fb, cfg)
         _make_out(args)
         write_report_table(table, [report])
         print(f"wrote {table}")

@@ -48,8 +48,9 @@ class FeatureSet:
     keypoints is a 1-D array of ``KEYPOINT`` records (a list of
     ``((x, y), response, angle, octave)`` rows is converted); descriptors
     is a (len(keypoints), bits/8) uint8 array; bit k of a descriptor is bit
-    (7 - k % 8) of byte k // 8 (numpy packbits order). Descriptors from
-    different detector_ids are never comparable.
+    (7 - k % 8) of byte k // 8 (numpy packbits order); a non-empty set
+    needs at least one byte. Descriptors from different detector_ids, or of
+    different widths, are never comparable.
     """
 
     detector_id: str
@@ -72,6 +73,8 @@ class FeatureSet:
             raise ValueError(f"descriptors must be 2-D, got shape {desc.shape}")
         if desc.shape[0] != len(kps):
             raise ValueError(f"{len(kps)} keypoints but {desc.shape[0]} descriptors")
+        if len(kps) and desc.shape[1] == 0:
+            raise ValueError("descriptors must be at least 1 byte wide, got 0")
         object.__setattr__(self, "keypoints", kps)
         object.__setattr__(self, "descriptors", desc)
 

@@ -5,6 +5,8 @@ match a candidate image pair; each yields good-match counts and a 4-DOF
 similarity (scale, rotation, translation). A loop closure is confirmed only
 when both agree: enough inliers each, scales near 1, and mutually
 consistent transforms. Confirmed transforms are fused by inlier weighting.
+Every stage reads its settings (ratio, RANSAC, agreement thresholds and
+seed) from one ``RunConfig``, the CLI's, defaulting to ``RunConfig()``.
 
 Transforms are held in meters/radians internally; the tab-separated report
 format mirrors the millimeters/degrees convention used for presentation.
@@ -13,15 +15,16 @@ format mirrors the millimeters/degrees convention used for presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .features import DetectorConfig, FeatureSet, detect_and_describe
+from .features import FeatureSet, detect_and_describe
 from .features.corners import SharedFrontEnds
 from .geometry import wrap_angle
 from .imgpost import GrayImage
+from .runconfig import RunConfig
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                           axis=1).sum(1).astype(np.uint16)
@@ -63,14 +66,6 @@ class MatchReport:
 
 
 @dataclass(frozen=True)
-class ValidationThresholds:
-    min_good_matches: int = 20
-    scale_tol: float = 0.05
-    translation_tol_m: float = 0.1
-    rotation_tol_rad: float = math.radians(2.0)
-
-
-@dataclass(frozen=True)
 class LoopDecision:
     accepted: bool
     fused_transform: SimilarityTransform | None
@@ -78,17 +73,20 @@ class LoopDecision:
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RansacConfig:
-    n_iters: int = 2000
-    inlier_threshold_px: float = 3.0
-    min_inliers: int = 3
-
-
 def hamming_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distance matrix between packed descriptor rows."""
     xor = a[:, None, :] ^ b[None, :, :]
     return _POPCOUNT[xor].sum(axis=2, dtype=np.int32)
+
+
+def _comparable(a: FeatureSet, b: FeatureSet) -> None:
+    """Refuse two feature sets whose descriptors cannot be compared."""
+    if a.detector_id != b.detector_id:
+        raise ValueError(
+            f"detector mismatch: {a.detector_id!r} vs {b.detector_id!r}")
+    if a.descriptor_bits != b.descriptor_bits:
+        raise ValueError(f"descriptor widths differ: {a.descriptor_bits} vs "
+                         f"{b.descriptor_bits} bits")
 
 
 def knn_match(a: FeatureSet, b: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -99,9 +97,7 @@ def knn_match(a: FeatureSet, b: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     Hamming distances. Distance ties pick the lower index in b (argmin
     keeps the first hit).
     """
-    if a.detector_id != b.detector_id:
-        raise ValueError(
-            f"detector mismatch: {a.detector_id!r} vs {b.detector_id!r}")
+    _comparable(a, b)
     if len(b) < 2:
         raise ValueError(f"need at least 2 descriptors to match against, got {len(b)}")
     dists = hamming_distances(a.descriptors, b.descriptors)
@@ -113,7 +109,7 @@ def knn_match(a: FeatureSet, b: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     return best, np.column_stack([best_d, second_d])
 
 
-def ratio_test(dists: np.ndarray, ratio: float = 0.75) -> np.ndarray:
+def ratio_test(dists: np.ndarray, ratio: float) -> np.ndarray:
     """Mask of unambiguous matches: best distance strictly below ratio * second.
 
     ``dists`` is knn_match's (n, 2) array of best and second-best distances.
@@ -126,16 +122,17 @@ def ratio_test(dists: np.ndarray, ratio: float = 0.75) -> np.ndarray:
     return np.where(d[:, 1] == 0, d[:, 0] == 0, d[:, 0] < ratio * d[:, 1])
 
 
-def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int,
-                               cfg: RansacConfig = RansacConfig(), *, resolution_m: float,
+def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, cfg: RunConfig,
+                               *, resolution_m: float,
                                ) -> tuple[SimilarityTransform | None, np.ndarray]:
     """RANSAC similarity fit from pixel correspondences src -> dst.
 
-    Two-point minimal samples propose (scale, rotation, translation);
-    the proposal with most reprojection inliers wins and is refit by least
-    squares over its inliers. Returns (transform, inlier mask); transform
-    is None when no proposal reaches cfg.min_inliers. Deterministic for a
-    given seed. Translation is converted to meters via resolution_m.
+    ``cfg.ransac_iters`` two-point minimal samples propose (scale,
+    rotation, translation); the proposal with most inliers within
+    ``cfg.ransac_inlier_px`` wins and is refit by least squares over its
+    inliers. Returns (transform, inlier mask); transform is None when no
+    proposal reaches ``cfg.ransac_min_inliers``. Deterministic for a given
+    ``cfg.seed``. Translation is converted to meters via resolution_m.
     """
     src = np.asarray(src_xy, dtype=np.float64)
     dst = np.asarray(dst_xy, dtype=np.float64)
@@ -148,8 +145,8 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
 
     z = src[:, 0] + 1j * src[:, 1]
     w = dst[:, 0] + 1j * dst[:, 1]
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(cfg.n_iters, 2))
+    rng = np.random.default_rng(cfg.seed)
+    idx = rng.integers(0, n, size=(cfg.ransac_iters, 2))
     z1, z2 = z[idx[:, 0]], z[idx[:, 1]]
     w1, w2 = w[idx[:, 0]], w[idx[:, 1]]
     dz = z2 - z1
@@ -158,10 +155,10 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
     valid &= a != 0
     b = w1 - a * z1
     err = np.abs(a[:, None] * z[None, :] + b[:, None] - w[None, :])
-    inlier = err <= cfg.inlier_threshold_px
+    inlier = err <= cfg.ransac_inlier_px
     counts = np.where(valid, inlier.sum(axis=1), 0)
     best = int(counts.argmax())
-    if counts[best] < cfg.min_inliers:
+    if counts[best] < cfg.ransac_min_inliers:
         return None, np.zeros(n, dtype=bool)
 
     mask = inlier[best]
@@ -172,7 +169,7 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, seed: int
     if a_fit == 0:
         a_fit = a[best]
     b_fit = wm - a_fit * zm
-    final = np.abs(a_fit * z + b_fit - w) <= cfg.inlier_threshold_px
+    final = np.abs(a_fit * z + b_fit - w) <= cfg.ransac_inlier_px
     transform = SimilarityTransform(
         scale=float(np.abs(a_fit)),
         tx_m=float(b_fit.real) * resolution_m,
@@ -188,46 +185,48 @@ def _same_resolution(a, b) -> None:
         raise ValueError(f"image resolutions differ: {a.resolution_m} vs {b.resolution_m}")
 
 
-def match_feature_sets(a: FeatureSet, b: FeatureSet, *, ratio: float = 0.75,
-                       ransac: RansacConfig = RansacConfig(), seed: int = 0) -> MatchReport:
+def match_feature_sets(a: FeatureSet, b: FeatureSet,
+                       cfg: RunConfig = RunConfig()) -> MatchReport:
     """KNN + ratio test + RANSAC between two feature sets.
 
     Both sets must share a pixel size, which converts the translation to
-    meters. Fewer than two keypoints in b leave nothing to ratio-test
-    against, so the report has no matches and no transform.
+    meters, and comparable descriptors. Fewer than two keypoints in b leave
+    nothing to ratio-test against, so the report has no matches and no
+    transform.
     """
     _same_resolution(a, b)
-    if len(b) < 2 and a.detector_id == b.detector_id:
+    _comparable(a, b)
+    if len(b) < 2:
         return MatchReport(a.detector_id, len(a), len(b), 0, 0, None)
     best, dists = knn_match(a, b)
-    keep = ratio_test(dists, ratio)
+    keep = ratio_test(dists, cfg.ratio)
     n_kept = int(np.count_nonzero(keep))
     if n_kept < 2:
         return MatchReport(a.detector_id, len(a), len(b), n_kept, 0, None)
     src = a.keypoints["xy"][keep]
     dst = b.keypoints["xy"][best[keep]]
-    transform, inliers = estimate_similarity_ransac(
-        src, dst, seed, ransac, resolution_m=a.resolution_m)
+    transform, inliers = estimate_similarity_ransac(src, dst, cfg,
+                                                    resolution_m=a.resolution_m)
     good = int(inliers.sum()) if transform is not None else 0
     return MatchReport(a.detector_id, len(a), len(b), n_kept, good, transform)
 
 
-def detect_and_match(img_a: GrayImage, img_b: GrayImage,
-                     cfgs: Sequence[DetectorConfig], *, ratio: float = 0.75,
-                     ransac: RansacConfig = RansacConfig(), seed: int = 0,
+def detect_and_match(img_a: GrayImage, img_b: GrayImage, cfg: RunConfig = RunConfig(),
                      ) -> list[tuple[FeatureSet, FeatureSet, MatchReport]]:
-    """Per config: both images' features and their MatchReport (seed + k).
+    """Per detector in ``cfg.detectors``: both images' features and their
+    MatchReport, the k-th matched with seed ``cfg.seed + k``.
 
     Both images must share a pixel size, checked before detecting. All
     detectors describe an image in one ``SharedFrontEnds`` scope before the
     next image starts; an image equal to the other is detected once.
     """
     _same_resolution(img_a, img_b)
+    det_cfgs = cfg.detector_configs()
     sets = []
     for img in [img_a] if np.array_equal(img_a.pixels, img_b.pixels) else [img_a, img_b]:
         with SharedFrontEnds():
-            sets.append([detect_and_describe(img, cfg) for cfg in cfgs])
-    return [(fa, fb, match_feature_sets(fa, fb, ratio=ratio, ransac=ransac, seed=seed + k))
+            sets.append([detect_and_describe(img, dc) for dc in det_cfgs])
+    return [(fa, fb, match_feature_sets(fa, fb, replace(cfg, seed=cfg.seed + k)))
             for k, (fa, fb) in enumerate(zip(sets[0], sets[-1]))]
 
 
@@ -257,35 +256,35 @@ def fuse_transform(ta: SimilarityTransform, na: int,
 
 
 def validate_loop(report_a: MatchReport, report_b: MatchReport,
-                  thresholds: ValidationThresholds = ValidationThresholds(),
-                  ) -> LoopDecision:
+                  cfg: RunConfig = RunConfig()) -> LoopDecision:
     """Dual-detector loop-closure decision.
 
-    Accepts only when both detectors found enough RANSAC inliers, both
-    scales are near 1, and the two transforms agree in translation and
-    rotation. On acceptance the fused transform is the count-weighted mean
-    with scale pinned back to exactly 1 (it already passed the near-1
-    check). Rejections carry the named failed criteria.
+    Accepts only when both detectors found ``cfg.min_good_matches`` RANSAC
+    inliers, both scales are within ``cfg.scale_tol`` of 1, and the two
+    transforms agree within ``cfg.translation_tol_mm`` along each axis and
+    ``cfg.rotation_tol_deg``. On acceptance the fused transform is the
+    count-weighted mean with scale pinned back to exactly 1 (it already
+    passed the near-1 check). Rejections carry the named failed criteria.
     """
     if report_a.detector_id == report_b.detector_id:
         raise ValueError(
             f"need two distinct detectors, both reports are {report_a.detector_id!r}")
     reasons: list[str] = []
-    if (report_a.good_matches < thresholds.min_good_matches
-            or report_b.good_matches < thresholds.min_good_matches
+    if (report_a.good_matches < cfg.min_good_matches
+            or report_b.good_matches < cfg.min_good_matches
             or report_a.transform is None or report_b.transform is None):
         reasons.append("match count")
 
     present = [r.transform for r in (report_a, report_b) if r.transform is not None]
-    lo, hi = 1.0 - thresholds.scale_tol, 1.0 + thresholds.scale_tol
+    lo, hi = 1.0 - cfg.scale_tol, 1.0 + cfg.scale_tol
     if any(not lo <= t.scale <= hi for t in present):
         reasons.append("scale")
     if report_a.transform is not None and report_b.transform is not None:
         ta, tb = report_a.transform, report_b.transform
-        if (abs(ta.tx_m - tb.tx_m) > thresholds.translation_tol_m
-                or abs(ta.ty_m - tb.ty_m) > thresholds.translation_tol_m):
+        tol_m = cfg.translation_tol_mm / 1000.0
+        if abs(ta.tx_m - tb.tx_m) > tol_m or abs(ta.ty_m - tb.ty_m) > tol_m:
             reasons.append("translation")
-        if abs(wrap_angle(ta.rot_rad - tb.rot_rad)) > thresholds.rotation_tol_rad:
+        if abs(wrap_angle(ta.rot_rad - tb.rot_rad)) > math.radians(cfg.rotation_tol_deg):
             reasons.append("rotation")
 
     if reasons:

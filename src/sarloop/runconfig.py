@@ -2,8 +2,10 @@
 
 An empty file (or no file) is a valid configuration. Keys mirror the CLI
 ``--set key=value`` overrides. Angles are degrees and translations are
-millimeters here, matching the reporting convention; they are converted to
-radians/meters when module-level objects are built.
+millimeters here, matching the reporting convention; ``radars()`` and
+``validate_loop`` convert them to radians/meters. A ``RunConfig`` checks
+itself when built, in code or from ``--set``, and is the one config of the
+loop stages in ``loopclose``; its front-end defaults are ``DetectorConfig``'s.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 from .features import DetectorConfig
 from .features.base import registered_detectors
 from .fileerrors import names_its_file
-from .loopclose import RansacConfig, ValidationThresholds
 from .radar import RadarConfig
 
 
@@ -38,9 +39,9 @@ class RunConfig:
     blur_sigma_px: float = 1.0
     # detection & matching
     detectors: tuple[str, ...] = ("orb", "brisk")
-    corner_threshold: int = 15
-    n_octaves: int = 4
-    target_keypoints: int = 200
+    corner_threshold: int = DetectorConfig.corner_threshold
+    n_octaves: int = DetectorConfig.n_octaves
+    target_keypoints: int = DetectorConfig.target_keypoints
     ratio: float = 0.75
     ransac_iters: int = 2000
     ransac_inlier_px: float = 3.0
@@ -52,41 +53,11 @@ class RunConfig:
     rotation_tol_deg: float = 2.0
     seed: int = 0
 
-    # ---- builders -------------------------------------------------------
-
-    def radars(self) -> tuple[RadarConfig, ...]:
-        """One radar per ``mounts_deg`` entry, in that order."""
-        return tuple(RadarConfig(
-            sample_rate_hz=self.sample_rate_hz,
-            center_freq_hz=self.center_freq_hz,
-            bandwidth_hz=self.bandwidth_hz,
-            pulse_amplitude_v=self.pulse_amplitude_v,
-            beamwidth_rad=math.radians(self.beamwidth_deg),
-            range_min_m=self.range_min_m,
-            range_max_m=self.range_max_m,
-            mount_angle_rad=math.radians(mount),
-        ) for mount in self.mounts_deg)
-
-    def detector_configs(self) -> list[DetectorConfig]:
-        return [DetectorConfig(name, self.corner_threshold, self.n_octaves,
-                               self.target_keypoints) for name in self.detectors]
-
-    def ransac_config(self) -> RansacConfig:
-        return RansacConfig(self.ransac_iters, self.ransac_inlier_px,
-                            self.ransac_min_inliers)
-
-    def thresholds(self) -> ValidationThresholds:
-        return ValidationThresholds(
-            min_good_matches=self.min_good_matches,
-            scale_tol=self.scale_tol,
-            translation_tol_m=self.translation_tol_mm / 1000.0,
-            rotation_tol_rad=math.radians(self.rotation_tol_deg),
-        )
-
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         """Reject a bad value, naming its key, before any stage runs.
 
-        Every float key and each mount angle must be finite, except
+        Runs on every construction, ``dataclasses.replace`` included. Every
+        float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
         lie in their range; ``mounts_deg`` must be distinct angles (a scan
         log tells its radars apart by mount) and ``detectors`` distinct
@@ -110,7 +81,25 @@ class RunConfig:
                              f"({', '.join(known)}), got {','.join(self.detectors)}")
         self.radars()
         self.detector_configs()
-        return self
+
+    # ---- builders -------------------------------------------------------
+
+    def radars(self) -> tuple[RadarConfig, ...]:
+        """One radar per ``mounts_deg`` entry, in that order."""
+        return tuple(RadarConfig(
+            sample_rate_hz=self.sample_rate_hz,
+            center_freq_hz=self.center_freq_hz,
+            bandwidth_hz=self.bandwidth_hz,
+            pulse_amplitude_v=self.pulse_amplitude_v,
+            beamwidth_rad=math.radians(self.beamwidth_deg),
+            range_min_m=self.range_min_m,
+            range_max_m=self.range_max_m,
+            mount_angle_rad=math.radians(mount),
+        ) for mount in self.mounts_deg)
+
+    def detector_configs(self) -> list[DetectorConfig]:
+        return [DetectorConfig(name, self.corner_threshold, self.n_octaves,
+                               self.target_keypoints) for name in self.detectors]
 
 
 # (allowed range, its test, the keys it holds for)
@@ -155,7 +144,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key = key.strip()
         values[key] = _parse_value(key, raw)
     merged = {**(vars(base) if base else {}), **values}
-    return RunConfig(**merged).validate()
+    return RunConfig(**merged)
 
 
 @names_its_file
@@ -174,4 +163,4 @@ def load_config(path: str | Path | None,
             raise ValueError(f"override must be key=value, got {item!r}")
         key, raw = item.split("=", 1)
         cfg = parse_config_text(f"{key}={raw}", cfg)
-    return cfg.validate()
+    return cfg

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from sarloop import (DetectorConfig, GrayImage, ImageGrid, MatchReport,
+from sarloop import (GrayImage, ImageGrid, MatchReport, RunConfig,
                      SarImage, SimilarityTransform,
                      compress_scan, detect_and_match, fuse_transform, knn_match,
                      occupancy_from_image, positive_image, cellwise_difference,
@@ -108,8 +108,7 @@ def test_05_known_warp_is_recovered_by_both_detectors(five_scatterer):
     rot = math.radians(5.0)
     tx_px, ty_px = 30.0, -20.0
     warped = warp_similarity(img, 1.0, rot, tx_px, ty_px)
-    reports = [report for _, _, report in detect_and_match(
-        img, warped, [DetectorConfig("orb"), DetectorConfig("brisk")], seed=5)]
+    reports = [report for _, _, report in detect_and_match(img, warped, RunConfig(seed=5))]
     res = img.resolution_m
     for r in reports:
         t = r.transform
@@ -127,7 +126,6 @@ def test_05_known_warp_is_recovered_by_both_detectors(five_scatterer):
 
 def test_06_loop_decisions_discriminate_self_from_disjoint_pairs(
         reconstruct_fn):
-    detectors = [DetectorConfig("orb"), DetectorConfig("brisk")]
     pairs = []
     for i in range(10):
         rng = np.random.default_rng(1000 + i)
@@ -141,7 +139,7 @@ def test_06_loop_decisions_discriminate_self_from_disjoint_pairs(
 
     def verdict(img_a, img_b, seed):
         return validate_loop(*(report for _, _, report in detect_and_match(
-            img_a, img_b, detectors, seed=seed)))
+            img_a, img_b, RunConfig(seed=seed))))
 
     accepted_self, false_positives = 0, 0
     for i, (img_a, img_b) in enumerate(pairs):
@@ -278,7 +276,7 @@ def test_10_matcher_cores_agree_with_reference_oracles():
     truth = SimilarityTransform(0.97, 8.0, -15.0, 0.6)
     src = rng.uniform(0, 100, size=(10, 2))
     dst = similarity_apply(truth, src)
-    t, inliers = estimate_similarity_ransac(src, dst, seed=6, resolution_m=1.0)
+    t, inliers = estimate_similarity_ransac(src, dst, RunConfig(seed=6), resolution_m=1.0)
     assert inliers.all()
     assert abs(t.scale - truth.scale) <= 1e-9
     assert abs(t.tx_m - truth.tx_m) <= 1e-9

@@ -213,6 +213,39 @@ def test_match_refuses_mixed_detector_features(tmp_path, capsys):
     assert "orb" in err and "brisk" in err
 
 
+def test_match_refuses_descriptors_of_different_widths(tmp_path, capsys):
+    # one detector id, 256 bits against 512: refused, naming both widths
+    rng = np.random.default_rng(53)
+    kps = [((float(i), float(i)), 1.0, 0.0, 0) for i in range(5)]
+    for name, n_bytes in (("a.bin", 32), ("b.bin", 64)):
+        desc = rng.integers(0, 256, (5, n_bytes)).astype(np.uint8)
+        save_feature_set(FeatureSet("orb", kps, desc, 0.005), tmp_path / name)
+    out = tmp_path / "o"
+    rc = run("match", "--features-a", tmp_path / "a.bin",
+             "--features-b", tmp_path / "b.bin", "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "descriptor widths differ: 256 vs 512 bits" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_match_refuses_images_and_features_together(tmp_path, capsys):
+    rng = np.random.default_rng(54)
+    write_pgm(GrayImage(rng.integers(0, 256, (48, 48)).astype(np.uint8), 0.005),
+              tmp_path / "a.pgm")
+    kps = [((float(i), float(i)), 1.0, 0.0, 0) for i in range(5)]
+    save_feature_set(FeatureSet("orb", kps, rng.integers(0, 256, (5, 32)).astype(np.uint8),
+                                0.005), tmp_path / "a.bin")
+    out = tmp_path / "o"
+    rc = run("match", "--image-a", tmp_path / "a.pgm", "--image-b", tmp_path / "a.pgm",
+             "--features-a", tmp_path / "a.bin", "--features-b", tmp_path / "a.bin",
+             "--out", out)
+    assert rc == 1
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_reports_a_truncated_feature_file(tmp_path, capsys):
     bad = tmp_path / "short.bin"
     bad.write_bytes(b"SARLFEAT\x01\x00")  # valid magic, cut inside the header

@@ -2,14 +2,15 @@
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sarloop import (DetectorConfig, FeatureSet, GrayImage, LoopDecision, MatchReport,
-                     RansacConfig, SimilarityTransform, ValidationThresholds,
-                     detect_and_match, estimate_similarity_ransac, fuse_transform,
-                     knn_match, ratio_test, validate_loop, wrap_angle)
+                     RunConfig, SimilarityTransform, detect_and_match,
+                     estimate_similarity_ransac, fuse_transform, knn_match, ratio_test,
+                     validate_loop, wrap_angle)
 from sarloop.features import base as feature_base
 from sarloop.features import (corners, detect_and_describe, load_feature_set,
                               register_detector, save_feature_set)
@@ -67,11 +68,30 @@ def test_knn_match_rejections():
     assert nearest.shape == (0,) and dists.shape == (0, 2)
 
 
+@pytest.mark.parametrize("n_b", [0, 1, 3])
+def test_descriptors_of_different_widths_are_refused(n_b):
+    # one detector id, 256 against 512 bits: not comparable, even when b
+    # is too small to match
+    a = feature_set(np.zeros((3, 32)))
+    b = feature_set(np.zeros((n_b, 64)))
+    with pytest.raises(ValueError, match="descriptor widths differ: 256 vs 512 bits"):
+        match_feature_sets(a, b)
+    if n_b >= 2:
+        with pytest.raises(ValueError, match="256 vs 512"):
+            knn_match(a, b)
+
+
+def test_a_non_empty_set_needs_descriptor_bytes():
+    with pytest.raises(ValueError, match="at least 1 byte wide"):
+        feature_set(np.zeros((2, 0)))
+    assert len(feature_set(np.zeros((0, 0)))) == 0
+
+
 def test_ratio_test_boundary_is_strict():
     dists = np.array([[2, 4],      # 2 < 0.75 * 4
                       [3, 4],      # 3 == 0.75 * 4: ambiguous, dropped
                       [0, 0]])     # two perfect candidates, exact kept
-    assert ratio_test(dists).tolist() == [True, False, True]
+    assert ratio_test(dists, 0.75).tolist() == [True, False, True]
     assert ratio_test(dists, 0.9).tolist() == [True, True, True]
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="ratio"):
@@ -82,10 +102,10 @@ def test_ratio_test_output_is_a_stable_subset():
     rng = np.random.default_rng(32)
     second = rng.integers(1, 60, size=50)
     dists = np.column_stack([rng.integers(0, second + 1), second])
-    keep = ratio_test(dists)
+    keep = ratio_test(dists, 0.75)
     assert keep.dtype == bool and keep.shape == (50,)
     assert keep.tolist() == [int(d) < 0.75 * int(s) for d, s in dists]
-    assert ratio_test(dists[keep]).all()  # idempotent
+    assert ratio_test(dists[keep], 0.75).all()  # idempotent
 
 
 def similarity_apply(t, xy):
@@ -99,17 +119,17 @@ def test_ransac_recovers_a_clean_transform_exactly():
     src = rng.uniform(0, 200, size=(12, 2))
     truth = SimilarityTransform(1.02, 14.0, -6.0, 0.3)
     dst = similarity_apply(truth, src)
-    t, inliers = estimate_similarity_ransac(src, dst, seed=1, resolution_m=1.0)
+    t, inliers = estimate_similarity_ransac(src, dst, RunConfig(seed=1), resolution_m=1.0)
     assert inliers.all()
     assert t.scale == pytest.approx(truth.scale, abs=1e-9)
     assert t.tx_m == pytest.approx(truth.tx_m, abs=1e-9)
     assert t.ty_m == pytest.approx(truth.ty_m, abs=1e-9)
     assert t.rot_rad == pytest.approx(truth.rot_rad, abs=1e-9)
 
-    same, _ = estimate_similarity_ransac(src, dst, seed=1, resolution_m=1.0)
+    same, _ = estimate_similarity_ransac(src, dst, RunConfig(seed=1), resolution_m=1.0)
     assert same == t  # deterministic for a fixed seed
 
-    ident, _ = estimate_similarity_ransac(src, src, seed=2, resolution_m=1.0)
+    ident, _ = estimate_similarity_ransac(src, src, RunConfig(seed=2), resolution_m=1.0)
     assert ident.scale == pytest.approx(1.0, abs=1e-12)
     assert abs(ident.tx_m) < 1e-9 and abs(ident.ty_m) < 1e-9
 
@@ -117,7 +137,7 @@ def test_ransac_recovers_a_clean_transform_exactly():
 def test_ransac_translation_scales_with_resolution():
     src = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     dst = src + [20.0, -8.0]
-    t, _ = estimate_similarity_ransac(src, dst, seed=3, resolution_m=0.005)
+    t, _ = estimate_similarity_ransac(src, dst, RunConfig(seed=3), resolution_m=0.005)
     assert t.tx_m == pytest.approx(0.1, abs=1e-9)
     assert t.ty_m == pytest.approx(-0.04, abs=1e-9)
     assert t.scale == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +151,7 @@ def test_ransac_survives_half_outliers():
         src = rng.uniform(0, 300, size=(20, 2))
         dst = similarity_apply(truth, src)
         dst[10:] = rng.uniform(0, 300, size=(10, 2))  # 50% outliers
-        t, inliers = estimate_similarity_ransac(src, dst, seed=trial, resolution_m=1.0)
+        t, inliers = estimate_similarity_ransac(src, dst, RunConfig(seed=trial), resolution_m=1.0)
         if (t is not None and inliers[:10].all()
                 and abs(t.scale - truth.scale) < 1e-2
                 and abs(t.tx_m - truth.tx_m) < 1.0
@@ -143,14 +163,14 @@ def test_ransac_survives_half_outliers():
 
 def test_ransac_refuses_degenerate_input():
     pts = np.zeros((5, 2))
-    t, inliers = estimate_similarity_ransac(pts, pts, seed=4, resolution_m=1.0)
+    t, inliers = estimate_similarity_ransac(pts, pts, RunConfig(seed=4), resolution_m=1.0)
     assert t is None
     assert not inliers.any()
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_similarity_ransac(np.zeros((1, 2)), np.zeros((1, 2)), seed=0,
+        estimate_similarity_ransac(np.zeros((1, 2)), np.zeros((1, 2)), RunConfig(),
                                    resolution_m=1.0)
     with pytest.raises(ValueError, match="\\(n, 2\\)"):
-        estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), seed=0,
+        estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), RunConfig(),
                                    resolution_m=1.0)
 
 
@@ -212,18 +232,19 @@ def test_a_refit_from_saved_feature_sets_is_exact(five_scatterer, tmp_path, seed
     cfg = DetectorConfig(detector_id)
     fa, fb = detect_and_describe(img, cfg), detect_and_describe(shifted, cfg)
     best, dists = knn_match(fa, fb)
-    keep = ratio_test(dists)
+    cfg = RunConfig(seed=seed)
+    keep = ratio_test(dists, cfg.ratio)
     _, inliers = estimate_similarity_ransac(fa.keypoints["xy"][keep],
-                                            fb.keypoints["xy"][best[keep]], seed,
+                                            fb.keypoints["xy"][best[keep]], cfg,
                                             resolution_m=img.resolution_m)
     assert fa.keypoints["octave"][keep][inliers].max() >= 1
     assert fb.keypoints["octave"][best[keep]][inliers].max() >= 1
 
-    in_memory = match_feature_sets(fa, fb, seed=seed)
+    in_memory = match_feature_sets(fa, fb, cfg)
     save_feature_set(fa, tmp_path / "a.bin")
     save_feature_set(fb, tmp_path / "b.bin")
     refit = match_feature_sets(load_feature_set(tmp_path / "a.bin"),
-                               load_feature_set(tmp_path / "b.bin"), seed=seed)
+                               load_feature_set(tmp_path / "b.bin"), cfg)
     assert in_memory.good_matches >= 20
     assert refit == in_memory
 
@@ -327,9 +348,8 @@ def test_validate_loop_reports_failures_in_a_fixed_order():
 
 
 def test_validate_loop_custom_thresholds():
-    loose = ValidationThresholds(min_good_matches=3, scale_tol=0.3,
-                                 translation_tol_m=1.0,
-                                 rotation_tol_rad=math.radians(30))
+    loose = RunConfig(min_good_matches=3, scale_tol=0.3, translation_tol_mm=1000.0,
+                      rotation_tol_deg=30.0)
     ra = report("orb", 5, near_identity(scale=1.2))
     rb = report("brisk", 4, near_identity(tx_m=0.6))
     assert validate_loop(ra, rb, loose).accepted
@@ -363,15 +383,14 @@ def test_detect_and_match_requires_matching_resolution(five_scatterer, detector_
     img = five_scatterer.image
     other = GrayImage(img.pixels, img.resolution_m * 2)
     with pytest.raises(ValueError, match="resolutions differ"):
-        detect_and_match(img, other, [DetectorConfig("orb")])
+        detect_and_match(img, other, RunConfig(detectors=("orb",)))
     assert detector_calls == []  # refused before any detection
 
 
 def test_detect_and_match_self_pair_is_a_clean_identity(five_scatterer):
     from sarloop import DetectorConfig
     img = five_scatterer.image
-    reports = [report for _, _, report in detect_and_match(
-        img, img, [DetectorConfig("orb"), DetectorConfig("brisk")], seed=9)]
+    reports = [report for _, _, report in detect_and_match(img, img, RunConfig(seed=9))]
     assert [r.detector_id for r in reports] == ["orb", "brisk"]
     for r in reports:
         assert r.good_matches >= 20
@@ -387,12 +406,11 @@ def test_identical_pixels_are_detected_once_per_detector(five_scatterer,
     from sarloop import DetectorConfig, GrayImage
     img = five_scatterer.image
     copy = GrayImage(img.pixels.copy(), img.resolution_m)
-    cfgs = [DetectorConfig("orb"), DetectorConfig("brisk")]
-    matched = detect_and_match(img, copy, cfgs, seed=9)
+    matched = detect_and_match(img, copy, RunConfig(seed=9))
     assert detector_calls == ["orb", "brisk"]
     for k, (fa, fb, report) in enumerate(matched):
         assert fb is fa
-        assert report == match_feature_sets(fa, fa, seed=9 + k)
+        assert report == match_feature_sets(fa, fa, RunConfig(seed=9 + k))
 
 
 def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls):
@@ -400,7 +418,7 @@ def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls)
     img = five_scatterer.image
     shifted = GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
     assert shifted.pixels.shape == img.pixels.shape
-    detect_and_match(img, shifted, [DetectorConfig("orb"), DetectorConfig("brisk")])
+    detect_and_match(img, shifted)
     assert detector_calls == ["orb", "brisk", "orb", "brisk"]  # image by image
 
 
@@ -429,19 +447,18 @@ def shifted_pair(five_scatterer):
 def test_native_detectors_share_one_pyramid_per_image(five_scatterer, pyramids):
     built, alive = pyramids
     img, shifted = shifted_pair(five_scatterer)
-    cfgs = [DetectorConfig("orb"), DetectorConfig("brisk")]
-    detect_and_match(img, shifted, cfgs)
+    detect_and_match(img, shifted)
     assert len(built) == 2  # one per image, for both detectors
     assert alive == [0, 0]  # image A's pyramid was gone before image B's began
     assert all(ref() is None for refs in built for ref in refs)
     assert corners._SCOPES == []  # nothing outlives the call
 
     built.clear()
-    detect_and_match(img, img, cfgs)
+    detect_and_match(img, img)
     assert len(built) == 1
 
     built.clear()
-    for cfg in cfgs:
+    for cfg in RunConfig().detector_configs():
         detect_and_describe(img, cfg)
     assert len(built) == 2  # outside detect_and_match, each call builds its own
 
@@ -455,15 +472,23 @@ def test_shared_front_ends_describe_the_same_bytes(five_scatterer, pyramids, bri
     built, _ = pyramids
     img, shifted = shifted_pair(five_scatterer)
     cfgs = [DetectorConfig("orb"), brisk_cfg]
-    matched = detect_and_match(img, shifted, cfgs)
+    scoped = []
+    for image in (img, shifted):
+        with corners.SharedFrontEnds():
+            scoped.append([detect_and_describe(image, cfg) for cfg in cfgs])
     # A front end per image and per distinct (threshold, octaves, cap).
     assert len(built) == (2 if brisk_cfg == DetectorConfig("brisk") else 4)
-    for cfg, (fa, fb, _) in zip(cfgs, matched):
+    for cfg, fa, fb in zip(cfgs, *scoped):
         for got, want in ((fa, detect_and_describe(img, cfg)),
                           (fb, detect_and_describe(shifted, cfg))):
             assert (got.detector_id, got.resolution_m) == (want.detector_id, want.resolution_m)
             assert got.keypoints.tobytes() == want.keypoints.tobytes()
             assert got.descriptors.tobytes() == want.descriptors.tobytes()
+    if brisk_cfg == DetectorConfig("brisk"):  # the default run config's detectors
+        for (fa, fb, _), want_a, want_b in zip(detect_and_match(img, shifted), *scoped):
+            for got, want in ((fa, want_a), (fb, want_b)):
+                assert got.keypoints.tobytes() == want.keypoints.tobytes()
+                assert got.descriptors.tobytes() == want.descriptors.tobytes()
 
 
 def test_a_registered_detector_runs_beside_orb(five_scatterer, monkeypatch):
@@ -480,14 +505,16 @@ def test_a_registered_detector_runs_beside_orb(five_scatterer, monkeypatch):
         return FeatureSet(cfg.detector_id, kps, desc, img.resolution_m)
 
     img, shifted = shifted_pair(five_scatterer)
-    cfgs = [DetectorConfig("orb"), DetectorConfig("rows")]
-    (oa, ob, orb_report), (ra, rb, _) = detect_and_match(img, shifted, cfgs, seed=4)
+    cfg = RunConfig(detectors=("orb", "rows"), seed=4)
+    rows_cfg = DetectorConfig("rows")
+    (oa, ob, orb_report), (ra, rb, _) = detect_and_match(img, shifted, cfg)
     assert len(calls) == 2
     assert calls[0][0] is img and calls[1][0] is shifted
-    assert calls[0][1] is cfgs[1] and calls[1][1] is cfgs[1]
-    assert ra.descriptors.tobytes() == detect_rows(img, cfgs[1]).descriptors.tobytes()
-    assert rb.descriptors.tobytes() == detect_rows(shifted, cfgs[1]).descriptors.tobytes()
-    (alone_a, alone_b, alone_report), = detect_and_match(img, shifted, cfgs[:1], seed=4)
+    assert calls[0][1] == rows_cfg and calls[1][1] == rows_cfg
+    assert ra.descriptors.tobytes() == detect_rows(img, rows_cfg).descriptors.tobytes()
+    assert rb.descriptors.tobytes() == detect_rows(shifted, rows_cfg).descriptors.tobytes()
+    (alone_a, alone_b, alone_report), = detect_and_match(
+        img, shifted, replace(cfg, detectors=("orb",)))
     assert orb_report == alone_report
     assert oa.descriptors.tobytes() == alone_a.descriptors.tobytes()
     assert ob.keypoints.tobytes() == alone_b.keypoints.tobytes()
@@ -505,9 +532,9 @@ def test_a_detector_may_describe_another_image_inside_the_scope(five_scatterer,
         return FeatureSet(cfg.detector_id, fs.keypoints, fs.descriptors, fs.resolution_m)
 
     img, shifted = shifted_pair(five_scatterer)
-    cfgs = [DetectorConfig("orb"), DetectorConfig("orb_mirrored")]
-    _, (fa, fb, _) = detect_and_match(img, shifted, cfgs)
+    _, (fa, fb, _) = detect_and_match(img, shifted,
+                                      RunConfig(detectors=("orb", "orb_mirrored")))
     for got, source in ((fa, img), (fb, shifted)):
-        want = detect_mirrored(source, cfgs[1])
+        want = detect_mirrored(source, DetectorConfig("orb_mirrored"))
         assert got.keypoints.tobytes() == want.keypoints.tobytes()
         assert got.descriptors.tobytes() == want.descriptors.tobytes()

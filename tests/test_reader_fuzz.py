@@ -6,15 +6,16 @@ bytes spliced into its header. It must return a value or raise a
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sarloop import (FeatureSet, GrayImage, ImageGrid, RadarConfig, SarImage, ScanLog,
-                     load_config, load_scan_log, load_scene, load_trajectory, record_dtype,
-                     save_scan_log)
+from sarloop import (KEYPOINT, FeatureSet, GrayImage, ImageGrid, RadarConfig, SarImage,
+                     ScanLog, load_config, load_scan_log, load_scene, load_trajectory,
+                     record_dtype, save_scan_log)
 from sarloop.features import load_feature_set, save_feature_set
 from sarloop.imgpost import read_pgm, read_sar_dump, write_pgm, write_sar_dump
 
@@ -108,3 +109,20 @@ def test_random_header_bytes(tmp_path, name, data):
     path = tmp_path / "mutated"
     path.write_bytes(original[:start] + splice + original[start + cut:])
     reads_or_names_the_file(reader, path)
+
+
+def test_a_feature_file_of_zero_bit_descriptors_is_refused(tmp_path):
+    # the valid file's keypoints, with descriptor bit length 0 and no
+    # descriptor bytes: every pair of keypoints would match at distance 0
+    valid = tmp_path / "valid"
+    _feature_set(valid)
+    data = valid.read_bytes()
+    bits_at, records_at = 16 + len("orb") + 4, 35
+    records = np.frombuffer(data, [("keypoint", KEYPOINT), ("descriptor", "u1", (8,))],
+                            offset=records_at)
+    path = tmp_path / "zero_bits"
+    path.write_bytes(data[:bits_at] + struct.pack("<I", 0) + data[bits_at + 4:records_at]
+                     + np.ascontiguousarray(records["keypoint"]).tobytes())
+    with pytest.raises(ValueError, match="at least 1 byte wide") as err:
+        load_feature_set(path)
+    assert str(path) in str(err.value)

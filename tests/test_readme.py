@@ -4,8 +4,7 @@ import inspect
 import re
 from pathlib import Path
 
-from sarloop import (DetectorConfig, RansacConfig, ValidationThresholds,
-                     detect_and_match, ratio_test)
+from sarloop import DetectorConfig, detect_and_match, validate_loop
 from sarloop.loopclose import match_feature_sets
 from sarloop.runconfig import RunConfig
 
@@ -26,11 +25,9 @@ def test_readme_library_block_accepts_its_own_map(capsys):
 
 
 def test_library_defaults_are_the_cli_defaults():
-    # The block above calls the library with its defaults; the CLI builds
-    # the same objects from RunConfig(), so the two must agree.
+    # A stage called without a config gets RunConfig(), the config the CLI
+    # starts from, and the native detectors default to its front-end keys.
     cfg = RunConfig()
     assert cfg.detector_configs() == [DetectorConfig("orb"), DetectorConfig("brisk")]
-    assert cfg.ransac_config() == RansacConfig()
-    assert cfg.thresholds() == ValidationThresholds()
-    for fn in (ratio_test, match_feature_sets, detect_and_match):
-        assert inspect.signature(fn).parameters["ratio"].default == cfg.ratio, fn.__name__
+    for fn in (match_feature_sets, detect_and_match, validate_loop):
+        assert inspect.signature(fn).parameters["cfg"].default == cfg, fn.__name__

@@ -2,15 +2,16 @@
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
-from sarloop import RunConfig, load_config
+from sarloop import MatchReport, RunConfig, SimilarityTransform, load_config, validate_loop
 from sarloop.runconfig import parse_config_text
 
 
 def test_defaults_validate_and_mirror_the_radar_setup():
-    cfg = RunConfig().validate()
+    cfg = RunConfig()
     left, right = cfg.radars()
     for radar in (left, right):
         assert radar.sample_rate_hz == 23.328e9
@@ -83,22 +84,45 @@ def test_load_config_merges_file_and_overrides(tmp_path):
         load_config(None, ["seed"])
 
 
-def test_builders_convert_units():
-    cfg = parse_config_text(
-        "translation_tol_mm=250\nrotation_tol_deg=5\nmin_good_matches=7\n"
-        "ransac_iters=500\nransac_inlier_px=2.5\nransac_min_inliers=4\n"
-        "corner_threshold=11\nn_octaves=2\ntarget_keypoints=50\n")
-    th = cfg.thresholds()
-    assert th.translation_tol_m == pytest.approx(0.25)
-    assert th.rotation_tol_rad == pytest.approx(math.radians(5))
-    assert th.min_good_matches == 7
-    assert cfg.ransac_config().n_iters == 500
-    assert cfg.ransac_config().inlier_threshold_px == 2.5
-    assert cfg.ransac_config().min_inliers == 4
+@pytest.mark.parametrize("key, value, text", [
+    ("ransac_iters", 0, "0"),
+    ("ratio", 1.5, "1.5"),
+    ("ransac_min_inliers", 1, "1"),
+    ("detectors", ("orb", "orb"), "orb,orb"),
+], ids=["ransac_iters", "ratio", "ransac_min_inliers", "detectors"])
+def test_a_config_built_in_code_is_checked_like_set(key, value, text):
+    with pytest.raises(ValueError, match=f"^{key} must be") as built:
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError) as replaced:
+        replace(RunConfig(), **{key: value})
+    with pytest.raises(ValueError) as loaded:
+        load_config(None, [f"{key}={text}"])
+    assert str(built.value) == str(replaced.value) == str(loaded.value)
+
+
+def test_detector_configs_take_the_front_end_keys():
+    cfg = parse_config_text("corner_threshold=11\nn_octaves=2\ntarget_keypoints=50\n")
     dets = cfg.detector_configs()
     assert [d.detector_id for d in dets] == ["orb", "brisk"]
     assert all(d.corner_threshold == 11 and d.n_octaves == 2
                and d.target_keypoints == 50 for d in dets)
+
+
+def _verdict(cfg, tx_mm=0.0, ty_mm=0.0, rot_deg=0.0):
+    """validate_loop on two 40-inlier reports that differ by the given offset."""
+    ra = MatchReport("orb", 300, 300, 40, 40, SimilarityTransform(1.0, 0.0, 0.0, 0.0))
+    rb = MatchReport("brisk", 300, 300, 40, 40, SimilarityTransform(
+        1.0, tx_mm / 1000.0, ty_mm / 1000.0, math.radians(rot_deg)))
+    return validate_loop(ra, rb, cfg)
+
+
+def test_validate_loop_converts_the_config_tolerances():
+    cfg = parse_config_text("translation_tol_mm=250\nrotation_tol_deg=5\n")
+    for offset in ({"tx_mm": 249}, {"ty_mm": -249}, {"rot_deg": 4.9}, {"rot_deg": -4.9}):
+        assert _verdict(cfg, **offset).accepted, offset
+    for offset, reason in (({"tx_mm": 251}, "translation"), ({"ty_mm": -251}, "translation"),
+                           ({"rot_deg": 5.1}, "rotation"), ({"rot_deg": -5.1}, "rotation")):
+        assert _verdict(cfg, **offset).reasons == (reason,), offset
 
 
 @pytest.mark.parametrize("text, key", [("snr_db=abc\n", "snr_db"), ("seed=1.5\n", "seed"),
