@@ -4,9 +4,10 @@ The scans are a scan log's records plus their compressed bins, one table
 row per record: each row is imaged at its record's pose with the radar its
 radar index names, spread onto the pixels whose centers lie in that radar's
 field of view: the exact annular sector of ``in_fov`` (range window + beam
-cone around the boresight), the predicate the simulator also uses. On each
-block of ``BLOCK_ROWS`` rows, only the column span the sector can reach there
-is evaluated, taking each pixel's range once for the sector test and the bin.
+cone around the boresight) on the IEEE-exact range ``sqrt(dy * dy + dx * dx)``,
+the predicate the simulator also uses. On each block of ``BLOCK_ROWS`` rows,
+only the column span the sector can reach there is evaluated, taking each
+pixel's range once for the sector test and the bin.
 The grid's row blocks are the tasks, run on one thread per usable core (the
 affinity mask where the OS has one): a task alone writes its rows and adds
 every scan that reaches them in scan order, so the image's bytes do not
@@ -86,18 +87,21 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     True where range is within [range_min, range_max] and the bearing off
     boresight (robot heading + mount angle) is within half the beamwidth,
     tested as ``along-boresight >= range * cos(beamwidth / 2)`` (beamwidth < pi).
+    A finite point so far off that its offset or range overflows is outside.
     """
-    dx = np.asarray(x, dtype=np.float64) - radar.x_m
-    dy = np.asarray(y, dtype=np.float64) - radar.y_m
-    return _sector(radar, config, dx, dy, np.hypot(dx, dy))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf offset or range: outside
+        dx = np.asarray(x, dtype=np.float64) - radar.x_m
+        dy = np.asarray(y, dtype=np.float64) - radar.y_m
+        return _sector(radar, config, dx, dy)[1]
 
 
-def _sector(radar: Pose2, config: RadarConfig, dx, dy, rng) -> np.ndarray:
-    """``in_fov`` on offsets from the radar and their precomputed range."""
+def _sector(radar: Pose2, config: RadarConfig, dx, dy) -> tuple[np.ndarray, np.ndarray]:
+    """IEEE-exact range of offsets from the radar (a libm ``hypot`` is not) and ``in_fov``."""
+    rng = np.sqrt(dy * dy + dx * dx)
     boresight = radar.theta_rad + config.mount_angle_rad
     along = dx * math.cos(boresight) + dy * math.sin(boresight)
-    return ((rng >= config.range_min_m) & (rng <= config.range_max_m)
-            & (along >= rng * math.cos(config.beamwidth_rad / 2.0)))
+    return rng, ((rng >= config.range_min_m) & (rng <= config.range_max_m)
+                 & (along >= rng * math.cos(config.beamwidth_rad / 2.0)))
 
 
 def fov_window(radar: Pose2, config: RadarConfig, grid: ImageGrid) -> tuple[slice, slice]:
@@ -159,8 +163,7 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
     of the log's samples). Each scan is imaged at its record's pose with the
     radar its ``radar_index`` names: every pixel inside that radar's FOV
     receives the bin at its rounded range index; pixels mapping past the
-    last bin receive nothing. On each row block, a scan is evaluated only
-    across its ``block_spans`` column span.
+    last bin receive nothing.
     """
     if not len(log):
         raise ValueError("no scans to back-project")
@@ -185,13 +188,14 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
             if lo >= hi:
                 continue
             cols = slice(*spans[start // BLOCK_ROWS - rows.start // BLOCK_ROWS])
-            dx = xs[cols][np.newaxis, :] - pose.x_m
+            dx = xs[cols] - pose.x_m
             dy = ys[lo:hi, np.newaxis] - pose.y_m
-            rng = np.hypot(dx, dy)
+            rng, inside = _sector(pose, radar, dx, dy)
             # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
-            idx = (rng / range_bin_spacing(radar) + 0.5).astype(np.intp)
-            idx[~_sector(pose, radar, dx, dy, rng) | (idx > n_bins)] = -1
-            total[lo:hi, cols] += row[idx]
+            idx = np.add(np.divide(rng, range_bin_spacing(radar), out=rng), 0.5,
+                         out=np.empty(rng.shape, np.intp), casting="unsafe")
+            np.copyto(idx, n_bins, where=~inside)
+            total[lo:hi, cols] += np.take(row, idx, mode="clip")
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(cores) as pool:
@@ -203,11 +207,9 @@ def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float
     """Grid covering the trajectory bounding box padded by the max range."""
     if not poses:
         raise ValueError("no poses to derive a grid from")
-    xs = [p.x_m for p in poses]
-    ys = [p.y_m for p in poses]
     pad = config.range_max_m
-    x_lo, x_hi = min(xs) - pad, max(xs) + pad
-    y_lo, y_hi = min(ys) - pad, max(ys) + pad
+    x_lo, x_hi = min(p.x_m for p in poses) - pad, max(p.x_m for p in poses) + pad
+    y_lo, y_hi = min(p.y_m for p in poses) - pad, max(p.y_m for p in poses) + pad
     width = int(math.ceil((x_hi - x_lo) / resolution_m)) + 1
     height = int(math.ceil((y_hi - y_lo) / resolution_m)) + 1
     return ImageGrid(width, height, resolution_m, origin_m=(x_lo, y_lo))

@@ -55,9 +55,7 @@ def positive_image(sar: SarImage) -> GrayImage:
     Negative-real pixels map to zero, so interference fringes around bright
     scatterers are suppressed instead of ringing.
     """
-    px = sar.pixels
-    out = np.real(px) + np.abs(px)
-    return GrayImage(out, sar.grid.resolution_m)
+    return GrayImage(np.real(sar.pixels) + np.abs(sar.pixels), sar.grid.resolution_m)
 
 
 def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
@@ -81,8 +79,7 @@ def quantize(img: GrayImage) -> GrayImage:
     A constant image has no contrast to stretch and quantizes to all zeros.
     """
     px = np.asarray(img.pixels, dtype=np.float64)
-    lo = float(px.min())
-    hi = float(px.max())
+    lo, hi = float(px.min()), float(px.max())
     if hi == lo:
         levels = np.zeros(px.shape, dtype=np.uint8)
     else:

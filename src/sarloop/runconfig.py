@@ -59,9 +59,9 @@ class RunConfig:
         Runs on every construction, ``dataclasses.replace`` included. Every
         float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
-        lie in their range; ``mounts_deg`` must be distinct angles (a scan
-        log tells its radars apart by mount) and ``detectors`` distinct
-        registered ids.
+        pass its tests, in order (each int key is an ``int``, not a ``bool``);
+        ``mounts_deg`` must be distinct angles (a scan log tells its radars
+        apart by mount) and ``detectors`` distinct registered ids.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
@@ -71,7 +71,7 @@ class RunConfig:
         for allowed, holds, keys in _RANGES:
             for key in keys:
                 if not holds(getattr(self, key)):
-                    raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)}")
+                    raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)!r}")
         if not self.mounts_deg or len(set(self.mounts_deg)) < len(self.mounts_deg):
             raise ValueError(f"mounts_deg must name at least one radar, each at its own "
                              f"angle, got {','.join(map(str, self.mounts_deg))}")
@@ -102,8 +102,11 @@ class RunConfig:
                                self.target_keypoints) for name in self.detectors]
 
 
-# (allowed range, its test, the keys it holds for)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+# (what is allowed, its test, the keys it holds for), checked in this order
 _RANGES = (
+    ("an int", lambda v: type(v) is int, [k for k, t in _FIELD_TYPES.items() if t == "int"]),
     ("> 0", lambda v: v > 0, ("scan_spacing_m", "grid_resolution_m", "ransac_inlier_px")),
     (">= 0", lambda v: v >= 0, ("blur_sigma_px", "min_good_matches", "scale_tol",
                                 "translation_tol_mm", "rotation_tol_deg", "seed")),
@@ -112,8 +115,6 @@ _RANGES = (
     (">= 2", lambda v: v >= 2, ("ransac_min_inliers",)),
     ("in (0, 1)", lambda v: 0 < v < 1, ("ratio",)),
 )
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):

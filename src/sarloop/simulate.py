@@ -93,9 +93,8 @@ def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> np.nd
             f"{n_bins} bins cover only {n_bins * range_bin_spacing(config):.3f} m, "
             f"less than range_max {config.range_max_m:g} m")
 
-    with np.errstate(over="ignore"):  # a far scatterer's range is inf: out of range
-        visible = table[in_fov(pose, config, table[:, 0], table[:, 1])].tolist()
-    # Ranges from math.hypot: np.hypot can differ in the last bit.
+    visible = table[in_fov(pose, config, table[:, 0], table[:, 1])].tolist()
+    # Delays and spreading take math.hypot ranges, not the FOV test's range.
     rng_m = [math.hypot(x - pose.x_m, y - pose.y_m) for x, y, _ in visible]
     amplitude = [math.sqrt(rcs) / r ** 2 for (_, _, rcs), r in zip(visible, rng_m)]
     delay = 2.0 * np.array(rng_m) / SPEED_OF_LIGHT

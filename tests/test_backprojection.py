@@ -107,6 +107,36 @@ def test_in_fov_uses_heading_plus_mount(table1):
     assert not in_fov(radar, cfg, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("radar, x, y", [
+    (Pose2(0.0, 0.0, 0.0), 1e200, 0.0), (Pose2(0.0, 0.0, 0.0), 1.7e308, 0.0),
+    (Pose2(0.0, 0.0, 0.0), -1.7e308, 1.7e308),
+    (Pose2(-1e308, 1e308, 0.7), 1.7e308, -1.7e308)])  # offsets +inf, -inf: along is nan
+def test_a_point_whose_range_overflows_is_outside(table1, radar, x, y):
+    # A finite offset past ~1.3e154 m squares to inf; pytest turns the
+    # overflow RuntimeWarning into an error (pyproject.toml), so none may escape.
+    assert not in_fov(radar, table1, x, y)
+    # and beside a point in the beam, in one array
+    assert in_fov(Pose2(0.0, 0.0, 0.0), table1, np.array([x, 1.0]),
+                  np.array([y, 0.0])).tolist() == [False, True]
+
+
+def test_the_imager_paints_exactly_what_in_fov_accepts_at_the_range_edge():
+    # np.hypot and sqrt(dy * dy + dx * dx) differ by an ulp at some pixels.
+    # With range_max_m on the smaller of the two at one of them, an imager
+    # and an in_fov that took different range expressions would disagree there.
+    grid = ImageGrid(60, 60, 0.02, origin_m=(0.3, -0.6))
+    pose = Pose2(0.0123, -0.0071, 0.0)
+    dx = grid.x_coords()[np.newaxis, :] - pose.x_m
+    dy = grid.y_coords()[:, np.newaxis] - pose.y_m
+    exact, libm = np.sqrt(dy * dy + dx * dx), np.hypot(dx, dy)
+    # well inside the beam cone and past range_min
+    r, c = np.argwhere((exact < libm) & (2.0 * np.abs(dy) < dx) & (exact > 0.5))[0]
+    radar = dataclasses.replace(COARSE, range_max_m=float(exact[r, c]))
+    painted = build_sar(make_log([pose], [radar]), np.ones((1, 40), complex), grid).pixels != 0
+    assert painted[r, c]
+    assert np.array_equal(painted, full_grid_mask(pose, radar, grid))
+
+
 # boresights exactly on the axes, where the window takes a far-arc point
 AXIS_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
 headings = st.one_of(st.sampled_from(AXIS_ANGLES), st.floats(-math.pi, math.pi))
@@ -350,6 +380,23 @@ def test_demo_map_equals_the_scatter_oracle(demo_scans):
     assert grid.height_px % BLOCK_ROWS
     sar = build_sar(log, bins, grid)
     assert sar.pixels.tobytes() == scatter_oracle(log, bins, grid).tobytes()
+
+
+def test_first_demo_scans_equal_the_scatter_oracle_at_the_default_grid(demo_scans):
+    # The oracle takes its bins from np.hypot ranges, which differ from the
+    # imager's by an ulp at some in-window pixels: no bin or verdict may move.
+    log, bins, grid = demo_scans
+    first = ScanLog(log.radars, log.records[:20])
+    assert grid.resolution_m == 0.005
+    assert (build_sar(first, bins[:20], grid).pixels.tobytes()
+            == scatter_oracle(first, bins[:20], grid).tobytes())
+    differ = 0
+    for pose, radar, _ in scans_of(first, bins):
+        rows, cols = fov_window(pose, radar, grid)
+        dx = grid.x_coords()[cols] - pose.x_m
+        dy = grid.y_coords()[rows, np.newaxis] - pose.y_m
+        differ += np.count_nonzero(np.sqrt(dy * dy + dx * dx) != np.hypot(dx, dy))
+    assert differ > 0
 
 
 def test_block_spans_clip_the_demo_windows(demo_scans):

@@ -100,6 +100,15 @@ def test_a_config_built_in_code_is_checked_like_set(key, value, text):
     assert str(built.value) == str(replaced.value) == str(loaded.value)
 
 
+@pytest.mark.parametrize("key, value", [("ransac_iters", 2.5), ("seed", True),
+                                        ("n_octaves", 2.0), ("min_good_matches", "20")])
+def test_an_int_key_refuses_other_types(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an int, got {re.escape(repr(value))}$"):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} must be an int"):
+        replace(RunConfig(), **{key: value})
+
+
 def test_detector_configs_take_the_front_end_keys():
     cfg = parse_config_text("corner_threshold=11\nn_octaves=2\ntarget_keypoints=50\n")
     dets = cfg.detector_configs()
