@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2, wrap_angle
+from .geometry import Pose2
 from .radar import RadarConfig, range_bin_spacing
 from .scanlog import ScanLog
 
@@ -104,56 +104,43 @@ def _sector(radar: Pose2, config: RadarConfig, dx, dy) -> tuple[np.ndarray, np.n
                  & (along >= rng * math.cos(config.beamwidth_rad / 2.0)))
 
 
-def fov_window(radar: Pose2, config: RadarConfig, grid: ImageGrid) -> tuple[slice, slice]:
-    """Row and column slices of the grid holding every pixel inside the FOV.
-
-    The sector's bounding box comes from its four corners plus the far-arc
-    point on each axis direction inside the beam; it is padded by one pixel
-    (float slack of ``in_fov``) and clipped to the grid.
-    """
-    half = config.beamwidth_rad / 2.0
-    boresight = radar.theta_rad + config.mount_angle_rad
-    points = [(r, boresight + s * half) for r in (config.range_min_m, config.range_max_m)
-              for s in (-1.0, 1.0)]
-    points += [(config.range_max_m, axis) for axis in (0.0, math.pi / 2, math.pi, -math.pi / 2)
-               if abs(wrap_angle(axis - boresight)) <= half]
-    xs = [radar.x_m + r * math.cos(a) for r, a in points]
-    ys = [radar.y_m + r * math.sin(a) for r, a in points]
-
-    def span(lo: float, hi: float, origin: float, size: int) -> slice:
-        start = min(size, max(0, math.floor((lo - origin) / grid.resolution_m) - 1))
-        stop = max(start, min(size, math.ceil((hi - origin) / grid.resolution_m) + 2))
-        return slice(start, stop)
-
-    return (span(min(ys), max(ys), grid.origin_m[1], grid.height_px),
-            span(min(xs), max(xs), grid.origin_m[0], grid.width_px))
-
-
 def block_spans(radar: Pose2, config: RadarConfig,
                 grid: ImageGrid) -> tuple[slice, np.ndarray]:
-    """``fov_window``'s rows, and on each row block they meet (row ``k``: block
-    ``rows.start // BLOCK_ROWS + k``) the window's column span ``[start, stop)``
-    that the far disk and the beam cone (beamwidth < pi: two half-planes through
-    the radar), each grown by a pixel, reach on its rows: a superset of ``in_fov``."""
-    rows, cols = fov_window(radar, config, grid)
-    res = grid.resolution_m
+    """The rows the FOV sector reaches (the beam's extent along y at the near
+    and the far radius), and on each row block they meet (row ``k``: block
+    ``rows.start // BLOCK_ROWS + k``) the column span ``[start, stop)`` of the
+    far disk ∩ the beam cone (beamwidth < pi: two half-planes through the
+    radar) on its rows, less an end inside the near disk. Each bound is moved
+    out by a pixel and clipped to the grid: a superset of ``in_fov``."""
+    res, height = grid.resolution_m, grid.height_px
+    boresight, half = radar.theta_rad + config.mount_angle_rad, config.beamwidth_rad / 2.0
+    # The largest and smallest sine over the beam: +-1 where it holds the +y or -y axis.
+    edges = (math.sin(boresight - half), math.sin(boresight + half))
+    top = 1.0 if math.sin(boresight) >= math.cos(half) else max(edges)
+    bottom = -1.0 if -math.sin(boresight) >= math.cos(half) else min(edges)
+    y0, radii = radar.y_m - grid.origin_m[1], (config.range_min_m, config.range_max_m)
+    first = min(height, max(0, math.ceil((y0 + min(r * bottom for r in radii)) / res - 1)))
+    last = math.floor((y0 + max(r * top for r in radii)) / res + 1)
+    rows = slice(first, max(first, min(height, last + 1)))
     dy = grid.y_coords()[rows] - radar.y_m
     hi = np.sqrt(np.maximum((config.range_max_m + res) ** 2 - dy * dy, 0.0))
     lo = -hi
-    boresight = radar.theta_rad + config.mount_angle_rad
     for side in (-1.0, 1.0):
         # The cone lies on the side nx * dx + ny * dy >= 0 of this beam edge.
-        edge = boresight + side * config.beamwidth_rad / 2.0
+        edge = boresight + side * half
         nx, ny = side * math.sin(edge), -side * math.cos(edge)
         if abs(nx) > 1e-12:  # an edge along the rows bounds no column
             bound = (-res - ny * dy) / nx
             lo, hi = (np.maximum(lo, bound), hi) if nx > 0 else (lo, np.minimum(hi, bound))
+    # An end inside the near disk, shrunk by a pixel, moves to that disk's edge.
+    near = np.sqrt(np.maximum(max(config.range_min_m - res, 0.0) ** 2 - dy * dy, 0.0))
+    lo, hi = np.where(abs(lo) < near, near, lo), np.where(abs(hi) < near, -near, hi)
     start = np.ceil((radar.x_m + lo - grid.origin_m[0]) / res)
     stop = np.floor((radar.x_m + hi - grid.origin_m[0]) / res) + 1
-    # Each block's first row in the window; an empty window meets no block.
+    # Each block's first row in ``rows``; no rows meet no block.
     cuts = np.arange(-(rows.start % BLOCK_ROWS), dy.size, BLOCK_ROWS).clip(0)[:dy.size]
     spans = np.stack([np.minimum.reduceat(start, cuts), np.maximum.reduceat(stop, cuts)], 1)
-    return rows, np.clip(spans, cols.start, cols.stop).astype(np.intp)
+    return rows, np.clip(spans, 0, grid.width_px).astype(np.intp)
 
 
 def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:

@@ -14,7 +14,7 @@ Stages and their file hand-offs:
 images them, so the library path gives the same bytes. Every command is
 deterministic for fixed inputs, config, and seed; outputs are refused if they
 already exist unless --overwrite is given. A default config file may be named
-in the SARLOOP_CONFIG environment variable.
+in the SARLOOP_CONFIG environment variable; an empty one counts as unset.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _make_out(args) -> None:
 
 def _load_cfg(args, loop: bool = False) -> RunConfig:
     """The run config; with ``loop``, one that a loop verdict can use."""
-    config_path = args.config or os.environ.get("SARLOOP_CONFIG")
+    config_path = args.config or os.environ.get("SARLOOP_CONFIG") or None  # empty: unset
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
@@ -242,8 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        cause = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {cause}{exc}", file=sys.stderr)
         return 1
 
 

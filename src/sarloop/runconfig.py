@@ -59,9 +59,10 @@ class RunConfig:
         Runs on every construction, ``dataclasses.replace`` included. Every
         float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
-        pass its tests, in order (each int key is an ``int``, not a ``bool``);
-        ``mounts_deg`` must be distinct angles (a scan log tells its radars
-        apart by mount) and ``detectors`` distinct registered ids.
+        pass its tests, in order (each int key is an ``int``, not a ``bool``),
+        then ``0 < range_min_m < range_max_m``; ``mounts_deg`` must be distinct
+        angles (a scan log tells its radars apart by mount) and ``detectors``
+        distinct registered ids.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
@@ -72,6 +73,9 @@ class RunConfig:
             for key in keys:
                 if not holds(getattr(self, key)):
                     raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)!r}")
+        if not 0 < self.range_min_m < self.range_max_m:
+            raise ValueError(f"need 0 < range_min_m < range_max_m, got range_min_m="
+                             f"{self.range_min_m!r}, range_max_m={self.range_max_m!r}")
         if not self.mounts_deg or len(set(self.mounts_deg)) < len(self.mounts_deg):
             raise ValueError(f"mounts_deg must name at least one radar, each at its own "
                              f"angle, got {','.join(map(str, self.mounts_deg))}")
@@ -86,16 +90,10 @@ class RunConfig:
 
     def radars(self) -> tuple[RadarConfig, ...]:
         """One radar per ``mounts_deg`` entry, in that order."""
-        return tuple(RadarConfig(
-            sample_rate_hz=self.sample_rate_hz,
-            center_freq_hz=self.center_freq_hz,
-            bandwidth_hz=self.bandwidth_hz,
-            pulse_amplitude_v=self.pulse_amplitude_v,
-            beamwidth_rad=math.radians(self.beamwidth_deg),
-            range_min_m=self.range_min_m,
-            range_max_m=self.range_max_m,
-            mount_angle_rad=math.radians(mount),
-        ) for mount in self.mounts_deg)
+        return tuple(RadarConfig(self.sample_rate_hz, self.center_freq_hz, self.bandwidth_hz,
+                                 self.pulse_amplitude_v, math.radians(self.beamwidth_deg),
+                                 self.range_min_m, self.range_max_m, math.radians(mount))
+                     for mount in self.mounts_deg)
 
     def detector_configs(self) -> list[DetectorConfig]:
         return [DetectorConfig(name, self.corner_threshold, self.n_octaves,
@@ -108,6 +106,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _RANGES = (
     ("an int", lambda v: type(v) is int, [k for k, t in _FIELD_TYPES.items() if t == "int"]),
     ("> 0", lambda v: v > 0, ("scan_spacing_m", "grid_resolution_m", "ransac_inlier_px")),
+    ("in (0, 180)", lambda v: 0 < v < 180, ("beamwidth_deg",)),
     (">= 0", lambda v: v >= 0, ("blur_sigma_px", "min_good_matches", "scale_tol",
                                 "translation_tol_mm", "rotation_tol_deg", "seed")),
     (">= 1", lambda v: v >= 1, ("ransac_iters",)),
@@ -122,7 +121,6 @@ def _parse_value(key: str, raw: str):
         known = ", ".join(sorted(_FIELD_TYPES))
         raise ValueError(f"unknown config key {key!r} (known keys: {known})")
     kind = _FIELD_TYPES[key]
-    raw = raw.strip()
     if key == "detectors":
         return tuple(p.strip() for p in raw.split(",") if p.strip())
     try:
@@ -133,7 +131,8 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"{key}: cannot parse {raw!r} as {kind}") from None
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def _parse_lines(text: str) -> dict:
+    """The values of ``key=value`` lines by key; a later line wins."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -141,27 +140,38 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             continue
         if "=" not in body:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
+        key, raw = (part.strip() for part in body.split("=", 1))
         values[key] = _parse_value(key, raw)
-    merged = {**(vars(base) if base else {}), **values}
-    return RunConfig(**merged)
+    return values
+
+
+def parse_config_text(text: str) -> RunConfig:
+    return RunConfig(**_parse_lines(text))
 
 
 @names_its_file
-def _read_config_file(path: str | Path, base: RunConfig) -> RunConfig:
-    return parse_config_text(Path(path).read_text(), base)
+def _read_config_file(path: str | Path) -> dict:
+    return _parse_lines(Path(path).read_text())
 
 
 def load_config(path: str | Path | None,
                 overrides: list[str] | None = None) -> RunConfig:
-    """Config from an optional file plus ``key=value`` override strings."""
-    cfg = RunConfig()
-    if path is not None:
-        cfg = _read_config_file(path, cfg)
+    """Config from an optional file plus ``key=value`` override strings, merged
+    in order (later ones win) and then checked once. A refusal names the file
+    when the overrides alone would be accepted."""
+    from_file = _read_config_file(path) if path is not None else {}
+    overridden = {}
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override must be key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        cfg = parse_config_text(f"{key}={raw}", cfg)
-    return cfg
+        overridden.update(_parse_lines(item))
+    try:
+        return RunConfig(**{**from_file, **overridden})
+    except ValueError as exc:
+        if path is None:
+            raise
+        try:
+            RunConfig(**overridden)
+        except ValueError:
+            raise exc from None
+        raise ValueError(f"{path}: {exc}") from exc

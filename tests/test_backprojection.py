@@ -1,4 +1,4 @@
-"""FOV geometry, the FOV window, and image summation."""
+"""FOV geometry, the row-block spans, and image summation."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sarloop import (ImageGrid, Pose2, RadarConfig, SarImage, ScanLog, build_sar, derive_grid,
                      in_fov, record_dtype, save_scan_log)
-from sarloop.backprojection import BLOCK_ROWS, block_spans, fov_window
+from sarloop.backprojection import BLOCK_ROWS, block_spans
 from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
@@ -29,8 +29,7 @@ COARSE = RadarConfig(1e9, 0.3e9, 0.2e9)
 
 def full_grid_mask(pose, config, grid):
     """``in_fov`` at every pixel center of the grid."""
-    xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
-    return in_fov(pose, config, xs, ys)
+    return in_fov(pose, config, grid.x_coords()[np.newaxis, :], grid.y_coords()[:, np.newaxis])
 
 
 def make_log(poses, radars, radar_index=0):
@@ -72,15 +71,11 @@ def oracle_layers(log, bins, grid):
 
 
 def scatter_oracle(log, bins, grid):
-    """Back-projection as a scatter-add: mask each window, find its in-FOV
-    pixels, take their range again, and add the bins into a flat image."""
+    """Back-projection as a scatter-add: find each scan's in-FOV pixels over the
+    whole grid, take their range again, and add the bins into a flat image."""
     total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)
     for pose, cfg, row in scans_of(log, bins):
-        rows, cols = fov_window(pose, cfg, grid)
-        r, c = np.nonzero(in_fov(pose, cfg, grid.x_coords()[cols][np.newaxis, :],
-                                 grid.y_coords()[rows][:, np.newaxis]))
-        r += rows.start
-        c += cols.start
+        r, c = np.nonzero(full_grid_mask(pose, cfg, grid))
         rng = np.hypot(grid.x_coords()[c] - pose.x_m, grid.y_coords()[r] - pose.y_m)
         index = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
         valid = index < row.size
@@ -137,7 +132,7 @@ def test_the_imager_paints_exactly_what_in_fov_accepts_at_the_range_edge():
     assert np.array_equal(painted, full_grid_mask(pose, radar, grid))
 
 
-# boresights exactly on the axes, where the window takes a far-arc point
+# boresights exactly on the axes, where the rows reach the far arc
 AXIS_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
 headings = st.one_of(st.sampled_from(AXIS_ANGLES), st.floats(-math.pi, math.pi))
 beamwidths = st.one_of(st.just(math.nextafter(math.pi, 0.0)),
@@ -161,39 +156,52 @@ def scenes(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scenes())
-def test_fov_window_covers_every_in_fov_pixel(scene):
+def test_block_spans_rows_hold_every_in_fov_pixel(scene):
     config, pose, grid = scene
-    rows, cols = fov_window(pose, config, grid)
+    rows, spans = block_spans(pose, config, grid)
     assert 0 <= rows.start <= rows.stop <= grid.height_px
-    assert 0 <= cols.start <= cols.stop <= grid.width_px
-    inside = np.zeros((grid.height_px, grid.width_px), dtype=bool)
-    inside[rows, cols] = True
-    assert not (full_grid_mask(pose, config, grid) & ~inside).any()
-    window_centers = (grid.x_coords()[cols][np.newaxis, :], grid.y_coords()[rows][:, np.newaxis])
-    assert np.array_equal(in_fov(pose, config, *window_centers),
-                          full_grid_mask(pose, config, grid)[rows, cols])
+    assert ((0 <= spans) & (spans <= grid.width_px)).all()
+    r, _ = np.nonzero(full_grid_mask(pose, config, grid))
+    assert ((rows.start <= r) & (r < rows.stop)).all()
 
 
-def test_fov_window_is_the_sector_box_padded_by_one_pixel(table1):
-    # boresight +x: x spans [r_min cos 30deg, r_max], y spans +-r_max sin 30deg
+@pytest.mark.parametrize("heading, y_lo, y_hi", [
+    (0.0, -3.0 * math.sin(math.radians(30)), 3.0 * math.sin(math.radians(30))),
+    # the beam holds the +y axis: from the near corner at 40 deg up to the far arc
+    (math.radians(70), 0.4 * math.sin(math.radians(40)), 3.0),
+    # it holds the -y axis: from the far arc up to the near corner at -40 deg
+    (math.radians(-70), -3.0, -0.4 * math.sin(math.radians(40)))],
+    ids=["boresight+x", "holds+y", "holds-y"])
+def test_block_spans_rows_are_the_sector_extent_padded_by_one_pixel(table1, heading,
+                                                                     y_lo, y_hi):
+    assert (table1.range_min_m, table1.range_max_m) == (0.4, 3.0)
+    assert table1.beamwidth_rad == pytest.approx(math.radians(60))
     grid = ImageGrid(800, 800, 0.01, origin_m=(-4.0, -4.0))
-    rows, cols = fov_window(Pose2(0.0, 0.0, 0.0), table1, grid)
-    half_y = table1.range_max_m * math.sin(math.radians(30))
-    for span, lo, hi in ((cols, table1.range_min_m * math.cos(math.radians(30)),
-                          table1.range_max_m), (rows, -half_y, half_y)):
-        lo_px, hi_px = (lo + 4.0) / 0.01, (hi + 4.0) / 0.01
-        assert lo_px - 2 - 1e-6 <= span.start <= lo_px - 1 + 1e-6
-        assert hi_px + 1 - 1e-6 <= span.stop - 1 <= hi_px + 2 + 1e-6
+    rows, _ = block_spans(Pose2(0.0, 0.0, heading), table1, grid)
+    lo_px, hi_px = (y_lo + 4.0) / 0.01, (y_hi + 4.0) / 0.01
+    assert lo_px - 1 - 1e-6 <= rows.start <= lo_px + 1e-6
+    assert hi_px - 1e-6 <= rows.stop - 1 <= hi_px + 1 + 1e-6
+
+
+@pytest.mark.parametrize("heading, span", [(0.0, (35, 58)), (math.pi, (7, 30))],
+                         ids=["boresight+x", "boresight-x"])
+def test_block_spans_trim_the_near_disk_from_either_end(heading, span):
+    # One row through the radar, on a grid of 1/8 m pixels, where every bound
+    # is exact: the far disk grown by a pixel reaches 3.125 m, and the end the
+    # beam cone leaves inside the near disk moves to 0.5 - 0.125 m.
+    config = dataclasses.replace(COARSE, range_min_m=0.5, range_max_m=3.0)
+    rows, spans = block_spans(Pose2(0.0, 0.0, heading), config,
+                              ImageGrid(64, 1, 0.125, origin_m=(-4.0, 0.0)))
+    assert rows == slice(0, 1)
+    assert spans.tolist() == [list(span)]
 
 
 def assert_spans_cover_the_sector(pose, config, grid):
     """Every pixel ``in_fov`` accepts lies in its row block's column span."""
     rows, spans = block_spans(pose, config, grid)
-    cols = fov_window(pose, config, grid)[1]
     first = rows.start // BLOCK_ROWS
     blocks = -(-rows.stop // BLOCK_ROWS) - first if rows.stop > rows.start else 0
     assert spans.shape == (blocks, 2)
-    assert ((cols.start <= spans) & (spans <= cols.stop)).all()
     r, c = np.nonzero(full_grid_mask(pose, config, grid))
     start, stop = spans[r // BLOCK_ROWS - first].T
     assert ((start <= c) & (c < stop)).all()
@@ -384,7 +392,7 @@ def test_demo_map_equals_the_scatter_oracle(demo_scans):
 
 def test_first_demo_scans_equal_the_scatter_oracle_at_the_default_grid(demo_scans):
     # The oracle takes its bins from np.hypot ranges, which differ from the
-    # imager's by an ulp at some in-window pixels: no bin or verdict may move.
+    # imager's by an ulp at some in-FOV pixels: no bin or verdict may move.
     log, bins, grid = demo_scans
     first = ScanLog(log.radars, log.records[:20])
     assert grid.resolution_m == 0.005
@@ -392,27 +400,27 @@ def test_first_demo_scans_equal_the_scatter_oracle_at_the_default_grid(demo_scan
             == scatter_oracle(first, bins[:20], grid).tobytes())
     differ = 0
     for pose, radar, _ in scans_of(first, bins):
-        rows, cols = fov_window(pose, radar, grid)
-        dx = grid.x_coords()[cols] - pose.x_m
-        dy = grid.y_coords()[rows, np.newaxis] - pose.y_m
+        r, c = np.nonzero(full_grid_mask(pose, radar, grid))
+        dx, dy = grid.x_coords()[c] - pose.x_m, grid.y_coords()[r] - pose.y_m
         differ += np.count_nonzero(np.sqrt(dy * dy + dx * dx) != np.hypot(dx, dy))
     assert differ > 0
 
 
 def test_block_spans_clip_the_demo_windows(demo_scans):
-    # The spans must skip most out-of-sector pixels of the windows, and come
-    # close to the exact per-block hull of the in-FOV pixels.
+    # The spans must skip most out-of-sector pixels of each scan's window (the
+    # bounding box of its in-FOV pixels), and come close to the exact
+    # per-block hull of those pixels.
     log, bins, grid = demo_scans
     window = spanned = hull = 0
     for pose, radar, _ in scans_of(log, bins):
-        rows, cols = fov_window(pose, radar, grid)
-        mask = in_fov(pose, radar, grid.x_coords()[cols][np.newaxis, :],
-                      grid.y_coords()[rows][:, np.newaxis])
-        window += mask.size
+        mask = full_grid_mask(pose, radar, grid)
+        r, c = np.nonzero(mask.any(axis=1))[0], np.nonzero(mask.any(axis=0))[0]
+        window += (r[-1] - r[0] + 1) * (c[-1] - c[0] + 1)
+        rows, spans = block_spans(pose, radar, grid)
         first = rows.start // BLOCK_ROWS
-        for k, (start, stop) in enumerate(block_spans(pose, radar, grid)[1]):
-            block = mask[max(0, (first + k) * BLOCK_ROWS - rows.start):
-                         (first + k + 1) * BLOCK_ROWS - rows.start]
+        for k, (start, stop) in enumerate(spans):
+            block = mask[max(rows.start, (first + k) * BLOCK_ROWS):
+                         min(rows.stop, (first + k + 1) * BLOCK_ROWS)]
             spanned += len(block) * max(0, stop - start)
             inside = np.nonzero(block.any(axis=0))[0]
             hull += len(block) * (inside[-1] - inside[0] + 1 if inside.size else 0)
@@ -445,9 +453,9 @@ def test_rotated_demo_path_equals_the_scatter_oracle(side_radars):
 
 @st.composite
 def block_scenes(draw):
-    """A log whose scans' windows span several row blocks of a grid whose
+    """A log whose scans' rows span several row blocks of a grid whose
     height is not a multiple of BLOCK_ROWS, and its bins; the first scan sits
-    on the grid's bottom edge looking along it, so its window is clipped
+    on the grid's bottom edge looking along it, so its rows are clipped
     there. The log's radars differ only in mount, as a scan log's do."""
     height = draw(st.integers(2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS).filter(
         lambda h: h % BLOCK_ROWS))
@@ -476,7 +484,7 @@ def block_scenes(draw):
 def test_row_blocks_match_the_scatter_oracle(scene):
     log, bins, grid = scene
     scans = scans_of(log, bins)
-    rows, _ = fov_window(*scans[0][:2], grid)
+    rows, _ = block_spans(*scans[0][:2], grid)
     assert rows.start == 0
     assert np.array_equal(build_sar(log, bins, grid).pixels, scatter_oracle(log, bins, grid))
     for pose, radar, _ in scans:
@@ -498,14 +506,14 @@ def test_repeated_and_streamed_calls_give_the_same_bytes(tmp_path):
 
 
 def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
-    # Every scan's window covers all rows of a grid of several row blocks
+    # Every scan's rows are all the rows of a grid of several row blocks
     # (the last one partial), so rows written by two tasks, or scans added
     # out of scan order, would lose updates or round differently.
     grid = ImageGrid(300, 4 * BLOCK_ROWS + 13, 0.005, origin_m=(0.0, -0.67))
     rng = np.random.default_rng(10)
     bins = random_bins(rng, 48, 40)
     log = make_log([Pose2(x, 0.0, 0.0) for x in rng.uniform(-0.1, 0.1, 48)], [COARSE])
-    assert all(fov_window(pose, radar, grid)[0] == slice(0, grid.height_px)
+    assert all(block_spans(pose, radar, grid)[0] == slice(0, grid.height_px)
                for pose, radar, _ in scans_of(log, bins))
     expect = scatter_oracle(log, bins, grid).tobytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))

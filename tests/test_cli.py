@@ -191,6 +191,24 @@ def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_one_error_line(small_scene, tmp_path, capsys, monkeypatch):
+    scene, traj = small_scene
+    assert run("simulate", "--scene", scene, "--trajectory", traj,
+               "--out", tmp_path / "m", *FAST) == 0
+    capsys.readouterr()
+    message = "Unable to allocate 3.58 TiB for an array with shape (1401401, 351351)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sarloop.cli.build_sar", no_memory)
+    out = tmp_path / "o"
+    rc = run("backproject", "--scanlog", tmp_path / "m" / "scanlog.bin", "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
 def test_backproject_rejects_garbage_input(tmp_path, capsys):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"\x00\x01\x02 no header here")
@@ -344,6 +362,14 @@ def test_config_file_and_env_var_feed_the_run(small_scene, tmp_path,
     assert ((tmp_path / "flagged" / "scanlog.bin").read_bytes()
             == (tmp_path / "from_env" / "scanlog.bin").read_bytes())
 
+    # an empty SARLOOP_CONFIG counts as unset
+    monkeypatch.setenv("SARLOOP_CONFIG", "")
+    assert run("simulate", "--scene", scene, "--trajectory", traj,
+               "--out", tmp_path / "empty_env", "--seed", 123, *FAST) == 0
+    assert ((tmp_path / "flagged" / "scanlog.bin").read_bytes()
+            == (tmp_path / "empty_env" / "scanlog.bin").read_bytes())
+    monkeypatch.setenv("SARLOOP_CONFIG", str(cfg))
+
     # a --set override beats the env config
     assert run("simulate", "--scene", scene, "--trajectory", traj,
                "--out", tmp_path / "shorter", "--set", "scan_spacing_m=0.1") == 0
@@ -364,7 +390,8 @@ def test_unknown_config_key_is_reported(small_scene, tmp_path, capsys):
     "mounts_deg=90,nan", "ratio=1.5", "ratio=0", "blur_sigma_px=-1", "ransac_iters=0",
     "ransac_inlier_px=0", "ransac_inlier_px=-1", "min_good_matches=-3",
     "scale_tol=-0.1", "translation_tol_mm=-1", "rotation_tol_deg=-1", "seed=-1",
-    "ransac_min_inliers=-1", "ransac_min_inliers=0", "ransac_min_inliers=1"])
+    "ransac_min_inliers=-1", "ransac_min_inliers=0", "ransac_min_inliers=1",
+    "beamwidth_deg=200", "beamwidth_deg=0", "range_min_m=5", "range_max_m=0.1"])
 def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, setting):
     """Non-finite and out-of-range values fail at load, before any stage runs."""
     scene, traj = small_scene

@@ -84,6 +84,34 @@ def test_load_config_merges_file_and_overrides(tmp_path):
         load_config(None, ["seed"])
 
 
+def test_overrides_merge_before_the_check():
+    # range_min_m=3.5 alone is past range_max_m's default of 3.0: only the
+    # merged config is checked, so either order is accepted
+    for overrides in (["range_min_m=3.5", "range_max_m=5.0"],
+                      ["range_max_m=5.0", "range_min_m=3.5"]):
+        cfg = load_config(None, overrides)
+        assert (cfg.range_min_m, cfg.range_max_m) == (3.5, 5.0), overrides
+    assert load_config(None, ["seed=4", "seed=5"]).seed == 5  # the later one wins
+    # an unknown key or an unparsable value is refused on its own, even if overridden
+    with pytest.raises(ValueError, match="^seed: cannot parse"):
+        load_config(None, ["seed=x", "seed=5"])
+    with pytest.raises(ValueError, match="^unknown config key 'bogus'"):
+        load_config(None, ["bogus=1", "seed=5"])
+
+
+def test_a_file_and_its_overrides_merge_before_the_check(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("range_min_m=3.5\n")
+    cfg = load_config(path, ["range_max_m=5.0"])
+    assert (cfg.range_min_m, cfg.range_max_m) == (3.5, 5.0)
+    # the file alone is refused, naming it; overrides that are refused alone are not
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: need 0 < range_min_m < "
+                       "range_max_m, got range_min_m=3.5, range_max_m=3.0$"):
+        load_config(path)
+    with pytest.raises(ValueError, match="^need 0 < range_min_m < range_max_m"):
+        load_config(path, ["range_max_m=3.2", "range_min_m=4.0"])
+
+
 @pytest.mark.parametrize("key, value, text", [
     ("ransac_iters", 0, "0"),
     ("ratio", 1.5, "1.5"),
