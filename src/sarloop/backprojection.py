@@ -4,10 +4,10 @@ The scans are a scan log's records plus their compressed bins, one table
 row per record: each row is imaged at its record's pose with the radar its
 radar index names, spread onto the pixels whose centers lie in that radar's
 field of view: the exact annular sector of ``in_fov`` (range window + beam
-cone around the boresight) on the IEEE-exact range ``sqrt(dy * dy + dx * dx)``,
-the predicate the simulator also uses. On each block of ``BLOCK_ROWS`` rows,
-only the column span the sector can reach there is evaluated, taking each
-pixel's range once for the sector test and the bin.
+cone around the boresight) on the IEEE-exact range ``sqrt(dy * dy + dx * dx)``:
+the simulator lights a scatterer by the same test on the same range. On each
+block of ``BLOCK_ROWS`` rows, only the column span the sector can reach there
+is evaluated, taking each pixel's range once for the sector test and the bin.
 The grid's row blocks are the tasks, run on one thread per usable core (the
 affinity mask where the OS has one): a task alone writes its rows and adds
 every scan that reaches them in scan order, so the image's bytes do not
@@ -90,13 +90,14 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     A finite point so far off that its offset or range overflows is outside.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an inf offset or range: outside
-        dx = np.asarray(x, dtype=np.float64) - radar.x_m
-        dy = np.asarray(y, dtype=np.float64) - radar.y_m
-        return _sector(radar, config, dx, dy)[1]
+        return _sector(radar, config, np.asarray(x, dtype=np.float64),
+                       np.asarray(y, dtype=np.float64))[1]
 
 
-def _sector(radar: Pose2, config: RadarConfig, dx, dy) -> tuple[np.ndarray, np.ndarray]:
-    """IEEE-exact range of offsets from the radar (a libm ``hypot`` is not) and ``in_fov``."""
+def _sector(radar: Pose2, config: RadarConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """IEEE-exact range of world points from the radar (a libm ``hypot`` is not) and
+    ``in_fov``; the caller guards against an offset or range that overflows."""
+    dx, dy = x - radar.x_m, y - radar.y_m
     rng = np.sqrt(dy * dy + dx * dx)
     boresight = radar.theta_rad + config.mount_angle_rad
     along = dx * math.cos(boresight) + dy * math.sin(boresight)
@@ -175,9 +176,7 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
             if lo >= hi:
                 continue
             cols = slice(*spans[start // BLOCK_ROWS - rows.start // BLOCK_ROWS])
-            dx = xs[cols] - pose.x_m
-            dy = ys[lo:hi, np.newaxis] - pose.y_m
-            rng, inside = _sector(pose, radar, dx, dy)
+            rng, inside = _sector(pose, radar, xs[cols], ys[lo:hi, np.newaxis])
             # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
             idx = np.add(np.divide(rng, range_bin_spacing(radar), out=rng), 0.5,
                          out=np.empty(rng.shape, np.intp), casting="unsafe")

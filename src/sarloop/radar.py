@@ -46,9 +46,9 @@ class RadarConfig:
             raise ValueError(f"radar parameters must be finite, got {self}")
         if self.sample_rate_hz <= 2.0 * (self.center_freq_hz + self.bandwidth_hz / 2.0):
             raise ValueError(
-                "sample_rate_hz must exceed twice the highest pulse frequency "
-                f"(fs={self.sample_rate_hz:g}, fc={self.center_freq_hz:g}, "
-                f"bw={self.bandwidth_hz:g})")
+                "need sample_rate_hz > 2 * (center_freq_hz + bandwidth_hz / 2), got "
+                f"sample_rate_hz={self.sample_rate_hz!r}, center_freq_hz="
+                f"{self.center_freq_hz!r}, bandwidth_hz={self.bandwidth_hz!r}")
         if not (0.0 < self.range_min_m < self.range_max_m):
             raise ValueError(
                 f"need 0 < range_min < range_max, got [{self.range_min_m}, {self.range_max_m}]")

@@ -3,9 +3,9 @@
 Stands in for a real acquisition run: a robot path is sampled at a fixed
 scan spacing, and at each robot pose every radar fires once. A scene is a
 float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows; a radar's echo sums, in
-one pass and in scene order, a pulse replica per scatterer inside its FOV.
-``render_scene`` returns the run as a ``ScanLog``, the form the scan log
-file stores.
+one pass and in scene order, a pulse replica per scatterer in its FOV at
+the range of its FOV test. ``render_scene`` returns the run as a
+``ScanLog``, the form the scan log file stores.
 
 Convention used throughout the package: every radar fires from the robot
 pose, whose ``theta_rad`` is the robot heading; a record's radar carries its
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backprojection import ImageGrid, in_fov
+from .backprojection import ImageGrid, _sector
 from .fileerrors import names_its_file
 from .geometry import Pose2
 from .radar import RadarConfig, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
@@ -57,15 +57,20 @@ def generate_trajectory(waypoints: Sequence[Pose2], scan_spacing_m: float) -> li
     pts = np.array([[w.x_m, w.y_m] for w in waypoints], dtype=np.float64)
     # A repeated waypoint would add a zero-length segment: drop it.
     pts = pts[np.concatenate(([True], np.any(pts[1:] != pts[:-1], axis=1)))]
-    seg = np.diff(pts, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    total = float(seg_len.sum())
+    with np.errstate(over="ignore"):  # a path past the float range is refused below
+        seg = np.diff(pts, axis=0)
+        seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        total = float(seg_len.sum())
     if total == 0.0:
         raise ValueError("degenerate path: zero total length")
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    steps = total / scan_spacing_m + 1e-9
+    # numpy caps an array at intp-max bytes, and the (n, 2) float64 positions take 16 a scan.
+    if not steps < np.iinfo(np.intp).max // 16:
+        raise ValueError(f"scan_spacing_m={scan_spacing_m:g} on a {total:g} m path gives "
+                         f"{steps + 1:.3g} scans, more than an array can hold")
 
-    n_steps = int(math.floor(total / scan_spacing_m + 1e-9))
-    s = np.minimum(np.arange(n_steps + 1) * scan_spacing_m, total)
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    s = np.minimum(np.arange(math.floor(steps) + 1) * scan_spacing_m, total)
     idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
     # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
     pos = pts[idx] + ((s - cum[idx]) / seg_len[idx])[:, np.newaxis] * seg[idx] + 0.0
@@ -78,28 +83,21 @@ def default_bin_count(config: RadarConfig) -> int:
     return int(math.ceil(config.range_max_m / range_bin_spacing(config))) + _EXTRA_TAIL_BINS
 
 
-def simulate_echo(scene, pose: Pose2, config: RadarConfig, n_bins: int) -> np.ndarray:
-    """Noiseless raw echo of the radar ``config`` fired at ``pose``: the
-    replicas of the scene's scatterers in its FOV, rendered in one pass.
-
-    Each visible scatterer contributes the transmitted pulse delayed by its
-    two-way travel time, scaled by sqrt(rcs) / R^2 (two-way spreading on
-    voltage); the contributions are summed in scene order from +0.0.
-    Scatterers outside the FOV cone contribute nothing.
+def simulate_echo(scene, pose: Pose2, config: RadarConfig) -> np.ndarray:
+    """Noiseless raw echo of the radar ``config`` fired at ``pose`` over
+    ``default_bin_count(config)`` bins, rendered in one pass: each scatterer
+    in the FOV, at the range R that its FOV test (the imager's sector) takes,
+    adds the pulse delayed by its two-way travel time and scaled by
+    sqrt(rcs) / R^2 (two-way spreading on voltage), in scene order from +0.0.
     """
     table = _scene_table(scene)
-    if n_bins * range_bin_spacing(config) < config.range_max_m:
-        raise ValueError(
-            f"{n_bins} bins cover only {n_bins * range_bin_spacing(config):.3f} m, "
-            f"less than range_max {config.range_max_m:g} m")
-
-    visible = table[in_fov(pose, config, table[:, 0], table[:, 1])].tolist()
-    # Delays and spreading take math.hypot ranges, not the FOV test's range.
-    rng_m = [math.hypot(x - pose.x_m, y - pose.y_m) for x, y, _ in visible]
-    amplitude = [math.sqrt(rcs) / r ** 2 for (_, _, rcs), r in zip(visible, rng_m)]
-    delay = 2.0 * np.array(rng_m) / SPEED_OF_LIGHT
-    t = np.arange(n_bins, dtype=np.float64) / config.sample_rate_hz
-    replicas = np.array(amplitude)[:, np.newaxis] * pulse_value(config, t - delay[:, np.newaxis])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in in_fov: a far point is unlit
+        rng_m, lit = _sector(pose, config, table[:, 0], table[:, 1])
+    rng_m = rng_m[lit]
+    amplitude = np.sqrt(table[lit, 2]) / (rng_m * rng_m)
+    delay = 2.0 * rng_m / SPEED_OF_LIGHT
+    t = np.arange(default_bin_count(config), dtype=np.float64) / config.sample_rate_hz
+    replicas = amplitude[:, np.newaxis] * pulse_value(config, t - delay[:, np.newaxis])
     # Axis 0 of a C-ordered table is summed row after row, not pairwise.
     return replicas.sum(axis=0, initial=0.0)
 
@@ -120,19 +118,16 @@ def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
     on the grid; one off it is not marked.
     """
     table = _scene_table(scene)
-    radars = tuple(radars)
-    if not radars:
-        raise ValueError("need at least one radar")
-    n_bins = max(map(default_bin_count, radars))
-    echoes = np.array([simulate_echo(table, robot, radar, n_bins)
-                       for robot in poses for radar in radars]).reshape(-1, n_bins)
+    # An empty log refuses no radars, or radars that differ beyond mount, before any echo.
+    radars = ScanLog(radars, np.zeros(0, record_dtype(0))).radars
+    echoes = np.array([simulate_echo(table, robot, radar) for robot in poses for radar in radars])
     noise_std = noise_std_for_snr(echoes, snr_db)
     if noise_std > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied "
                              "(pass a seeded Generator)")
         echoes = echoes + rng.normal(0.0, noise_std, size=echoes.shape)
-    records = np.empty(len(echoes), record_dtype(n_bins))
+    records = np.empty(len(echoes), record_dtype(echoes.shape[1]))
     records["timestamp_s"] = np.arange(len(echoes)) // len(radars)
     records["radar_index"] = np.arange(len(echoes)) % len(radars)
     records["pose"] = [(p.x_m, p.y_m, p.theta_rad) for p in poses for _ in radars]

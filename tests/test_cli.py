@@ -391,7 +391,9 @@ def test_unknown_config_key_is_reported(small_scene, tmp_path, capsys):
     "ransac_inlier_px=0", "ransac_inlier_px=-1", "min_good_matches=-3",
     "scale_tol=-0.1", "translation_tol_mm=-1", "rotation_tol_deg=-1", "seed=-1",
     "ransac_min_inliers=-1", "ransac_min_inliers=0", "ransac_min_inliers=1",
-    "beamwidth_deg=200", "beamwidth_deg=0", "range_min_m=5", "range_max_m=0.1"])
+    "beamwidth_deg=200", "beamwidth_deg=0", "range_min_m=5", "range_max_m=0.1",
+    "center_freq_hz=12e9", "bandwidth_hz=2e10", "center_freq_hz=-1", "bandwidth_hz=0",
+    "pulse_amplitude_v=0"])
 def test_non_finite_config_values_name_the_key(small_scene, tmp_path, capsys, setting):
     """Non-finite and out-of-range values fail at load, before any stage runs."""
     scene, traj = small_scene
@@ -421,19 +423,28 @@ def test_pipeline_checks_detectors_before_any_stage(small_scene, tmp_path, capsy
 
 @pytest.mark.parametrize("setting, named", [
     ("mounts_deg=90,90", "mounts_deg"),
-    ("TRAJECTORY", "need at least 2 distinct waypoint positions")],
-    ids=["repeated-mounts", "still-trajectory"])
+    ("TRAJECTORY", "need at least 2 distinct waypoint positions"),
+    ("FAR", "scan_spacing_m=0.05 on a 1e+300 m path gives"),
+    ("scan_spacing_m=1e-300", "scan_spacing_m=1e-300 on a "),
+    ("scan_spacing_m=1e-19", "scan_spacing_m=1e-19 on a ")],
+    ids=["repeated-mounts", "still-trajectory", "far-waypoint", "tiny-spacing",
+         "spacing-past-the-byte-cap"])
 def test_simulate_names_what_would_have_made_a_bad_log(small_scene, tmp_path, capsys,
                                                       setting, named):
     # repeated mounts: every record would name the first radar; a path that
-    # does not move: the error names the trajectory file
+    # does not move: the error names the trajectory file; a path of more
+    # scans than an array can hold: the error names the spacing, refused
+    # before any scan is made
     scene, traj = small_scene
     if setting == "TRAJECTORY":
         traj = tmp_path / "still.txt"
         traj.write_text("0.1 0.2 0\n0.1 0.2 0\n")
         named = f"{traj}: {named}"
+    if setting == "FAR":
+        traj = tmp_path / "far.txt"
+        traj.write_text("0 0 0\n1e300 0 0\n")
     out = tmp_path / "o"
-    argv = ("--set", setting) if setting != "TRAJECTORY" else ()
+    argv = ("--set", setting) if "=" in setting else ()
     rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST, *argv)
     err = capsys.readouterr().err
     assert rc == 1

@@ -1,12 +1,15 @@
-"""The README's "Library use" block runs exactly as written, with the CLI's defaults."""
+"""The README's "Library use" block runs exactly as written, with the CLI's
+defaults, and its Configuration table is ``RunConfig``."""
 
 import inspect
 import re
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from sarloop import DetectorConfig, detect_and_match, validate_loop
 from sarloop.loopclose import match_feature_sets
-from sarloop.runconfig import RunConfig
+from sarloop.runconfig import RunConfig, parse_config_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +34,22 @@ def test_library_defaults_are_the_cli_defaults():
     assert cfg.detector_configs() == [DetectorConfig("orb"), DetectorConfig("brisk")]
     for fn in (match_feature_sets, detect_and_match, validate_loop):
         assert inspect.signature(fn).parameters["cfg"].default == cfg, fn.__name__
+
+
+def config_rows():
+    """``(keys, defaults)`` per row of the Configuration table, from its backticks."""
+    text = README.read_text()
+    section = text[text.index("## Configuration"):text.index("## Library use")]
+    rows = re.findall(r"^\| (`.*?) \| (`.*?) \|", section, re.M)
+    return [(re.findall(r"`([^`]*)`", keys), re.findall(r"`([^`]*)`", defaults))
+            for keys, defaults in rows]
+
+
+def test_readme_config_table_is_the_run_config():
+    rows = config_rows()
+    counts = Counter(key for keys, _ in rows for key in keys)
+    assert counts == Counter(f.name for f in fields(RunConfig))
+    for keys, defaults in rows:
+        assert len(keys) == len(defaults), keys
+        text = "".join(f"{key}={default}\n" for key, default in zip(keys, defaults))
+        assert parse_config_text(text) == RunConfig(), text

@@ -69,48 +69,50 @@ def test_trajectory_rejections():
     for spacing in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="scan_spacing_m must be positive"):
             generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0)), spacing)
+    # more scans than an array can hold: refused before any is made, with
+    # no warning for a path longer than the float range
+    for xs, spacing in (((0.0, 1e300), 0.025), ((0.0, 1.0), 1e-300), ((0.0, 3.0), 1e-18),
+                        ((-1.7e308, 1.7e308), 1.0), ((0.0, 1.5e308, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="scan_spacing_m=.* m path gives .* scans"):
+            generate_trajectory([Pose2(x, 0, 0) for x in xs], spacing)
 
 
 def test_empty_scene_echo_is_silent(table1):
-    echo = simulate_echo([], Pose2(0, 0, 0), table1, default_bin_count(table1))
+    echo = simulate_echo([], Pose2(0, 0, 0), table1)
     assert np.all(echo == 0)
 
 
 def test_scatterer_outside_beam_contributes_nothing(table1):
     off = math.radians(40)  # past the 30 deg half-beam
     scene = [(math.cos(off), math.sin(off), 1.0)]
-    echo = simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
+    echo = simulate_echo(scene, Pose2(0, 0, 0), table1)
     assert np.all(echo == 0)
 
 
 def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
-    echo = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1, default_bin_count(table1))
+    echo = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1)
     assert int(np.argmax(np.abs(compress_scan(echo, table1)))) == 156
     assert math.floor(1.0 / range_bin_spacing(table1) + 0.5) == 156
 
 
 def test_echoes_superpose_exactly(table1):
     pose = Pose2(0, 0, 0)
-    n = default_bin_count(table1)
     parts = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7), (2.1, 0.4, 1.4)]
-    combined = simulate_echo(parts, pose, table1, n)
-    sum_of_parts = sum(simulate_echo([s], pose, table1, n) for s in parts)
+    combined = simulate_echo(parts, pose, table1)
+    sum_of_parts = sum(simulate_echo([s], pose, table1) for s in parts)
     assert np.array_equal(combined, sum_of_parts)
 
 
 def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
     pose = Pose2(0, 0, 0)
-    n = default_bin_count(table1)
-    one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1, n)
-    two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1, n)
+    one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1)
+    two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1)
     assert np.any(one != 0)
     # atol absorbs subnormal tails at the envelope's underflow edge
     assert np.allclose(two, math.sqrt(2.0) * one, rtol=1e-12, atol=1e-300)
 
 
-def test_echo_error_paths(table1, side_radars, small_grid):
-    with pytest.raises(ValueError, match="less than range_max"):
-        simulate_echo([], Pose2(0, 0, 0), table1, 100)
+def test_echo_error_paths(side_radars, small_grid):
     with pytest.raises(ValueError, match="rng"):
         render_scene([(0.5, 0.6, 1.0)], straight_poses(), side_radars,
                      small_grid, snr_db=20.0)
@@ -118,13 +120,19 @@ def test_echo_error_paths(table1, side_radars, small_grid):
         render_scene([], straight_poses(), (), small_grid)
 
 
+def test_radars_that_differ_beyond_mount_are_refused(side_radars, small_grid):
+    # A scan log's header describes one radar plus a mount per radar.
+    radars = (side_radars[0], replace(side_radars[1], range_max_m=2.0))
+    with pytest.raises(ValueError, match="may differ only in mount"):
+        render_scene([(0.5, 0.6, 1.0)], straight_poses(), radars, small_grid)
+
+
 @pytest.mark.parametrize("bad", [(0.0, 0.0, -1.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
                                  (0.0, 0.0, math.inf), (0.0, 0.0, math.nan)])
 def test_the_first_bad_scatterer_is_named(table1, side_radars, small_grid, bad):
     scene = [(0.5, 0.6, 1.0)] * 2 + [bad, (0.5, 0.6, 1.0), bad]
-    n = default_bin_count(table1)
     with pytest.raises(ValueError, match=r"^scatterer 2: position must be finite and rcs >= 0"):
-        simulate_echo(scene, Pose2(0, 0, 0), table1, n)
+        simulate_echo(scene, Pose2(0, 0, 0), table1)
     with pytest.raises(ValueError, match=r"^scatterer 2: "):
         render_scene(np.array(scene), straight_poses(), side_radars, small_grid)
 
@@ -133,14 +141,13 @@ def test_the_first_bad_scatterer_is_named(table1, side_radars, small_grid, bad):
                          ids=["flat", "two-columns", "3-d"])
 def test_a_scene_is_a_table_of_three_columns(table1, scene):
     with pytest.raises(ValueError, match="rows of x_m, y_m, rcs"):
-        simulate_echo(scene, Pose2(0, 0, 0), table1, default_bin_count(table1))
+        simulate_echo(scene, Pose2(0, 0, 0), table1)
 
 
 def test_a_row_list_and_its_table_render_the_same(table1):
     rows = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7)]
-    n = default_bin_count(table1)
-    a = simulate_echo(rows, Pose2(0, 0, 0), table1, n)
-    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1, n)
+    a = simulate_echo(rows, Pose2(0, 0, 0), table1)
+    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1)
     assert a.tobytes() == b.tobytes()
     assert np.any(a != 0)
 
@@ -183,13 +190,12 @@ def test_render_scene_noise_is_reproducible(side_radars, small_grid):
     assert a.records.tobytes() == b.records.tobytes()
     # noise is sized from the clean echoes and drawn in scan order: one draw
     # over the table gives the stream of one draw per scan
-    n_bins = default_bin_count(side_radars[0])
-    clean = np.array([simulate_echo(scene, robot, radar, n_bins)
+    clean = np.array([simulate_echo(scene, robot, radar)
                       for robot in poses for radar in side_radars])
     std = noise_std_for_snr(clean, 20.0)
     rng = np.random.default_rng(7)
     for samples, echo in zip(a.records["samples"], clean):
-        want = echo + rng.normal(0.0, std, size=n_bins)
+        want = echo + rng.normal(0.0, std, size=echo.shape)
         assert samples.tobytes() == want.astype(np.float32).tobytes()
 
 
@@ -283,9 +289,10 @@ def reference_echo(scene, pose, config, n_bins):
     for x, y, rcs in scene:
         if not bool(in_fov(pose, config, x, y)):
             continue
-        rng_m = math.hypot(x - pose.x_m, y - pose.y_m)
+        dx, dy = x - pose.x_m, y - pose.y_m
+        rng_m = math.sqrt(dy * dy + dx * dx)
         delay = 2.0 * rng_m / SPEED_OF_LIGHT
-        samples += (math.sqrt(rcs) / rng_m ** 2) * pulse_value(config, t - delay)
+        samples += (math.sqrt(rcs) / (rng_m * rng_m)) * pulse_value(config, t - delay)
     return samples
 
 
@@ -331,7 +338,7 @@ def scenes(draw, poses, radars):
 
 
 FORWARD = Pose2(0.0, 0.0, 0.0)
-# Range from math.hypot, where np.hypot differs in the last bit.
+# Where math.hypot differs from the sector's range in the last bit.
 HYPOT_EDGE = [(0.75, -0.26, 1.0), (1.27, 0.3, 0.5)]
 # Twelve overlapping replicas, whose sum in scene order differs from a pairwise one.
 OVERLAPPING = [(1.0 + 0.003 * k, 0.01 * k - 0.05, 0.5 + 0.1 * k) for k in range(12)]
@@ -349,9 +356,9 @@ BEHIND = [(-1.0, 0.0, 1.0), (0.9, 0.0, 1.0)]
 def test_one_pass_echo_equals_the_per_scatterer_loop(table1, data, scene):
     if scene is None:
         scene = data.draw(scenes([FORWARD], [table1]))
-    n = default_bin_count(table1)
-    got = simulate_echo(scene, FORWARD, table1, n)
-    assert got.tobytes() == reference_echo(scene, FORWARD, table1, n).tobytes()
+    got = simulate_echo(scene, FORWARD, table1)
+    want = reference_echo(scene, FORWARD, table1, default_bin_count(table1))
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None,
