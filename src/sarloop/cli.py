@@ -13,8 +13,11 @@ Stages and their file hand-offs:
 ``backproject`` loads it, range-compresses its samples as one table and
 images them, so the library path gives the same bytes. Every command is
 deterministic for fixed inputs, config, and seed; outputs are refused if they
-already exist unless --overwrite is given. A default config file may be named
-in the SARLOOP_CONFIG environment variable; an empty one counts as unset.
+already exist unless --overwrite is given, and ``pipeline`` refuses any of its
+outputs before its first stage runs. ``main`` resolves the run config once
+per command and hands it to the command, so ``pipeline`` runs all four
+stages with one config. A default config file may be named in the
+SARLOOP_CONFIG environment variable; an empty one counts as unset.
 """
 
 from __future__ import annotations
@@ -55,21 +58,12 @@ def _make_out(args) -> None:
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
 
-def _load_cfg(args, loop: bool = False) -> RunConfig:
-    """The run config; with ``loop``, one that a loop verdict can use."""
-    config_path = args.config or os.environ.get("SARLOOP_CONFIG") or None  # empty: unset
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    cfg = load_config(config_path, overrides)
-    if loop and len(cfg.detectors) != 2:
-        raise ValueError("loop validation needs two detectors "
-                         f"(configured: {', '.join(cfg.detectors) or 'none'})")
-    return cfg
+def _feature_names(cfg: RunConfig) -> list[str]:
+    """The feature files of a two-image match: A then B for each detector."""
+    return [f"features_{det}_{side}.bin" for det in cfg.detectors for side in "ab"]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     log_path, truth_path = _outputs(args, "scanlog.bin", "truth.pgm")
 
     scene = load_scene(args.scene)
@@ -87,8 +81,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_backproject(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_backproject(args, cfg: RunConfig) -> int:
     [sar_path] = _outputs(args, "sar.cpx")
 
     log = load_scan_log(args.scanlog)
@@ -106,8 +99,7 @@ def cmd_backproject(args) -> int:
     return 0
 
 
-def cmd_post(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_post(args, cfg: RunConfig) -> int:
     [pgm_path] = _outputs(args, "image.pgm")
 
     sar = imgpost.read_sar_dump(args.sar)
@@ -123,8 +115,7 @@ def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
     img_a, _ = imgpost.read_pgm(args.image_a)
     img_b, _ = imgpost.read_pgm(args.image_b)
     *feature_paths, table = _outputs(
-        args, *(f"features_{det}_{side}.bin" for det in cfg.detectors for side in "ab"),
-        "loopclose.tsv" if with_decision else "matches.tsv")
+        args, *_feature_names(cfg), "loopclose.tsv" if with_decision else "matches.tsv")
 
     matched = detect_and_match(img_a, img_b, cfg)
     _make_out(args)
@@ -144,8 +135,7 @@ def _match_images(args, cfg: RunConfig, with_decision: bool) -> int:
     return 0
 
 
-def cmd_match(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_match(args, cfg: RunConfig) -> int:
     if args.features_a or args.features_b:
         if args.image_a or args.image_b:
             raise ValueError("match takes --image-a/--image-b or --features-a/--features-b, "
@@ -165,23 +155,21 @@ def cmd_match(args) -> int:
     return _match_images(args, cfg, with_decision=False)
 
 
-def cmd_loopclose(args) -> int:
-    cfg = _load_cfg(args, loop=True)
+def cmd_loopclose(args, cfg: RunConfig) -> int:
     return _match_images(args, cfg, with_decision=True)
 
 
-def cmd_pipeline(args) -> int:
-    _load_cfg(args, loop=True)  # a bad config fails before any stage runs
-    ns = argparse.Namespace(**vars(args))
-    out = Path(args.out)
-    cmd_simulate(ns)
-    ns.scanlog = out / "scanlog.bin"
-    cmd_backproject(ns)
-    ns.sar = out / "sar.cpx"
-    cmd_post(ns)
-    ns.image_a = out / "image.pgm"
-    ns.image_b = out / "image.pgm"
-    return cmd_loopclose(ns)
+def cmd_pipeline(args, cfg: RunConfig) -> int:
+    # every output is refused before the first stage writes any
+    log_path, _, sar_path, image_path, *_ = _outputs(
+        args, "scanlog.bin", "truth.pgm", "sar.cpx", "image.pgm",
+        *_feature_names(cfg), "loopclose.tsv")
+    ns = argparse.Namespace(**vars(args), scanlog=log_path, sar=sar_path,
+                            image_a=image_path, image_b=image_path)
+    cmd_simulate(ns, cfg)
+    cmd_backproject(ns, cfg)
+    cmd_post(ns, cfg)
+    return cmd_loopclose(ns, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the one run config of this command, from --config or SARLOOP_CONFIG
+        # (empty: unset), then every --set and --seed
+        config_path = args.config or os.environ.get("SARLOOP_CONFIG") or None
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        cfg = load_config(config_path, (args.set or []) + seed)
+        if args.command in ("loopclose", "pipeline") and len(cfg.detectors) != 2:
+            raise ValueError("loop validation needs two detectors "
+                             f"(configured: {', '.join(cfg.detectors) or 'none'})")
+        return args.func(args, cfg)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         cause = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {cause}{exc}", file=sys.stderr)

@@ -50,8 +50,8 @@ class RadarConfig:
                 f"sample_rate_hz={self.sample_rate_hz!r}, center_freq_hz="
                 f"{self.center_freq_hz!r}, bandwidth_hz={self.bandwidth_hz!r}")
         if not (0.0 < self.range_min_m < self.range_max_m):
-            raise ValueError(
-                f"need 0 < range_min < range_max, got [{self.range_min_m}, {self.range_max_m}]")
+            raise ValueError(f"need 0 < range_min_m < range_max_m, got range_min_m="
+                             f"{self.range_min_m!r}, range_max_m={self.range_max_m!r}")
         if not (0.0 < self.beamwidth_rad < math.pi):
             raise ValueError(f"beamwidth_rad must be in (0, pi), got {self.beamwidth_rad}")
         if self.center_freq_hz <= 0 or self.bandwidth_hz <= 0:

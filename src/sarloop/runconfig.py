@@ -59,10 +59,9 @@ class RunConfig:
         Runs on every construction, ``dataclasses.replace`` included. Every
         float key and each mount angle must be finite, except
         ``snr_db=inf``, which means no noise; the keys in ``_RANGES`` must
-        pass its tests, in order (each int key is an ``int``, not a ``bool``),
-        then ``0 < range_min_m < range_max_m``; ``mounts_deg`` must be distinct
-        angles (a scan log tells its radars apart by mount) and ``detectors``
-        distinct registered ids.
+        pass its tests, in order (each int key is an ``int``, not a ``bool``);
+        ``mounts_deg`` must be distinct angles (a scan log tells its radars
+        apart by mount) and ``detectors`` distinct registered ids.
         """
         for key in [f.name for f in fields(self) if f.type == "float"] + ["mounts_deg"]:
             value = getattr(self, key)
@@ -73,9 +72,6 @@ class RunConfig:
             for key in keys:
                 if not holds(getattr(self, key)):
                     raise ValueError(f"{key} must be {allowed}, got {getattr(self, key)!r}")
-        if not 0 < self.range_min_m < self.range_max_m:
-            raise ValueError(f"need 0 < range_min_m < range_max_m, got range_min_m="
-                             f"{self.range_min_m!r}, range_max_m={self.range_max_m!r}")
         if not self.mounts_deg or len(set(self.mounts_deg)) < len(self.mounts_deg):
             raise ValueError(f"mounts_deg must name at least one radar, each at its own "
                              f"angle, got {','.join(map(str, self.mounts_deg))}")

@@ -30,6 +30,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def stage_commands(small_scene, out, match_out):
+    """Each stage command on the small scene, in chain order, handing files in ``out``."""
+    scene, traj = small_scene
+    images = ("--image-a", out / "image.pgm", "--image-b", out / "image.pgm")
+    return [("simulate", "--scene", scene, "--trajectory", traj, "--out", out),
+            ("backproject", "--scanlog", out / "scanlog.bin", "--out", out),
+            ("post", "--sar", out / "sar.cpx", "--out", out),
+            ("match", *images, "--out", match_out),
+            ("loopclose", *images, "--out", out)]
+
+
 def test_pipeline_on_a_small_scene(small_scene, tmp_path, capsys):
     scene, traj = small_scene
     out = tmp_path / "run"
@@ -172,14 +183,45 @@ def test_the_library_path_gives_the_cli_bytes(small_scene, tmp_path):
 
 def test_existing_outputs_are_refused_without_overwrite(small_scene, tmp_path,
                                                         capsys):
+    for command in stage_commands(small_scene, tmp_path / "out", tmp_path / "match"):
+        args = (*command, *FAST)
+        assert run(*args) == 0, command[0]
+        capsys.readouterr()
+        assert run(*args) == 1, command[0]
+        assert "refusing to overwrite" in capsys.readouterr().err, command[0]
+        assert run(*args, "--overwrite") == 0, command[0]
+
+
+@pytest.mark.parametrize("name", ["scanlog.bin", "image.pgm", "features_brisk_b.bin",
+                                  "loopclose.tsv"])
+def test_pipeline_refuses_an_existing_output_before_any_stage(small_scene, tmp_path,
+                                                              capsys, name):
     scene, traj = small_scene
-    out = tmp_path / "out"
-    args = ("simulate", "--scene", scene, "--trajectory", traj, "--out", out,
-            *FAST)
-    assert run(*args) == 0
-    assert run(*args) == 1
-    assert "refusing to overwrite" in capsys.readouterr().err
-    assert run(*args, "--overwrite") == 0
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).write_bytes(b"kept")
+    rc = run("pipeline", "--scene", scene, "--trajectory", traj, "--out", out, *FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "refusing to overwrite" in err and str(out / name) in err
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_bytes() == b"kept"
+
+
+def test_each_command_resolves_its_config_once(small_scene, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return load_config(*args)
+
+    monkeypatch.setattr("sarloop.cli.load_config", counted)
+    scene, traj = small_scene
+    pipeline = ("pipeline", "--scene", scene, "--trajectory", traj, "--out", tmp_path / "p")
+    for command in [pipeline, *stage_commands(small_scene, tmp_path / "s", tmp_path / "m")]:
+        calls.clear()
+        assert run(*command, *FAST) == 0, command[0]
+        assert len(calls) == 1, command[0]
 
 
 def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):

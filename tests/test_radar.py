@@ -90,7 +90,8 @@ def test_pulse_fractional_bandwidth(table1, pulse):
 def test_config_invariants():
     with pytest.raises(ValueError):  # undersampled
         RadarConfig(1e9, 7.29e9, 2e9)
-    with pytest.raises(ValueError):  # min range above max
+    with pytest.raises(ValueError, match=r"^need 0 < range_min_m < range_max_m, got "
+                       r"range_min_m=3\.0, range_max_m=0\.4$"):  # min range above max
         RadarConfig(23.328e9, 7.29e9, 2e9, range_min_m=3.0, range_max_m=0.4)
     with pytest.raises(ValueError):  # no beam
         RadarConfig(23.328e9, 7.29e9, 2e9, beamwidth_rad=0.0)
