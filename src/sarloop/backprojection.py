@@ -64,14 +64,17 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class SarImage:
-    """Complex pixel accumulator plus the number of scans summed into it."""
+    """Complex pixels plus the number of scans summed into them: complex64 or
+    complex128 as given, any other array cast to complex128."""
 
     grid: ImageGrid
     pixels: np.ndarray
     scan_count: int
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.complex128)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype not in (np.complex64, np.complex128):
+            pixels = pixels.astype(np.complex128)
         if pixels.shape != (self.grid.height_px, self.grid.width_px):
             raise ValueError(
                 f"pixel array shape {pixels.shape} does not match grid "

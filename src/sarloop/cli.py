@@ -103,10 +103,11 @@ def cmd_post(args, cfg: RunConfig) -> int:
     [pgm_path] = _outputs(args, "image.pgm")
 
     sar = imgpost.read_sar_dump(args.sar)
-    enhanced = imgpost.gaussian_blur(imgpost.positive_image(sar), cfg.blur_sigma_px)
+    origin, enhanced = sar.grid.origin_m, imgpost.positive_image(sar)
+    del sar  # the blur and quantize run without the complex pixels
+    enhanced = imgpost.gaussian_blur(enhanced, cfg.blur_sigma_px)
     _make_out(args)
-    imgpost.write_pgm(imgpost.quantize(enhanced), pgm_path,
-                      origin_m=sar.grid.origin_m)
+    imgpost.write_pgm(imgpost.quantize(enhanced), pgm_path, origin_m=origin)
     print(f"wrote {pgm_path}")
     return 0
 

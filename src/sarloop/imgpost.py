@@ -3,11 +3,15 @@
 Pipeline: positive_image (real + magnitude, kills negative fringes) ->
 gaussian_blur -> quantize to 8 bits. Also holds the occupancy-map accuracy
 metric and the image file formats (binary PGM and the complex SAR dump).
+A dump is read as the complex64 pixels it stores, and no step makes a
+full-grid copy it does not need: complex pixels are widened and written in
+bands of ``BAND_ROWS`` rows, and ``quantize`` scales in one scratch array.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +19,8 @@ from scipy import ndimage
 
 from .backprojection import ImageGrid, SarImage
 from .fileerrors import names_its_file
+
+BAND_ROWS = 64  # rows widened or written at a time: few enough that a band stays in cache
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,14 @@ def positive_image(sar: SarImage) -> GrayImage:
     """Re(p) + |p| per pixel: non-negative, doubles in-phase responses.
 
     Negative-real pixels map to zero, so interference fringes around bright
-    scatterers are suppressed instead of ringing.
+    scatterers are suppressed instead of ringing. Pixels are widened to complex128
+    ``BAND_ROWS`` rows at a time: complex64 ones give their complex128 copy's bits.
     """
-    return GrayImage(np.real(sar.pixels) + np.abs(sar.pixels), sar.grid.resolution_m)
+    out = np.empty(sar.pixels.shape, dtype=np.float64)
+    for start in range(0, len(out), BAND_ROWS):
+        band = sar.pixels[start:start + BAND_ROWS].astype(np.complex128, copy=False)
+        np.add(band.real, np.abs(band), out=out[start:start + BAND_ROWS])
+    return GrayImage(out, sar.grid.resolution_m)
 
 
 def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
@@ -83,8 +94,10 @@ def quantize(img: GrayImage) -> GrayImage:
     if hi == lo:
         levels = np.zeros(px.shape, dtype=np.uint8)
     else:
-        scaled = (px - lo) * (255.0 / (hi - lo))
-        levels = np.floor(scaled + 0.5).astype(np.uint8)
+        scaled = np.subtract(px, lo)
+        scaled *= 255.0 / (hi - lo)
+        scaled += 0.5
+        levels = np.floor(scaled, out=scaled).astype(np.uint8)
     return GrayImage(levels, img.resolution_m)
 
 
@@ -214,16 +227,19 @@ def _header_size(header: list[bytes]) -> tuple[int, int]:
 def write_sar_dump(sar: SarImage, path) -> None:
     """Complex SAR intermediate: ASCII header `width height resolution_m
     origin_x_m origin_y_m scan_count`, then row-major little-endian
-    complex64 (re, im interleaved)."""
+    complex64 (re, im interleaved), written ``BAND_ROWS`` rows at a time."""
     grid = sar.grid
     with open(path, "wb") as fh:
         fh.write(f"{grid.width_px} {grid.height_px} {grid.resolution_m!r} "
                  f"{grid.origin_m[0]!r} {grid.origin_m[1]!r} {sar.scan_count}\n".encode())
-        fh.write(np.asarray(sar.pixels, dtype="<c8").tobytes())
+        for start in range(0, grid.height_px, BAND_ROWS):
+            fh.write(np.ascontiguousarray(sar.pixels[start:start + BAND_ROWS], dtype="<c8"))
 
 
 @names_its_file
 def read_sar_dump(path) -> SarImage:
+    """The ``SarImage`` of a ``write_sar_dump`` file, with its complex64 pixels as
+    stored; the payload's length is checked before any pixel is allocated."""
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 6:
@@ -233,12 +249,13 @@ def read_sar_dump(path) -> SarImage:
         resolution = float(header[2])
         origin = (float(header[3]), float(header[4]))
         scan_count = int(header[5])
-        payload = fh.read()
-    expect = width * height * 8
-    if len(payload) != expect:
-        raise ValueError(f"payload is {len(payload)} bytes, expected {expect}")
-    if not np.all(np.isfinite(np.frombuffer(payload, dtype="<f4"))):
+        size, expect = os.fstat(fh.fileno()).st_size - fh.tell(), width * height * 8
+        if size == expect:  # less is read if the file shrinks meanwhile
+            pixels = np.empty((height, width), dtype="<c8")
+            size = fh.readinto(pixels)
+    if size != expect:
+        raise ValueError(f"payload is {size} bytes, expected {expect}")
+    if not np.isfinite(pixels.view("<f4")).all():
         raise ValueError("non-finite pixel values")
-    pixels = np.frombuffer(payload, dtype="<c8").reshape(height, width)
     grid = ImageGrid(width, height, resolution, origin)
-    return SarImage(grid, pixels.astype(np.complex128), scan_count)
+    return SarImage(grid, pixels, scan_count)

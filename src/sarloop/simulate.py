@@ -90,7 +90,11 @@ def simulate_echo(scene, pose: Pose2, config: RadarConfig) -> np.ndarray:
     adds the pulse delayed by its two-way travel time and scaled by
     sqrt(rcs) / R^2 (two-way spreading on voltage), in scene order from +0.0.
     """
-    table = _scene_table(scene)
+    return _echo(_scene_table(scene), pose, config)
+
+
+def _echo(table: np.ndarray, pose: Pose2, config: RadarConfig) -> np.ndarray:
+    """``simulate_echo`` of a scene table that ``_scene_table`` has checked."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in in_fov: a far point is unlit
         rng_m, lit = _sector(pose, config, table[:, 0], table[:, 1])
     rng_m = rng_m[lit]
@@ -120,7 +124,7 @@ def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
     table = _scene_table(scene)
     # An empty log refuses no radars, or radars that differ beyond mount, before any echo.
     radars = ScanLog(radars, np.zeros(0, record_dtype(0))).radars
-    echoes = np.array([simulate_echo(table, robot, radar) for robot in poses for radar in radars])
+    echoes = np.array([_echo(table, robot, radar) for robot in poses for radar in radars])
     noise_std = noise_std_for_snr(echoes, snr_db)
     if noise_std > 0:
         if rng is None:

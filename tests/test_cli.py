@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process via main()."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,24 @@ def test_match_on_saved_features_reproduces_the_loopclose_rows(tmp_path):
         [matched] = [line.split("\t") for line in
                      (out / "matches.tsv").read_text().splitlines()[1:]]
         assert matched[:9] == row[:9]
+
+
+def test_post_memory_per_pixel(tmp_path):
+    # the stored complex64 grid (8 B/px), one float64 grid (8 B/px) and a band
+    # or a scratch grid at a time: no complex128 or second float64 copy
+    rng = np.random.default_rng(4)
+    height, width = 500, 1200
+    z = rng.normal(size=(height, width)) + 1j * rng.normal(size=(height, width))
+    dump = tmp_path / "sar.cpx"
+    write_sar_dump(SarImage(ImageGrid(width, height, 0.01), z, 1), dump)
+    del z
+    tracemalloc.start()
+    try:
+        assert run("post", "--sar", dump, "--out", tmp_path / "o") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * width * height
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])

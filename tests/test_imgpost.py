@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,15 @@ import pytest
 from sarloop import (GrayImage, ImageGrid, SarImage, cellwise_difference,
                      gaussian_blur, occupancy_from_image, otsu_threshold,
                      positive_image, quantize)
-from sarloop.imgpost import read_pgm, read_sar_dump, write_pgm, write_sar_dump
+from sarloop.imgpost import BAND_ROWS, read_pgm, read_sar_dump, write_pgm, write_sar_dump
 
 
 def gray(arr, res=0.01):
     return GrayImage(np.asarray(arr), res)
 
 
-def sar_of(arr):
-    arr = np.asarray(arr, dtype=complex)
+def sar_of(arr, dtype=complex):
+    arr = np.asarray(arr, dtype=dtype)
     return SarImage(ImageGrid(arr.shape[1], arr.shape[0], 0.01), arr, 1)
 
 
@@ -35,6 +36,24 @@ def test_positive_image_nonnegative_on_random_field():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     assert np.all(positive_image(sar_of(z)).pixels >= 0)
+
+
+def test_positive_image_of_complex64_gives_the_bits_of_its_complex128_copy():
+    # rows that end mid-band, so the last band is a short one
+    rng = np.random.default_rng(9)
+    shape = (2 * BAND_ROWS + 7, 13)
+    z = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+    wide = z.astype(np.complex128)
+    out = positive_image(sar_of(z, np.complex64)).pixels
+    assert out.dtype == np.float64
+    assert np.array_equal(out, np.real(wide) + np.abs(wide))
+
+
+def test_sar_image_keeps_complex64_and_widens_other_arrays():
+    z = np.ones((3, 4), np.complex64)
+    assert sar_of(z, np.complex64).pixels is z
+    real = SarImage(ImageGrid(4, 3, 0.01), np.ones((3, 4)), 1).pixels
+    assert real.dtype == np.complex128
 
 
 def test_blur_identity_and_constants():
@@ -203,6 +222,44 @@ def test_sar_dump_round_trip(tmp_path):
     assert np.array_equal(back.pixels, z.astype(np.complex64))
     assert back.grid == sar.grid
     assert back.scan_count == 42
+
+
+def test_sar_dump_writer_allocates_a_band_not_a_grid(tmp_path):
+    # a complex128 image is written as complex64 bands, with no copy of the grid
+    rng = np.random.default_rng(3)
+    height, width = 500, 1200
+    z = rng.normal(size=(height, width)) + 1j * rng.normal(size=(height, width))
+    sar = SarImage(ImageGrid(width, height, 0.01), z, 1)
+    tracemalloc.start()
+    try:
+        write_sar_dump(sar, tmp_path / "sar.cpx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * width * height
+    assert np.array_equal(read_sar_dump(tmp_path / "sar.cpx").pixels, z.astype(np.complex64))
+
+
+def test_sar_dump_size_is_checked_before_any_pixel_is_allocated(tmp_path):
+    path = tmp_path / "huge.cpx"
+    path.write_bytes(b"100000 100000 0.01 0.0 0.0 1\n" + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: payload is 64 bytes, expected 80000000000")):
+            read_sar_dump(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sar_dump_with_trailing_bytes_reports_its_payload_length(tmp_path):
+    path = tmp_path / "long.cpx"
+    path.write_bytes(b"4 2 0.01 0.0 0.0 1\n" + bytes(4 * 2 * 8 + 3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: payload is 67 bytes, expected 64")):
+        read_sar_dump(path)
 
 
 @pytest.mark.parametrize("size", [b"-2 -2", b"4 0", b"2 1.5", b"x 2"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sarloop import (Pose2, compress_scan, generate_trajectory, in_fov, load_scene,
                      load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
+import sarloop.simulate
 from sarloop.radar import SPEED_OF_LIGHT, pulse_value, range_bin_spacing
 from sarloop.simulate import default_bin_count
 
@@ -166,6 +167,19 @@ def test_render_scene_scan_layout(side_radars, small_grid):
     down = np.abs(log.records["samples"][1::2]).max(axis=1)
     assert up.max() > 0
     assert np.all(down == 0)
+
+
+def test_render_scene_checks_its_scene_once(side_radars, small_grid, monkeypatch):
+    # one check of the table for the whole render, and each scan is simulate_echo's
+    check, calls = sarloop.simulate._scene_table, []
+    monkeypatch.setattr(sarloop.simulate, "_scene_table",
+                        lambda *args: calls.append(args) or check(*args))
+    scene = [(0.5, 0.6, 1.0), (0.4, -0.5, 2.0)]
+    log, _ = render_scene(scene, straight_poses(), side_radars, small_grid)
+    assert len(calls) == 1
+    echoes = [simulate_echo(scene, robot, radar)
+              for robot in straight_poses() for radar in side_radars]
+    assert np.array_equal(log.records["samples"], np.array(echoes, np.float32))
 
 
 def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
