@@ -199,6 +199,11 @@ def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float
     pad = config.range_max_m
     x_lo, x_hi = min(p.x_m for p in poses) - pad, max(p.x_m for p in poses) + pad
     y_lo, y_hi = min(p.y_m for p in poses) - pad, max(p.y_m for p in poses) + pad
-    width = int(math.ceil((x_hi - x_lo) / resolution_m)) + 1
-    height = int(math.ceil((y_hi - y_lo) / resolution_m)) + 1
+    cols, rows = (x_hi - x_lo) / resolution_m, (y_hi - y_lo) / resolution_m
+    # numpy caps an array at intp-max bytes, and the complex128 image takes 16 a pixel.
+    if not (cols + 1) * (rows + 1) <= np.iinfo(np.intp).max // 16:
+        raise ValueError(f"grid_resolution_m={resolution_m!r} over a {x_hi - x_lo:g} x "
+                         f"{y_hi - y_lo:g} m extent gives {(cols + 1) * (rows + 1):.3g} "
+                         "pixels, more than an array can hold")
+    width, height = int(math.ceil(cols)) + 1, int(math.ceil(rows)) + 1
     return ImageGrid(width, height, resolution_m, origin_m=(x_lo, y_lo))

@@ -39,7 +39,7 @@ def save_feature_set(fs: FeatureSet, path: str | Path) -> None:
         fh.write(struct.pack("<II", VERSION, len(ident)))
         fh.write(ident)
         fh.write(struct.pack("<IId", len(fs), n_bytes * 8, fs.resolution_m))
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 @names_its_file

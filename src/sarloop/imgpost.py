@@ -6,12 +6,15 @@ metric and the image file formats (binary PGM and the complex SAR dump).
 A dump is read as the complex64 pixels it stores, and no step makes a
 full-grid copy it does not need: complex pixels are widened and written in
 bands of ``BAND_ROWS`` rows, and ``quantize`` scales in one scratch array.
+A PGM is read in one pass, its header matched by one pattern and its pixels
+a view of the file's bytes, and written from the pixels' own buffer.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,10 @@ from .backprojection import ImageGrid, SarImage
 from .fileerrors import names_its_file
 
 BAND_ROWS = 64  # rows widened or written at a time: few enough that a band stays in cache
+
+# Netpbm's P5 header: whitespace and "#" comment lines may precede width, height and maxval,
+# each a token that ends at whitespace, and one whitespace byte ends it unless the file ends.
+_PGM_HEADER = re.compile(rb"P5" + rb"((?:\s|#[^\n]*\n)*)([^\s#]\S*)(?!\S)" * 3 + rb"\s?")
 
 
 @dataclass(frozen=True)
@@ -152,63 +159,48 @@ def write_pgm(img: GrayImage, path, origin_m: tuple[float, float] | None = None)
     """
     if not img.is_8bit:
         raise ValueError("PGM export needs an 8-bit image (quantize first)")
-    header = ["P5", f"# resolution_m {img.resolution_m!r}"]
+    header = f"P5\n# resolution_m {img.resolution_m!r}\n"
     if origin_m is not None:
-        header.append(f"# origin_m {float(origin_m[0])!r} {float(origin_m[1])!r}")
-    header.append(f"{img.width_px} {img.height_px}")
-    header.append("255")
+        header += f"# origin_m {float(origin_m[0])!r} {float(origin_m[1])!r}\n"
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode())
-        fh.write(img.pixels.tobytes())
+        fh.write(f"{header}{img.width_px} {img.height_px}\n255\n".encode())
+        fh.write(np.ascontiguousarray(img.pixels))
 
 
 @names_its_file
 def read_pgm(path) -> tuple[GrayImage, tuple[float, float] | None]:
     """Read a P5 PGM with its ``# resolution_m`` comment and, when present,
-    its ``# origin_m`` comment; a file without a pixel size is refused."""
+    its ``# origin_m`` comment; a file without a pixel size is refused. The file
+    is read once, and the pixels are a writable view of its bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]  # less is read if the file shrinks meanwhile
+        data += fh.read()  # a pipe has no size, and a file may grow meanwhile
     if not data.startswith(b"P5"):
         raise ValueError("not a binary (P5) PGM")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError("truncated PGM header")
     resolution = origin = None
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated PGM header")
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            eol = data.find(b"\n", pos)
-            eol = len(data) if eol < 0 else eol
-            comment = data[pos + 1:eol].split()
-            if comment[:1] == [b"resolution_m"] and len(comment) == 2:
-                resolution = float(comment[1])
-            elif comment[:1] == [b"origin_m"] and len(comment) == 3:
-                origin = (float(comment[1]), float(comment[2]))
-            pos = eol + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    width, height = _header_size(tokens)
-    maxval = int(tokens[2])
+    for comment in re.findall(rb"#(.*)", b"".join(header.group(1, 3, 5))):
+        words = comment.split()
+        if words[:1] == [b"resolution_m"] and len(words) == 2:
+            resolution = float(words[1])
+        elif words[:1] == [b"origin_m"] and len(words) == 3:
+            origin = (float(words[1]), float(words[2]))
+    width, height = _header_size(header.group(2, 4))
+    maxval = int(header[6])
     if origin is not None and not all(map(math.isfinite, origin)):
         raise ValueError(f"non-finite origin {origin}")
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval}")
     if resolution is None:
         raise ValueError("no '# resolution_m' comment, so the pixel size is unknown")
-    pos += 1  # single whitespace byte after maxval
-    raster = data[pos:pos + width * height]
-    if len(raster) != width * height:
-        raise ValueError("raster truncated "
-                         f"({len(raster)} of {width * height} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels.copy(), resolution), origin
+    start, count = header.end(), width * height
+    if len(data) - start < count:
+        raise ValueError(f"raster truncated ({len(data) - start} of {count} bytes)")
+    pixels = np.frombuffer(data, np.uint8, count, start).reshape(height, width)
+    return GrayImage(pixels, resolution), origin
 
 
 def _header_size(header: list[bytes]) -> tuple[int, int]:

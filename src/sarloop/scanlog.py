@@ -7,8 +7,8 @@ followed by fixed-size little-endian records, ``record_dtype(sample_count)``:
     timestamp f64 | radar_index u32 | x f64 | y f64 | theta f64 |
     samples f32 * sample_count
 
-A ``ScanLog`` holds the records as that same numpy array, so saving is one
-``tobytes`` and loading one ``frombuffer``; it is also the only in-memory
+A ``ScanLog`` holds the records as that same numpy array, so saving writes
+its buffer and loading is one ``frombuffer``; it is also the only in-memory
 form of a scan set, from ``render_scene`` to ``build_sar``. Record poses
 carry the robot heading, and a record's radar index names the radar that
 fired it. The header holds one radar description plus one mount angle per
@@ -98,7 +98,7 @@ def save_scan_log(log: ScanLog, path: str | Path) -> None:
     header += [f"mount_{i}_rad={r.mount_angle_rad!r}" for i, r in enumerate(log.radars)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode())
-        fh.write(log.records.tobytes())
+        fh.write(np.ascontiguousarray(log.records))
 
 
 @names_its_file

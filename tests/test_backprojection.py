@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -354,6 +355,21 @@ def test_derive_grid_covers_trajectory_padded_by_range(table1):
     assert grid.y_coords()[-1] >= 0.25 + 3.0
     with pytest.raises(ValueError):
         derive_grid([], table1, 0.01)
+
+
+@pytest.mark.parametrize("poses, resolution_m, message", [
+    ([Pose2(0, 0, 0), Pose2(1.5, 0.25, 0)], 1e-320,
+     "grid_resolution_m=1e-320 over a 7.5 x 6.25 m extent gives inf pixels"),
+    ([Pose2(0, 0, 0), Pose2(1.5, 0.25, 0)], 1e-9,
+     "grid_resolution_m=1e-09 over a 7.5 x 6.25 m extent gives 4.69e+19 pixels"),
+    ([Pose2(0, 0, 0), Pose2(1e308, 0, 0)], 0.01,
+     "grid_resolution_m=0.01 over a 1e+308 x 6 m extent gives inf pixels")],
+    ids=["subnormal", "past-the-byte-cap", "far-pose"])
+def test_derive_grid_refuses_a_grid_no_array_can_hold(table1, poses, resolution_m, message):
+    # refused by name before anything is allocated, not by math.ceil's
+    # OverflowError or numpy's size errors
+    with pytest.raises(ValueError, match=re.escape(message + ", more than an array can hold")):
+        derive_grid(poses, table1, resolution_m)
 
 
 def test_grid_validation():

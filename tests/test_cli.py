@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, build_sar, compress_scan,
-                     derive_grid, generate_trajectory, load_config, load_scene,
-                     load_trajectory, render_scene, save_scan_log)
+from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, ScanLog, build_sar,
+                     compress_scan, derive_grid, generate_trajectory, load_config,
+                     load_scan_log, load_scene, load_trajectory, render_scene, save_scan_log)
 from sarloop.cli import main
 from sarloop.features import save_feature_set
 from sarloop.imgpost import read_pgm, write_pgm, write_sar_dump
@@ -487,15 +487,18 @@ def test_pipeline_checks_detectors_before_any_stage(small_scene, tmp_path, capsy
     ("TRAJECTORY", "need at least 2 distinct waypoint positions"),
     ("FAR", "scan_spacing_m=0.05 on a 1e+300 m path gives"),
     ("scan_spacing_m=1e-300", "scan_spacing_m=1e-300 on a "),
-    ("scan_spacing_m=1e-19", "scan_spacing_m=1e-19 on a ")],
+    ("scan_spacing_m=1e-19", "scan_spacing_m=1e-19 on a "),
+    ("grid_resolution_m=1e-300", "grid_resolution_m=1e-300 over a 2.9 x 2.4 m extent"),
+    ("grid_resolution_m=1e-320", "grid_resolution_m=1e-320 over a 2.9 x 2.4 m extent"),
+    ("FAR-GRID", "grid_resolution_m=0.01 over a 1e+308 x 2.4 m extent")],
     ids=["repeated-mounts", "still-trajectory", "far-waypoint", "tiny-spacing",
-         "spacing-past-the-byte-cap"])
+         "spacing-past-the-byte-cap", "tiny-grid", "subnormal-grid", "far-grid"])
 def test_simulate_names_what_would_have_made_a_bad_log(small_scene, tmp_path, capsys,
                                                       setting, named):
     # repeated mounts: every record would name the first radar; a path that
     # does not move: the error names the trajectory file; a path of more
-    # scans than an array can hold: the error names the spacing, refused
-    # before any scan is made
+    # scans, or a grid of more pixels, than an array can hold: the error
+    # names the spacing or the resolution, refused before any scan is made
     scene, traj = small_scene
     if setting == "TRAJECTORY":
         traj = tmp_path / "still.txt"
@@ -504,6 +507,10 @@ def test_simulate_names_what_would_have_made_a_bad_log(small_scene, tmp_path, ca
     if setting == "FAR":
         traj = tmp_path / "far.txt"
         traj.write_text("0 0 0\n1e300 0 0\n")
+    if setting == "FAR-GRID":
+        traj = tmp_path / "far.txt"
+        traj.write_text("0 0 0\n1e308 0 0\n")
+        setting = "scan_spacing_m=1e307"
     out = tmp_path / "o"
     argv = ("--set", setting) if "=" in setting else ()
     rc = run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST, *argv)
@@ -511,6 +518,22 @@ def test_simulate_names_what_would_have_made_a_bad_log(small_scene, tmp_path, ca
     assert rc == 1
     assert not out.exists()
     assert named in err and "Traceback" not in err
+
+
+def test_backproject_names_the_resolution_of_a_grid_no_array_can_hold(small_scene, tmp_path,
+                                                                    capsys):
+    scene, traj = small_scene
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", tmp_path, *FAST) == 0
+    log = load_scan_log(tmp_path / "scanlog.bin")
+    records = log.records.copy()
+    records["pose"][-1] = (1e308, 0.0, 0.0)
+    save_scan_log(ScanLog(log.radars, records), tmp_path / "far.bin")
+    rc = run("backproject", "--scanlog", tmp_path / "far.bin", "--out", tmp_path / "o", *FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert not (tmp_path / "o").exists()
+    assert "grid_resolution_m=0.01 over a 1e+308 x 2.4 m extent" in err
+    assert "Traceback" not in err
 
 
 def test_backproject_takes_the_radar_from_the_log(small_scene, tmp_path):

@@ -601,3 +601,17 @@ def test_feature_file_records_keep_their_layout(tmp_path):
     assert back.keypoints["xy"].tolist() == [list(xy) for xy, *_ in rows]
     assert back.keypoints["octave"].tolist() == [0, 3]
     assert np.array_equal(back.descriptors, desc)
+
+
+def test_feature_writer_gives_views_the_bytes_of_their_copies(tmp_path):
+    kps = np.zeros(4, KEYPOINT)
+    kps["xy"] = np.arange(8).reshape(4, 2) * 1.5
+    kps["response"] = np.arange(4)
+    desc = np.arange(128, dtype=np.uint8).reshape(4, 32)
+    save_feature_set(FeatureSet("orb", kps[::-2], desc[::-2], RES), tmp_path / "view.bin")
+    save_feature_set(FeatureSet("orb", kps[::-2].copy(), desc[::-2].copy(), RES),
+                     tmp_path / "copy.bin")
+    assert (tmp_path / "view.bin").read_bytes() == (tmp_path / "copy.bin").read_bytes()
+    # a loaded set's arrays view its file's bytes; saving it again gives them back
+    save_feature_set(load_feature_set(tmp_path / "view.bin"), tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "view.bin").read_bytes()

@@ -1,7 +1,9 @@
 """Image enhancement chain and the on-disk image formats."""
 
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -205,6 +207,63 @@ def test_pgm_without_a_pixel_size_is_refused(tmp_path, comments):
         read_pgm(path)
 
 
+RASTER = bytes(range(6))
+
+
+@pytest.mark.parametrize("content, expect", [
+    (b"P5 # written by another tool\n# resolution_m 0.01\n3 2\n255\n" + RASTER,
+     (0.01, None)),
+    (b"P5\n# resolution_m 0.01\n3\n# origin_m 0.5 -0.25\n2\n# maxval next\n255\n" + RASTER,
+     (0.01, (0.5, -0.25))),
+    (b"P5\t# resolution_m 0.01\r\n3\t2\r\n255\r" + RASTER, (0.01, None)),
+    (b"P5\n# resolution_m 0.02\n# resolution_m 0.01\n3 2\n255\n" + RASTER, (0.01, None)),
+    (b"P5\n# resolution_m 0.01\n3 2\n255\n" + RASTER + b"\n# trailing\n", (0.01, None)),
+    (b"P5\n# resolution_m 0.01\n3 2\n# runs to the end of the file", "truncated PGM header"),
+    (b"P5\n# resolution_m 0.0x1\n# resolution_m 0.01\n3 2\n255\n" + RASTER,
+     "could not convert string to float: b'0.0x1'"),
+    (b"P5\n# resolution_m 0.01\n3 2\n255", "raster truncated (0 of 6 bytes)"),
+    (b"P5\n# resolution_m 0.01\n3 2#4\n255\n" + RASTER, "width and height must be"),
+], ids=["comment-on-the-p5-line", "comment-between-every-token", "tabs-and-cr",
+        "later-comment-wins", "bytes-after-the-raster", "comment-to-the-end",
+        "malformed-size-before-a-valid-one", "maxval-at-the-end", "token-holding-a-hash"])
+def test_pgm_header_grammar(tmp_path, content, expect):
+    # Netpbm's P5 header, as other tools may write it
+    path = tmp_path / "other.pgm"
+    path.write_bytes(content)
+    if isinstance(expect, str):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {expect}")):
+            read_pgm(path)
+        return
+    img, origin = read_pgm(path)
+    assert (img.resolution_m, origin) == expect
+    assert img.pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_pgm_is_read_from_a_pipe(tmp_path):
+    # a pipe reports no size: the reader still takes all of its bytes
+    img = gray(np.arange(12, dtype=np.uint8).reshape(3, 4))
+    write_pgm(img, tmp_path / "map.pgm", origin_m=(0.5, -0.25))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=((tmp_path / "map.pgm").read_bytes(),))
+    writer.start()
+    try:
+        back, origin = read_pgm(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.pixels, img.pixels) and origin == (0.5, -0.25)
+
+
+def test_pgm_writer_gives_a_strided_view_the_bytes_of_its_copy(tmp_path):
+    px = np.random.default_rng(6).integers(0, 256, (5, 7), dtype=np.uint8)
+    write_pgm(gray(px[:, ::-1]), tmp_path / "view.pgm")
+    write_pgm(gray(px[:, ::-1].copy()), tmp_path / "copy.pgm")
+    assert (tmp_path / "view.pgm").read_bytes() == (tmp_path / "copy.pgm").read_bytes()
+    assert np.array_equal(read_pgm(tmp_path / "view.pgm")[0].pixels, px[:, ::-1])
+
+
 def test_pgm_origin_comment_is_optional(tmp_path):
     path = tmp_path / "plain.pgm"
     path.write_bytes(b"P5\n# resolution_m 0.01\n3 2\n255\n" + bytes(range(6)))
@@ -224,20 +283,41 @@ def test_sar_dump_round_trip(tmp_path):
     assert back.scan_count == 42
 
 
+def traced_peak(call):
+    """``call()``'s return value and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        value = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
 def test_sar_dump_writer_allocates_a_band_not_a_grid(tmp_path):
     # a complex128 image is written as complex64 bands, with no copy of the grid
     rng = np.random.default_rng(3)
     height, width = 500, 1200
     z = rng.normal(size=(height, width)) + 1j * rng.normal(size=(height, width))
     sar = SarImage(ImageGrid(width, height, 0.01), z, 1)
-    tracemalloc.start()
-    try:
-        write_sar_dump(sar, tmp_path / "sar.cpx")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_sar_dump(sar, tmp_path / "sar.cpx"))
     assert peak <= 4 * width * height
     assert np.array_equal(read_sar_dump(tmp_path / "sar.cpx").pixels, z.astype(np.complex64))
+
+
+def test_pgm_reader_holds_one_copy_of_the_raster_and_the_writer_none(tmp_path):
+    # the file is read once and the pixels view its bytes; the writer writes
+    # the pixels' own buffer
+    height, width = 1200, 1500
+    img = gray(np.random.default_rng(5).integers(0, 256, (height, width), dtype=np.uint8))
+    path = tmp_path / "big.pgm"
+    _, written = traced_peak(lambda: write_pgm(img, path, origin_m=(0.5, -0.25)))
+    (back, origin), read = traced_peak(lambda: read_pgm(path))
+    assert written <= 0.25 * width * height
+    assert read <= 1.5 * width * height
+    assert np.array_equal(back.pixels, img.pixels) and origin == (0.5, -0.25)
+    assert back.pixels.flags.writeable
+    back.pixels[0, 0] ^= 1
 
 
 def test_sar_dump_size_is_checked_before_any_pixel_is_allocated(tmp_path):

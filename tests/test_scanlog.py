@@ -46,6 +46,14 @@ def test_resave_is_byte_identical(log, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_log_over_a_strided_view_saves_the_bytes_of_its_copy(side_radars, tmp_path):
+    records = two_radar_records(8)
+    save_scan_log(ScanLog(side_radars, records[::2]), tmp_path / "view.bin")
+    save_scan_log(ScanLog(side_radars, records[::2].copy()), tmp_path / "copy.bin")
+    assert (tmp_path / "view.bin").read_bytes() == (tmp_path / "copy.bin").read_bytes()
+    assert load_scan_log(tmp_path / "view.bin").records.tobytes() == records[::2].tobytes()
+
+
 def test_empty_log_is_valid(side_radars, tmp_path):
     for sample_count in (0, 24):
         empty = ScanLog(side_radars, np.empty(0, record_dtype(sample_count)))
