@@ -1,7 +1,6 @@
 """Malformed-file errors that name the file they were read from."""
 
 import functools
-import struct
 
 
 def names_its_file(reader):
@@ -12,7 +11,7 @@ def names_its_file(reader):
     def read(path, *args, **kwargs):
         try:
             return reader(path, *args, **kwargs)
-        except (ValueError, struct.error) as exc:
+        except ValueError as exc:
             if type(exc) is ValueError and str(exc).startswith(str(path)):
                 raise
             raise ValueError(f"{path}: {exc}") from exc

@@ -3,9 +3,10 @@
 Pipeline: positive_image (real + magnitude, kills negative fringes) ->
 gaussian_blur -> quantize to 8 bits. Also holds the occupancy-map accuracy
 metric and the image file formats (binary PGM and the complex SAR dump).
-A dump is read as the complex64 pixels it stores, and no step makes a
-full-grid copy it does not need: complex pixels are widened and written in
-bands of ``BAND_ROWS`` rows, and ``quantize`` scales in one scratch array.
+A dump is read in one call, from a file or a pipe, as a view of the complex64
+pixels it stores, and no step makes a full-grid copy it does not need: complex
+pixels are widened and written in bands of ``BAND_ROWS`` rows, and
+``quantize`` scales in one scratch array.
 A PGM is read in one pass, its header matched by one pattern and its pixels
 a view of the file's bytes, and written from the pixels' own buffer.
 """
@@ -16,6 +17,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -79,12 +81,17 @@ def positive_image(sar: SarImage) -> GrayImage:
 def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
     """Separable Gaussian smoothing with reflected edges.
 
-    Kernel radius is ceil(3*sigma); sigma 0 returns the image unchanged.
+    Kernel radius is ceil(3*sigma); sigma 0 returns the image unchanged, and a
+    radius longer than the image's longer side is refused before any filtering.
     """
     if sigma_px < 0:
         raise ValueError(f"sigma_px must be >= 0, got {sigma_px}")
     if sigma_px == 0:
         return img
+    side = max(img.pixels.shape)
+    if not 3.0 * sigma_px <= side:  # compared as floats, so 1e308 cannot overflow
+        raise ValueError(f"blur_sigma_px={sigma_px!r} gives a kernel radius (3 sigma) "
+                         f"longer than the image's longer side ({side} px)")
     src = np.asarray(img.pixels, dtype=np.float64)
     out = ndimage.gaussian_filter(src, sigma_px, mode="reflect",
                                   radius=int(math.ceil(3.0 * sigma_px)))
@@ -230,23 +237,22 @@ def write_sar_dump(sar: SarImage, path) -> None:
 
 @names_its_file
 def read_sar_dump(path) -> SarImage:
-    """The ``SarImage`` of a ``write_sar_dump`` file, with its complex64 pixels as
-    stored; the payload's length is checked before any pixel is allocated."""
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-        if len(header) != 6:
-            raise ValueError(
-                "expected 'width height resolution_m ox oy scan_count' header")
-        width, height = _header_size(header)
-        resolution = float(header[2])
-        origin = (float(header[3]), float(header[4]))
-        scan_count = int(header[5])
-        size, expect = os.fstat(fh.fileno()).st_size - fh.tell(), width * height * 8
-        if size == expect:  # less is read if the file shrinks meanwhile
-            pixels = np.empty((height, width), dtype="<c8")
-            size = fh.readinto(pixels)
+    """The ``SarImage`` of a ``write_sar_dump`` file or pipe, read in one call: its
+    complex64 pixels are a read-only view of the file's bytes, and a payload of the
+    wrong length is refused with no pixel allocated for the header's claim."""
+    data = Path(path).read_bytes()
+    start = data.find(b"\n") + 1 or len(data)  # no newline: the whole file is the header
+    header = data[:start].split()
+    if len(header) != 6:
+        raise ValueError("expected 'width height resolution_m ox oy scan_count' header")
+    width, height = _header_size(header)
+    resolution = float(header[2])
+    origin = (float(header[3]), float(header[4]))
+    scan_count = int(header[5])
+    size, expect = len(data) - start, width * height * 8
     if size != expect:
         raise ValueError(f"payload is {size} bytes, expected {expect}")
+    pixels = np.frombuffer(data, "<c8", width * height, start).reshape(height, width)
     if not np.isfinite(pixels.view("<f4")).all():
         raise ValueError("non-finite pixel values")
     grid = ImageGrid(width, height, resolution, origin)

@@ -59,11 +59,6 @@ class MatchReport:
         if self.good_matches > self.total_matches:
             raise ValueError(f"good {self.good_matches} > total {self.total_matches}")
 
-    @property
-    def good_fraction(self) -> float:
-        """good / total after the ratio test (0 when nothing matched)."""
-        return self.good_matches / self.total_matches if self.total_matches else 0.0
-
 
 @dataclass(frozen=True)
 class LoopDecision:

@@ -120,8 +120,8 @@ def test_05_known_warp_is_recovered_by_both_detectors(five_scatterer):
             f"{r.detector_id}: tx {t.tx_m / res:.2f} px")
         assert abs(t.ty_m / res - ty_px) <= 2.0, (
             f"{r.detector_id}: ty {t.ty_m / res:.2f} px")
-        assert r.good_fraction >= 0.34, (
-            f"{r.detector_id}: good fraction {r.good_fraction:.2f}")
+        assert r.good_matches / r.total_matches >= 0.34, (
+            f"{r.detector_id}: good fraction {r.good_matches / r.total_matches:.2f}")
 
 
 def test_06_loop_decisions_discriminate_self_from_disjoint_pairs(

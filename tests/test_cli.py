@@ -397,6 +397,32 @@ def test_post_names_a_sar_dump_with_a_non_finite_pixel(tmp_path, capsys, part, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e308", "40.0"])
+def test_post_names_a_blur_wider_than_the_map(tmp_path, capsys, sigma):
+    # a kernel radius, ceil(3 sigma), past the map's 12 px side is refused before
+    # any filtering: 1e308 cannot overflow, and no map is blurred for minutes
+    dump = tmp_path / "sar.cpx"
+    write_sar_dump(SarImage(ImageGrid(12, 9, 0.01), np.ones((9, 12)), 1), dump)
+    out = tmp_path / "o"
+    rc = run("post", "--sar", dump, "--out", out, "--set", f"blur_sigma_px={sigma}")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: blur_sigma_px={float(sigma)!r} gives a kernel radius" in err
+    assert not out.exists()
+
+
+def test_pipeline_names_a_blur_wider_than_the_map(small_scene, tmp_path, capsys):
+    scene, traj = small_scene
+    out = tmp_path / "o"
+    rc = run("pipeline", "--scene", scene, "--trajectory", traj, "--out", out, *FAST,
+             "--set", "blur_sigma_px=1e308")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "blur_sigma_px=1e+308" in err
+    assert not (out / "image.pgm").exists()
+
+
 def test_loopclose_rejects_mismatched_resolutions(tmp_path, capsys):
     rng = np.random.default_rng(52)
     px = rng.integers(0, 256, (48, 48)).astype(np.uint8)

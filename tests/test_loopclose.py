@@ -197,7 +197,6 @@ def test_match_feature_sets_with_no_survivors():
     report = match_feature_sets(a, b)
     assert (report.total_matches, report.good_matches) == (0, 0)
     assert report.transform is None
-    assert report.good_fraction == 0.0
     assert (report.n_keypoints_a, report.n_keypoints_b) == (3, 4)
 
 

@@ -3,10 +3,14 @@
 Every reader gets a small valid file, cut at every length and with random
 bytes spliced into its header. It must return a value or raise a
 ``ValueError`` whose message contains the path; any other exception fails.
+Every reader also reads its valid file through a pipe, to the same value.
 """
 
+import dataclasses
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -109,6 +113,36 @@ def test_random_header_bytes(tmp_path, name, data):
     path = tmp_path / "mutated"
     path.write_bytes(original[:start] + splice + original[start + cut:])
     reads_or_names_the_file(reader, path)
+
+
+def _fields(value):
+    """A reader's result as nested tuples, each array as its dtype, shape and bytes."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_fields(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_fields, value))
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_reader_takes_a_pipe(tmp_path, name):
+    # a pipe has no size and cannot seek: each reader still takes all of its bytes
+    reader, write, _ = READERS[name]
+    valid = tmp_path / "valid"
+    write(valid)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(valid.read_bytes(),),
+                              daemon=True)  # blocked forever if the reader never opens it
+    writer.start()
+    try:
+        piped = reader(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert _fields(piped) == _fields(reader(valid))
 
 
 def test_a_feature_file_of_zero_bit_descriptors_is_refused(tmp_path):
