@@ -1,8 +1,8 @@
 """SAR image formation by back-projection.
 
 The scans are a scan log's records plus their compressed bins, one table
-row per record: each row is imaged at its record's pose with the radar its
-radar index names, spread onto the pixels whose centers lie in that radar's
+row per record: each row is imaged at its record's pose row with the radar
+its radar index names, spread onto the pixels whose centers lie in that radar's
 field of view: the exact annular sector of ``in_fov`` (range window + beam
 cone around the boresight) on the IEEE-exact range ``sqrt(dy * dy + dx * dx)``:
 the simulator lights a scatterer by the same test on the same range. On each
@@ -20,11 +20,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose2
 from .radar import RadarConfig, range_bin_spacing
 from .scanlog import ScanLog
 
@@ -84,8 +82,8 @@ class SarImage:
         object.__setattr__(self, "pixels", pixels)
 
 
-def in_fov(radar: Pose2, config: RadarConfig, x, y):
-    """Direct FOV predicate on world points (vectorized).
+def in_fov(pose, config: RadarConfig, x, y):
+    """Direct FOV predicate on world points (vectorized) at the pose row ``pose``.
 
     True where range is within [range_min, range_max] and the bearing off
     boresight (robot heading + mount angle) is within half the beamwidth,
@@ -93,40 +91,42 @@ def in_fov(radar: Pose2, config: RadarConfig, x, y):
     A finite point so far off that its offset or range overflows is outside.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an inf offset or range: outside
-        return _sector(radar, config, np.asarray(x, dtype=np.float64),
+        return _sector(pose, config, np.asarray(x, dtype=np.float64),
                        np.asarray(y, dtype=np.float64))[1]
 
 
-def _sector(radar: Pose2, config: RadarConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
+def _sector(pose, config: RadarConfig, x, y) -> tuple[np.ndarray, np.ndarray]:
     """IEEE-exact range of world points from the radar (a libm ``hypot`` is not) and
     ``in_fov``; the caller guards against an offset or range that overflows."""
-    dx, dy = x - radar.x_m, y - radar.y_m
+    px, py, heading = pose
+    dx, dy = x - px, y - py
     rng = np.sqrt(dy * dy + dx * dx)
-    boresight = radar.theta_rad + config.mount_angle_rad
+    boresight = heading + config.mount_angle_rad
     along = dx * math.cos(boresight) + dy * math.sin(boresight)
     return rng, ((rng >= config.range_min_m) & (rng <= config.range_max_m)
                  & (along >= rng * math.cos(config.beamwidth_rad / 2.0)))
 
 
-def block_spans(radar: Pose2, config: RadarConfig,
-                grid: ImageGrid) -> tuple[slice, np.ndarray]:
-    """The rows the FOV sector reaches (the beam's extent along y at the near
-    and the far radius), and on each row block they meet (row ``k``: block
-    ``rows.start // BLOCK_ROWS + k``) the column span ``[start, stop)`` of the
-    far disk ∩ the beam cone (beamwidth < pi: two half-planes through the
-    radar) on its rows, less an end inside the near disk. Each bound is moved
-    out by a pixel and clipped to the grid: a superset of ``in_fov``."""
+def block_spans(pose, config: RadarConfig, grid: ImageGrid) -> tuple[slice, np.ndarray]:
+    """The rows the FOV sector at the pose row ``pose`` reaches (the beam's
+    extent along y at the near and the far radius), and on each row block they
+    meet (row ``k``: block ``rows.start // BLOCK_ROWS + k``) the column span
+    ``[start, stop)`` of the far disk ∩ the beam cone (beamwidth < pi: two
+    half-planes through the radar) on its rows, less an end inside the near
+    disk. Each bound is moved out by a pixel and clipped to the grid: a
+    superset of ``in_fov``."""
+    px, py, heading = pose
     res, height = grid.resolution_m, grid.height_px
-    boresight, half = radar.theta_rad + config.mount_angle_rad, config.beamwidth_rad / 2.0
+    boresight, half = heading + config.mount_angle_rad, config.beamwidth_rad / 2.0
     # The largest and smallest sine over the beam: +-1 where it holds the +y or -y axis.
     edges = (math.sin(boresight - half), math.sin(boresight + half))
     top = 1.0 if math.sin(boresight) >= math.cos(half) else max(edges)
     bottom = -1.0 if -math.sin(boresight) >= math.cos(half) else min(edges)
-    y0, radii = radar.y_m - grid.origin_m[1], (config.range_min_m, config.range_max_m)
+    y0, radii = py - grid.origin_m[1], (config.range_min_m, config.range_max_m)
     first = min(height, max(0, math.ceil((y0 + min(r * bottom for r in radii)) / res - 1)))
     last = math.floor((y0 + max(r * top for r in radii)) / res + 1)
     rows = slice(first, max(first, min(height, last + 1)))
-    dy = grid.y_coords()[rows] - radar.y_m
+    dy = grid.y_coords()[rows] - py
     hi = np.sqrt(np.maximum((config.range_max_m + res) ** 2 - dy * dy, 0.0))
     lo = -hi
     for side in (-1.0, 1.0):
@@ -139,8 +139,8 @@ def block_spans(radar: Pose2, config: RadarConfig,
     # An end inside the near disk, shrunk by a pixel, moves to that disk's edge.
     near = np.sqrt(np.maximum(max(config.range_min_m - res, 0.0) ** 2 - dy * dy, 0.0))
     lo, hi = np.where(abs(lo) < near, near, lo), np.where(abs(hi) < near, -near, hi)
-    start = np.ceil((radar.x_m + lo - grid.origin_m[0]) / res)
-    stop = np.floor((radar.x_m + hi - grid.origin_m[0]) / res) + 1
+    start = np.ceil((px + lo - grid.origin_m[0]) / res)
+    stop = np.floor((px + hi - grid.origin_m[0]) / res) + 1
     # Each block's first row in ``rows``; no rows meet no block.
     cuts = np.arange(-(rows.start % BLOCK_ROWS), dy.size, BLOCK_ROWS).clip(0)[:dy.size]
     spans = np.stack([np.minimum.reduceat(start, cuts), np.maximum.reduceat(stop, cuts)], 1)
@@ -167,7 +167,7 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
     padded[:, :n_bins] = bins
     radars = [log.radars[index] for index in log.records["radar_index"].tolist()]
     work = [(pose, radar, *block_spans(pose, radar, grid), row)
-            for pose, radar, row in zip(log.poses(), radars, padded)]
+            for pose, radar, row in zip(log.records["pose"].tolist(), radars, padded)]
     total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
     xs, ys = grid.x_coords(), grid.y_coords()
 
@@ -192,13 +192,14 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
     return SarImage(grid, total, scan_count=len(log))
 
 
-def derive_grid(poses: Sequence[Pose2], config: RadarConfig, resolution_m: float) -> ImageGrid:
-    """Grid covering the trajectory bounding box padded by the max range."""
-    if not poses:
+def derive_grid(poses: np.ndarray, config: RadarConfig, resolution_m: float) -> ImageGrid:
+    """Grid covering a pose table's bounding box padded by the max range."""
+    if not len(poses):
         raise ValueError("no poses to derive a grid from")
     pad = config.range_max_m
-    x_lo, x_hi = min(p.x_m for p in poses) - pad, max(p.x_m for p in poses) + pad
-    y_lo, y_hi = min(p.y_m for p in poses) - pad, max(p.y_m for p in poses) + pad
+    # Python floats: an extent past the float range is inf, and refused below.
+    (x_lo, y_lo, _), (x_hi, y_hi, _) = np.min(poses, 0).tolist(), np.max(poses, 0).tolist()
+    x_lo, x_hi, y_lo, y_hi = x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
     cols, rows = (x_hi - x_lo) / resolution_m, (y_hi - y_lo) / resolution_m
     # numpy caps an array at intp-max bytes, and the complex128 image takes 16 a pixel.
     if not (cols + 1) * (rows + 1) <= np.iinfo(np.intp).max // 16:

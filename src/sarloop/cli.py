@@ -70,6 +70,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     poses = generate_trajectory(load_trajectory(args.trajectory), cfg.scan_spacing_m)
     radars = cfg.radars()
     grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
+    # post blurs a map of this grid: a kernel wider than it is refused before any output
+    imgpost._check_blur_radius(cfg.blur_sigma_px, (grid.height_px, grid.width_px))
     log, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
                               rng=np.random.default_rng(cfg.seed))
     _make_out(args)
@@ -90,7 +92,7 @@ def cmd_backproject(args, cfg: RunConfig) -> int:
     # The scans are focused with the radars the log's header gives them, not
     # with the run config's radar keys.
     bins = compress_scan(log.records["samples"], log.radars[0])
-    grid = derive_grid(log.poses(), log.radars[0], cfg.grid_resolution_m)
+    grid = derive_grid(log.records["pose"], log.radars[0], cfg.grid_resolution_m)
     sar = build_sar(log, bins, grid)
     _make_out(args)
     imgpost.write_sar_dump(sar, sar_path)

@@ -78,6 +78,14 @@ def positive_image(sar: SarImage) -> GrayImage:
     return GrayImage(out, sar.grid.resolution_m)
 
 
+def _check_blur_radius(sigma_px: float, shape: tuple[int, ...]) -> None:
+    """Refuse a kernel radius longer than the longer side of an image of ``shape``."""
+    side = max(shape)
+    if not 3.0 * sigma_px <= side:  # compared as floats, so 1e308 cannot overflow
+        raise ValueError(f"blur_sigma_px={sigma_px!r} gives a kernel radius (3 sigma) "
+                         f"longer than the image's longer side ({side} px)")
+
+
 def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
     """Separable Gaussian smoothing with reflected edges.
 
@@ -88,10 +96,7 @@ def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
         raise ValueError(f"sigma_px must be >= 0, got {sigma_px}")
     if sigma_px == 0:
         return img
-    side = max(img.pixels.shape)
-    if not 3.0 * sigma_px <= side:  # compared as floats, so 1e308 cannot overflow
-        raise ValueError(f"blur_sigma_px={sigma_px!r} gives a kernel radius (3 sigma) "
-                         f"longer than the image's longer side ({side} px)")
+    _check_blur_radius(sigma_px, img.pixels.shape)
     src = np.asarray(img.pixels, dtype=np.float64)
     out = ndimage.gaussian_filter(src, sigma_px, mode="reflect",
                                   radius=int(math.ceil(3.0 * sigma_px)))

@@ -10,10 +10,11 @@ followed by fixed-size little-endian records, ``record_dtype(sample_count)``:
 A ``ScanLog`` holds the records as that same numpy array, so saving writes
 its buffer and loading is one ``frombuffer``; it is also the only in-memory
 form of a scan set, from ``render_scene`` to ``build_sar``. Record poses
-carry the robot heading, and a record's radar index names the radar that
-fired it. The header holds one radar description plus one mount angle per
-radar, so the radars may differ only in mount, and ``radars[0]`` fixes the
-pulse of every scan.
+carry the robot heading: the ``pose`` column is a pose table of ``x_m, y_m,
+theta_rad`` rows, which the imager uses as logged. A record's radar index
+names the radar that fired it. The header holds one radar description plus
+one mount angle per radar, so the radars may differ only in mount, and
+``radars[0]`` fixes the pulse of every scan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .fileerrors import names_its_file
-from .geometry import Pose2
 from .radar import RadarConfig
 
 FORMAT_NAME = "sarloop-scanlog"
@@ -85,10 +85,6 @@ class ScanLog:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def poses(self) -> list[Pose2]:
-        """The robot pose of each record."""
-        return [Pose2(*pose) for pose in self.records["pose"].tolist()]
 
 
 def save_scan_log(log: ScanLog, path: str | Path) -> None:

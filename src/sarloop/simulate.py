@@ -2,9 +2,10 @@
 
 Stands in for a real acquisition run: a robot path is sampled at a fixed
 scan spacing, and at each robot pose every radar fires once. A scene is a
-float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows; a radar's echo sums, in
-one pass and in scene order, a pulse replica per scatterer in its FOV at
-the range of its FOV test. ``render_scene`` returns the run as a
+float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows and a trajectory one of
+``x_m, y_m, theta_rad`` rows, each checked where it is made; a radar's echo
+sums, in one pass and in scene order, a pulse replica per scatterer in its
+FOV at the range of its FOV test. ``render_scene`` returns the run as a
 ``ScanLog``, the form the scan log file stores.
 
 Convention used throughout the package: every radar fires from the robot
@@ -22,7 +23,7 @@ import numpy as np
 
 from .backprojection import ImageGrid, _sector
 from .fileerrors import names_its_file
-from .geometry import Pose2
+from .geometry import wrap_angle
 from .radar import RadarConfig, SPEED_OF_LIGHT, pulse_value, range_bin_spacing
 from .scanlog import ScanLog, record_dtype
 
@@ -30,31 +31,40 @@ from .scanlog import ScanLog, record_dtype
 _EXTRA_TAIL_BINS = 64
 
 
-def _scene_table(scene, where=lambda k: f"scatterer {k}") -> np.ndarray:
-    """``scene`` as a float64 ``(n, 3)`` table of ``x_m, y_m, rcs`` rows (a
-    list of rows is converted). The first row with a non-finite position or
-    an rcs that is not a finite number >= 0 is refused, named ``where(k)``."""
-    table = np.asarray(scene, dtype=np.float64)
+def _table(rows, columns: str, valid, rule: str, where) -> np.ndarray:
+    """``rows`` as a float64 ``(n, 3)`` table of ``columns`` (a list of rows is
+    converted); the first row that ``valid`` fails is refused, named ``where(k)``."""
+    table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):
         table = table.reshape(0, 3)
     if table.ndim != 2 or table.shape[1] != 3:
-        raise ValueError(f"a scene is (n, 3) rows of x_m, y_m, rcs, got shape {table.shape}")
-    bad = np.flatnonzero(~(np.isfinite(table).all(axis=1) & (table[:, 2] >= 0)))
+        raise ValueError(f"expected (n, 3) rows of {columns}, got shape {table.shape}")
+    bad = np.flatnonzero(~valid(table))
     if bad.size:
-        raise ValueError(f"{where(int(bad[0]))}: position must be finite and rcs >= 0, "
-                         f"got {table[bad[0]].tolist()}")
+        raise ValueError(f"{where(int(bad[0]))}: {rule}, got {table[bad[0]].tolist()}")
     return table
 
 
-def generate_trajectory(waypoints: Sequence[Pose2], scan_spacing_m: float) -> list[Pose2]:
-    """Robot poses every ``scan_spacing_m`` of arc length, from 0, along the
-    piecewise-linear path through ``waypoints``. Each takes the heading of its
-    segment (the outgoing one on a corner); waypoint headings are ignored."""
+def _scene_table(scene, where=lambda k: f"scatterer {k}") -> np.ndarray:
+    return _table(scene, "x_m, y_m, rcs", lambda t: np.isfinite(t).all(1) & (t[:, 2] >= 0),
+                  "position must be finite and rcs >= 0", where)
+
+
+def _pose_table(poses, where) -> np.ndarray:
+    return _table(poses, "x_m, y_m, theta_rad", lambda t: np.isfinite(t).all(1),
+                  "pose must be finite", where)
+
+
+def generate_trajectory(waypoints, scan_spacing_m: float) -> np.ndarray:
+    """A pose table every ``scan_spacing_m`` of arc length, from 0, along the
+    piecewise-linear path through the ``waypoints`` rows (a non-finite one is
+    refused by its index). Each pose takes the heading of its segment (the
+    outgoing one on a corner), wrapped; waypoint headings are ignored."""
     if len(waypoints) < 2:
         raise ValueError(f"need at least 2 waypoints, got {len(waypoints)}")
     if not scan_spacing_m > 0:
         raise ValueError(f"scan_spacing_m must be positive, got {scan_spacing_m}")
-    pts = np.array([[w.x_m, w.y_m] for w in waypoints], dtype=np.float64)
+    pts = _pose_table(waypoints, lambda k: f"waypoint {k}")[:, :2]
     # A repeated waypoint would add a zero-length segment: drop it.
     pts = pts[np.concatenate(([True], np.any(pts[1:] != pts[:-1], axis=1)))]
     with np.errstate(over="ignore"):  # a path past the float range is refused below
@@ -74,8 +84,9 @@ def generate_trajectory(waypoints: Sequence[Pose2], scan_spacing_m: float) -> li
     idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
     # + 0.0 turns a -0.0 coordinate into 0.0, the bytes scan logs hold.
     pos = pts[idx] + ((s - cum[idx]) / seg_len[idx])[:, np.newaxis] * seg[idx] + 0.0
-    headings = np.arctan2(seg[:, 1], seg[:, 0])[idx]
-    return [Pose2(float(x), float(y), float(h)) for (x, y), h in zip(pos, headings)]
+    # arctan2 gives -pi along -x from a -0.0 y: wrap_angle keeps pi, as in (-pi, pi].
+    headings = [wrap_angle(h) for h in np.arctan2(seg[:, 1], seg[:, 0]).tolist()]
+    return np.column_stack((pos, np.take(headings, idx)))
 
 
 def default_bin_count(config: RadarConfig) -> int:
@@ -83,9 +94,9 @@ def default_bin_count(config: RadarConfig) -> int:
     return int(math.ceil(config.range_max_m / range_bin_spacing(config))) + _EXTRA_TAIL_BINS
 
 
-def simulate_echo(scene, pose: Pose2, config: RadarConfig) -> np.ndarray:
-    """Noiseless raw echo of the radar ``config`` fired at ``pose`` over
-    ``default_bin_count(config)`` bins, rendered in one pass: each scatterer
+def simulate_echo(scene, pose, config: RadarConfig) -> np.ndarray:
+    """Noiseless raw echo of the radar ``config`` fired at the pose row ``pose``
+    over ``default_bin_count(config)`` bins, rendered in one pass: each scatterer
     in the FOV, at the range R that its FOV test (the imager's sector) takes,
     adds the pulse delayed by its two-way travel time and scaled by
     sqrt(rcs) / R^2 (two-way spreading on voltage), in scene order from +0.0.
@@ -93,7 +104,7 @@ def simulate_echo(scene, pose: Pose2, config: RadarConfig) -> np.ndarray:
     return _echo(_scene_table(scene), pose, config)
 
 
-def _echo(table: np.ndarray, pose: Pose2, config: RadarConfig) -> np.ndarray:
+def _echo(table: np.ndarray, pose, config: RadarConfig) -> np.ndarray:
     """``simulate_echo`` of a scene table that ``_scene_table`` has checked."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in in_fov: a far point is unlit
         rng_m, lit = _sector(pose, config, table[:, 0], table[:, 1])
@@ -106,10 +117,10 @@ def _echo(table: np.ndarray, pose: Pose2, config: RadarConfig) -> np.ndarray:
     return replicas.sum(axis=0, initial=0.0)
 
 
-def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
+def render_scene(scene, poses: np.ndarray, radars: Sequence[RadarConfig],
                  grid: ImageGrid, snr_db: float = math.inf,
                  rng: np.random.Generator | None = None) -> tuple[ScanLog, np.ndarray]:
-    """Full forward simulation over robot poses plus the truth occupancy grid.
+    """Full forward simulation over a pose table plus the truth occupancy grid.
 
     Returns a ``ScanLog`` of ``radars`` with one record per (pose, radar) in
     pose-major, radar-minor order: at each robot pose every radar fires, and
@@ -124,7 +135,8 @@ def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
     table = _scene_table(scene)
     # An empty log refuses no radars, or radars that differ beyond mount, before any echo.
     radars = ScanLog(radars, np.zeros(0, record_dtype(0))).radars
-    echoes = np.array([_echo(table, robot, radar) for robot in poses for radar in radars])
+    echoes = np.array([_echo(table, pose, radar)
+                       for pose in np.asarray(poses).tolist() for radar in radars])
     noise_std = noise_std_for_snr(echoes, snr_db)
     if noise_std > 0:
         if rng is None:
@@ -134,7 +146,7 @@ def render_scene(scene, poses: Sequence[Pose2], radars: Sequence[RadarConfig],
     records = np.empty(len(echoes), record_dtype(echoes.shape[1]))
     records["timestamp_s"] = np.arange(len(echoes)) // len(radars)
     records["radar_index"] = np.arange(len(echoes)) % len(radars)
-    records["pose"] = [(p.x_m, p.y_m, p.theta_rad) for p in poses for _ in radars]
+    records["pose"] = np.repeat(poses, len(radars), axis=0)
     with np.errstate(over="ignore"):  # an overflow is refused below
         records["samples"] = echoes
     if not np.isfinite(records["samples"]).all():
@@ -173,8 +185,9 @@ def noise_std_for_snr(echoes, snr_db: float) -> float:
     return peak / ratio
 
 
-def _load_rows(path, columns: str, make) -> dict:
-    """``{line number: make(a, b, c)}`` per line of three numbers (``#`` comments)."""
+def _load_table(path, columns: str, check) -> np.ndarray:
+    """``check(rows, where)`` of the rows of a file of ``columns`` lines (``#``
+    comments), where ``where`` names a row by its line."""
     rows = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -182,27 +195,27 @@ def _load_rows(path, columns: str, make) -> dict:
             continue
         try:
             a, b, c = (float(p) for p in body.split())
-            rows[lineno] = make(a, b, c)
+            rows[lineno] = (a, b, c)
         except ValueError as exc:
             raise ValueError(
                 f"{path}:{lineno}: expected '{columns}', got {line!r} ({exc})") from None
-    return rows
+    return check(list(rows.values()), lambda k: f"{path}:{list(rows)[k]}")
 
 
 @names_its_file
 def load_scene(path: str | Path) -> np.ndarray:
     """Read a scene file, one ``x_m y_m rcs`` line per scatterer, as an
     ``(n, 3)`` table; a bad row is named by its line."""
-    rows = _load_rows(path, "x_m y_m rcs", lambda *row: row)
-    return _scene_table(list(rows.values()), lambda k: f"{path}:{list(rows)[k]}")
+    return _load_table(path, "x_m y_m rcs", _scene_table)
 
 
 @names_its_file
-def load_trajectory(path: str | Path) -> list[Pose2]:
-    """Read a waypoint file: one ``x_m y_m theta_rad`` line per waypoint, at
-    least two distinct positions among them."""
-    waypoints = list(_load_rows(path, "x_m y_m theta_rad", Pose2).values())
-    if len({(w.x_m, w.y_m) for w in waypoints}) < 2:
+def load_trajectory(path: str | Path) -> np.ndarray:
+    """Read a waypoint file, one ``x_m y_m theta_rad`` line per waypoint, as
+    a pose table; a non-finite row is named by its line, and at least two
+    distinct positions are needed."""
+    waypoints = _load_table(path, "x_m y_m theta_rad", _pose_table)
+    if not (waypoints[:, :2] != waypoints[:1, :2]).any():
         raise ValueError(f"need at least 2 distinct waypoint positions, "
                          f"got {len(waypoints)} waypoints")
     return waypoints

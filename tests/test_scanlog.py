@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarloop import Pose2, ScanLog, load_scan_log, record_dtype, render_scene, save_scan_log
+from sarloop import ScanLog, load_scan_log, record_dtype, render_scene, save_scan_log
 
 def two_radar_records(n, sample_count=24):
     """``n`` records alternating between radars 0 and 1, two per pose."""
@@ -184,7 +184,7 @@ def test_log_validation(side_radars):
 
 
 def test_log_from_simulation_layout(side_radars, small_grid, tmp_path):
-    poses = [Pose2(0.1 * k, 0.0, 0.0) for k in range(3)]
+    poses = [(0.1 * k, 0.0, 0.0) for k in range(3)]
     scene = [(0.5, 0.6, 1.0)]
     log, _ = render_scene(scene, poses, side_radars, small_grid)
     assert log.records["timestamp_s"].tolist() == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]

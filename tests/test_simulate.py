@@ -9,24 +9,23 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sarloop import (Pose2, compress_scan, generate_trajectory, in_fov, load_scene,
-                     load_trajectory, noise_std_for_snr, render_scene, simulate_echo)
+from sarloop import (compress_scan, generate_trajectory, in_fov, load_scene, load_trajectory,
+                     render_scene, simulate_echo)
 import sarloop.simulate
 from sarloop.radar import SPEED_OF_LIGHT, pulse_value, range_bin_spacing
-from sarloop.simulate import default_bin_count
+from sarloop.simulate import default_bin_count, noise_std_for_snr
 
 
 def straight_poses():
     """Robot poses every 0.1 m along a 1 m path on the x axis."""
-    return generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0)), 0.1)
+    return generate_trajectory(((0, 0, 0), (1, 0, 0)), 0.1)
 
 
 def test_straight_path_sampling():
     samples = straight_poses()
-    assert len(samples) == 11
-    xs = [robot.x_m for robot in samples]
-    assert xs == pytest.approx(np.arange(11) * 0.1)
-    assert all(robot.y_m == 0 and robot.theta_rad == 0 for robot in samples)
+    assert samples.dtype == np.float64 and samples.shape == (11, 3)
+    assert samples[:, 0].tolist() == pytest.approx(np.arange(11) * 0.1)
+    assert (samples[:, 1:] == 0).all()
 
 
 def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
@@ -34,70 +33,75 @@ def test_each_mount_fires_from_the_robot_pose(table1, small_grid):
     log, _ = render_scene([], robots, [replace(table1, mount_angle_rad=math.pi / 2)],
                           small_grid)
     assert len(log) == len(robots)
-    assert log.poses() == robots
-    for index, pose, robot in zip(log.records["radar_index"], log.records["pose"].tolist(),
-                                  robots):
+    assert np.array_equal(log.records["pose"], robots)
+    for index in log.records["radar_index"]:
         assert log.radars[index].mount_angle_rad == pytest.approx(math.pi / 2)
-        assert pose == [robot.x_m, robot.y_m, robot.theta_rad]
 
 
 def test_corner_heading_switches_to_outgoing_segment():
-    samples = generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0)), 0.25)
+    samples = generate_trajectory(((0, 0, 0), (1, 0, 0), (1, 1, 0)), 0.25)
     assert len(samples) == 9  # arc lengths 0.0 .. 2.0
-    for k, robot in enumerate(samples):
+    for k, heading in enumerate(samples[:, 2].tolist()):
         want = 0.0 if k < 4 else math.pi / 2  # the s=1.0 sample sits on the corner
-        assert robot.theta_rad == pytest.approx(want)
+        assert heading == pytest.approx(want)
+    # arctan2 gives -pi along -x from a -0.0 y: the heading is wrapped to pi
+    assert generate_trajectory(((1, 0, 0), (0, -0.0, 0)), 0.5)[:, 2].tolist() == [math.pi] * 3
 
 
 @pytest.mark.parametrize("repeat", [1, 2])
 def test_repeated_waypoints_add_no_samples(repeat):
     # A path ending on (or passing through) a repeated waypoint is the same
     # path as without the repeat; only the repeat's heading differs.
-    plain = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 1, 0))
-    for doubled in (plain + (Pose2(1, 1, 2.0),) * repeat,
-                    plain[:2] + (Pose2(1, 0, 2.0),) * repeat + plain[2:]):
-        assert generate_trajectory(doubled, 0.25) == generate_trajectory(plain, 0.25)
-    ending = (Pose2(0, 0, 0), Pose2(1, 0, 0), Pose2(1, 0, 0))
-    assert generate_trajectory(ending, 0.25) == [
-        Pose2(k * 0.25, 0.0, 0.0) for k in range(5)]
+    plain = ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    for doubled in (plain + ((1, 1, 2.0),) * repeat,
+                    plain[:2] + ((1, 0, 2.0),) * repeat + plain[2:]):
+        assert np.array_equal(generate_trajectory(doubled, 0.25),
+                              generate_trajectory(plain, 0.25))
+    ending = ((0, 0, 0), (1, 0, 0), (1, 0, 0))
+    assert np.array_equal(generate_trajectory(ending, 0.25),
+                          [(k * 0.25, 0.0, 0.0) for k in range(5)])
 
 
 def test_trajectory_rejections():
     with pytest.raises(ValueError, match="degenerate"):
-        generate_trajectory((Pose2(0, 0, 0), Pose2(0, 0, 0)), 0.1)
+        generate_trajectory(((0, 0, 0), (0, 0, 0)), 0.1)
     with pytest.raises(ValueError, match="at least 2 waypoints"):
-        generate_trajectory((Pose2(0, 0, 0),), 0.1)
+        generate_trajectory(((0, 0, 0),), 0.1)
     for spacing in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="scan_spacing_m must be positive"):
-            generate_trajectory((Pose2(0, 0, 0), Pose2(1, 0, 0)), spacing)
+            generate_trajectory(((0, 0, 0), (1, 0, 0)), spacing)
     # more scans than an array can hold: refused before any is made, with
     # no warning for a path longer than the float range
     for xs, spacing in (((0.0, 1e300), 0.025), ((0.0, 1.0), 1e-300), ((0.0, 3.0), 1e-18),
                         ((-1.7e308, 1.7e308), 1.0), ((0.0, 1.5e308, 0.0), 1.0)):
         with pytest.raises(ValueError, match="scan_spacing_m=.* m path gives .* scans"):
-            generate_trajectory([Pose2(x, 0, 0) for x in xs], spacing)
+            generate_trajectory([(x, 0, 0) for x in xs], spacing)
+    # a non-finite waypoint is refused by the index of the first one
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(ValueError, match=r"^waypoint 2: pose must be finite"):
+            generate_trajectory([(0, 0, 0), (1, 0, 0), bad, (2, 0, 0), bad], 0.1)
 
 
 def test_empty_scene_echo_is_silent(table1):
-    echo = simulate_echo([], Pose2(0, 0, 0), table1)
+    echo = simulate_echo([], (0, 0, 0), table1)
     assert np.all(echo == 0)
 
 
 def test_scatterer_outside_beam_contributes_nothing(table1):
     off = math.radians(40)  # past the 30 deg half-beam
     scene = [(math.cos(off), math.sin(off), 1.0)]
-    echo = simulate_echo(scene, Pose2(0, 0, 0), table1)
+    echo = simulate_echo(scene, (0, 0, 0), table1)
     assert np.all(echo == 0)
 
 
 def test_scatterer_at_one_meter_compresses_to_bin_156(table1):
-    echo = simulate_echo([(1.0, 0.0, 1.0)], Pose2(0, 0, 0), table1)
+    echo = simulate_echo([(1.0, 0.0, 1.0)], (0, 0, 0), table1)
     assert int(np.argmax(np.abs(compress_scan(echo, table1)))) == 156
     assert math.floor(1.0 / range_bin_spacing(table1) + 0.5) == 156
 
 
 def test_echoes_superpose_exactly(table1):
-    pose = Pose2(0, 0, 0)
+    pose = (0, 0, 0)
     parts = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7), (2.1, 0.4, 1.4)]
     combined = simulate_echo(parts, pose, table1)
     sum_of_parts = sum(simulate_echo([s], pose, table1) for s in parts)
@@ -105,7 +109,7 @@ def test_echoes_superpose_exactly(table1):
 
 
 def test_doubling_rcs_scales_amplitude_by_sqrt2(table1):
-    pose = Pose2(0, 0, 0)
+    pose = (0, 0, 0)
     one = simulate_echo([(1.0, 0.0, 1.0)], pose, table1)
     two = simulate_echo([(1.0, 0.0, 2.0)], pose, table1)
     assert np.any(one != 0)
@@ -133,7 +137,7 @@ def test_radars_that_differ_beyond_mount_are_refused(side_radars, small_grid):
 def test_the_first_bad_scatterer_is_named(table1, side_radars, small_grid, bad):
     scene = [(0.5, 0.6, 1.0)] * 2 + [bad, (0.5, 0.6, 1.0), bad]
     with pytest.raises(ValueError, match=r"^scatterer 2: position must be finite and rcs >= 0"):
-        simulate_echo(scene, Pose2(0, 0, 0), table1)
+        simulate_echo(scene, (0, 0, 0), table1)
     with pytest.raises(ValueError, match=r"^scatterer 2: "):
         render_scene(np.array(scene), straight_poses(), side_radars, small_grid)
 
@@ -142,13 +146,13 @@ def test_the_first_bad_scatterer_is_named(table1, side_radars, small_grid, bad):
                          ids=["flat", "two-columns", "3-d"])
 def test_a_scene_is_a_table_of_three_columns(table1, scene):
     with pytest.raises(ValueError, match="rows of x_m, y_m, rcs"):
-        simulate_echo(scene, Pose2(0, 0, 0), table1)
+        simulate_echo(scene, (0, 0, 0), table1)
 
 
 def test_a_row_list_and_its_table_render_the_same(table1):
     rows = [(0.8, 0.1, 1.0), (1.3, -0.2, 0.7)]
-    a = simulate_echo(rows, Pose2(0, 0, 0), table1)
-    b = simulate_echo(np.array(rows), Pose2(0, 0, 0), table1)
+    a = simulate_echo(rows, (0, 0, 0), table1)
+    b = simulate_echo(np.array(rows), (0, 0, 0), table1)
     assert a.tobytes() == b.tobytes()
     assert np.any(a != 0)
 
@@ -248,10 +252,11 @@ def test_scene_and_trajectory_files_round_trip(tmp_path):
     loaded = load_scene(path)
     assert loaded.dtype == np.float64 and np.array_equal(loaded, scene)
 
-    poses = [Pose2(0, 0, 0), Pose2(1.5, 0.25, math.pi / 2)]
+    poses = np.array([(0, 0, 0), (1.5, 0.25, math.pi / 2)])
     tpath = tmp_path / "traj.txt"
-    tpath.write_text("".join(f"{p.x_m!r} {p.y_m!r} {p.theta_rad!r}\n" for p in poses))
-    assert load_trajectory(tpath) == poses
+    tpath.write_text("".join(f"{x!r} {y!r} {theta!r}\n" for x, y, theta in poses.tolist()))
+    loaded = load_trajectory(tpath)
+    assert loaded.dtype == np.float64 and np.array_equal(loaded, poses)
 
     commented = tmp_path / "commented.txt"
     commented.write_text("# a scatterer\n0.25 -0.5 1.0\n\n1.5 0.75 2.5\n")
@@ -284,6 +289,10 @@ def test_non_numeric_fields_name_the_file_and_line(tmp_path, load):
     path.write_bytes(b"0.25 -0.5 \xff\n")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)
+    for bad in ("inf 0.5 1.0", "0.5 -0.5 nan"):  # not finite: refused by its line
+        path.write_text(f"0.25 -0.5 1.0\n\n{bad}\n0.5 nan 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".* must be finite"):
+            load(path)
 
 
 @pytest.mark.parametrize("row, line", [("0.3 nan 1.0", 4), ("0.3 0.2 -1.0", 4),
@@ -303,7 +312,7 @@ def reference_echo(scene, pose, config, n_bins):
     for x, y, rcs in scene:
         if not bool(in_fov(pose, config, x, y)):
             continue
-        dx, dy = x - pose.x_m, y - pose.y_m
+        dx, dy = x - pose[0], y - pose[1]
         rng_m = math.sqrt(dy * dy + dx * dx)
         delay = 2.0 * rng_m / SPEED_OF_LIGHT
         samples += (math.sqrt(rcs) / (rng_m * rng_m)) * pulse_value(config, t - delay)
@@ -329,8 +338,9 @@ def reference_render(scene, poses, radars, grid, snr_db, rng):
 
 def polar(pose, radar, r, off, rcs):
     """The scatterer at range r and bearing off boresight of the radar at pose."""
-    bearing = pose.theta_rad + radar.mount_angle_rad + off
-    return (pose.x_m + r * math.cos(bearing), pose.y_m + r * math.sin(bearing), rcs)
+    x, y, heading = pose
+    bearing = heading + radar.mount_angle_rad + off
+    return (x + r * math.cos(bearing), y + r * math.sin(bearing), rcs)
 
 
 @st.composite
@@ -344,14 +354,14 @@ def scenes(draw, poses, radars):
     bearings = st.one_of(st.floats(-math.pi, math.pi),
                          st.sampled_from([-radar.beamwidth_rad / 2, radar.beamwidth_rad / 2]))
     rcs = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
-    rows = draw(st.lists(st.builds(polar, st.sampled_from(poses), st.sampled_from(radars),
+    rows = draw(st.lists(st.builds(polar, st.sampled_from(list(poses)), st.sampled_from(radars),
                                    ranges, bearings, rcs), max_size=16))
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     return draw(st.permutations(rows))
 
 
-FORWARD = Pose2(0.0, 0.0, 0.0)
+FORWARD = (0.0, 0.0, 0.0)
 # Where math.hypot differs from the sector's range in the last bit.
 HYPOT_EDGE = [(0.75, -0.26, 1.0), (1.27, 0.3, 0.5)]
 # Twelve overlapping replicas, whose sum in scene order differs from a pairwise one.
