@@ -9,8 +9,7 @@ descriptors of shared segment-test keypoints whose transforms must agree.
 from .backprojection import ImageGrid, SarImage, build_sar, derive_grid, in_fov
 from .features import (KEYPOINT, DetectorConfig, FeatureSet, detect_and_describe,
                        register_detector)
-from .imgpost import (GrayImage, cellwise_difference, gaussian_blur,
-                      occupancy_from_image, otsu_threshold, positive_image, quantize)
+from .imgpost import GrayImage, gaussian_blur, positive_image, quantize
 from .loopclose import (LoopDecision, MatchReport, SimilarityTransform, detect_and_match,
                         validate_loop)
 from .radar import RadarConfig, compress_scan, pulse_value, radar_pulse, range_bin_spacing

@@ -1,14 +1,18 @@
-"""The keypoint record, feature sets, and the detector registry."""
+"""The keypoint record, feature sets, and the detector registry, whose
+detectors run on a ``DetectorConfig``: an id plus the ``RunConfig`` it runs under."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..imgpost import GrayImage
+
+if TYPE_CHECKING:
+    from ..runconfig import RunConfig
 
 MIN_IMAGE_SIDE_PX = 32
 
@@ -20,24 +24,11 @@ KEYPOINT = np.dtype([("xy", "<f8", (2,)), ("response", "<f4"), ("angle", "<f4"),
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Tuning knobs shared by the native detectors.
-
-    corner_threshold is the segment-test intensity delta; target_keypoints
-    caps how many responses are kept after ranking.
-    """
+    """A detector id and the run config it runs under; ``run`` holds the
+    front-end keys ``corner_threshold``, ``n_octaves`` and ``target_keypoints``."""
 
     detector_id: str
-    corner_threshold: int = 15
-    n_octaves: int = 4
-    target_keypoints: int = 200
-
-    def __post_init__(self):
-        if self.corner_threshold <= 0:
-            raise ValueError(f"corner_threshold must be > 0, got {self.corner_threshold}")
-        if self.target_keypoints < 1:
-            raise ValueError(f"target_keypoints must be >= 1, got {self.target_keypoints}")
-        if self.n_octaves < 1:
-            raise ValueError(f"n_octaves must be >= 1, got {self.n_octaves}")
+    run: RunConfig
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,16 @@ detectors also share the keypoint loop, ``describe_keypoints``, and inside a
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
 
 from ..imgpost import GrayImage
 from .base import DetectorConfig, FeatureSet, require_min_size
+
+if TYPE_CHECKING:
+    from ..runconfig import RunConfig
 
 # Radius-3 circle, 16 pixels, starting at the top and walking clockwise so
 # list adjacency equals geometric adjacency (rows grow downward).
@@ -131,8 +135,9 @@ def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def detect_on_levels(levels: list[np.ndarray],
-                     cfg: DetectorConfig) -> list[tuple[float, int, int, int]]:
-    """Run the segment test per octave, suppress, rank, and cap.
+                     run: RunConfig) -> list[tuple[float, int, int, int]]:
+    """Run the segment test per octave at ``run.corner_threshold``, suppress,
+    rank, and keep the ``run.target_keypoints`` strongest.
 
     Each corner is ``(score, octave, row, col)`` at the integer pixel of its
     level where the test fired; the strongest come first, ties broken by
@@ -140,12 +145,12 @@ def detect_on_levels(levels: list[np.ndarray],
     """
     found = []
     for octave, img in enumerate(levels):
-        scores = segment_test_scores(img, cfg.corner_threshold)
+        scores = segment_test_scores(img, run.corner_threshold)
         rows, cols = _nms_peaks(scores)
         found += zip(scores[rows, cols].tolist(), [octave] * len(rows),
                      rows.tolist(), cols.tolist())
     found.sort(key=lambda corner: (-corner[0], *corner[1:]))
-    return found[:cfg.target_keypoints]
+    return found[:run.target_keypoints]
 
 
 _SCOPES: list[dict] = []  # front ends of each open SharedFrontEnds, innermost last
@@ -165,17 +170,21 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
                        margin_px: int, descriptor_bits: int, describe) -> FeatureSet:
     """Describe the image's ranked corners, each on its own pyramid level.
 
-    Corners closer than ``margin_px`` to their level's edge are dropped;
-    ``describe(level, col, row)`` returns the angle and packed descriptor of
-    each other corner at its level pixel. Each keypoint row holds that pixel
-    scaled up to the base image, the corner score, the angle and the octave.
+    The pyramid depth, threshold and cap are ``cfg.run``'s front-end keys;
+    in a ``SharedFrontEnds`` scope, detectors whose run configs agree on them
+    share one pyramid and corner list. Corners closer than ``margin_px`` to
+    their level's edge are dropped; ``describe(level, col, row)`` returns the
+    angle and packed descriptor of each other corner at its level pixel. Each
+    keypoint row holds that pixel scaled up to the base image, the corner
+    score, the angle and the octave.
     """
     require_min_size(img.pixels)
     memo = _SCOPES[-1] if _SCOPES else {}
-    key = (id(img.pixels), cfg.corner_threshold, cfg.n_octaves, cfg.target_keypoints)
+    run = cfg.run
+    key = (id(img.pixels), run.corner_threshold, run.n_octaves, run.target_keypoints)
     if key not in memo:  # one per (threshold, octaves, cap); holding the pixels keeps their id
-        levels = build_pyramid(img.pixels, cfg.n_octaves)
-        memo[key] = img.pixels, levels, detect_on_levels(levels, cfg)
+        levels = build_pyramid(img.pixels, run.n_octaves)
+        memo[key] = img.pixels, levels, detect_on_levels(levels, run)
     _, levels, corners = memo[key]
     kept, descs = [], []
     for score, octave, row, col in corners:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureSet, detect_and_describe
+from .features import DetectorConfig, FeatureSet, detect_and_describe
 from .features.corners import SharedFrontEnds
 from .geometry import wrap_angle
 from .imgpost import GrayImage
@@ -211,12 +211,14 @@ def detect_and_match(img_a: GrayImage, img_b: GrayImage, cfg: RunConfig = RunCon
     """Per detector in ``cfg.detectors``: both images' features and their
     MatchReport, the k-th matched with seed ``cfg.seed + k``.
 
-    Both images must share a pixel size, checked before detecting. All
-    detectors describe an image in one ``SharedFrontEnds`` scope before the
-    next image starts; an image equal to the other is detected once.
+    Each detector runs as ``DetectorConfig(name, cfg)`` and reads its
+    front-end keys from ``cfg`` itself. Both images must share a pixel size,
+    checked before detecting. All detectors describe an image in one
+    ``SharedFrontEnds`` scope before the next image starts; an image equal
+    to the other is detected once.
     """
     _same_resolution(img_a, img_b)
-    det_cfgs = cfg.detector_configs()
+    det_cfgs = [DetectorConfig(name, cfg) for name in cfg.detectors]
     sets = []
     for img in [img_a] if np.array_equal(img_a.pixels, img_b.pixels) else [img_a, img_b]:
         with SharedFrontEnds():

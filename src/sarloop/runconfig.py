@@ -5,7 +5,8 @@ An empty file (or no file) is a valid configuration. Keys mirror the CLI
 millimeters here, matching the reporting convention; ``radars()`` and
 ``validate_loop`` convert them to radians/meters. A ``RunConfig`` checks
 itself when built, in code or from ``--set``, and is the one config of the
-loop stages in ``loopclose``; its front-end defaults are ``DetectorConfig``'s.
+loop stages in ``loopclose`` and of the detector front end, which a detector
+reads as ``DetectorConfig.run``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .features import DetectorConfig
 from .features.base import registered_detectors
 from .fileerrors import names_its_file
 from .radar import RadarConfig
@@ -39,9 +39,9 @@ class RunConfig:
     blur_sigma_px: float = 1.0
     # detection & matching
     detectors: tuple[str, ...] = ("orb", "brisk")
-    corner_threshold: int = DetectorConfig.corner_threshold
-    n_octaves: int = DetectorConfig.n_octaves
-    target_keypoints: int = DetectorConfig.target_keypoints
+    corner_threshold: int = 15
+    n_octaves: int = 4
+    target_keypoints: int = 200
     ratio: float = 0.75
     ransac_iters: int = 2000
     ransac_inlier_px: float = 3.0
@@ -80,7 +80,6 @@ class RunConfig:
             raise ValueError(f"detectors must be distinct ids of registered detectors "
                              f"({', '.join(known)}), got {','.join(self.detectors)}")
         self.radars()
-        self.detector_configs()
 
     # ---- builders -------------------------------------------------------
 
@@ -91,21 +90,18 @@ class RunConfig:
                                  self.range_min_m, self.range_max_m, math.radians(mount))
                      for mount in self.mounts_deg)
 
-    def detector_configs(self) -> list[DetectorConfig]:
-        return [DetectorConfig(name, self.corner_threshold, self.n_octaves,
-                               self.target_keypoints) for name in self.detectors]
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 # (what is allowed, its test, the keys it holds for), checked in this order
 _RANGES = (
     ("an int", lambda v: type(v) is int, [k for k, t in _FIELD_TYPES.items() if t == "int"]),
-    ("> 0", lambda v: v > 0, ("scan_spacing_m", "grid_resolution_m", "ransac_inlier_px")),
+    ("> 0", lambda v: v > 0, ("scan_spacing_m", "grid_resolution_m", "ransac_inlier_px",
+                              "corner_threshold")),
     ("in (0, 180)", lambda v: 0 < v < 180, ("beamwidth_deg",)),
     (">= 0", lambda v: v >= 0, ("blur_sigma_px", "min_good_matches", "scale_tol",
                                 "translation_tol_mm", "rotation_tol_deg", "seed")),
-    (">= 1", lambda v: v >= 1, ("ransac_iters",)),
+    (">= 1", lambda v: v >= 1, ("n_octaves", "target_keypoints", "ransac_iters")),
     # a similarity fit needs 2 correspondences
     (">= 2", lambda v: v >= 2, ("ransac_min_inliers",)),
     ("in (0, 1)", lambda v: 0 < v < 1, ("ratio",)),
@@ -139,10 +135,6 @@ def _parse_lines(text: str) -> dict:
         key, raw = (part.strip() for part in body.split("=", 1))
         values[key] = _parse_value(key, raw)
     return values
-
-
-def parse_config_text(text: str) -> RunConfig:
-    return RunConfig(**_parse_lines(text))
 
 
 @names_its_file

@@ -130,13 +130,15 @@ def render_scene(scene, poses: np.ndarray, radars: Sequence[RadarConfig],
     added in one draw from ``rng`` (the default infinite SNR adds none), and
     the result is stored as the records' f32 samples. Noise past the f32
     range is refused. The truth grid marks the cell nearest each scatterer
-    on the grid; one off it is not marked.
+    on the grid; one off it is not marked. A scatterer or pose row that is
+    not finite is refused, by its index, before any echo is rendered.
     """
     table = _scene_table(scene)
+    poses = _pose_table(poses, lambda k: f"pose {k}")
     # An empty log refuses no radars, or radars that differ beyond mount, before any echo.
     radars = ScanLog(radars, np.zeros(0, record_dtype(0))).radars
     echoes = np.array([_echo(table, pose, radar)
-                       for pose in np.asarray(poses).tolist() for radar in radars])
+                       for pose in poses.tolist() for radar in radars])
     noise_std = noise_std_for_snr(echoes, snr_db)
     if noise_std > 0:
         if rng is None:

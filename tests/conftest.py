@@ -15,8 +15,8 @@ import pytest
 from numpy.random import default_rng
 
 from sarloop import (GrayImage, ImageGrid, RadarConfig, build_sar, compress_scan,
-                     gaussian_blur, generate_trajectory, positive_image, quantize,
-                     render_scene)
+                     gaussian_blur, generate_trajectory, load_config, positive_image,
+                     quantize, render_scene)
 from sarloop.features import base as feature_base
 
 SIDE_MOUNTS = (math.pi / 2.0, -math.pi / 2.0)
@@ -79,15 +79,25 @@ def five_scatterer(side_radars):
 
 @pytest.fixture
 def detector_calls(monkeypatch):
-    """Detector ids in the order the registered detectors get called."""
+    """The ``DetectorConfig`` of each registered detector call, in order."""
     calls = []
 
-    def spy(name, detect):
+    def spy(detect):
         def counted(img, cfg):
-            calls.append(name)
+            calls.append(cfg)
             return detect(img, cfg)
         return counted
 
     monkeypatch.setattr(feature_base, "_DETECTORS",
-                        {n: spy(n, f) for n, f in feature_base._DETECTORS.items()})
+                        {n: spy(f) for n, f in feature_base._DETECTORS.items()})
     return calls
+
+
+@pytest.fixture
+def config_from_text(tmp_path):
+    """``load_config`` of a config file holding the given text."""
+    def load(text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return load_config(path)
+    return load

@@ -80,7 +80,7 @@ def test_self_pair_detects_once_and_writes_equal_feature_files(
     out = tmp_path / "run"
     assert run("pipeline", "--scene", scene, "--trajectory", traj,
                "--out", out, *FAST) == 0
-    assert detector_calls == ["orb", "brisk"]
+    assert [c.detector_id for c in detector_calls] == ["orb", "brisk"]
     for det in ("orb", "brisk"):
         assert ((out / f"features_{det}_a.bin").read_bytes()
                 == (out / f"features_{det}_b.bin").read_bytes())

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, detect_and_describe,
-                     register_detector)
+from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, RunConfig,
+                     detect_and_describe, load_config, register_detector)
 from sarloop.features import base as feature_base
 from sarloop.features import brisk, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
@@ -26,10 +26,15 @@ def gray(px):
     return GrayImage(np.asarray(px), RES)
 
 
+def det(detector_id, **front_end):
+    """``detector_id`` under the default run config with the given keys changed."""
+    return DetectorConfig(detector_id, RunConfig(**front_end))
+
+
 def pyramid_corners(img, cfg):
     """Segment-test corners over the full pyramid as (score, octave, row,
     col), strongest first."""
-    return detect_on_levels(build_pyramid(img.pixels, cfg.n_octaves), cfg)
+    return detect_on_levels(build_pyramid(img.pixels, cfg.run.n_octaves), cfg.run)
 
 
 def random_u8(shape, seed, lo=0, hi=200):
@@ -131,14 +136,14 @@ def test_raising_the_threshold_only_zeroes_weak_scores():
 
 def test_constant_image_yields_no_corners():
     kps = pyramid_corners(gray(np.full((48, 48), 90, np.uint8)),
-                          DetectorConfig("orb"))
+                          det("orb"))
     assert kps == []
 
 
 def test_bright_square_corners_are_localized():
     px = np.full((64, 64), 30, np.uint8)
     px[20:41, 16:37] = 220
-    kps = pyramid_corners(gray(px), DetectorConfig("orb", n_octaves=1))
+    kps = pyramid_corners(gray(px), det("orb", n_octaves=1))
     corners = {(16, 20), (36, 20), (16, 40), (36, 40)}
     for cx, cy in corners:
         d = min(math.hypot(c - cx, r - cy) for _, _, r, c in kps)
@@ -149,8 +154,8 @@ def test_single_octave_keypoints_are_the_3x3_score_maxima():
     img = random_u8((64, 64), seed=13, hi=256)
     threshold = 15
     kps = pyramid_corners(gray(img),
-                          DetectorConfig("orb", corner_threshold=threshold,
-                                         n_octaves=1, target_keypoints=10_000))
+                          det("orb", corner_threshold=threshold, n_octaves=1,
+                              target_keypoints=10_000))
     assert len(kps) > 20
     scores = segment_test_scores(img, threshold)
     got = {(r, c) for _, _, r, c in kps}
@@ -167,8 +172,8 @@ def test_single_octave_keypoints_are_the_3x3_score_maxima():
 
 def test_keypoints_rank_strongest_first_and_cap():
     img = gray(random_u8((64, 64), seed=14, hi=256))
-    full = pyramid_corners(img, DetectorConfig("orb", target_keypoints=10_000))
-    top = pyramid_corners(img, DetectorConfig("orb", target_keypoints=5))
+    full = pyramid_corners(img, det("orb", target_keypoints=10_000))
+    top = pyramid_corners(img, det("orb", target_keypoints=5))
     assert top == full[:5]
     assert full == sorted(full, key=lambda k: (-k[0], k[1], k[2], k[3]))
     assert len({k[0] for k in full}) < len(full)  # the ties are exercised
@@ -335,7 +340,7 @@ def rot90_ccw_coords(x, y, side):
 
 def quarter_turn_distances(detector_id, base):
     side = base.shape[0]
-    cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
+    cfg = det(detector_id, n_octaves=1, target_keypoints=10_000)
     fa = detect_and_describe(gray(base), cfg)
     fb = detect_and_describe(gray(np.rot90(base)), cfg)
     index_b = {(x, y): i for i, (x, y) in enumerate(fb.keypoints["xy"].tolist())}
@@ -378,7 +383,7 @@ def test_brisk_descriptors_are_stable_under_quarter_turns():
 @pytest.mark.parametrize("detector_id", ["orb", "brisk"])
 def test_descriptors_ignore_global_brightness(detector_id):
     base = random_u8((64, 64), seed=22, hi=200)
-    cfg = DetectorConfig(detector_id, n_octaves=1, target_keypoints=10_000)
+    cfg = det(detector_id, n_octaves=1, target_keypoints=10_000)
     fa = detect_and_describe(gray(base), cfg)
     fb = detect_and_describe(gray(base + 40), cfg)
     assert np.array_equal(fa.keypoints, fb.keypoints)
@@ -389,7 +394,7 @@ def test_descriptors_ignore_global_brightness(detector_id):
 @pytest.mark.parametrize("detector_id", ["orb", "brisk"])
 def test_detection_is_deterministic(detector_id):
     img = gray(random_u8((64, 64), seed=23, hi=256))
-    cfg = DetectorConfig(detector_id)
+    cfg = det(detector_id)
     a = detect_and_describe(img, cfg)
     b = detect_and_describe(img, cfg)
     assert np.array_equal(a.keypoints, b.keypoints)
@@ -403,8 +408,8 @@ def test_pyramid_stops_before_a_level_too_small_for_the_segment_test():
     assert round(64 / SCALE_STEP ** len(levels)) < 7
     assert ([lv.shape for lv in build_pyramid(img.pixels, len(levels))]
             == [lv.shape for lv in levels])
-    deep = detect_and_describe(img, DetectorConfig("brisk", n_octaves=5000))
-    capped = detect_and_describe(img, DetectorConfig("brisk", n_octaves=len(levels)))
+    deep = detect_and_describe(img, det("brisk", n_octaves=5000))
+    capped = detect_and_describe(img, det("brisk", n_octaves=len(levels)))
     assert np.array_equal(deep.keypoints, capped.keypoints)
     assert np.array_equal(deep.descriptors, capped.descriptors)
 
@@ -413,20 +418,20 @@ def border_survivors(img, cfg, margin_px):
     """(x, y, octave) of the uncapped 3x3 score maxima of every level that
     clear the descriptor margin on their level, strongest first."""
     found = []
-    for octave, level in enumerate(build_pyramid(img.pixels, cfg.n_octaves)):
-        scores = segment_test_scores(level, cfg.corner_threshold)
+    for octave, level in enumerate(build_pyramid(img.pixels, cfg.run.n_octaves)):
+        scores = segment_test_scores(level, cfg.run.corner_threshold)
         h, w = level.shape
         rows, cols = _nms_peaks(scores)
         for r, c in zip(rows.tolist(), cols.tolist()):
             if margin_px <= c <= w - 1 - margin_px and margin_px <= r <= h - 1 - margin_px:
                 found.append((-float(scores[r, c]), octave, r, c))
-    assert len(found) <= cfg.target_keypoints
+    assert len(found) <= cfg.run.target_keypoints
     return [(c * SCALE_STEP ** o, r * SCALE_STEP ** o, o) for _, o, r, c in sorted(found)]
 
 
 def test_orb_drops_only_border_keypoints():
     img = gray(random_u8((64, 64), seed=24, hi=256))
-    cfg = DetectorConfig("orb", n_octaves=2, target_keypoints=10_000)
+    cfg = det("orb", n_octaves=2, target_keypoints=10_000)
     fs = detect_and_describe(img, cfg)
     want = border_survivors(img, cfg, orb.BORDER_MARGIN_PX)  # 21 px
     assert 0 < len(want) < len(pyramid_corners(img, cfg))
@@ -438,7 +443,7 @@ def test_orb_drops_only_border_keypoints():
 
 def test_brisk_drops_border_keypoints_and_sets_angles():
     img = gray(random_u8((64, 64), seed=25, hi=256))
-    cfg = DetectorConfig("brisk", n_octaves=2, target_keypoints=10_000)
+    cfg = det("brisk", n_octaves=2, target_keypoints=10_000)
     fs = detect_and_describe(img, cfg)
     want = border_survivors(img, cfg, brisk.BORDER_MARGIN_PX)  # 12 px
     assert [(*xy, octave) for xy, octave in
@@ -452,7 +457,7 @@ def test_brisk_drops_border_keypoints_and_sets_angles():
 def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
     truth_rc = np.argwhere(five_scatterer.truth)
     for detector_id, tol_px in (("orb", 5.0), ("brisk", 5.0)):
-        fs = detect_and_describe(five_scatterer.image, DetectorConfig(detector_id))
+        fs = detect_and_describe(five_scatterer.image, det(detector_id))
         assert len(fs) >= 100
         for row, col in truth_rc:
             d = np.hypot(*(fs.keypoints["xy"] - (col, row)).T).min()
@@ -464,9 +469,9 @@ def test_scatterer_map_keypoints_land_on_the_targets(five_scatterer):
 def test_registry_lookup_and_errors(monkeypatch):
     monkeypatch.setattr(feature_base, "_DETECTORS", dict(feature_base._DETECTORS))
     img = gray(random_u8((64, 64), seed=27, hi=256))
-    assert detect_and_describe(img, DetectorConfig("orb")).detector_id == "orb"
+    assert detect_and_describe(img, det("orb")).detector_id == "orb"
     with pytest.raises(KeyError, match="brisk"):
-        detect_and_describe(img, DetectorConfig("surf"))
+        detect_and_describe(img, det("surf"))
     with pytest.raises(ValueError, match="already registered"):
         register_detector("orb")(lambda img, cfg: None)
 
@@ -474,23 +479,29 @@ def test_registry_lookup_and_errors(monkeypatch):
     def detect_nothing(img, cfg):
         return FeatureSet(cfg.detector_id, [], np.zeros((0, 8), np.uint8), img.resolution_m)
 
-    fs = detect_and_describe(img, DetectorConfig("empty"))
+    fs = detect_and_describe(img, det("empty"))
     assert (fs.detector_id, len(fs)) == ("empty", 0)
 
 
 def test_small_images_are_rejected():
     img = gray(np.zeros((16, 16), np.uint8))
     with pytest.raises(ValueError, match="too small"):
-        detect_and_describe(img, DetectorConfig("orb"))
+        detect_and_describe(img, det("orb"))
 
 
 def test_detector_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig("orb", corner_threshold=0)
-    with pytest.raises(ValueError):
-        DetectorConfig("orb", n_octaves=0)
-    with pytest.raises(ValueError):
-        DetectorConfig("orb", target_keypoints=0)
+    # A detector's front-end keys are its run config's, refused as --set refuses them.
+    for text, message in (("corner_threshold=0", "corner_threshold must be > 0, got 0"),
+                          ("n_octaves=0", "n_octaves must be >= 1, got 0"),
+                          ("target_keypoints=0", "target_keypoints must be >= 1, got 0")):
+        key, value = text.split("=")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            det("orb", **{key: int(value)})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_config(None, [text])
+    for key in ("n_octaves", "target_keypoints"):
+        with pytest.raises(ValueError, match=f"^{key} must be an int, got 2.5$"):
+            det("orb", **{key: 2.5})
 
 
 def test_feature_set_validation():
@@ -517,10 +528,10 @@ def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
     # gives 856.0000000000001, which a float round trip would drop.
     px = np.zeros((1201, 1501), np.uint8)
     px[600:640, 1440:1480] = 200
-    cfg = DetectorConfig("brisk", target_keypoints=10_000)
-    levels = build_pyramid(px, cfg.n_octaves)
+    cfg = det("brisk", target_keypoints=10_000)
+    levels = build_pyramid(px, cfg.run.n_octaves)
     assert levels[3].shape[1] == 869
-    margin_cols = {c for _, o, _, c in detect_on_levels(levels, cfg)
+    margin_cols = {c for _, o, _, c in detect_on_levels(levels, cfg.run)
                    if o == 3 and c >= 854}
     assert margin_cols >= {854, 855, 856}
     fs = detect_and_describe(gray(px), cfg)
@@ -531,7 +542,7 @@ def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
 
 def test_feature_file_round_trip(tmp_path):
     img = gray(random_u8((64, 64), seed=26, hi=256))
-    fs = detect_and_describe(img, DetectorConfig("brisk"))
+    fs = detect_and_describe(img, det("brisk"))
     assert len(fs) > 0
     path = tmp_path / "feat.bin"
     save_feature_set(fs, path)

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sarloop import (GrayImage, ImageGrid, SarImage, cellwise_difference,
-                     gaussian_blur, occupancy_from_image, otsu_threshold,
-                     positive_image, quantize)
-from sarloop.imgpost import BAND_ROWS, read_pgm, read_sar_dump, write_pgm, write_sar_dump
+from sarloop import GrayImage, ImageGrid, SarImage, gaussian_blur, positive_image, quantize
+from sarloop.imgpost import (BAND_ROWS, cellwise_difference, occupancy_from_image,
+                             otsu_threshold, read_pgm, read_sar_dump, write_pgm,
+                             write_sar_dump)
 
 
 def gray(arr, res=0.01):

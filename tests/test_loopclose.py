@@ -227,7 +227,7 @@ def test_a_refit_from_saved_feature_sets_is_exact(five_scatterer, tmp_path, seed
     # them only if the file keeps every bit of x/y.
     img = five_scatterer.image
     shifted = GrayImage(np.roll(img.pixels, (-3, 7), axis=(0, 1)), img.resolution_m)
-    cfg = DetectorConfig(detector_id)
+    cfg = DetectorConfig(detector_id, RunConfig())
     fa, fb = detect_and_describe(img, cfg), detect_and_describe(shifted, cfg)
     best, dists = knn_match(fa, fb)
     cfg = RunConfig(seed=seed)
@@ -405,7 +405,7 @@ def test_identical_pixels_are_detected_once_per_detector(five_scatterer,
     img = five_scatterer.image
     copy = GrayImage(img.pixels.copy(), img.resolution_m)
     matched = detect_and_match(img, copy, RunConfig(seed=9))
-    assert detector_calls == ["orb", "brisk"]
+    assert [c.detector_id for c in detector_calls] == ["orb", "brisk"]
     for k, (fa, fb, report) in enumerate(matched):
         assert fb is fa
         assert report == match_feature_sets(fa, fa, RunConfig(seed=9 + k))
@@ -417,7 +417,8 @@ def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls)
     shifted = GrayImage(np.roll(img.pixels, 3, axis=1), img.resolution_m)
     assert shifted.pixels.shape == img.pixels.shape
     detect_and_match(img, shifted)
-    assert detector_calls == ["orb", "brisk", "orb", "brisk"]  # image by image
+    # image by image
+    assert [c.detector_id for c in detector_calls] == ["orb", "brisk", "orb", "brisk"]
 
 
 @pytest.fixture
@@ -456,33 +457,34 @@ def test_native_detectors_share_one_pyramid_per_image(five_scatterer, pyramids):
     assert len(built) == 1
 
     built.clear()
-    for cfg in RunConfig().detector_configs():
-        detect_and_describe(img, cfg)
+    run = RunConfig()
+    for name in run.detectors:
+        detect_and_describe(img, DetectorConfig(name, run))
     assert len(built) == 2  # outside detect_and_match, each call builds its own
 
 
 @pytest.mark.parametrize("brisk_cfg", [
-    DetectorConfig("brisk"),
-    DetectorConfig("brisk", corner_threshold=20),
-    DetectorConfig("brisk", target_keypoints=150),
+    DetectorConfig("brisk", RunConfig()),
+    DetectorConfig("brisk", RunConfig(corner_threshold=20)),
+    DetectorConfig("brisk", RunConfig(target_keypoints=150)),
 ], ids=["shared", "threshold", "cap"])
 def test_shared_front_ends_describe_the_same_bytes(five_scatterer, pyramids, brisk_cfg):
     built, _ = pyramids
     img, shifted = shifted_pair(five_scatterer)
-    cfgs = [DetectorConfig("orb"), brisk_cfg]
+    cfgs = [DetectorConfig("orb", RunConfig()), brisk_cfg]
     scoped = []
     for image in (img, shifted):
         with corners.SharedFrontEnds():
             scoped.append([detect_and_describe(image, cfg) for cfg in cfgs])
     # A front end per image and per distinct (threshold, octaves, cap).
-    assert len(built) == (2 if brisk_cfg == DetectorConfig("brisk") else 4)
+    assert len(built) == (2 if brisk_cfg.run == RunConfig() else 4)
     for cfg, fa, fb in zip(cfgs, *scoped):
         for got, want in ((fa, detect_and_describe(img, cfg)),
                           (fb, detect_and_describe(shifted, cfg))):
             assert (got.detector_id, got.resolution_m) == (want.detector_id, want.resolution_m)
             assert got.keypoints.tobytes() == want.keypoints.tobytes()
             assert got.descriptors.tobytes() == want.descriptors.tobytes()
-    if brisk_cfg == DetectorConfig("brisk"):  # the default run config's detectors
+    if brisk_cfg.run == RunConfig():  # the default run config's detectors
         for (fa, fb, _), want_a, want_b in zip(detect_and_match(img, shifted), *scoped):
             for got, want in ((fa, want_a), (fb, want_b)):
                 assert got.keypoints.tobytes() == want.keypoints.tobytes()
@@ -504,11 +506,12 @@ def test_a_registered_detector_runs_beside_orb(five_scatterer, monkeypatch):
 
     img, shifted = shifted_pair(five_scatterer)
     cfg = RunConfig(detectors=("orb", "rows"), seed=4)
-    rows_cfg = DetectorConfig("rows")
+    rows_cfg = DetectorConfig("rows", cfg)
     (oa, ob, orb_report), (ra, rb, _) = detect_and_match(img, shifted, cfg)
     assert len(calls) == 2
     assert calls[0][0] is img and calls[1][0] is shifted
     assert calls[0][1] == rows_cfg and calls[1][1] == rows_cfg
+    assert calls[0][1].run is cfg and calls[1][1].run is cfg
     assert ra.descriptors.tobytes() == detect_rows(img, rows_cfg).descriptors.tobytes()
     assert rb.descriptors.tobytes() == detect_rows(shifted, rows_cfg).descriptors.tobytes()
     (alone_a, alone_b, alone_report), = detect_and_match(
@@ -526,13 +529,13 @@ def test_a_detector_may_describe_another_image_inside_the_scope(five_scatterer,
     def detect_mirrored(img, cfg):
         """ORB on the image mirrored left to right."""
         mirrored = GrayImage(img.pixels[:, ::-1], img.resolution_m)
-        fs = detect_and_describe(mirrored, DetectorConfig("orb"))
+        fs = detect_and_describe(mirrored, DetectorConfig("orb", cfg.run))
         return FeatureSet(cfg.detector_id, fs.keypoints, fs.descriptors, fs.resolution_m)
 
     img, shifted = shifted_pair(five_scatterer)
     _, (fa, fb, _) = detect_and_match(img, shifted,
                                       RunConfig(detectors=("orb", "orb_mirrored")))
     for got, source in ((fa, img), (fb, shifted)):
-        want = detect_mirrored(source, DetectorConfig("orb_mirrored"))
+        want = detect_mirrored(source, DetectorConfig("orb_mirrored", RunConfig()))
         assert got.keypoints.tobytes() == want.keypoints.tobytes()
         assert got.descriptors.tobytes() == want.descriptors.tobytes()

@@ -7,9 +7,9 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from sarloop import DetectorConfig, detect_and_match, validate_loop
+from sarloop import detect_and_match, validate_loop
 from sarloop.loopclose import match_feature_sets
-from sarloop.runconfig import RunConfig, parse_config_text
+from sarloop.runconfig import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,9 +29,9 @@ def test_readme_library_block_accepts_its_own_map(capsys):
 
 def test_library_defaults_are_the_cli_defaults():
     # A stage called without a config gets RunConfig(), the config the CLI
-    # starts from, and the native detectors default to its front-end keys.
+    # starts from, which runs the native detectors.
     cfg = RunConfig()
-    assert cfg.detector_configs() == [DetectorConfig("orb"), DetectorConfig("brisk")]
+    assert cfg.detectors == ("orb", "brisk")
     for fn in (match_feature_sets, detect_and_match, validate_loop):
         assert inspect.signature(fn).parameters["cfg"].default == cfg, fn.__name__
 
@@ -45,11 +45,11 @@ def config_rows():
             for keys, defaults in rows]
 
 
-def test_readme_config_table_is_the_run_config():
+def test_readme_config_table_is_the_run_config(config_from_text):
     rows = config_rows()
     counts = Counter(key for keys, _ in rows for key in keys)
     assert counts == Counter(f.name for f in fields(RunConfig))
     for keys, defaults in rows:
         assert len(keys) == len(defaults), keys
         text = "".join(f"{key}={default}\n" for key, default in zip(keys, defaults))
-        assert parse_config_text(text) == RunConfig(), text
+        assert config_from_text(text) == RunConfig(), text

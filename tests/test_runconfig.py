@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from sarloop import MatchReport, RunConfig, SimilarityTransform, load_config, validate_loop
-from sarloop.runconfig import parse_config_text
+from sarloop import (MatchReport, RunConfig, SimilarityTransform, detect_and_match, load_config,
+                     validate_loop)
 
 
 def test_defaults_validate_and_mirror_the_radar_setup():
@@ -23,13 +23,13 @@ def test_defaults_validate_and_mirror_the_radar_setup():
     assert right.mount_angle_rad == pytest.approx(-math.pi / 2)
 
 
-def test_empty_text_is_the_default_config():
-    assert parse_config_text("") == RunConfig()
-    assert parse_config_text("# only a comment\n\n") == RunConfig()
+def test_empty_text_is_the_default_config(config_from_text):
+    assert config_from_text("") == RunConfig()
+    assert config_from_text("# only a comment\n\n") == RunConfig()
 
 
-def test_parse_overrides_and_comments():
-    cfg = parse_config_text(
+def test_parse_overrides_and_comments(config_from_text):
+    cfg = config_from_text(
         "snr_db = 14      # low-noise run\n"
         "detectors=brisk , orb\n"
         "mounts_deg = 0, 180\n")
@@ -39,37 +39,37 @@ def test_parse_overrides_and_comments():
     assert cfg.ratio == 0.75  # untouched keys keep their defaults
 
 
-def test_parse_errors():
+def test_parse_errors(config_from_text):
     with pytest.raises(ValueError, match="unknown config key"):
-        parse_config_text("sampl_rate_hz=1e9\n")
+        config_from_text("sampl_rate_hz=1e9\n")
     with pytest.raises(ValueError, match="known keys"):
-        parse_config_text("bogus=1\n")
+        config_from_text("bogus=1\n")
     with pytest.raises(ValueError, match="line 2"):
-        parse_config_text("snr_db=10\nnot a pair\n")
+        config_from_text("snr_db=10\nnot a pair\n")
     with pytest.raises(ValueError):
-        parse_config_text("seed=1.5\n")
+        config_from_text("seed=1.5\n")
 
 
-def test_validate_rejects_bad_values():
+def test_validate_rejects_bad_values(config_from_text):
     with pytest.raises(ValueError, match="grid_resolution_m"):
-        parse_config_text("grid_resolution_m=0\n")
+        config_from_text("grid_resolution_m=0\n")
     with pytest.raises(ValueError, match="scan_spacing_m"):
-        parse_config_text("scan_spacing_m=-0.1\n")
+        config_from_text("scan_spacing_m=-0.1\n")
     with pytest.raises(ValueError):  # radar invariant: fs too low for fc+bw
-        parse_config_text("sample_rate_hz=1e9\n")
+        config_from_text("sample_rate_hz=1e9\n")
     with pytest.raises(ValueError, match="mounts_deg"):
-        parse_config_text("mounts_deg=\n")
+        config_from_text("mounts_deg=\n")
 
 
 @pytest.mark.parametrize("mounts", ["90,90", "90,-90,90", "0,-0"])
-def test_repeated_mounts_are_refused(mounts):
+def test_repeated_mounts_are_refused(config_from_text, mounts):
     # a scan log tells its radars apart by mount alone
     with pytest.raises(ValueError, match="mounts_deg must name at least one radar, each at"):
-        parse_config_text(f"mounts_deg={mounts}\n")
+        config_from_text(f"mounts_deg={mounts}\n")
 
 
-def test_infinite_snr_stays_valid_and_means_no_noise():
-    assert parse_config_text("snr_db=inf\n").snr_db == math.inf
+def test_infinite_snr_stays_valid_and_means_no_noise(config_from_text):
+    assert config_from_text("snr_db=inf\n").snr_db == math.inf
 
 
 def test_load_config_merges_file_and_overrides(tmp_path):
@@ -137,12 +137,15 @@ def test_an_int_key_refuses_other_types(key, value):
         replace(RunConfig(), **{key: value})
 
 
-def test_detector_configs_take_the_front_end_keys():
-    cfg = parse_config_text("corner_threshold=11\nn_octaves=2\ntarget_keypoints=50\n")
-    dets = cfg.detector_configs()
-    assert [d.detector_id for d in dets] == ["orb", "brisk"]
-    assert all(d.corner_threshold == 11 and d.n_octaves == 2
-               and d.target_keypoints == 50 for d in dets)
+def test_detector_configs_take_the_front_end_keys(config_from_text, five_scatterer,
+                                                 detector_calls):
+    cfg = config_from_text("corner_threshold=11\nn_octaves=2\ntarget_keypoints=50\n")
+    img = five_scatterer.image
+    detect_and_match(img, img, cfg)
+    assert [d.detector_id for d in detector_calls] == ["orb", "brisk"]
+    assert all(d.run is cfg for d in detector_calls)
+    assert all(d.run.corner_threshold == 11 and d.run.n_octaves == 2
+               and d.run.target_keypoints == 50 for d in detector_calls)
 
 
 def _verdict(cfg, tx_mm=0.0, ty_mm=0.0, rot_deg=0.0):
@@ -153,8 +156,8 @@ def _verdict(cfg, tx_mm=0.0, ty_mm=0.0, rot_deg=0.0):
     return validate_loop(ra, rb, cfg)
 
 
-def test_validate_loop_converts_the_config_tolerances():
-    cfg = parse_config_text("translation_tol_mm=250\nrotation_tol_deg=5\n")
+def test_validate_loop_converts_the_config_tolerances(config_from_text):
+    cfg = config_from_text("translation_tol_mm=250\nrotation_tol_deg=5\n")
     for offset in ({"tx_mm": 249}, {"ty_mm": -249}, {"rot_deg": 4.9}, {"rot_deg": -4.9}):
         assert _verdict(cfg, **offset).accepted, offset
     for offset, reason in (({"tx_mm": 251}, "translation"), ({"ty_mm": -251}, "translation"),

@@ -184,6 +184,20 @@ def test_render_scene_checks_its_scene_once(side_radars, small_grid, monkeypatch
     echoes = [simulate_echo(scene, robot, radar)
               for robot in straight_poses() for radar in side_radars]
     assert np.array_equal(log.records["samples"], np.array(echoes, np.float32))
+    # a pose row that is not finite is refused by its index before any echo
+    echo, rendered = sarloop.simulate._echo, []
+    monkeypatch.setattr(sarloop.simulate, "_echo",
+                        lambda *args: rendered.append(args) or echo(*args))
+    for bad in (math.inf, -math.inf, math.nan):
+        for col in range(3):
+            poses = straight_poses()
+            poses[4, col] = bad
+            with pytest.raises(ValueError, match="^pose 4: pose must be finite"):
+                render_scene(scene, poses, side_radars, small_grid)
+    assert rendered == []
+    with pytest.raises(ValueError, match=r"expected \(n, 3\) rows"):
+        render_scene(scene, straight_poses()[:, :2], side_radars, small_grid)
+    assert rendered == []
 
 
 def test_render_scene_truth_grid_marks_nearest_cells(side_radars, small_grid):
