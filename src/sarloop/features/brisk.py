@@ -2,7 +2,10 @@
 
 60 sampling points (center + 4 rings) are read from the image smoothed
 by a Gaussian proportional to the ring radius, so outer points average
-over wider support; the smoothing is evaluated only at those points.
+over wider support. One ``smoothed_at`` call per pattern sums only each
+point's own pixels with its own kernel, in the order ``ndimage.convolve1d``
+sums a symmetric kernel (center, then pairs outer first), so the responses
+equal full-level smoothing bit for bit.
 Long-distance point pairs vote for the keypoint's orientation via their
 intensity gradients; the 512 shortest pairs, rotated by that orientation,
 produce the descriptor bits.
@@ -51,21 +54,26 @@ def _gauss_kernel_fp(sigma: float) -> np.ndarray:
 _KERNELS = [_gauss_kernel_fp(float(s)) for s in _UNIQUE_SIGMAS]
 
 
-def _smooth_boxes(level: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Per sigma, the level smoothed on the pixels within BORDER_MARGIN_PX
-    of the rounded (x, y), where the pattern lands at any angle."""
-    cx, cy, r = math.floor(x + 0.5), math.floor(y + 0.5), BORDER_MARGIN_PX
-    ys, xs = np.mgrid[cy - r:cy + r + 1, cx - r:cx + r + 1]
-    return np.stack([smoothed_at(level, kernel, ys, xs) for kernel in _KERNELS])
+def _point_taps() -> np.ndarray:
+    """Each pattern point's kernel as a column, centered and padded with NaN to
+    the widest: the per-point table ``smoothed_at`` takes."""
+    r = len(_KERNELS[-1]) // 2
+    taps = np.full((2 * r + 1, len(_POINTS)), np.nan)
+    for point, k in enumerate(_SIGMA_INDEX):
+        half = len(_KERNELS[k]) // 2
+        taps[r - half:r + half + 1, point] = _KERNELS[k]
+    return taps
 
 
-def _sample(boxes: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
-    """All 60 responses around (x, y) from its ``_smooth_boxes``, pattern rotated by angle."""
+_TAPS = _point_taps()
+
+
+def _sample(level: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
+    """All 60 smoothed responses around (x, y), pattern rotated by angle."""
     c, s = math.cos(angle), math.sin(angle)
     sx = np.floor(c * _POINTS[:, 0] - s * _POINTS[:, 1] + x + 0.5).astype(np.intp)
     sy = np.floor(s * _POINTS[:, 0] + c * _POINTS[:, 1] + y + 0.5).astype(np.intp)
-    r = BORDER_MARGIN_PX
-    return boxes[_SIGMA_INDEX, sy - math.floor(y + 0.5) + r, sx - math.floor(x + 0.5) + r]
+    return smoothed_at(level, _TAPS, sy, sx)
 
 
 def _orientation(values: np.ndarray) -> float:
@@ -78,9 +86,8 @@ def _orientation(values: np.ndarray) -> float:
 
 
 def _describe(level: np.ndarray, x: float, y: float) -> tuple[float, np.ndarray]:
-    boxes = _smooth_boxes(level, x, y)
-    angle = _orientation(_sample(boxes, x, y, 0.0))
-    vals = _sample(boxes, x, y, angle)
+    angle = _orientation(_sample(level, x, y, 0.0))
+    vals = _sample(level, x, y, angle)
     return angle, np.packbits(vals[_SHORT_PAIRS[:, 1]] > vals[_SHORT_PAIRS[:, 0]])
 
 

@@ -7,6 +7,8 @@ The corner score is the largest threshold that still passes, which makes
 ``score > threshold`` and the segment test the same predicate. Both
 detectors also share the keypoint loop, ``describe_keypoints``, and inside a
 ``SharedFrontEnds`` scope one pyramid and corner list per image.
+Descriptors read their samples through ``smoothed_at``, which sums each
+sample the way ``ndimage.convolve1d`` sums a symmetric kernel.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage
 
-from ..imgpost import GrayImage
+from ..imgpost import GrayImage, reflect_index, shifted, symmetric_sum
 from .base import DetectorConfig, FeatureSet, require_min_size
 
 if TYPE_CHECKING:
@@ -102,25 +103,48 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
 
 def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
                 sx: np.ndarray) -> np.ndarray:
-    """``level`` smoothed by ``kernel`` along rows then columns, at (sy, sx).
+    """``level`` smoothed by ``kernel`` down the columns then along the rows,
+    with reflected edges, evaluated only at the points (sy, sx) of the level.
 
-    The two reflect-mode ``ndimage.convolve1d`` passes run only on the
-    points' bounding box padded by the kernel radius and clipped to the
-    level (points must lie inside it). Each box pixel reads the same inputs
-    in the same order as on the full image, and a clipped side is the image
-    edge, so the values equal full-image smoothing bit for bit. Sums are
-    float64; with integer weights they are exact only on an integer-valued
-    level, i.e. level 0 of an integer image, where a uniform brightness
-    offset then shifts every response equally. Resampled levels round.
+    ``kernel`` is one kernel for every point, which smooths the points' bounding
+    box padded by its radius r, or a ``(2r + 1, n_points)`` table of one kernel
+    per point, each centered and padded with NaN to the longest, which sums
+    only each point's own (2r + 1)**2 pixels. Either way ``symmetric_sum`` adds
+    them, so each value has the bits of two reflect-mode ``ndimage.convolve1d``
+    passes over the whole level. That holds only for a kernel of odd length
+    that equals its reverse; any other is refused. Sums are float64; with
+    integer weights they are exact only on an integer-valued level, i.e. level
+    0 of an integer image, where a uniform brightness offset then shifts every
+    response equally. Resampled levels round.
     """
-    r = len(kernel) // 2
+    taps = np.asarray(kernel, dtype=np.float64)
+    same = taps == taps[::-1]
+    if taps.ndim > 1:
+        same |= np.isnan(taps)  # a table pads its shorter kernels with NaN
+    if len(taps) % 2 == 0 or not same.all():
+        raise ValueError("smoothing kernels must have odd length and equal their reverse")
+    r = len(taps) // 2
     h, w = level.shape
-    r0, r1 = max(int(sy.min()) - r, 0), min(int(sy.max()) + r + 1, h)
-    c0, c1 = max(int(sx.min()) - r, 0), min(int(sx.max()) + r + 1, w)
-    window = np.asarray(level[r0:r1, c0:c1], dtype=np.float64)
-    rows = ndimage.convolve1d(window, kernel, axis=0, mode="reflect")
-    smoothed = ndimage.convolve1d(rows, kernel, axis=1, mode="reflect")
-    return smoothed[sy - r0, sx - c0]
+    r0, r1 = int(sy.min()) - r, int(sy.max()) + r + 1
+    c0, c1 = int(sx.min()) - r, int(sx.max()) + r + 1
+    if 0 <= r0 and r1 <= h and 0 <= c0 and c1 <= w:  # the points' box, padded by r
+        window = level[r0:r1, c0:c1]
+    else:  # a box past an edge reads reflected pixels
+        window = level[np.ix_(reflect_index(np.arange(r0, r1), h),
+                              reflect_index(np.arange(c0, c1), w))]
+    ys, xs = sy - (r0 + r), sx - (c0 + r)
+    if taps.ndim == 1:  # one kernel: smooth the whole box
+        window = window.astype(np.float64, order="C")
+        down = symmetric_sum(shifted(window, r, 0), taps)
+        return symmetric_sum(shifted(down, r, 1), taps)[ys, xs]
+    # one kernel per point: sum each point's own (2r + 1)**2 pixels, no more
+    k = 2 * r + 1
+    blocks = np.lib.stride_tricks.as_strided(  # blocks[i, j]: the k x k pixels from (i, j)
+        window, (window.shape[0] - 2 * r, window.shape[1] - 2 * r, k, k), window.strides * 2,
+        writeable=False)
+    # patch[p, a, b] is point p's pixel at offset (a - r, b - r); taps lead in (a, b, p)
+    patch = np.array(blocks[ys.ravel(), xs.ravel()].transpose(1, 2, 0), np.float64, order="C")
+    return symmetric_sum(symmetric_sum(patch, taps), taps).reshape(np.shape(sy))
 
 
 def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

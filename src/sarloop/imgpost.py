@@ -9,6 +9,12 @@ pixels are widened and written in bands of ``BAND_ROWS`` rows, and
 ``quantize`` scales in one scratch array.
 A PGM is read in one pass, its header matched by one pattern and its pixels
 a view of the file's bytes, and written from the pixels' own buffer.
+
+Smoothing (``gaussian_blur`` here, and the descriptors' point smoothing) is
+``symmetric_sum``: it gives ``scipy.ndimage``'s bytes for an odd-length
+symmetric kernel with ``mode="reflect"``, because it sums in the order
+``ndimage.correlate1d`` sums such a kernel. That order is the center sample
+times its weight, then ``(left + right) * weight`` pair by pair, outer pair first.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .backprojection import ImageGrid, SarImage
 from .fileerrors import names_its_file
 
 BAND_ROWS = 64  # rows widened or written at a time: few enough that a band stays in cache
+BLUR_ROWS = 16  # rows blurred at a time, in buffers made once per image
 
 # Netpbm's P5 header: whitespace and "#" comment lines may precede width, height and maxval,
 # each a token that ends at whitespace, and one whitespace byte ends it unless the file ends.
@@ -86,20 +92,90 @@ def _check_blur_radius(sigma_px: float, shape: tuple[int, ...]) -> None:
                          f"longer than the image's longer side ({side} px)")
 
 
-def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
-    """Separable Gaussian smoothing with reflected edges.
+def reflect_index(index, n: int) -> np.ndarray:
+    """Where ``index`` falls on an axis of ``n`` samples extended by half-sample
+    reflection (``d c b a | a b c d | d c b a``), at any distance: ndimage's
+    ``mode="reflect"``."""
+    m = np.mod(index, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
 
-    Kernel radius is ceil(3*sigma); sigma 0 returns the image unchanged, and a
-    radius longer than the image's longer side is refused before any filtering.
+
+def symmetric_sum(taps: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """Weighted sum over the leading axis of the 2r + 1 ``taps`` with the
+    symmetric ``weights``, summed as ``ndimage.correlate1d`` sums a symmetric
+    kernel: the center tap times its weight, then ``(left + right) * weight``
+    pair by pair, outer pair first.
+
+    ``weights`` is one kernel, or a ``(2r + 1, ...)`` table whose trailing shape
+    broadcasts against a tap: one kernel per output sample. In a table, a NaN
+    pair of weights (a shorter kernel's padding) adds -0.0, which leaves every
+    sum as it is. All r pair terms are formed at once, or ``len(scratch)`` at
+    a time in a given ``(g, *tap shape)`` scratch array.
+    """
+    r = len(taps) // 2
+    w = weights.reshape(len(weights), *[1] * (taps.ndim - weights.ndim), *weights.shape[1:])
+    out = np.multiply(taps[r], w[r], out=out)
+    pads = np.isnan(w) if weights.ndim > 1 else None
+    step = r if scratch is None else len(scratch)
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        pairs = np.add(taps[lo:hi], taps[2 * r - lo:2 * r - hi:-1],
+                       out=None if scratch is None else scratch[:hi - lo])
+        pairs *= w[lo:hi]
+        if pads is not None:
+            np.copyto(pairs, -0.0, where=pads[lo:hi])
+        for term in pairs:
+            out += term
+    return out
+
+
+def shifted(ext: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """The 2r + 1 views of the C-contiguous ``ext`` shifted by 0..2r along
+    ``axis``, each 2r shorter there: the taps of a correlation of ``ext``
+    extended by r at both ends."""
+    shape = list(ext.shape)
+    shape[axis] -= 2 * r
+    return np.ndarray((2 * r + 1, *shape), ext.dtype, ext, 0,
+                      (ext.strides[axis], *ext.strides))
+
+
+def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
+    """Separable Gaussian smoothing with reflected edges: the bytes of
+    ``ndimage.gaussian_filter(pixels, sigma_px, mode="reflect", radius=r)``.
+
+    Kernel radius r is ceil(3*sigma), and a radius longer than the image's
+    longer side is refused before any filtering. A sigma of at most 1e-15 (0
+    included) returns the image unchanged, as ndimage leaves such an axis. Each
+    band of ``BLUR_ROWS`` output rows is summed by ``symmetric_sum`` down the
+    columns, then along the rows, in buffers made once per image.
     """
     if sigma_px < 0:
         raise ValueError(f"sigma_px must be >= 0, got {sigma_px}")
-    if sigma_px == 0:
+    if sigma_px <= 1e-15:
         return img
     _check_blur_radius(sigma_px, img.pixels.shape)
-    src = np.asarray(img.pixels, dtype=np.float64)
-    out = ndimage.gaussian_filter(src, sigma_px, mode="reflect",
-                                  radius=int(math.ceil(3.0 * sigma_px)))
+    src = np.ascontiguousarray(img.pixels, dtype=np.float64)
+    h, w = src.shape
+    r = int(math.ceil(3.0 * sigma_px))
+    x = np.arange(-r, r + 1)
+    kernel = np.exp(-0.5 / (sigma_px * sigma_px) * x ** 2)  # ndimage's Gaussian weights
+    kernel = kernel / kernel.sum()
+    left, right = reflect_index(np.arange(-r, 0), w) + r, reflect_index(np.arange(w, w + r), w) + r
+    out = np.empty((h, w), dtype=np.float64)
+    down = np.empty((BLUR_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
+    scratch = np.empty((1, BLUR_ROWS, w))
+    for start in range(0, h, BLUR_ROWS):
+        stop = min(start + BLUR_ROWS, h)
+        n = stop - start
+        if start >= r and stop + r <= h:
+            rows = src[start - r:stop + r]
+        else:
+            rows = src[reflect_index(np.arange(start - r, stop + r), h)]
+        band = down[:n]
+        symmetric_sum(shifted(rows, r, 0), kernel, band[:, r:r + w], scratch[:, :n])
+        band[:, :r], band[:, r + w:] = band[:, left], band[:, right]
+        symmetric_sum(shifted(band, r, 1), kernel, out[start:stop], scratch[:, :n])
     return GrayImage(out, img.resolution_m)
 
 

@@ -7,6 +7,12 @@ pulse, and turns raw echoes into complex range-compressed bins.
 1e-4 of its peak, and takes the analytic signal: one call covers one scan or
 a scan log's whole ``(n_scans, n_bins)`` samples table. The radars of a log
 differ only in mount, so its header fixes the pulse.
+
+The transforms are numpy's pocketfft, called as ``scipy.fft`` calls it: the
+correlation is ``irfft(rfft(a, m) * rfft(b, m), m)`` at the 5-smooth length
+``m`` that ``scipy.fft.next_fast_len(n, real=True)`` picks, and the analytic
+signal inverts with ``ifft`` the one-sided spectrum built from ``rfft``, so the
+bins are those of ``scipy.signal.fftconvolve`` and ``hilbert`` bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
+from numpy import fft  # numpy loads its fft module on first use; load it with ours
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -93,6 +99,20 @@ def radar_pulse(config: RadarConfig) -> np.ndarray:
     return pulse_value(config, np.arange(-n, n + 1, dtype=np.float64) / config.sample_rate_hz)
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth length (2**a * 3**b * 5**c) of at least ``n``, where
+    a real FFT is fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least p35 * 2**k >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def matched_filter(received: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """Range-compress echoes along their last axis by correlating them with
     the transmitted pulse.
@@ -104,8 +124,8 @@ def matched_filter(received: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """
     length = received.shape[-1]
     n = length + len(pulse) - 1
-    m = sp_fft.next_fast_len(n, real=True)
-    full = sp_fft.irfft(sp_fft.rfft(received, m) * sp_fft.rfft(pulse[::-1], m), m)[..., :n]
+    m = _fast_length(n)
+    full = fft.irfft(fft.rfft(received, m) * fft.rfft(pulse[::-1], m), m)[..., :n]
     start = len(pulse) - 1 - len(pulse) // 2
     return full[..., start:start + length]
 
@@ -116,13 +136,15 @@ def analytic_signal(x: np.ndarray) -> np.ndarray:
 
     The real part equals the input exactly; the imaginary part is the
     discrete Hilbert transform (frequency-domain construction). The
-    magnitude is the signal envelope.
+    magnitude is the signal envelope. The negative half of the spectrum is
+    zero and the positive half (``rfft``) is doubled in place, as
+    ``scipy.signal.hilbert`` weights it.
     """
     n = x.shape[-1]
-    spectrum = sp_fft.fft(x)
+    spectrum = np.zeros(x.shape[:-1] + (n,), dtype=np.complex128)
+    spectrum[..., :n // 2 + 1] = fft.rfft(x)
     spectrum[..., 1:(n + 1) // 2] *= 2.0
-    spectrum[..., n // 2 + 1:] = 0.0
-    return x + 1j * np.imag(sp_fft.ifft(spectrum))
+    return x + 1j * np.imag(fft.ifft(spectrum))
 
 
 def range_bin_spacing(config: RadarConfig) -> float:

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in-process via main()."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarloop
 from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, ScanLog, build_sar,
                      compress_scan, derive_grid, generate_trajectory, load_config,
                      load_scan_log, load_scene, load_trajectory, render_scene, save_scan_log)
@@ -358,6 +363,16 @@ def test_match_on_saved_features_reproduces_the_loopclose_rows(tmp_path):
         [matched] = [line.split("\t") for line in
                      (out / "matches.tsv").read_text().splitlines()[1:]]
         assert matched[:9] == row[:9]
+
+
+def test_importing_the_program_loads_no_scipy():
+    # every sarloop command pays its imports before any work; numpy is the only dependency
+    code = ("import sys, sarloop, sarloop.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sarloop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_post_memory_per_pixel(tmp_path):

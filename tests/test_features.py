@@ -302,6 +302,37 @@ def resampled_levels_and_samples(draw):
 SMOOTHING_KERNELS = [*brisk._KERNELS, orb._BOX]
 
 
+@pytest.mark.parametrize("kernel",
+                         [[1, 2], [1, 2, 3], [[1, 1], [2, 2], [3, 1]], [1.0, 2.0, np.nan]],
+                         ids=["even", "asymmetric", "asymmetric-table", "nan-one-side"])
+def test_smoothed_at_refuses_a_kernel_whose_sums_it_cannot_reproduce(kernel):
+    level = np.arange(100, dtype=np.float32).reshape(10, 10)
+    with pytest.raises(ValueError, match="odd length and equal their reverse"):
+        smoothed_at(level, np.asarray(kernel), np.array([4, 5]), np.array([5, 4]))
+
+
+def test_a_kernel_table_equals_each_points_own_kernel_on_signed_zeros():
+    """A shorter kernel's NaN padding adds nothing, not even to the sign of a zero
+    sum: on a level of -0.0 and negative pixels each point gets ndimage's bits."""
+    rng = np.random.default_rng(5)
+    level = -rng.integers(0, 3, (12, 13)).astype(np.float32) * 0.0  # +0.0 and -0.0
+    level[rng.random(level.shape) < 0.2] = -1.5
+    kernels = [np.array([1.0, 4.0, 1.0]), brisk._KERNELS[2], np.array([2.0])]
+    r = max(len(k) for k in kernels) // 2
+    which = np.arange(30) % len(kernels)
+    table = np.full((2 * r + 1, len(which)), np.nan)
+    for point, k in enumerate(which):
+        half = len(kernels[k]) // 2
+        table[r - half:r + half + 1, point] = kernels[k]
+    sy, sx = rng.integers(0, 12, len(which)), rng.integers(0, 13, len(which))
+    got = smoothed_at(level, table, sy, sx)
+    for point, k in enumerate(which):
+        full = ndimage.convolve1d(level.astype(np.float64), kernels[k], axis=0, mode="reflect")
+        full = ndimage.convolve1d(full, kernels[k], axis=1, mode="reflect")
+        assert got[point].tobytes() == full[sy[point], sx[point]].tobytes()
+    assert np.signbit(got).any()
+
+
 @settings(max_examples=150, deadline=None)
 @given(resampled_levels_and_samples())
 def test_windowed_smoothing_equals_full_image_smoothing(sample):
@@ -323,7 +354,7 @@ def test_brisk_samples_equal_per_point_smoothing(seed, fx, fy, angle):
     """One smoothing per sigma serves the pattern at any angle."""
     level = np.random.default_rng(seed).integers(0, 256, (30, 31)).astype(np.float32)
     x, y = brisk.BORDER_MARGIN_PX + 5 * fx, brisk.BORDER_MARGIN_PX + 5 * fy
-    got = brisk._sample(brisk._smooth_boxes(level, x, y), x, y, angle)
+    got = brisk._sample(level, x, y, angle)
     c, s = math.cos(angle), math.sin(angle)
     px, py = brisk._POINTS.T
     sx = np.floor(c * px - s * py + x + 0.5).astype(np.intp)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from sarloop import GrayImage, ImageGrid, SarImage, gaussian_blur, positive_image, quantize
 from sarloop.imgpost import (BAND_ROWS, cellwise_difference, occupancy_from_image,
@@ -73,6 +74,26 @@ def test_blur_wider_than_the_image_is_refused():
     for sigma in (2.01, 1e308, math.inf):
         with pytest.raises(ValueError, match=r"kernel radius .* longer side \(6 px\)"):
             gaussian_blur(img, sigma)
+
+
+BLUR_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 3), (3, 2), (9, 16), (70, 33), (1601, 2001)]
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 1.7, 2.5])
+def test_blur_equals_ndimage_gaussian_filter_bit_for_bit(sigma):
+    """ndimage (a test-only oracle) on sides shorter than the kernel radius, where
+    the reflection repeats, up to a map larger than the demo's; a radius longer
+    than the longer side is refused."""
+    rng = np.random.default_rng(round(sigma * 10))
+    for shape in BLUR_SHAPES:
+        pixels = rng.uniform(0.0, 500.0, shape)
+        radius = math.ceil(3 * sigma)
+        if radius > max(shape):
+            with pytest.raises(ValueError, match="kernel radius"):
+                gaussian_blur(gray(pixels), sigma)
+            continue
+        expect = ndimage.gaussian_filter(pixels, sigma, mode="reflect", radius=radius)
+        assert gaussian_blur(gray(pixels), sigma).pixels.tobytes() == expect.tobytes(), shape
 
 
 def test_blur_impulse_matches_sampled_kernel():

@@ -2,8 +2,8 @@
 
 Oracles are deliberately independent of the implementation: the spectrum
 checks use a hand-rolled DFT, the matched-filter alignment check uses a
-direct sliding-dot-product correlation, and ``scipy.signal`` (imported only
-here) pins the FFT arithmetic bit for bit.
+direct sliding-dot-product correlation, and ``scipy.signal`` and
+``scipy.fft`` (test-only oracles) pin the FFT arithmetic bit for bit.
 """
 
 import dataclasses
@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import signal
 
 
 from sarloop import RadarConfig
-from sarloop.radar import (SPEED_OF_LIGHT, analytic_signal, compress_scan,
+from sarloop.radar import (SPEED_OF_LIGHT, _fast_length, analytic_signal, compress_scan,
                            matched_filter, pulse_value, radar_pulse,
                            range_bin_spacing)
 
@@ -228,6 +229,11 @@ def test_compress_scan_keeps_pose_and_length(table1):
         for row, scan in zip(rows, table):
             assert row.tobytes() == compress_scan(scan, radar).tobytes()
             assert row.tobytes() == compress_scan(scan.astype(np.float64), radar).tobytes()
+
+
+def test_fast_length_equals_scipy_next_fast_len():
+    got = [_fast_length(n) for n in range(1, 20_001)]
+    assert got == [sp_fft.next_fast_len(n, real=True) for n in range(1, 20_001)]
 
 
 @pytest.mark.parametrize("n_received", [2, 7, 64, 257, 1000, 1001])
