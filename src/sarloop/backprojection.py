@@ -11,13 +11,18 @@ is evaluated, taking each pixel's range once for the sector test and the bin.
 The grid's row blocks are the tasks, run on one thread per usable core (the
 affinity mask where the OS has one): a task alone writes its rows and adds
 every scan that reaches them in scan order, so the image's bytes do not
-depend on the thread count.
+depend on the thread count. ``sar_bands`` yields each block as a complex128
+band once it is summed, so a caller that writes bands as they come never
+holds the whole grid (``sarloop backproject``); ``build_sar`` gathers them
+into one image.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +31,9 @@ import numpy as np
 from .radar import RadarConfig, range_bin_spacing
 from .scanlog import ScanLog
 
-BLOCK_ROWS = 64  # rows per unit of work: few enough that its temporaries stay in cache
+# Rows per band, the unit of work: its buffer is width x 64 x 16 bytes (2 MB on a
+# 2,000 px wide grid), and a scan's temporaries over a block of its span are smaller.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,15 @@ def block_spans(pose, config: RadarConfig, grid: ImageGrid) -> tuple[slice, np.n
     return rows, np.clip(spans, 0, grid.width_px).astype(np.intp)
 
 
-def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
-    """Back-project the scans of ``log`` and sum them in scan order.
+def sar_bands(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> Iterator[np.ndarray]:
+    """The image of ``build_sar`` as complex128 bands of ``BLOCK_ROWS`` rows (the
+    last one shorter unless the height is a multiple of it), from the top row down.
 
-    ``bins`` holds one row of compressed bins per record (``compress_scan``
-    of the log's samples). Each scan is imaged at its record's pose with the
-    radar its ``radar_index`` names: every pixel inside that radar's FOV
-    receives the bin at its rounded range index; pixels mapping past the
-    last bin receive nothing.
+    The arguments are checked at the call; the bands are computed by a pool of
+    one thread per usable core, ahead of the caller, and each is yielded once all
+    the bands above it are. A band is the transposed view of a ``width x rows``
+    buffer of its own, on an anonymous mapping that goes back to the OS when the
+    band is freed: a heap block freed by a pool thread can stay in its arena.
     """
     if not len(log):
         raise ValueError("no scans to back-project")
@@ -168,27 +176,52 @@ def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
     radars = [log.radars[index] for index in log.records["radar_index"].tolist()]
     work = [(pose, radar, *block_spans(pose, radar, grid), row)
             for pose, radar, row in zip(log.records["pose"].tolist(), radars, padded)]
-    total = np.zeros((grid.height_px, grid.width_px), dtype=np.complex128)
-    xs, ys = grid.x_coords(), grid.y_coords()
+    xs, ys = grid.x_coords()[:, np.newaxis], grid.y_coords()
 
-    def add_rows(start: int) -> None:
+    def band(start: int) -> np.ndarray:
         stop = min(start + BLOCK_ROWS, grid.height_px)
-        # This task alone writes rows [start, stop); it adds the scans in scan order.
+        # Column-major, so that a scan's column span over the band's rows is one
+        # contiguous run; this task alone writes it, adding the scans in scan order.
+        total = np.frombuffer(mmap.mmap(-1, 16 * grid.width_px * (stop - start)),
+                              np.complex128).reshape(grid.width_px, stop - start)
         for pose, radar, rows, spans, row in work:
             lo, hi = max(start, rows.start), min(stop, rows.stop)
             if lo >= hi:
                 continue
             cols = slice(*spans[start // BLOCK_ROWS - rows.start // BLOCK_ROWS])
-            rng, inside = _sector(pose, radar, xs[cols], ys[lo:hi, np.newaxis])
+            rng, inside = _sector(pose, radar, xs[cols], ys[lo:hi])
             # rng / spacing + 0.5 > 0, so truncation is the floor of the rounded bin.
             idx = np.add(np.divide(rng, range_bin_spacing(radar), out=rng), 0.5,
                          out=np.empty(rng.shape, np.intp), casting="unsafe")
             np.copyto(idx, n_bins, where=~inside)
-            total[lo:hi, cols] += np.take(row, idx, mode="clip")
+            total[cols, lo - start:hi - start] += np.take(row, idx, mode="clip")
+        return total.T
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(cores) as pool:
-        list(pool.map(add_rows, range(0, grid.height_px, BLOCK_ROWS)))
+    def bands() -> Iterator[np.ndarray]:
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+        with ThreadPoolExecutor(cores) as pool:
+            # map submits every band at once: a caller that writes or copies a band
+            # keeps up with the pool, and holding it to a band per thread stalled it.
+            # Closing this generator cancels the bands not yet started.
+            yield from pool.map(band, range(0, grid.height_px, BLOCK_ROWS))
+
+    return bands()
+
+
+def build_sar(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> SarImage:
+    """Back-project the scans of ``log`` and sum them in scan order, in complex128.
+
+    ``bins`` holds one row of compressed bins per record (``compress_scan``
+    of the log's samples). Each scan is imaged at its record's pose with the
+    radar its ``radar_index`` names: every pixel inside that radar's FOV
+    receives the bin at its rounded range index; pixels mapping past the
+    last bin receive nothing. The image is the ``sar_bands`` of the scans.
+    """
+    bands = sar_bands(log, bins, grid)
+    total = np.empty((grid.height_px, grid.width_px), dtype=np.complex128)
+    for start, band in zip(range(0, grid.height_px, BLOCK_ROWS), bands):
+        total[start:start + BLOCK_ROWS] = band
     return SarImage(grid, total, scan_count=len(log))
 
 

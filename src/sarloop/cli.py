@@ -11,7 +11,10 @@ Stages and their file hand-offs:
 
 ``simulate`` saves the ``ScanLog`` that ``render_scene`` returns, and
 ``backproject`` loads it, range-compresses its samples as one table and
-images them, so the library path gives the same bytes. Every command is
+images them, so the library path gives the same bytes. ``backproject``
+writes each row band of the image as ``sar_bands`` yields it, so it never
+holds the whole complex grid, and its dump appears under its name only once
+complete. Every command is
 deterministic for fixed inputs, config, and seed; outputs are refused if they
 already exist unless --overwrite is given, and ``pipeline`` refuses any of its
 outputs before its first stage runs. ``main`` resolves the run config once
@@ -23,6 +26,8 @@ SARLOOP_CONFIG environment variable; an empty one counts as unset.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgpost
-from .backprojection import build_sar, derive_grid
+from .backprojection import derive_grid, sar_bands
 from .features import load_feature_set, save_feature_set
 from .loopclose import (detect_and_match, match_feature_sets, validate_loop,
                         write_report_table)
@@ -52,10 +57,14 @@ def _outputs(args, *names: str) -> list[Path]:
     return paths
 
 
-def _make_out(args) -> None:
+def _make_out(args) -> list[Path]:
     """Make --out, once the command's inputs are loaded and its outputs
-    computed: a command that fails before it writes leaves no directory."""
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    computed: a command that fails before it writes leaves no directory.
+    Returns the directories it made, deepest first."""
+    out = Path(args.out)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    out.mkdir(parents=True, exist_ok=True)
+    return made
 
 
 def _feature_names(cfg: RunConfig) -> list[str]:
@@ -93,11 +102,22 @@ def cmd_backproject(args, cfg: RunConfig) -> int:
     # with the run config's radar keys.
     bins = compress_scan(log.records["samples"], log.radars[0])
     grid = derive_grid(log.records["pose"], log.radars[0], cfg.grid_resolution_m)
-    sar = build_sar(log, bins, grid)
-    _make_out(args)
-    imgpost.write_sar_dump(sar, sar_path)
-    print(f"wrote {sar_path} ({grid.width_px}x{grid.height_px} px, "
-          f"{sar.scan_count} scans)")
+    # Each band is written as it is summed, so the grid is never held whole. The
+    # dump appears only complete: it is renamed from a temporary name at the end,
+    # and a failure removes that file and any directory made for it.
+    with contextlib.closing(sar_bands(log, bins, grid)) as summed:
+        bands = itertools.chain([next(summed)], summed)  # computed before --out is made
+        made = _make_out(args)
+        part = sar_path.with_name(f".{sar_path.name}.{os.getpid()}.part")
+        try:
+            imgpost.write_sar_bands(grid, len(log), bands, part)
+            os.replace(part, sar_path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            for directory in made:
+                directory.rmdir()
+            raise
+    print(f"wrote {sar_path} ({grid.width_px}x{grid.height_px} px, {len(log)} scans)")
     return 0
 
 

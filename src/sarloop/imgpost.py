@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -307,13 +308,22 @@ def _header_size(header: list[bytes]) -> tuple[int, int]:
 def write_sar_dump(sar: SarImage, path) -> None:
     """Complex SAR intermediate: ASCII header `width height resolution_m
     origin_x_m origin_y_m scan_count`, then row-major little-endian
-    complex64 (re, im interleaved), written ``BAND_ROWS`` rows at a time."""
-    grid = sar.grid
+    complex64 (re, im interleaved), written ``BAND_ROWS`` rows at a time
+    by ``write_sar_bands``."""
+    bands = (sar.pixels[start:start + BAND_ROWS]
+             for start in range(0, sar.grid.height_px, BAND_ROWS))
+    write_sar_bands(sar.grid, sar.scan_count, bands, path)
+
+
+def write_sar_bands(grid: ImageGrid, scan_count: int, bands: Iterable[np.ndarray],
+                    path) -> None:
+    """The ``write_sar_dump`` file of an image that ``bands`` gives as row bands,
+    from the top row down, each cast to complex64 (and C order) as it is written."""
     with open(path, "wb") as fh:
         fh.write(f"{grid.width_px} {grid.height_px} {grid.resolution_m!r} "
-                 f"{grid.origin_m[0]!r} {grid.origin_m[1]!r} {sar.scan_count}\n".encode())
-        for start in range(0, grid.height_px, BAND_ROWS):
-            fh.write(np.ascontiguousarray(sar.pixels[start:start + BAND_ROWS], dtype="<c8"))
+                 f"{grid.origin_m[0]!r} {grid.origin_m[1]!r} {scan_count}\n".encode())
+        for band in bands:
+            fh.write(np.ascontiguousarray(band, dtype="<c8"))
 
 
 @names_its_file

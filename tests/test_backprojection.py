@@ -17,6 +17,7 @@ from sarloop import (ImageGrid, RadarConfig, SarImage, ScanLog, build_sar, deriv
                      record_dtype, save_scan_log)
 from sarloop.backprojection import BLOCK_ROWS, block_spans
 from sarloop.cli import main
+from sarloop.imgpost import write_sar_dump
 from sarloop.radar import compress_scan, range_bin_spacing
 from sarloop.runconfig import load_config
 from sarloop.scanlog import load_scan_log
@@ -520,6 +521,37 @@ def test_repeated_and_streamed_calls_give_the_same_bytes(tmp_path):
     streamed = load_scan_log(tmp_path / "scanlog.bin")
     assert not streamed.records.flags.writeable
     assert build_sar(streamed, np.asfortranarray(bins), grid).pixels.tobytes() == first
+
+
+@pytest.mark.parametrize("threads", ["one", "all"])
+def test_backproject_streams_the_bytes_of_the_library_image(tmp_path, monkeypatch, threads):
+    # Two poses 6 m apart along y: the grid's 841 rows are 13 bands and 9 rows,
+    # and the bands between the poses' reach hold no scan.
+    (tmp_path / "scene.txt").write_text("0.6 0.2 1.0\n-0.5 6.3 1.2\n")
+    (tmp_path / "traj.txt").write_text("0 0 0\n0 6 0\n")
+    settings = [f"{key}={value}" for key, value in
+                (("range_max_m", 1.2), ("grid_resolution_m", 0.01), ("scan_spacing_m", 6))]
+    argv = [a for setting in settings for a in ("--set", setting)]
+    out = tmp_path / "m"
+    assert main(["simulate", "--scene", str(tmp_path / "scene.txt"),
+                 "--trajectory", str(tmp_path / "traj.txt"), "--out", str(out), *argv]) == 0
+    log = load_scan_log(out / "scanlog.bin")
+    bins = compress_scan(log.records["samples"], log.radars[0])
+    grid = derive_grid(log.records["pose"], log.radars[0], load_config(None, settings)
+                       .grid_resolution_m)
+    assert grid.height_px == 841 and grid.height_px % BLOCK_ROWS
+    reached = set()
+    for pose, radar, _ in scans_of(log, bins):
+        rows, spans = block_spans(pose, radar, grid)
+        reached.update(range(rows.start // BLOCK_ROWS, rows.start // BLOCK_ROWS + len(spans)))
+    assert len(log) == 4 and len(reached) < 14
+    write_sar_dump(build_sar(log, bins, grid), tmp_path / "library.cpx")
+    if threads == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["backproject", "--scanlog", str(out / "scanlog.bin"), "--out", str(out),
+                 *argv]) == 0
+    assert (out / "sar.cpx").read_bytes() == (tmp_path / "library.cpx").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["sar.cpx", "scanlog.bin", "truth.pgm"]
 
 
 def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process via main()."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import sarloop
 from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, ScanLog, build_sar,
                      compress_scan, derive_grid, generate_trajectory, load_config,
                      load_scan_log, load_scene, load_trajectory, render_scene, save_scan_log)
+from sarloop.backprojection import BLOCK_ROWS, sar_bands
 from sarloop.cli import main
 from sarloop.features import save_feature_set
 from sarloop.imgpost import read_pgm, write_pgm, write_sar_dump
@@ -239,22 +241,56 @@ def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def failing_bands(count, message, seen):
+    """A band source that yields the first ``count`` bands of ``sar_bands`` and
+    then runs out of memory, noting in ``seen`` the entries of the --out
+    directory at that moment (none if it does not exist)."""
+    def bands(log, bins, grid, out):
+        yield from itertools.islice(sar_bands(log, bins, grid), count)
+        seen[:] = sorted((p.name, p.stat().st_size) for p in out.iterdir()) if out.exists() else []
+        raise MemoryError(message)
+    return bands
+
+
 def test_out_of_memory_is_one_error_line(small_scene, tmp_path, capsys, monkeypatch):
+    # at the first band, before --out is made, and after two bands are written into a
+    # temporary file in it: one error line, and no --out left behind
     scene, traj = small_scene
     assert run("simulate", "--scene", scene, "--trajectory", traj,
                "--out", tmp_path / "m", *FAST) == 0
     capsys.readouterr()
     message = "Unable to allocate 3.58 TiB for an array with shape (1401401, 351351)"
+    for count in (0, 2):
+        out, seen = tmp_path / f"o{count}" / "deeper", []
+        bands = failing_bands(count, message, seen)
+        monkeypatch.setattr("sarloop.cli.sar_bands", lambda *args: bands(*args, out))
+        rc = run("backproject", "--scanlog", tmp_path / "m" / "scanlog.bin", "--out", out, *FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not out.parent.exists()
+        if count:  # the two bands of 291 complex64 pixels a row were in the file
+            [(name, size)] = seen
+            assert name.endswith(".part") and size > 2 * BLOCK_ROWS * 291 * 8
+        else:
+            assert seen == []
 
-    def no_memory(*args):
-        raise MemoryError(message)
 
-    monkeypatch.setattr("sarloop.cli.build_sar", no_memory)
-    out = tmp_path / "o"
-    rc = run("backproject", "--scanlog", tmp_path / "m" / "scanlog.bin", "--out", out)
+def test_a_failed_overwrite_keeps_the_old_dump(small_scene, tmp_path, capsys, monkeypatch):
+    scene, traj = small_scene
+    out = tmp_path / "m"
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", out, *FAST) == 0
+    (out / "sar.cpx").write_bytes(b"old bytes")
+    before = sorted(p.name for p in out.iterdir())
+    seen = []
+    bands = failing_bands(2, "no room", seen)
+    monkeypatch.setattr("sarloop.cli.sar_bands", lambda *args: bands(*args, out))
+    capsys.readouterr()
+    rc = run("backproject", "--scanlog", out / "scanlog.bin", "--out", out, "--overwrite", *FAST)
     assert rc == 1
-    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == "error: out of memory: no room\n"
+    assert any(name.endswith(".part") for name, _ in seen)
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "sar.cpx").read_bytes() == b"old bytes"
 
 
 def test_backproject_rejects_garbage_input(tmp_path, capsys):
@@ -373,6 +409,35 @@ def test_importing_the_program_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def test_backproject_memory_per_pixel(tmp_path):
+    # A band at a time: a few width x 64 complex128 band buffers and one complex64
+    # band, where a complex128 grid alone takes 16 B/px. Bound: 8 B/px of the grid's
+    # pixels. The command runs in a child that reads its own peak RSS, which counts
+    # the bands' anonymous mappings (tracemalloc does not). Two waypoints 20 m apart
+    # with a pose every 20 m: four scans, so the 4601 x 601 px grid is mostly empty.
+    scene, traj = tmp_path / "scene.txt", tmp_path / "traj.txt"
+    scene.write_text("0.5 1.0 1.0\n")
+    traj.write_text("0 0 0\n20 0 0\n")
+    settings = ["--set", "scan_spacing_m=20", "--set", "range_max_m=1.5"]
+    assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", tmp_path / "m",
+               *settings) == 0
+    code = ("import resource, sys\n"
+            "from sarloop.cli import main\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, 1024 * (peak() - before))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sarloop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, "backproject",
+                           "--scanlog", str(tmp_path / "m" / "scanlog.bin"),
+                           "--out", str(tmp_path / "b"), *settings],
+                          env=env, capture_output=True, text=True, check=True)
+    rc, grown = map(int, done.stdout.split()[-2:])
+    assert rc == 0 and "wrote" in done.stdout and "4601x601 px, 4 scans" in done.stdout
+    assert grown <= 8 * 4601 * 601
 
 
 def test_post_memory_per_pixel(tmp_path):
