@@ -241,12 +241,12 @@ def test_backproject_rejects_an_empty_log(table1, tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
-def failing_bands(count, message, seen):
+def failing_bands(count, message, out, seen):
     """A band source that yields the first ``count`` bands of ``sar_bands`` and
-    then runs out of memory, noting in ``seen`` the entries of the --out
-    directory at that moment (none if it does not exist)."""
-    def bands(log, bins, grid, out):
-        yield from itertools.islice(sar_bands(log, bins, grid), count)
+    then runs out of memory, noting in ``seen`` the entries of ``out`` at that
+    moment (none if it does not exist)."""
+    def bands(*args):
+        yield from itertools.islice(sar_bands(*args), count)
         seen[:] = sorted((p.name, p.stat().st_size) for p in out.iterdir()) if out.exists() else []
         raise MemoryError(message)
     return bands
@@ -262,8 +262,7 @@ def test_out_of_memory_is_one_error_line(small_scene, tmp_path, capsys, monkeypa
     message = "Unable to allocate 3.58 TiB for an array with shape (1401401, 351351)"
     for count in (0, 2):
         out, seen = tmp_path / f"o{count}" / "deeper", []
-        bands = failing_bands(count, message, seen)
-        monkeypatch.setattr("sarloop.cli.sar_bands", lambda *args: bands(*args, out))
+        monkeypatch.setattr("sarloop.cli.sar_bands", failing_bands(count, message, out, seen))
         rc = run("backproject", "--scanlog", tmp_path / "m" / "scanlog.bin", "--out", out, *FAST)
         assert rc == 1
         assert capsys.readouterr().err == f"error: out of memory: {message}\n"
@@ -282,8 +281,7 @@ def test_a_failed_overwrite_keeps_the_old_dump(small_scene, tmp_path, capsys, mo
     (out / "sar.cpx").write_bytes(b"old bytes")
     before = sorted(p.name for p in out.iterdir())
     seen = []
-    bands = failing_bands(2, "no room", seen)
-    monkeypatch.setattr("sarloop.cli.sar_bands", lambda *args: bands(*args, out))
+    monkeypatch.setattr("sarloop.cli.sar_bands", failing_bands(2, "no room", out, seen))
     capsys.readouterr()
     rc = run("backproject", "--scanlog", out / "scanlog.bin", "--out", out, "--overwrite", *FAST)
     assert rc == 1
