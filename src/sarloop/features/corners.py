@@ -139,9 +139,14 @@ def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
         return symmetric_sum(shifted(down, r, 1), taps)[ys, xs]
     # one kernel per point: sum each point's own (2r + 1)**2 pixels, no more
     k = 2 * r + 1
-    blocks = np.lib.stride_tricks.as_strided(  # blocks[i, j]: the k x k pixels from (i, j)
-        window, (window.shape[0] - 2 * r, window.shape[1] - 2 * r, k, k), window.strides * 2,
-        writeable=False)
+    # blocks[i, j]: the k x k pixels from (i, j), a view made by the ndarray
+    # constructor and not by as_strided, which goes through an __array_interface__
+    # dict whose keys numpy interns anew per call: at a call per keypoint, the
+    # interpreter's interned-string table filled with dead entries and was rebuilt
+    # (a fresh 0.9 MB block) every few dozen images.
+    box = np.ascontiguousarray(window)
+    blocks = np.ndarray((box.shape[0] - 2 * r, box.shape[1] - 2 * r, k, k), box.dtype, box,
+                        strides=box.strides * 2)
     # patch[p, a, b] is point p's pixel at offset (a - r, b - r); taps lead in (a, b, p)
     patch = np.array(blocks[ys.ravel(), xs.ravel()].transpose(1, 2, 0), np.float64, order="C")
     return symmetric_sum(symmetric_sum(patch, taps), taps).reshape(np.shape(sy))
