@@ -37,6 +37,7 @@ import numpy as np
 from . import imgpost
 from .backprojection import derive_grid, sar_bands
 from .features import load_feature_set, save_feature_set
+from .features.base import require_min_size
 from .loopclose import (detect_and_match, match_feature_sets, validate_loop,
                         write_report_table)
 from .radar import compress_scan
@@ -79,8 +80,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     poses = generate_trajectory(load_trajectory(args.trajectory), cfg.scan_spacing_m)
     radars = cfg.radars()
     grid = derive_grid(poses, radars[0], cfg.grid_resolution_m)
-    # post blurs a map of this grid: a kernel wider than it is refused before any output
+    # post blurs a map of this grid and pipeline detects on it: a kernel wider than the
+    # grid, or in pipeline a grid too small to detect on, is refused before any output
     imgpost._check_blur_radius(cfg.blur_sigma_px, (grid.height_px, grid.width_px))
+    if args.command == "pipeline":
+        require_min_size((grid.height_px, grid.width_px))
     log, truth = render_scene(scene, poses, radars, grid, snr_db=cfg.snr_db,
                               rng=np.random.default_rng(cfg.seed))
     _make_out(args)

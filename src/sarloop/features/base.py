@@ -110,8 +110,8 @@ def detect_and_describe(img: GrayImage, cfg: DetectorConfig) -> FeatureSet:
     return detect(img, cfg)
 
 
-def require_min_size(pixels: np.ndarray) -> None:
-    h, w = pixels.shape
+def require_min_size(shape: tuple[int, int]) -> None:
+    h, w = shape
     if h < MIN_IMAGE_SIDE_PX or w < MIN_IMAGE_SIDE_PX:
         raise ValueError(
             f"image {w}x{h} too small for detection (need >= "

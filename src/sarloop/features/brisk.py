@@ -19,7 +19,7 @@ import numpy as np
 
 from ..imgpost import GrayImage
 from .base import DetectorConfig, FeatureSet, register_detector
-from .corners import describe_keypoints, smoothed_at
+from .corners import describe_keypoints, smoothed_at, steered_pixels
 from .patterns import ring_pairs, ring_points
 
 DESCRIPTOR_BITS = 512
@@ -70,10 +70,7 @@ _TAPS = _point_taps()
 
 def _sample(level: np.ndarray, x: float, y: float, angle: float) -> np.ndarray:
     """All 60 smoothed responses around (x, y), pattern rotated by angle."""
-    c, s = math.cos(angle), math.sin(angle)
-    sx = np.floor(c * _POINTS[:, 0] - s * _POINTS[:, 1] + x + 0.5).astype(np.intp)
-    sy = np.floor(s * _POINTS[:, 0] + c * _POINTS[:, 1] + y + 0.5).astype(np.intp)
-    return smoothed_at(level, _TAPS, sy, sx)
+    return smoothed_at(level, _TAPS, *steered_pixels(_POINTS[:, 0], _POINTS[:, 1], x, y, angle))
 
 
 def _orientation(values: np.ndarray) -> float:

@@ -72,9 +72,11 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     The score is max over the 16 candidate 9-long arcs of the arc's weakest
     contrast against the center, evaluated for the brighter and darker cases
     separately; a pixel is a corner exactly when the score exceeds the
-    threshold. Any 9-long arc covers at least 2 of the 4 compass pixels
-    (circle indices 0, 4, 8, 12), so only pixels where 2 compass contrasts
-    pass the threshold with one sign are scored.
+    threshold. All 16 arcs' weakest contrasts are one running minimum over
+    the 16 contrasts of the circle shifted by 0 to 8 places, wrapping around.
+    Any 9-long arc covers at least 2 of the 4 compass pixels (circle indices
+    0, 4, 8, 12), so only pixels where 2 compass contrasts pass the threshold
+    with one sign are scored.
     """
     img = np.asarray(pixels, dtype=np.float32)
     h, w = img.shape
@@ -92,13 +94,23 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     offsets = np.asarray(CIRCLE_OFFSETS)
     deltas = img[rows + offsets[:, :1], cols + offsets[:, 1:]] - img[rows, cols]
     ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
-    # (sign, start, pixel, step): both signs' arcs from all 16 starts.
-    arcs = np.lib.stride_tricks.sliding_window_view(
-        np.stack([ring, -ring]), ARC_LENGTH, axis=1)
-    score = arcs.min(axis=-1).max(axis=(0, 1))
+    signed = np.stack([ring, -ring])  # (sign, circle index, pixel), wrapped by 8
+    weakest = signed[:, :len(deltas)].copy()  # (sign, start, pixel), a running minimum
+    for step in range(1, ARC_LENGTH):
+        np.minimum(weakest, signed[:, step:step + len(deltas)], out=weakest)
+    score = weakest.max(axis=(0, 1))
     score[score <= threshold] = 0.0
     scores[rows, cols] = score
     return scores
+
+
+def steered_pixels(px: np.ndarray, py: np.ndarray, x: float, y: float,
+                   angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels ``(sy, sx)`` of pattern offsets ``(px, py)`` rotated by ``angle``
+    about the keypoint (x, y), each coordinate rounded half up."""
+    c, s = math.cos(angle), math.sin(angle)
+    return (np.floor(s * px + c * py + y + 0.5).astype(np.intp),
+            np.floor(c * px - s * py + x + 0.5).astype(np.intp))
 
 
 def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
@@ -207,7 +219,7 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
     keypoint row holds that pixel scaled up to the base image, the corner
     score, the angle and the octave.
     """
-    require_min_size(img.pixels)
+    require_min_size(img.pixels.shape)
     memo = _SCOPES[-1] if _SCOPES else {}
     run = cfg.run
     key = (id(img.pixels), run.corner_threshold, run.n_octaves, run.target_keypoints)

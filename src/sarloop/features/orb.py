@@ -10,13 +10,11 @@ levels round their sums, so the exactness does not carry over to them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..imgpost import GrayImage
 from .base import DetectorConfig, FeatureSet, register_detector
-from .corners import describe_keypoints, orientation_centroid, smoothed_at
+from .corners import describe_keypoints, orientation_centroid, smoothed_at, steered_pixels
 from .patterns import PAIR_PATTERN
 
 DESCRIPTOR_BITS = 256
@@ -32,11 +30,7 @@ _BOX = np.ones(5, dtype=np.int64)
 
 def _describe(level: np.ndarray, x: float, y: float) -> tuple[float, np.ndarray]:
     angle = orientation_centroid(level, x, y, ORIENTATION_RADIUS_PX)
-    c, s = math.cos(angle), math.sin(angle)
-    px = _PATTERN[:, (0, 2)]
-    py = _PATTERN[:, (1, 3)]
-    sx = np.floor(c * px - s * py + x + 0.5).astype(np.intp)
-    sy = np.floor(s * px + c * py + y + 0.5).astype(np.intp)
+    sy, sx = steered_pixels(_PATTERN[:, (0, 2)], _PATTERN[:, (1, 3)], x, y, angle)
     vals = smoothed_at(level, _BOX, sy, sx)
     return angle, np.packbits(vals[:, 0] < vals[:, 1])
 

@@ -6,7 +6,7 @@ metric and the image file formats (binary PGM and the complex SAR dump).
 A dump is read in one call, from a file or a pipe, as a view of the complex64
 pixels it stores, and no step makes a full-grid copy it does not need: complex
 pixels are widened and written in bands of ``BAND_ROWS`` rows, and
-``quantize`` scales in one scratch array.
+``quantize`` scales and floors one copy of the pixels in place.
 A PGM is read in one pass, its header matched by one pattern and its pixels
 a view of the file's bytes, and written from the pixels' own buffer.
 
@@ -32,7 +32,7 @@ from .backprojection import ImageGrid, SarImage
 from .fileerrors import names_its_file
 
 BAND_ROWS = 64  # rows widened or written at a time: few enough that a band stays in cache
-BLUR_ROWS = 16  # rows blurred at a time, in buffers made once per image
+BLUR_ROWS = 16  # rows blurred at a time, through a buffer made once per image
 
 # Netpbm's P5 header: whitespace and "#" comment lines may precede width, height and maxval,
 # each a token that ends at whitespace, and one whitespace byte ends it unless the file ends.
@@ -101,8 +101,8 @@ def reflect_index(index, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def symmetric_sum(taps: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+def symmetric_sum(taps: np.ndarray, weights: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Weighted sum over the leading axis of the 2r + 1 ``taps`` with the
     symmetric ``weights``, summed as ``ndimage.correlate1d`` sums a symmetric
     kernel: the center tap times its weight, then ``(left + right) * weight``
@@ -111,23 +111,17 @@ def symmetric_sum(taps: np.ndarray, weights: np.ndarray, out: np.ndarray | None 
     ``weights`` is one kernel, or a ``(2r + 1, ...)`` table whose trailing shape
     broadcasts against a tap: one kernel per output sample. In a table, a NaN
     pair of weights (a shorter kernel's padding) adds -0.0, which leaves every
-    sum as it is. All r pair terms are formed at once, or ``len(scratch)`` at
-    a time in a given ``(g, *tap shape)`` scratch array.
+    sum as it is. All r pair terms are formed at once.
     """
     r = len(taps) // 2
     w = weights.reshape(len(weights), *[1] * (taps.ndim - weights.ndim), *weights.shape[1:])
     out = np.multiply(taps[r], w[r], out=out)
-    pads = np.isnan(w) if weights.ndim > 1 else None
-    step = r if scratch is None else len(scratch)
-    for lo in range(0, r, step):
-        hi = min(lo + step, r)
-        pairs = np.add(taps[lo:hi], taps[2 * r - lo:2 * r - hi:-1],
-                       out=None if scratch is None else scratch[:hi - lo])
-        pairs *= w[lo:hi]
-        if pads is not None:
-            np.copyto(pairs, -0.0, where=pads[lo:hi])
-        for term in pairs:
-            out += term
+    pairs = np.add(taps[:r], taps[2 * r:r:-1])
+    pairs *= w[:r]
+    if weights.ndim > 1:
+        np.copyto(pairs, -0.0, where=np.isnan(w[:r]))
+    for term in pairs:
+        out += term
     return out
 
 
@@ -149,7 +143,7 @@ def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
     longer side is refused before any filtering. A sigma of at most 1e-15 (0
     included) returns the image unchanged, as ndimage leaves such an axis. Each
     band of ``BLUR_ROWS`` output rows is summed by ``symmetric_sum`` down the
-    columns, then along the rows, in buffers made once per image.
+    columns into a buffer made once per image, then along the rows.
     """
     if sigma_px < 0:
         raise ValueError(f"sigma_px must be >= 0, got {sigma_px}")
@@ -165,7 +159,6 @@ def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
     left, right = reflect_index(np.arange(-r, 0), w) + r, reflect_index(np.arange(w, w + r), w) + r
     out = np.empty((h, w), dtype=np.float64)
     down = np.empty((BLUR_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
-    scratch = np.empty((1, BLUR_ROWS, w))
     for start in range(0, h, BLUR_ROWS):
         stop = min(start + BLUR_ROWS, h)
         n = stop - start
@@ -174,9 +167,9 @@ def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
         else:
             rows = src[reflect_index(np.arange(start - r, stop + r), h)]
         band = down[:n]
-        symmetric_sum(shifted(rows, r, 0), kernel, band[:, r:r + w], scratch[:, :n])
+        symmetric_sum(shifted(rows, r, 0), kernel, band[:, r:r + w])
         band[:, :r], band[:, r + w:] = band[:, left], band[:, right]
-        symmetric_sum(shifted(band, r, 1), kernel, out[start:stop], scratch[:, :n])
+        symmetric_sum(shifted(band, r, 1), kernel, out[start:stop])
     return GrayImage(out, img.resolution_m)
 
 

@@ -26,9 +26,6 @@ from .geometry import wrap_angle
 from .imgpost import GrayImage
 from .runconfig import RunConfig
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                          axis=1).sum(1).astype(np.uint16)
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -71,7 +68,7 @@ class LoopDecision:
 def hamming_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distance matrix between packed descriptor rows."""
     xor = a[:, None, :] ^ b[None, :, :]
-    return _POPCOUNT[xor].sum(axis=2, dtype=np.int32)
+    return np.bitwise_count(xor, out=xor).sum(axis=2, dtype=np.int32)
 
 
 def _comparable(a: FeatureSet, b: FeatureSet) -> None:

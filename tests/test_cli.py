@@ -502,6 +502,22 @@ def test_pipeline_names_a_blur_wider_than_the_map(small_scene, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_pipeline_refuses_a_map_too_small_to_detect_on(tmp_path, capsys):
+    # the demo at 0.2 m a pixel is 39x31 px: refused by simulate on the grid it
+    # derives, before any stage writes; simulate alone still writes such a map
+    demo = ("--scene", f"{DEMO}/scene.txt", "--trajectory", f"{DEMO}/trajectory.txt")
+    coarse = ("--set", "grid_resolution_m=0.2")
+    out = tmp_path / "o"
+    rc = run("pipeline", *demo, "--out", out, *coarse)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "error: image 39x31 too small for detection (need >= 32x32)" in err
+    assert not out.exists()
+    assert run("simulate", *demo, "--out", out, *coarse) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["scanlog.bin", "truth.pgm"]
+
+
 def test_loopclose_rejects_mismatched_resolutions(tmp_path, capsys):
     rng = np.random.default_rng(52)
     px = rng.integers(0, 256, (48, 48)).astype(np.uint8)

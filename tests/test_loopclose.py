@@ -34,19 +34,21 @@ def test_hamming_distances_known_bytes():
 
 
 def test_knn_match_agrees_with_exhaustive_search():
+    # descriptor widths in bytes, two of them not a multiple of 8
     rng = np.random.default_rng(31)
-    a = feature_set(rng.integers(0, 256, size=(50, 32)))
-    b = feature_set(rng.integers(0, 256, size=(40, 32)))
-    nearest, got = knn_match(a, b)
-    assert nearest.shape == (50,) and got.shape == (50, 2)
-    for i in range(50):
-        dists = [sum((int(x) ^ int(y)).bit_count()
-                     for x, y in zip(a.descriptors[i], b.descriptors[j]))
-                 for j in range(40)]
-        best = min(range(40), key=lambda j: (dists[j], j))
-        second = min(dists[:best] + dists[best + 1:])
-        assert nearest[i] == best
-        assert (got[i, 0], got[i, 1]) == (dists[best], second)
+    for width in (1, 3, 32, 64):
+        a = feature_set(rng.integers(0, 256, size=(50, width)))
+        b = feature_set(rng.integers(0, 256, size=(40, width)))
+        nearest, got = knn_match(a, b)
+        assert nearest.shape == (50,) and got.shape == (50, 2)
+        for i in range(50):
+            dists = [sum((int(x) ^ int(y)).bit_count()
+                         for x, y in zip(a.descriptors[i], b.descriptors[j]))
+                     for j in range(40)]
+            best = min(range(40), key=lambda j: (dists[j], j))
+            second = min(dists[:best] + dists[best + 1:])
+            assert nearest[i] == best, width
+            assert (got[i, 0], got[i, 1]) == (dists[best], second), width
 
 
 def test_knn_ties_pick_the_lower_index():
