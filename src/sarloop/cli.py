@@ -128,12 +128,15 @@ def cmd_backproject(args, cfg: RunConfig) -> int:
 def cmd_post(args, cfg: RunConfig) -> int:
     [pgm_path] = _outputs(args, "image.pgm")
 
-    sar = imgpost.read_sar_dump(args.sar)
-    origin, enhanced = sar.grid.origin_m, imgpost.positive_image(sar)
-    del sar  # the blur and quantize run without the complex pixels
-    enhanced = imgpost.gaussian_blur(enhanced, cfg.blur_sigma_px)
+    # Each band is made positive and blurred as it is read, and the blurred map is held
+    # as its bands: no complex grid, and no grid before a pipe's payload has arrived.
+    with contextlib.closing(imgpost.sar_dump_bands(args.sar)) as dump:
+        grid, _ = next(dump)
+        blurred = list(imgpost.blur_bands(map(imgpost.positive_pixels, dump),
+                                          (grid.height_px, grid.width_px), cfg.blur_sigma_px))
+    levels = imgpost.GrayImage(imgpost.quantize_bands(blurred), grid.resolution_m)
     _make_out(args)
-    imgpost.write_pgm(imgpost.quantize(enhanced), pgm_path, origin_m=origin)
+    imgpost.write_pgm(levels, pgm_path, origin_m=grid.origin_m)
     print(f"wrote {pgm_path}")
     return 0
 

@@ -4,9 +4,11 @@ Detection front end shared by both descriptors: a pixel is a corner when
 an arc of at least 9 contiguous pixels on its radius-3 Bresenham circle is
 uniformly brighter (or darker) than the center by more than the threshold.
 The corner score is the largest threshold that still passes, which makes
-``score > threshold`` and the segment test the same predicate. Both
-detectors also share the keypoint loop, ``describe_keypoints``, and inside a
-``SharedFrontEnds`` scope one pyramid and corner list per image.
+``score > threshold`` and the segment test the same predicate. Each level is
+tested in bands of ``SEGMENT_ROWS`` rows, so a level allocates its score array
+and temporaries the size of a band. Both detectors also share the keypoint
+loop, ``describe_keypoints``, and inside a ``SharedFrontEnds`` scope one
+pyramid and corner list per image.
 Descriptors read their samples through ``smoothed_at``, which sums each
 sample the way ``ndimage.convolve1d`` sums a symmetric kernel.
 """
@@ -31,6 +33,7 @@ CIRCLE_OFFSETS = (
     (3, 0), (3, -1), (2, -2), (1, -3), (0, -3), (-1, -3), (-2, -2), (-3, -1),
 )
 ARC_LENGTH = 9
+SEGMENT_ROWS = 64  # rows segment-tested at a time
 SCALE_STEP = 1.2
 
 
@@ -76,31 +79,34 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     the 16 contrasts of the circle shifted by 0 to 8 places, wrapping around.
     Any 9-long arc covers at least 2 of the 4 compass pixels (circle indices
     0, 4, 8, 12), so only pixels where 2 compass contrasts pass the threshold
-    with one sign are scored.
+    with one sign are scored. Rows are tested ``SEGMENT_ROWS`` at a time, each
+    band read with the circle's 3 rows on either side.
     """
     img = np.asarray(pixels, dtype=np.float32)
     h, w = img.shape
     scores = np.zeros((h, w), dtype=np.float32)
     if h < 7 or w < 7:
         return scores
-    center = img[3:h - 3, 3:w - 3]
-    brighter = np.zeros(center.shape, dtype=np.uint8)
-    darker = np.zeros(center.shape, dtype=np.uint8)
-    for dr, dc in CIRCLE_OFFSETS[::4]:
-        d = img[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc] - center
-        brighter += d > threshold
-        darker += d < -threshold
-    rows, cols = (i + 3 for i in np.nonzero((brighter >= 2) | (darker >= 2)))
     offsets = np.asarray(CIRCLE_OFFSETS)
-    deltas = img[rows + offsets[:, :1], cols + offsets[:, 1:]] - img[rows, cols]
-    ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
-    signed = np.stack([ring, -ring])  # (sign, circle index, pixel), wrapped by 8
-    weakest = signed[:, :len(deltas)].copy()  # (sign, start, pixel), a running minimum
-    for step in range(1, ARC_LENGTH):
-        np.minimum(weakest, signed[:, step:step + len(deltas)], out=weakest)
-    score = weakest.max(axis=(0, 1))
-    score[score <= threshold] = 0.0
-    scores[rows, cols] = score
+    for top in range(3, h - 3, SEGMENT_ROWS):
+        band = img[top - 3:min(top + SEGMENT_ROWS, h - 3) + 3]
+        center = band[3:-3, 3:w - 3]
+        brighter = np.zeros(center.shape, dtype=np.uint8)
+        darker = np.zeros(center.shape, dtype=np.uint8)
+        for dr, dc in CIRCLE_OFFSETS[::4]:
+            d = band[3 + dr:len(band) - 3 + dr, 3 + dc:w - 3 + dc] - center
+            brighter += d > threshold
+            darker += d < -threshold
+        rows, cols = (i + 3 for i in np.nonzero((brighter >= 2) | (darker >= 2)))
+        deltas = band[rows + offsets[:, :1], cols + offsets[:, 1:]] - band[rows, cols]
+        ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
+        signed = np.stack([ring, -ring])  # (sign, circle index, pixel), wrapped by 8
+        weakest = signed[:, :len(deltas)].copy()  # (sign, start, pixel), a running minimum
+        for step in range(1, ARC_LENGTH):
+            np.minimum(weakest, signed[:, step:step + len(deltas)], out=weakest)
+        score = weakest.max(axis=(0, 1))
+        score[score <= threshold] = 0.0
+        scores[rows + top - 3, cols] = score
     return scores
 
 

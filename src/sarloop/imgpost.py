@@ -3,10 +3,12 @@
 Pipeline: positive_image (real + magnitude, kills negative fringes) ->
 gaussian_blur -> quantize to 8 bits. Also holds the occupancy-map accuracy
 metric and the image file formats (binary PGM and the complex SAR dump).
-A dump is read in one call, from a file or a pipe, as a view of the complex64
-pixels it stores, and no step makes a full-grid copy it does not need: complex
-pixels are widened and written in bands of ``BAND_ROWS`` rows, and
-``quantize`` scales and floors one copy of the pixels in place.
+Each step also works on row bands, from the top row down, which is how
+``sarloop post`` runs it: ``sar_dump_bands`` reads a dump in sequence, from a
+file or a pipe, ``BAND_ROWS`` rows at a time; ``positive_pixels`` widens a band
+to complex128; ``blur_bands`` blurs the rows as they arrive, holding only r
+halo rows on either side; and ``quantize_bands`` scales the blurred bands in
+place. So ``post`` holds one float64 grid and its 8-bit map, and no complex one.
 A PGM is read in one pass, its header matched by one pattern and its pixels
 a view of the file's bytes, and written from the pixels' own buffer.
 
@@ -22,17 +24,19 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Iterable
+import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .backprojection import ImageGrid, SarImage
-from .fileerrors import names_its_file
+from .fileerrors import names_its_file, naming
 
-BAND_ROWS = 64  # rows widened or written at a time: few enough that a band stays in cache
-BLUR_ROWS = 16  # rows blurred at a time, through a buffer made once per image
+BAND_ROWS = 16  # rows read, widened, blurred or written at a time: a band stays in cache
+# bytes of pair terms a smoothing sum forms at a time: few enough to stay in cache, with
+# a descriptor's per-point table (about 100 KB) still one chunk
+PAIR_BYTES = 1 << 18
 
 # Netpbm's P5 header: whitespace and "#" comment lines may precede width, height and maxval,
 # each a token that ends at whitespace, and one whitespace byte ends it unless the file ends.
@@ -75,14 +79,19 @@ def positive_image(sar: SarImage) -> GrayImage:
     """Re(p) + |p| per pixel: non-negative, doubles in-phase responses.
 
     Negative-real pixels map to zero, so interference fringes around bright
-    scatterers are suppressed instead of ringing. Pixels are widened to complex128
-    ``BAND_ROWS`` rows at a time: complex64 ones give their complex128 copy's bits.
+    scatterers are suppressed instead of ringing.
     """
-    out = np.empty(sar.pixels.shape, dtype=np.float64)
+    return GrayImage(positive_pixels(sar.pixels), sar.grid.resolution_m)
+
+
+def positive_pixels(pixels: np.ndarray) -> np.ndarray:
+    """``positive_image`` of complex pixels, widened to complex128 ``BAND_ROWS`` rows
+    at a time: complex64 ones give the bits of their complex128 copy without that copy."""
+    out = np.empty(pixels.shape, dtype=np.float64)
     for start in range(0, len(out), BAND_ROWS):
-        band = sar.pixels[start:start + BAND_ROWS].astype(np.complex128, copy=False)
+        band = pixels[start:start + BAND_ROWS].astype(np.complex128, copy=False)
         np.add(band.real, np.abs(band), out=out[start:start + BAND_ROWS])
-    return GrayImage(out, sar.grid.resolution_m)
+    return out
 
 
 def _check_blur_radius(sigma_px: float, shape: tuple[int, ...]) -> None:
@@ -111,17 +120,20 @@ def symmetric_sum(taps: np.ndarray, weights: np.ndarray,
     ``weights`` is one kernel, or a ``(2r + 1, ...)`` table whose trailing shape
     broadcasts against a tap: one kernel per output sample. In a table, a NaN
     pair of weights (a shorter kernel's padding) adds -0.0, which leaves every
-    sum as it is. All r pair terms are formed at once.
+    sum as it is. Pair terms are formed ``PAIR_BYTES`` at a time, at least one.
     """
     r = len(taps) // 2
     w = weights.reshape(len(weights), *[1] * (taps.ndim - weights.ndim), *weights.shape[1:])
     out = np.multiply(taps[r], w[r], out=out)
-    pairs = np.add(taps[:r], taps[2 * r:r:-1])
-    pairs *= w[:r]
-    if weights.ndim > 1:
-        np.copyto(pairs, -0.0, where=np.isnan(w[:r]))
-    for term in pairs:
-        out += term
+    step = max(1, PAIR_BYTES // max(out.nbytes, 1))
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        pairs = np.add(taps[lo:hi], taps[2 * r - lo:2 * r - hi:-1])
+        pairs *= w[lo:hi]
+        if weights.ndim > 1:
+            np.copyto(pairs, -0.0, where=np.isnan(w[lo:hi]))
+        for term in pairs:
+            out += term
     return out
 
 
@@ -141,53 +153,75 @@ def gaussian_blur(img: GrayImage, sigma_px: float = 1.0) -> GrayImage:
 
     Kernel radius r is ceil(3*sigma), and a radius longer than the image's
     longer side is refused before any filtering. A sigma of at most 1e-15 (0
-    included) returns the image unchanged, as ndimage leaves such an axis. Each
-    band of ``BLUR_ROWS`` output rows is summed by ``symmetric_sum`` down the
-    columns into a buffer made once per image, then along the rows.
+    included) returns the image unchanged, as ndimage leaves such an axis.
     """
+    if 0 <= sigma_px <= 1e-15:
+        return img
+    src = np.ascontiguousarray(img.pixels, dtype=np.float64)
+    out = np.empty(src.shape)
+    for _ in blur_bands([src], src.shape, sigma_px, out):
+        pass
+    return GrayImage(out, img.resolution_m)
+
+
+def blur_bands(bands: Iterable[np.ndarray], shape: tuple[int, int], sigma_px: float,
+               out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """``gaussian_blur`` of the float64 image of ``shape`` that ``bands`` gives as
+    C-contiguous row bands, from the top row down, yielded ``BAND_ROWS`` rows at a
+    time (views of ``out`` if given). Bands are read as their rows are needed, and
+    rows are let go once no later band reads them. Each band is summed down the
+    columns into a buffer made once per image, then along the rows. A sigma of at
+    most 1e-15 yields ``bands`` as they are."""
     if sigma_px < 0:
         raise ValueError(f"sigma_px must be >= 0, got {sigma_px}")
     if sigma_px <= 1e-15:
-        return img
-    _check_blur_radius(sigma_px, img.pixels.shape)
-    src = np.ascontiguousarray(img.pixels, dtype=np.float64)
-    h, w = src.shape
+        yield from bands
+        return
+    _check_blur_radius(sigma_px, shape)
+    h, w = shape
     r = int(math.ceil(3.0 * sigma_px))
     x = np.arange(-r, r + 1)
     kernel = np.exp(-0.5 / (sigma_px * sigma_px) * x ** 2)  # ndimage's Gaussian weights
     kernel = kernel / kernel.sum()
     left, right = reflect_index(np.arange(-r, 0), w) + r, reflect_index(np.arange(w, w + r), w) + r
-    out = np.empty((h, w), dtype=np.float64)
-    down = np.empty((BLUR_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
-    for start in range(0, h, BLUR_ROWS):
-        stop = min(start + BLUR_ROWS, h)
-        n = stop - start
+    down = np.empty((BAND_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
+    bands, held, first = iter(bands), np.empty((0, w)), 0  # held[i] is row first + i
+    for start in range(0, h, BAND_ROWS):
+        stop = min(start + BAND_ROWS, h)
+        low = max(start - r, 0)  # the top row that this band or a later one reads
+        while first + len(held) < min(stop + r, h):
+            kept = held[low - first:]
+            held = np.concatenate([kept, next(bands)]) if len(kept) else next(bands)
+            first = low
         if start >= r and stop + r <= h:
-            rows = src[start - r:stop + r]
+            rows = held[start - r - first:stop + r - first]
         else:
-            rows = src[reflect_index(np.arange(start - r, stop + r), h)]
-        band = down[:n]
-        symmetric_sum(shifted(rows, r, 0), kernel, band[:, r:r + w])
-        band[:, :r], band[:, r + w:] = band[:, left], band[:, right]
-        symmetric_sum(shifted(band, r, 1), kernel, out[start:stop])
-    return GrayImage(out, img.resolution_m)
+            rows = held[reflect_index(np.arange(start - r, stop + r), h) - first]
+        summed = down[:stop - start]
+        symmetric_sum(shifted(rows, r, 0), kernel, summed[:, r:r + w])
+        summed[:, :r], summed[:, r + w:] = summed[:, left], summed[:, right]
+        yield symmetric_sum(shifted(summed, r, 1), kernel,
+                            np.empty((stop - start, w)) if out is None else out[start:stop])
 
 
 def quantize(img: GrayImage) -> GrayImage:
-    """Affine rescale to 8 bits: min -> 0, max -> 255, round half up.
+    """Affine rescale to 8 bits: ``quantize_bands`` of a float64 copy of the pixels."""
+    return GrayImage(quantize_bands([np.array(img.pixels, dtype=np.float64)]), img.resolution_m)
 
-    A constant image has no contrast to stretch and quantizes to all zeros.
-    """
-    px = np.asarray(img.pixels, dtype=np.float64)
-    lo, hi = float(px.min()), float(px.max())
+
+def quantize_bands(bands: list[np.ndarray]) -> np.ndarray:
+    """The 8-bit levels of the float64 image held as row ``bands``, which are scaled
+    in place: min -> 0, max -> 255, round half up. A constant image has no contrast
+    to stretch and quantizes to all zeros."""
+    lo, hi = min(float(b.min()) for b in bands), max(float(b.max()) for b in bands)
     if hi == lo:
-        levels = np.zeros(px.shape, dtype=np.uint8)
-    else:
-        scaled = np.subtract(px, lo)
-        scaled *= 255.0 / (hi - lo)
-        scaled += 0.5
-        levels = np.floor(scaled, out=scaled).astype(np.uint8)
-    return GrayImage(levels, img.resolution_m)
+        return np.zeros((sum(map(len, bands)), bands[0].shape[1]), dtype=np.uint8)
+    for band in bands:
+        band -= lo
+        band *= 255.0 / (hi - lo)
+        band += 0.5
+        np.floor(band, out=band)
+    return np.concatenate(bands, dtype=np.uint8, casting="unsafe")
 
 
 def otsu_threshold(img: GrayImage) -> int:
@@ -319,25 +353,44 @@ def write_sar_bands(grid: ImageGrid, scan_count: int, bands: Iterable[np.ndarray
             fh.write(np.ascontiguousarray(band, dtype="<c8"))
 
 
-@names_its_file
 def read_sar_dump(path) -> SarImage:
-    """The ``SarImage`` of a ``write_sar_dump`` file or pipe, read in one call: its
-    complex64 pixels are a read-only view of the file's bytes, and a payload of the
-    wrong length is refused with no pixel allocated for the header's claim."""
-    data = Path(path).read_bytes()
-    start = data.find(b"\n") + 1 or len(data)  # no newline: the whole file is the header
-    header = data[:start].split()
-    if len(header) != 6:
-        raise ValueError("expected 'width height resolution_m ox oy scan_count' header")
-    width, height = _header_size(header)
-    resolution = float(header[2])
-    origin = (float(header[3]), float(header[4]))
-    scan_count = int(header[5])
-    size, expect = len(data) - start, width * height * 8
-    if size != expect:
-        raise ValueError(f"payload is {size} bytes, expected {expect}")
-    pixels = np.frombuffer(data, "<c8", width * height, start).reshape(height, width)
-    if not np.isfinite(pixels.view("<f4")).all():
-        raise ValueError("non-finite pixel values")
-    grid = ImageGrid(width, height, resolution, origin)
-    return SarImage(grid, pixels, scan_count)
+    """The ``SarImage`` of a ``write_sar_dump`` file or pipe: the complex64 bands
+    of ``sar_dump_bands`` gathered into one grid."""
+    bands = sar_dump_bands(path)
+    grid, scan_count = next(bands)
+    return SarImage(grid, np.concatenate(list(bands)), scan_count)
+
+
+def sar_dump_bands(path) -> Iterator:
+    """A ``write_sar_dump`` file or pipe read in sequence: its ``(grid, scan_count)``,
+    then its complex64 pixels as read-only bands of ``BAND_ROWS`` rows, from the top
+    row down, each refused as it is read if a part is not finite. A payload of the
+    wrong length is refused before anything the size of the header's claim is made:
+    a file's by its size, a pipe's at the band where it ends or, if it is too long,
+    by counting the rest before the last band is yielded."""
+    with naming(path), open(path, "rb") as fh:
+        header = fh.readline().split()  # no newline: the whole file is the header
+        if len(header) != 6:
+            raise ValueError("expected 'width height resolution_m ox oy scan_count' header")
+        width, height = _header_size(header)
+        grid = ImageGrid(width, height, float(header[2]), (float(header[3]), float(header[4])))
+        scan_count = int(header[5])
+        if scan_count < 1:
+            raise ValueError(f"scan_count must be >= 1, got {scan_count}")
+        expect, row_bytes = width * height * 8, width * 8
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - fh.tell() != expect:
+            raise ValueError(f"payload is {info.st_size - fh.tell()} bytes, expected {expect}")
+        yield grid, scan_count
+        for start in range(0, height, BAND_ROWS):
+            done, end = start * row_bytes, min(start + BAND_ROWS, height) * row_bytes
+            data = fh.read(end - done)
+            size = done + len(data)
+            if end == expect:  # the last band, yielded only once the payload has ended
+                size += sum(map(len, iter(lambda: fh.read(1 << 16), b"")))
+            if size != end:
+                raise ValueError(f"payload is {size} bytes, expected {expect}")
+            band = np.frombuffer(data, "<c8").reshape(-1, width)
+            if not np.isfinite(band.view("<f4")).all():
+                raise ValueError("non-finite pixel values")
+            yield band

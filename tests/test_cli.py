@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, run in-process via main()."""
 
+import contextlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from sarloop import (FeatureSet, GrayImage, ImageGrid, SarImage, ScanLog, build_
 from sarloop.backprojection import BLOCK_ROWS, sar_bands
 from sarloop.cli import main
 from sarloop.features import save_feature_set
-from sarloop.imgpost import read_pgm, write_pgm, write_sar_dump
+from sarloop.imgpost import BAND_ROWS, read_pgm, write_pgm, write_sar_dump
 
 DEMO = "demo"
 FAST = ["--set", "range_max_m=1.2", "--set", "grid_resolution_m=0.01",
@@ -438,22 +440,77 @@ def test_backproject_memory_per_pixel(tmp_path):
     assert grown <= 8 * 4601 * 601
 
 
+@contextlib.contextmanager
+def fifo_of(path, data: bytes):
+    """A FIFO at ``path`` that a writer thread fills with ``data`` while the block runs."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,),
+                              daemon=True)  # blocked forever if the reader never opens it
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_post_memory_per_pixel(tmp_path):
-    # the stored complex64 grid (8 B/px), one float64 grid (8 B/px) and a band
-    # or a scratch grid at a time: no complex128 or second float64 copy
+    # the blurred float64 bands (8 B/px) and the 8-bit map (1 B/px), plus a few bands:
+    # no complex grid and no second float64 grid. Bound: 12 B/px, from a file and from
+    # a FIFO, which has no size and cannot seek, to the same image.
     rng = np.random.default_rng(4)
     height, width = 500, 1200
     z = rng.normal(size=(height, width)) + 1j * rng.normal(size=(height, width))
     dump = tmp_path / "sar.cpx"
     write_sar_dump(SarImage(ImageGrid(width, height, 0.01), z, 1), dump)
     del z
-    tracemalloc.start()
-    try:
-        assert run("post", "--sar", dump, "--out", tmp_path / "o") == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 28 * width * height
+    payload = dump.read_bytes()
+    with fifo_of(tmp_path / "fifo", payload) as fifo:
+        for source, out in ((dump, "o"), (fifo, "piped")):
+            tracemalloc.start()
+            try:
+                assert run("post", "--sar", source, "--out", tmp_path / out) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * width * height
+    image = (tmp_path / "o" / "image.pgm").read_bytes()
+    assert (tmp_path / "piped" / "image.pgm").read_bytes() == image
+
+
+def test_post_names_a_non_finite_pixel_in_the_last_band(tmp_path, capsys):
+    # bands are checked as they are read: the last one of several too
+    z = np.ones((3 * BAND_ROWS + 5, 7), np.complex128)
+    z[-2, 4] = complex(1.0, np.nan)
+    dump = tmp_path / "bad.cpx"
+    write_sar_dump(SarImage(ImageGrid(7, len(z), 0.01), z, 1), dump)
+    out = tmp_path / "o"
+    rc = run("post", "--sar", dump, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {dump}: non-finite pixel values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [-1000, 3, 70_000], ids=["short", "long", "long-by-chunks"])
+def test_post_refuses_a_piped_payload_of_the_wrong_length(tmp_path, capsys, extra):
+    # a pipe's payload is measured as it is read: a short one at the band where it
+    # ends, a long one by counting the rest, and either is named by its true length
+    height, width = 3 * BAND_ROWS + 5, 7
+    dump = tmp_path / "sar.cpx"
+    write_sar_dump(SarImage(ImageGrid(width, height, 0.01), np.ones((height, width)), 1), dump)
+    data = dump.read_bytes()
+    data = data[:extra] if extra < 0 else data + bytes(extra)
+    expect = height * width * 8
+    out = tmp_path / "o"
+    with fifo_of(tmp_path / "fifo", data) as fifo:
+        rc = run("post", "--sar", fifo, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {fifo}: payload is {expect + extra} bytes, expected {expect}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])

@@ -15,7 +15,7 @@ from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, RunConfig,
 from sarloop.features import base as feature_base
 from sarloop.features import brisk, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
-                                      _nms_peaks, bilinear_resize, build_pyramid,
+                                      SEGMENT_ROWS, _nms_peaks, bilinear_resize, build_pyramid,
                                       detect_on_levels, orientation_centroid,
                                       segment_test_scores, smoothed_at)
 
@@ -79,6 +79,22 @@ def test_segment_test_matches_per_pixel_oracle():
     want = segment_test_oracle(img, threshold)
     assert np.array_equal(got, want)
     assert np.all(got[:3] == 0) and np.all(got[:, -3:] == 0)
+
+
+def test_segment_test_bands_match_the_oracle_at_every_seam():
+    # rows are tested in bands of SEGMENT_ROWS from row 3: a corner on each row either
+    # side of every seam, and one in the final, partial band, each in its own columns
+    h, w = 3 + 3 * SEGMENT_ROWS + 23 + 3, 14
+    img = random_u8((h, w), seed=12, hi=8).astype(np.float32) + 100
+    seams = [3 + k * SEGMENT_ROWS for k in (1, 2, 3)]
+    planted = [(row, 3 + 7 * (row % 2)) for seam in seams for row in (seam - 1, seam)]
+    planted.append((h - 5, 6))
+    for r, c in planted:
+        for dr, dc in CIRCLE_OFFSETS[2:14]:
+            img[r + dr, c + dc] = 160
+    got = segment_test_scores(img, 20.0)
+    assert got.tobytes() == segment_test_oracle(img, 20.0).tobytes()
+    assert all(got[r, c] > 0 for r, c in planted)
 
 
 sides = st.integers(1, 40)

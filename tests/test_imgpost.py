@@ -9,8 +9,8 @@ import pytest
 from scipy import ndimage
 
 from sarloop import GrayImage, ImageGrid, SarImage, gaussian_blur, positive_image, quantize
-from sarloop.imgpost import (BAND_ROWS, cellwise_difference, occupancy_from_image,
-                             otsu_threshold, read_pgm, read_sar_dump, write_pgm,
+from sarloop.imgpost import (BAND_ROWS, blur_bands, cellwise_difference,
+                             occupancy_from_image, otsu_threshold, read_pgm, read_sar_dump, write_pgm,
                              write_sar_dump)
 
 
@@ -94,6 +94,19 @@ def test_blur_equals_ndimage_gaussian_filter_bit_for_bit(sigma):
             continue
         expect = ndimage.gaussian_filter(pixels, sigma, mode="reflect", radius=radius)
         assert gaussian_blur(gray(pixels), sigma).pixels.tobytes() == expect.tobytes(), shape
+
+
+@pytest.mark.parametrize("rows", [1, 5, BAND_ROWS, 37])
+def test_blur_of_an_image_given_in_bands_of_any_height_is_its_blur(rows):
+    # rows are let go and read again across band edges; a kernel taller than the
+    # image reflects through all of it; a zero sigma passes the bands through
+    rng = np.random.default_rng(rows)
+    for shape, sigma in [((70, 33), 1.0), ((70, 33), 2.5), ((45, 23), 7.0),
+                         ((9, 40), 4.0), ((1, 7), 1.0), ((20, 20), 0.0)]:
+        pixels = rng.uniform(0.0, 500.0, shape)
+        bands = [pixels[start:start + rows] for start in range(0, shape[0], rows)]
+        got = np.concatenate(list(blur_bands(bands, shape, sigma)))
+        assert got.tobytes() == gaussian_blur(gray(pixels), sigma).pixels.tobytes(), shape
 
 
 def test_blur_impulse_matches_sampled_kernel():
