@@ -184,7 +184,6 @@ def blur_bands(bands: Iterable[np.ndarray], shape: tuple[int, int], sigma_px: fl
     kernel = np.exp(-0.5 / (sigma_px * sigma_px) * x ** 2)  # ndimage's Gaussian weights
     kernel = kernel / kernel.sum()
     left, right = reflect_index(np.arange(-r, 0), w) + r, reflect_index(np.arange(w, w + r), w) + r
-    down = np.empty((BAND_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
     bands, held, first = iter(bands), np.empty((0, w)), 0  # held[i] is row first + i
     for start in range(0, h, BAND_ROWS):
         stop = min(start + BAND_ROWS, h)
@@ -193,6 +192,8 @@ def blur_bands(bands: Iterable[np.ndarray], shape: tuple[int, int], sigma_px: fl
             kept = held[low - first:]
             held = np.concatenate([kept, next(bands)]) if len(kept) else next(bands)
             first = low
+        if start == 0:  # made once a band has arrived: a bad input is refused before it
+            down = np.empty((BAND_ROWS, w + 2 * r))  # a band summed down the columns, rows extended
         if start >= r and stop + r <= h:
             rows = held[start - r - first:stop + r - first]
         else:
@@ -363,8 +364,8 @@ def read_sar_dump(path) -> SarImage:
 
 def sar_dump_bands(path) -> Iterator:
     """A ``write_sar_dump`` file or pipe read in sequence: its ``(grid, scan_count)``,
-    then its complex64 pixels as read-only bands of ``BAND_ROWS`` rows, from the top
-    row down, each refused as it is read if a part is not finite. A payload of the
+    then its complex64 pixels as bands of ``BAND_ROWS`` rows, from the top row
+    down, each refused as it is read if a part is not finite. A payload of the
     wrong length is refused before anything the size of the header's claim is made:
     a file's by its size, a pipe's at the band where it ends or, if it is too long,
     by counting the rest before the last band is yielded."""
@@ -384,7 +385,12 @@ def sar_dump_bands(path) -> Iterator:
         yield grid, scan_count
         for start in range(0, height, BAND_ROWS):
             done, end = start * row_bytes, min(start + BAND_ROWS, height) * row_bytes
-            data = fh.read(end - done)
+            want = end - done
+            data = fh.read(min(want, 1 << 20))  # a wide band comes in 1 MB reads, so
+            if len(data) == 1 << 20 < want:      # only the bytes that arrived are held
+                data = bytearray(data)
+                while len(data) < want and (more := fh.read(min(want - len(data), 1 << 20))):
+                    data += more
             size = done + len(data)
             if end == expect:  # the last band, yielded only once the payload has ended
                 size += sum(map(len, iter(lambda: fh.read(1 << 16), b"")))

@@ -513,6 +513,24 @@ def test_post_refuses_a_piped_payload_of_the_wrong_length(tmp_path, capsys, extr
     assert not out.exists()
 
 
+def test_post_refuses_a_piped_wide_claim_before_allocating_it(tmp_path, capsys):
+    # a pipe has no size: a header claiming a row of 1e8 px over 64 bytes is refused
+    # where the payload ends, with no band or blur buffer of the claimed width made
+    out = tmp_path / "o"
+    with fifo_of(tmp_path / "fifo", b"100000000 1 0.01 0.0 0.0 1\n" + bytes(64)) as fifo:
+        tracemalloc.start()
+        try:
+            rc = run("post", "--sar", fifo, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("error:") == 1
+    assert f"error: {fifo}: payload is 64 bytes, expected 800000000" in err
+    assert peak < 1 << 22
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_post_names_a_sar_dump_with_a_non_finite_pixel(tmp_path, capsys, part, value):
