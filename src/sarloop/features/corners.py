@@ -4,11 +4,13 @@ Detection front end shared by both descriptors: a pixel is a corner when
 an arc of at least 9 contiguous pixels on its radius-3 Bresenham circle is
 uniformly brighter (or darker) than the center by more than the threshold.
 The corner score is the largest threshold that still passes, which makes
-``score > threshold`` and the segment test the same predicate. Each level is
-tested in bands of ``SEGMENT_ROWS`` rows, so a level allocates its score array
-and temporaries the size of a band. Both detectors also share the keypoint
-loop, ``describe_keypoints``, and inside a ``SharedFrontEnds`` scope one
-pyramid and corner list per image.
+``score > threshold`` and the segment test the same predicate. A radar map
+is mostly flat background, where no 7x7 window holds that contrast, so only
+the ``TILE_PX`` tiles of a level whose windows read base pixels that span
+the threshold are resampled, tested and suppressed: the corners, and the
+pixels that descriptors read around them, keep a whole-level run's bits.
+Both detectors share the keypoint loop, ``describe_keypoints``, and inside
+a ``SharedFrontEnds`` scope one pyramid and corner list per image.
 Descriptors read their samples through ``smoothed_at``, which sums each
 sample the way ``ndimage.convolve1d`` sums a symmetric kernel.
 """
@@ -35,37 +37,93 @@ CIRCLE_OFFSETS = (
 ARC_LENGTH = 9
 SEGMENT_ROWS = 64  # rows segment-tested at a time
 SCALE_STEP = 1.2
+TILE_PX = 32  # a level is segment-tested in these tiles, each whole or not at all
+BASE_TILE_PX = 8  # the base's extrema are taken once per tile of this side
+READ_REACH_PX = 21  # farthest level pixel from its corner that a describe reads
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample with pixel-center alignment; output is float32."""
-    src = np.asarray(img, dtype=np.float32)
-    in_h, in_w = src.shape
-    rows = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
-    cols = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
-    r0 = np.floor(rows).astype(np.intp)
-    c0 = np.floor(cols).astype(np.intp)
-    r1 = np.minimum(r0 + 1, in_h - 1)
-    c1 = np.minimum(c0 + 1, in_w - 1)
-    fr = (rows - r0).astype(np.float32)[:, None]
-    fc = (cols - c0).astype(np.float32)[None, :]
-    # Columns on every input row, then rows: the four-corner form's float32 ops.
-    across = src[:, c0] * (1 - fc) + src[:, c1] * fc
-    return across[r0] * (1 - fr) + across[r1] * fr
+def axis_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per output index of a pixel-center-aligned bilinear resize along one
+    axis: the two input indices it reads and the float32 weight of the second."""
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0, n_in - 1)
+    lo = np.floor(pos).astype(np.intp)
+    return lo, np.minimum(lo + 1, n_in - 1), (pos - lo).astype(np.float32)
 
 
-def build_pyramid(pixels: np.ndarray, n_octaves: int) -> list[np.ndarray]:
-    """Octave images at scales 1.2**-k, each resampled from the base; no level
-    after the base has a short side under the segment test's 7 px."""
-    base = np.asarray(pixels, dtype=np.float32)
-    levels = [base]
+def resample_block(src: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """The float32 bilinear resample of ``src`` at ascending ``axis_taps`` rows x
+    cols: columns on each input row they reach, then rows. Each output pixel
+    takes the same float32 operations in any block, so blocks tile a resize."""
+    (r0, r1, fr), (c0, c1, fc) = rows, cols
+    band = src[r0[0]:r1[-1] + 1]
+    across = band[:, c0].astype(np.float32) * (1 - fc) + band[:, c1].astype(np.float32) * fc
+    return across[r0 - r0[0]] * (1 - fr[:, None]) + across[r1 - r0[0]] * fr[:, None]
+
+
+def _over_footprints(ext: np.ndarray, taps: tuple, reduce) -> np.ndarray:
+    """``reduce`` (``np.minimum`` or ``np.maximum``) of the base tiles' ``ext`` over
+    those that each level tile's 7x7 windows read, given the level's ``axis_taps``."""
+    for axis, (lo, hi, _) in enumerate(taps):
+        starts = np.arange(0, len(lo), TILE_PX)
+        first = lo[np.maximum(starts - 3, 0)] // BASE_TILE_PX
+        last = hi[np.minimum(starts + TILE_PX + 2, len(lo) - 1)] // BASE_TILE_PX
+        out = np.take(ext, first, axis)
+        for step in range(1, int((last - first).max()) + 1):
+            reduce(out, np.take(ext, np.minimum(first + step, last), axis), out=out)
+        ext = out
+    return ext
+
+
+def _tile_runs(tiles: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(y0, y1, x0, x1)`` of each run of set tiles along a row of the
+    ``TILE_PX`` grid ``tiles``; y1 and x1 may pass the level's edge."""
+    edges = np.diff(np.pad(tiles, ((0, 0), (1, 1))).view(np.int8), axis=1)
+    (rows, starts), (_, stops) = np.nonzero(edges == 1), np.nonzero(edges == -1)
+    return [(a * TILE_PX, a * TILE_PX + TILE_PX, x0 * TILE_PX, x1 * TILE_PX)
+            for a, x0, x1 in zip(rows.tolist(), starts.tolist(), stops.tolist())]
+
+
+def build_pyramid(pixels: np.ndarray, n_octaves: int, threshold: float) -> list[tuple]:
+    """Octave images at scales 1.2**-k, each resampled from the base, kept only
+    around the ``TILE_PX`` tiles where a segment test at ``threshold`` can fire.
+    No level after the base has a short side under 7 px.
+
+    A resampled pixel is a float32 convex combination of base pixels, so a tile
+    can fire only if the ``BASE_TILE_PX`` base tiles that its 7x7 windows read
+    span the threshold, less a margin for rounding. Each level is its shape and,
+    per run of such tiles along a tile row, ``(run, top, left, block)``: the
+    run's ``(y0, y1, x0, x1)`` and the level's pixels within ``READ_REACH_PX``
+    of it, from (top, left), with the bits of a whole-level resize. On level 0
+    they are views of 8-bit ``pixels``, or of float ones cast to float32.
+    """
+    base = pixels if pixels.dtype == np.uint8 else pixels.astype(np.float32)
     h, w = base.shape
-    for k in range(1, n_octaves):
+    b = BASE_TILE_PX
+    padded = np.pad(base, ((0, -h % b), (0, -w % b)), mode="edge")  # edges add no extremes
+    padded = padded.reshape(len(padded) // b, b, -1)
+    lo, hi = (ext(ext(padded, axis=1).reshape(len(padded), -1, b), axis=2).astype(np.float64)
+              for ext in (np.min, np.max))
+    # Two resampling passes and a contrast, rounded in float32 like the threshold,
+    # stretch a span by under 2**-20 of (largest |pixel| + threshold). Skipping
+    # spans short by 2**-10 of that skips 8-bit spans short by one level or more.
+    margin = 2.0 ** -10 * (threshold + max(-lo.min(), hi.max()))
+    levels = []
+    for k in range(n_octaves):
         s = SCALE_STEP ** k
         oh, ow = round(h / s), round(w / s)
-        if min(oh, ow) < 7:
+        if k and min(oh, ow) < 7:
             break
-        levels.append(bilinear_resize(base, oh, ow))
+        taps = axis_taps(h, oh), axis_taps(w, ow)
+        can_fire = (_over_footprints(hi, taps, np.maximum)
+                    - _over_footprints(lo, taps, np.minimum)) >= threshold - margin
+        blocks = []
+        for run in _tile_runs(can_fire):
+            ys = slice(max(run[0] - READ_REACH_PX, 0), run[1] + READ_REACH_PX)
+            xs = slice(max(run[2] - READ_REACH_PX, 0), run[3] + READ_REACH_PX)
+            block = resample_block(base, [t[ys] for t in taps[0]],
+                                   [t[xs] for t in taps[1]]) if k else base[ys, xs]
+            blocks.append((run, ys.start, xs.start, block))
+        levels.append(((oh, ow), blocks))
     return levels
 
 
@@ -170,32 +228,30 @@ def smoothed_at(level: np.ndarray, kernel: np.ndarray, sy: np.ndarray,
     return symmetric_sum(symmetric_sum(patch, taps), taps).reshape(np.shape(sy))
 
 
-def _nms_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices of 3x3 local maxima among positive scores. Neighbours
-    are clipped to the image, as zero padding never beats a positive score."""
-    rows, cols = np.nonzero(scores > 0)
-    dr, dc = np.mgrid[-1:2, -1:2].reshape(2, 1, 9)
-    h, w = scores.shape
-    around = scores[np.clip(rows[:, None] + dr, 0, h - 1), np.clip(cols[:, None] + dc, 0, w - 1)]
-    keep = scores[rows, cols] == around.max(axis=1)
-    return rows[keep], cols[keep]
+def detect_corners(levels: list[tuple], run: RunConfig) -> list[tuple]:
+    """Segment-test the blocks of each octave at ``run.corner_threshold``,
+    suppress, rank, and keep the ``run.target_keypoints`` strongest.
 
-
-def detect_on_levels(levels: list[np.ndarray],
-                     run: RunConfig) -> list[tuple[float, int, int, int]]:
-    """Run the segment test per octave at ``run.corner_threshold``, suppress,
-    rank, and keep the ``run.target_keypoints`` strongest.
-
-    Each corner is ``(score, octave, row, col)`` at the integer pixel of its
-    level where the test fired; the strongest come first, ties broken by
-    octave, row and col.
+    A block's run is tested as one window, read 4 px beyond it so that the run
+    and its 1 px ring score as in the whole level. Each corner is ``(score,
+    octave, row, col, block)`` at the integer pixel of its level where the test
+    fired, with the index of its block; the strongest come first, ties broken
+    by octave, row and col.
     """
     found = []
-    for octave, img in enumerate(levels):
-        scores = segment_test_scores(img, run.corner_threshold)
-        rows, cols = _nms_peaks(scores)
-        found += zip(scores[rows, cols].tolist(), [octave] * len(rows),
-                     rows.tolist(), cols.tolist())
+    for octave, ((h, w), blocks) in enumerate(levels):
+        for index, ((y0, y1, x0, x1), top, left, block) in enumerate(blocks):
+            y, x = max(y0 - 4, 0), max(x0 - 4, 0)
+            scores = segment_test_scores(block[y - top:y1 + 4 - top, x - left:x1 + 4 - left],
+                                         run.corner_threshold)
+            # only pixels 3 px inside the level can score
+            r0, r1, c0, c1 = max(y0, 3) - y, min(y1, h - 3) - y, max(x0, 3) - x, min(x1, w - 3) - x
+            center = scores[r0:r1, c0:c1]
+            best = np.maximum.reduce([scores[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+                                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)])
+            rows, cols = np.nonzero((center > 0) & (center == best))
+            found += zip(center[rows, cols].tolist(), [octave] * len(rows),
+                         (rows + r0 + y).tolist(), (cols + c0 + x).tolist(), [index] * len(rows))
     found.sort(key=lambda corner: (-corner[0], *corner[1:]))
     return found[:run.target_keypoints]
 
@@ -220,26 +276,27 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
     The pyramid depth, threshold and cap are ``cfg.run``'s front-end keys;
     in a ``SharedFrontEnds`` scope, detectors whose run configs agree on them
     share one pyramid and corner list. Corners closer than ``margin_px`` to
-    their level's edge are dropped; ``describe(level, col, row)`` returns the
-    angle and packed descriptor of each other corner at its level pixel. Each
-    keypoint row holds that pixel scaled up to the base image, the corner
-    score, the angle and the octave.
+    their level's edge are dropped; ``describe(block, col, row)`` returns the
+    angle and packed descriptor of each other corner from its level's block,
+    at its pixel (col, row) of the block. Each keypoint row holds that pixel
+    of the level scaled up to the base image, the corner score, the angle and
+    the octave.
     """
     require_min_size(img.pixels.shape)
     memo = _SCOPES[-1] if _SCOPES else {}
     run = cfg.run
     key = (id(img.pixels), run.corner_threshold, run.n_octaves, run.target_keypoints)
     if key not in memo:  # one per (threshold, octaves, cap); holding the pixels keeps their id
-        levels = build_pyramid(img.pixels, run.n_octaves)
-        memo[key] = img.pixels, levels, detect_on_levels(levels, run)
+        levels = build_pyramid(img.pixels, run.n_octaves, run.corner_threshold)
+        memo[key] = img.pixels, levels, detect_corners(levels, run)
     _, levels, corners = memo[key]
     kept, descs = [], []
-    for score, octave, row, col in corners:
-        level = levels[octave]
-        h, w = level.shape
+    for score, octave, row, col, index in corners:
+        (h, w), blocks = levels[octave]
         if not (margin_px <= col <= w - 1 - margin_px and margin_px <= row <= h - 1 - margin_px):
             continue
-        angle, bits = describe(level, col, row)
+        _, top, left, block = blocks[index]  # holds every pixel a describe reads
+        angle, bits = describe(block, col - left, row - top)
         scale = SCALE_STEP ** octave
         kept.append(((col * scale, row * scale), score, angle, octave))
         descs.append(bits)

@@ -411,12 +411,32 @@ def test_importing_the_program_loads_no_scipy():
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def peak_growth(*argv) -> tuple[int, int, str]:
+    """Exit code, stdout and growth in bytes of the high-water RSS of a child that
+    runs ``sarloop`` with ``argv``. The child reads its own VmHWM, which counts
+    anonymous mappings (tracemalloc does not) and starts afresh at the exec,
+    where ru_maxrss would start from this process's own peak at the fork."""
+    code = ("import sys\n"
+            "from sarloop.cli import main\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, 1024 * (peak() - before))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sarloop.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    rc, grown = map(int, done.stdout.split()[-2:])
+    return rc, grown, done.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
 def test_backproject_memory_per_pixel(tmp_path):
     # A band at a time: a few width x 64 complex128 band buffers and one complex64
     # band, where a complex128 grid alone takes 16 B/px. Bound: 8 B/px of the grid's
-    # pixels. The command runs in a child that reads its own peak RSS, which counts
-    # the bands' anonymous mappings (tracemalloc does not). Two waypoints 20 m apart
+    # pixels, read in a child by ``peak_growth``. Two waypoints 20 m apart
     # with a pose every 20 m: four scans, so the 4601 x 601 px grid is mostly empty.
     scene, traj = tmp_path / "scene.txt", tmp_path / "traj.txt"
     scene.write_text("0.5 1.0 1.0\n")
@@ -424,20 +444,32 @@ def test_backproject_memory_per_pixel(tmp_path):
     settings = ["--set", "scan_spacing_m=20", "--set", "range_max_m=1.5"]
     assert run("simulate", "--scene", scene, "--trajectory", traj, "--out", tmp_path / "m",
                *settings) == 0
-    code = ("import resource, sys\n"
-            "from sarloop.cli import main\n"
-            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "before = peak()\n"
-            "rc = main(sys.argv[1:])\n"
-            "print(rc, 1024 * (peak() - before))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(sarloop.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code, "backproject",
-                           "--scanlog", str(tmp_path / "m" / "scanlog.bin"),
-                           "--out", str(tmp_path / "b"), *settings],
-                          env=env, capture_output=True, text=True, check=True)
-    rc, grown = map(int, done.stdout.split()[-2:])
-    assert rc == 0 and "wrote" in done.stdout and "4601x601 px, 4 scans" in done.stdout
+    rc, grown, stdout = peak_growth("backproject", "--scanlog", tmp_path / "m" / "scanlog.bin",
+                                    "--out", tmp_path / "b", *settings)
+    assert rc == 0 and "wrote" in stdout and "4601x601 px, 4 scans" in stdout
     assert grown <= 8 * 4601 * 601
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_loopclose_memory_per_pixel(tmp_path):
+    # Two maps of a dark floor with a few bright blobs. Each is 1 B/px, and the
+    # front end resamples and tests only near the blobs, where a whole pyramid
+    # in float32 takes 10 B/px. Bound: 6 B/px of one map's pixels, read in a
+    # child by ``peak_growth``, on maps large enough that RANSAC's arrays, which
+    # grow with the matches and not with the pixels, stay small beside them.
+    height, width = 2000, 3000
+    rng = np.random.default_rng(9)
+    paths = []
+    for name, shift in (("a", 0), ("b", 7)):
+        px = rng.integers(0, 4, (height, width)).astype(np.uint8)
+        for r, c in rng.integers(100, [[height - 100], [width - 100]], (2, 12)).T:
+            px[r + shift:r + shift + 9, c:c + 13] = 200
+        paths.append(tmp_path / f"{name}.pgm")
+        write_pgm(GrayImage(px, 0.005), paths[-1])
+    rc, grown, stdout = peak_growth("loopclose", "--image-a", paths[0], "--image-b", paths[1],
+                                    "--out", tmp_path / "pair")
+    assert rc == 0 and "wrote" in stdout
+    assert grown <= 6 * width * height
 
 
 @contextlib.contextmanager

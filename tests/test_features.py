@@ -13,10 +13,10 @@ from scipy import ndimage
 from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, RunConfig,
                      detect_and_describe, load_config, register_detector)
 from sarloop.features import base as feature_base
-from sarloop.features import brisk, load_feature_set, orb, save_feature_set
-from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, SCALE_STEP,
-                                      SEGMENT_ROWS, _nms_peaks, bilinear_resize, build_pyramid,
-                                      detect_on_levels, orientation_centroid,
+from sarloop.features import brisk, corners, load_feature_set, orb, save_feature_set
+from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, READ_REACH_PX, SCALE_STEP,
+                                      SEGMENT_ROWS, TILE_PX, axis_taps, build_pyramid,
+                                      detect_corners, orientation_centroid, resample_block,
                                       segment_test_scores, smoothed_at)
 
 RES = 0.005
@@ -34,7 +34,53 @@ def det(detector_id, **front_end):
 def pyramid_corners(img, cfg):
     """Segment-test corners over the full pyramid as (score, octave, row,
     col), strongest first."""
-    return detect_on_levels(build_pyramid(img.pixels, cfg.run.n_octaves), cfg.run)
+    levels = build_pyramid(img.pixels, cfg.run.n_octaves, cfg.run.corner_threshold)
+    return [corner[:4] for corner in detect_corners(levels, cfg.run)]
+
+
+# ------------------------------------------------- the dense front end, as an oracle
+
+def bilinear_resize(img, out_h, out_w):
+    """The whole-level resize: ``resample_block`` at every output row and column."""
+    h, w = np.shape(img)
+    return resample_block(np.asarray(img, np.float32), axis_taps(h, out_h), axis_taps(w, out_w))
+
+
+def dense_pyramid(pixels, n_octaves):
+    """Every level whole, each resampled from the float32 base as the
+    four-corner form does it."""
+    base = np.asarray(pixels, dtype=np.float32)
+    levels = [base]
+    h, w = base.shape
+    for k in range(1, n_octaves):
+        oh, ow = round(h / SCALE_STEP ** k), round(w / SCALE_STEP ** k)
+        if min(oh, ow) < 7:
+            break
+        levels.append(reference_resize(base, oh, ow))
+    return levels
+
+
+def dense_nms_peaks(scores):
+    """Row/col indices of 3x3 local maxima among positive scores. Neighbours
+    are clipped to the image, as zero padding never beats a positive score."""
+    rows, cols = np.nonzero(scores > 0)
+    dr, dc = np.mgrid[-1:2, -1:2].reshape(2, 1, 9)
+    h, w = scores.shape
+    around = scores[np.clip(rows[:, None] + dr, 0, h - 1), np.clip(cols[:, None] + dc, 0, w - 1)]
+    keep = scores[rows, cols] == around.max(axis=1)
+    return rows[keep], cols[keep]
+
+
+def dense_corners(levels, run):
+    """Whole-level segment test, suppression and ranking of every level."""
+    found = []
+    for octave, img in enumerate(levels):
+        scores = segment_test_scores(img, run.corner_threshold)
+        rows, cols = dense_nms_peaks(scores)
+        found += zip(scores[rows, cols].tolist(), [octave] * len(rows),
+                     rows.tolist(), cols.tolist())
+    found.sort(key=lambda corner: (-corner[0], *corner[1:]))
+    return found[:run.target_keypoints]
 
 
 def random_u8(shape, seed, lo=0, hi=200):
@@ -196,8 +242,8 @@ def test_keypoints_rank_strongest_first_and_cap():
 
 
 def test_pyramid_shapes_shrink_by_the_scale_step():
-    levels = build_pyramid(np.zeros((100, 80), np.float32), 4)
-    assert [lv.shape for lv in levels] == [
+    levels = build_pyramid(np.zeros((100, 80), np.float32), 4, 15)
+    assert [shape for shape, _ in levels] == [
         (100, 80),
         (round(100 / SCALE_STEP), round(80 / SCALE_STEP)),
         (round(100 / SCALE_STEP ** 2), round(80 / SCALE_STEP ** 2)),
@@ -244,10 +290,16 @@ def test_separable_resize_equals_the_four_corner_form(in_h, in_w, out_h, out_w, 
     want = reference_resize(src, out_h, out_w)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # any block of the resize, computed alone, has the bits of the whole one's
+    (y0, y1), (x0, x1) = np.sort(rng.integers(0, [[out_h], [out_w]], (2, 2)), axis=1)
+    ys, xs = slice(y0, y1 + 1), slice(x0, x1 + 1)
+    block = resample_block(src, [t[ys] for t in axis_taps(in_h, out_h)],
+                           [t[xs] for t in axis_taps(in_w, out_w)])
+    assert block.tobytes() == want[ys, xs].tobytes()
 
 
 def reference_nms(scores):
-    """``_nms_peaks`` as a zero-padded 3x3 maximum filter over the whole map."""
+    """``dense_nms_peaks`` as a zero-padded 3x3 maximum filter over the whole map."""
     local_max = ndimage.maximum_filter(scores, size=3, mode="constant", cval=0.0)
     return np.nonzero((scores > 0) & (scores == local_max))
 
@@ -270,7 +322,7 @@ def score_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(score_maps())
 def test_candidate_nms_equals_the_maximum_filter(scores):
-    got, want = _nms_peaks(scores), reference_nms(scores)
+    got, want = dense_nms_peaks(scores), reference_nms(scores)
     assert [a.dtype for a in got] == [a.dtype for a in want]
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -281,7 +333,7 @@ def test_nms_keeps_every_pixel_of_an_equal_plateau_and_a_border_peak():
     scores[0, 5] = 3.0     # a corner pixel next to nothing higher
     scores[4, 0] = scores[3, 1] = 1.0
     scores[4, 1] = 2.0     # beats both its neighbours
-    rows, cols = _nms_peaks(scores)
+    rows, cols = dense_nms_peaks(scores)
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 5), (2, 2), (2, 3), (4, 1)]
 
 
@@ -298,6 +350,127 @@ def test_orientation_follows_the_intensity_gradient():
     assert orientation_centroid(np.full((41, 41), 9.0), *at) == 0.0
 
 
+# ------------------------------------------ the tiled front end against the dense oracle
+
+def tile_seam_map(h, w, seed):
+    """A dark floor with bright and dim squares whose edges lie on tile seams,
+    in the last partial tile and a few px from a seam, plus sparse speckle. The
+    dim square starts on a seam and covers its first tile and more, so only
+    the tiles before the seam show the contrast at its corner."""
+    rng = np.random.default_rng(seed)
+    px = np.full((h, w), 3, np.uint8)
+    px[rng.random((h, w)) < 0.01] = 9
+    for y0, x0, side, value in ((0, 0, TILE_PX, 60), (2 * TILE_PX, TILE_PX, TILE_PX + 16, 25),
+                                (TILE_PX - 5, 2 * TILE_PX + 3, 12, 200),
+                                (h - 10, w - 10, 8, 90), (h // 2, 5, 9, 18)):
+        px[y0:y0 + side, x0:x0 + side] = value
+    return px
+
+
+def staircase(h, w, tread, rise):
+    """Terraces ``tread`` px deep along both axes, each ``rise`` levels above the
+    last: quiet alone, but a few adjacent tiles together span more."""
+    y, x = np.mgrid[:h, :w]
+    return ((y // tread + x // tread) * rise % 256).astype(np.uint8)
+
+
+@st.composite
+def front_end_images(draw):
+    """8-bit or float images of the kinds a tile test could get wrong, with the
+    front-end keys to run on them."""
+    h, w = draw(st.integers(33, 140)), draw(st.integers(33, 140))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(("random", "plateau", "seams", "staircase")))
+    if kind == "random":
+        px = rng.integers(0, draw(st.sampled_from((8, 40, 256))), (h, w)).astype(np.uint8)
+    elif kind == "plateau":
+        levels = np.asarray(draw(st.lists(st.integers(0, 255), min_size=1, max_size=3)))
+        cell = draw(st.sampled_from((1, 4, 8, 13)))
+        px = levels[rng.integers(0, len(levels), (-(-h // cell), -(-w // cell)))]
+        px = px.repeat(cell, 0).repeat(cell, 1)[:h, :w].astype(np.uint8)
+    elif kind == "seams":
+        px = tile_seam_map(h, w, seed)
+    else:
+        px = staircase(h, w, draw(st.integers(1, 12)), draw(st.integers(1, 20)))
+    if draw(st.booleans()):
+        px = 255 - px  # quiet tiles at 250 and up: a skipped pixel read as 0 shows
+    if draw(st.booleans()):  # a float image, as GrayImage keeps it
+        px = px * draw(st.sampled_from((1.0, 0.37, 1e-3, 1e3))) + draw(st.sampled_from((0.0, -7.25)))
+    threshold = draw(st.one_of(st.sampled_from((1, 15, 255)), st.integers(2, 60)))
+    if px.dtype != np.uint8:
+        threshold = max(1, round(threshold * float(np.ptp(px)) / 255))
+    run = RunConfig(corner_threshold=threshold, n_octaves=draw(st.integers(1, 5)),
+                    target_keypoints=10_000)
+    return GrayImage(px, RES).pixels, run
+
+
+@settings(max_examples=120, deadline=None)
+@given(front_end_images())
+def test_tiled_front_end_equals_the_dense_oracle(case):
+    pixels, run = case
+    levels = build_pyramid(pixels, run.n_octaves, run.corner_threshold)
+    dense = dense_pyramid(pixels, run.n_octaves)
+    got = detect_corners(levels, run)
+    assert [corner[:4] for corner in got] == dense_corners(dense, run)
+    assert [shape for shape, _ in levels] == [lv.shape for lv in dense]
+    assert all(np.shares_memory(block, pixels) == (pixels.dtype == np.uint8)
+               for *_, block in levels[0][1])  # level 0 is the 8-bit pixels, not a copy
+    for _, octave, row, col, index in got:  # every pixel a describe can read
+        _, top, left, block = levels[octave][1][index]
+        ys = slice(max(row - READ_REACH_PX, 0), row + READ_REACH_PX + 1)
+        xs = slice(max(col - READ_REACH_PX, 0), col + READ_REACH_PX + 1)
+        near = np.asarray(block[ys.start - top:ys.stop - top, xs.start - left:xs.stop - left],
+                          np.float32)
+        assert near.tobytes() == dense[octave][ys, xs].tobytes()
+
+
+@pytest.fixture
+def dense_front_end(monkeypatch):
+    """Makes ``describe_keypoints`` run the dense oracle instead of the tiled front end."""
+    def pyramid(pixels, n_octaves, _):  # each level one whole block
+        return [(lv.shape, [((0, 0, 0, 0), 0, 0, lv)]) for lv in dense_pyramid(pixels, n_octaves)]
+
+    def detect(levels, run):
+        return [(*c, 0) for c in dense_corners([blocks[0][3] for _, blocks in levels], run)]
+
+    def use():
+        monkeypatch.setattr(corners, "build_pyramid", pyramid)
+        monkeypatch.setattr(corners, "detect_corners", detect)
+    return use
+
+
+@pytest.mark.parametrize("kind", ["map", "negative", "seams", "staircase"])
+def test_tiled_front_end_describes_the_dense_oracles_bytes(five_scatterer, dense_front_end,
+                                                           kind):
+    px = five_scatterer.image.pixels
+    px = {"map": px, "negative": 255 - px, "seams": tile_seam_map(150, 170, 3),
+          "staircase": staircase(120, 150, 3, 6)}[kind]
+    cfgs = [det(name, corner_threshold=t, target_keypoints=cap)
+            for name in ("orb", "brisk") for t, cap in ((1, 150), (15, 500))]
+    tiled = [detect_and_describe(gray(px), cfg) for cfg in cfgs]
+    dense_front_end()
+    for cfg, got in zip(cfgs, tiled):
+        want = detect_and_describe(gray(px), cfg)
+        assert got.keypoints.tobytes() == want.keypoints.tobytes()
+        assert got.descriptors.tobytes() == want.descriptors.tobytes()
+    assert all(len(fs) for fs in tiled)
+
+
+@pytest.mark.parametrize("detector", [orb, brisk], ids=["orb", "brisk"])
+def test_describes_read_only_within_the_read_reach(detector):
+    level = np.random.default_rng(6).integers(0, 256, (70, 70)).astype(np.float32)
+    lo, hi = detector.BORDER_MARGIN_PX, 69 - detector.BORDER_MARGIN_PX
+    for row, col in ((lo, lo), (lo, hi), (hi, 35), (35, 35), (40, hi)):
+        blind = np.full_like(level, np.nan)
+        ys = slice(max(row - READ_REACH_PX, 0), row + READ_REACH_PX + 1)
+        xs = slice(max(col - READ_REACH_PX, 0), col + READ_REACH_PX + 1)
+        blind[ys, xs] = level[ys, xs]
+        angle, bits = detector._describe(level, col, row)
+        assert detector._describe(blind, col, row)[0] == angle
+        assert detector._describe(blind, col, row)[1].tobytes() == bits.tobytes()
+
+
 # ------------------------------------------------------------- descriptors
 
 @st.composite
@@ -305,7 +478,7 @@ def resampled_levels_and_samples(draw):
     """A non-integer bilinear pyramid level and sample points touching its edges."""
     h, w = draw(st.integers(8, 70)), draw(st.integers(8, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    level = build_pyramid(rng.integers(0, 256, (h, w)).astype(np.uint8),
+    level = dense_pyramid(rng.integers(0, 256, (h, w)).astype(np.uint8),
                           draw(st.integers(2, 4)))[-1]
     lh, lw = level.shape
     rows = st.one_of(st.sampled_from((0, lh - 1)), st.integers(0, lh - 1))
@@ -450,11 +623,11 @@ def test_detection_is_deterministic(detector_id):
 
 def test_pyramid_stops_before_a_level_too_small_for_the_segment_test():
     img = gray(random_u8((64, 80), seed=28, hi=256))
-    levels = build_pyramid(img.pixels, 5000)
-    assert min(levels[-1].shape) >= 7
+    levels = build_pyramid(img.pixels, 5000, 15)
+    assert min(levels[-1][0]) >= 7
     assert round(64 / SCALE_STEP ** len(levels)) < 7
-    assert ([lv.shape for lv in build_pyramid(img.pixels, len(levels))]
-            == [lv.shape for lv in levels])
+    assert ([shape for shape, _ in build_pyramid(img.pixels, len(levels), 15)]
+            == [shape for shape, _ in levels])
     deep = detect_and_describe(img, det("brisk", n_octaves=5000))
     capped = detect_and_describe(img, det("brisk", n_octaves=len(levels)))
     assert np.array_equal(deep.keypoints, capped.keypoints)
@@ -465,10 +638,10 @@ def border_survivors(img, cfg, margin_px):
     """(x, y, octave) of the uncapped 3x3 score maxima of every level that
     clear the descriptor margin on their level, strongest first."""
     found = []
-    for octave, level in enumerate(build_pyramid(img.pixels, cfg.run.n_octaves)):
+    for octave, level in enumerate(dense_pyramid(img.pixels, cfg.run.n_octaves)):
         scores = segment_test_scores(level, cfg.run.corner_threshold)
         h, w = level.shape
-        rows, cols = _nms_peaks(scores)
+        rows, cols = dense_nms_peaks(scores)
         for r, c in zip(rows.tolist(), cols.tolist()):
             if margin_px <= c <= w - 1 - margin_px and margin_px <= r <= h - 1 - margin_px:
                 found.append((-float(scores[r, c]), octave, r, c))
@@ -576,9 +749,9 @@ def test_brisk_keeps_a_corner_exactly_on_its_level_margin():
     px = np.zeros((1201, 1501), np.uint8)
     px[600:640, 1440:1480] = 200
     cfg = det("brisk", target_keypoints=10_000)
-    levels = build_pyramid(px, cfg.run.n_octaves)
-    assert levels[3].shape[1] == 869
-    margin_cols = {c for _, o, _, c in detect_on_levels(levels, cfg.run)
+    levels = build_pyramid(px, cfg.run.n_octaves, cfg.run.corner_threshold)
+    assert levels[3][0][1] == 869
+    margin_cols = {c for _, o, _, c, _ in detect_corners(levels, cfg.run)
                    if o == 3 and c >= 854}
     assert margin_cols >= {854, 855, 856}
     fs = detect_and_describe(gray(px), cfg)

@@ -425,15 +425,15 @@ def test_different_pixels_are_detected_per_image(five_scatterer, detector_calls)
 
 @pytest.fixture
 def pyramids(monkeypatch):
-    """Per ``build_pyramid`` call: weak references to the levels it built,
-    and how many levels of earlier calls were still alive when it began."""
+    """Per ``build_pyramid`` call: weak references to the level blocks it
+    built, and how many blocks of earlier calls were still alive when it began."""
     built, alive = [], []
     build = corners.build_pyramid
 
-    def counted(pixels, n_octaves):
+    def counted(pixels, n_octaves, threshold):
         alive.append(sum(ref() is not None for refs in built for ref in refs))
-        levels = build(pixels, n_octaves)
-        built.append([weakref.ref(level) for level in levels])
+        levels = build(pixels, n_octaves, threshold)
+        built.append([weakref.ref(block) for _, blocks in levels for *_, block in blocks])
         return levels
 
     monkeypatch.setattr(corners, "build_pyramid", counted)
@@ -449,7 +449,7 @@ def test_native_detectors_share_one_pyramid_per_image(five_scatterer, pyramids):
     built, alive = pyramids
     img, shifted = shifted_pair(five_scatterer)
     detect_and_match(img, shifted)
-    assert len(built) == 2  # one per image, for both detectors
+    assert len(built) == 2 and all(built)  # one per image, for both detectors
     assert alive == [0, 0]  # image A's pyramid was gone before image B's began
     assert all(ref() is None for refs in built for ref in refs)
     assert corners._SCOPES == []  # nothing outlives the call
