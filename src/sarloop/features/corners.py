@@ -7,12 +7,14 @@ The corner score is the largest threshold that still passes, which makes
 ``score > threshold`` and the segment test the same predicate. A radar map
 is mostly flat background, where no 7x7 window holds that contrast, so only
 the ``TILE_PX`` tiles of a level whose windows read base pixels that span
-the threshold are resampled, tested and suppressed: the corners, and the
-pixels that descriptors read around them, keep a whole-level run's bits.
+the threshold are resampled, tested and suppressed, each run of them along
+a tile row in one segment-test pass: the corners, and the pixels that
+descriptors read around them, keep a whole-level run's bits.
 Both detectors share the keypoint loop, ``describe_keypoints``, and inside
-a ``SharedFrontEnds`` scope one pyramid and corner list per image.
-Descriptors read their samples through ``smoothed_at``, which sums each
-sample the way ``ndimage.convolve1d`` sums a symmetric kernel.
+a ``SharedFrontEnds`` scope one pyramid and corner list per image; each
+orients and describes its keypoints in its own module. Descriptors read
+their samples through ``smoothed_at``, which sums each sample the way
+``ndimage.convolve1d`` sums a symmetric kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ CIRCLE_OFFSETS = (
     (3, 0), (3, -1), (2, -2), (1, -3), (0, -3), (-1, -3), (-2, -2), (-3, -1),
 )
 ARC_LENGTH = 9
-SEGMENT_ROWS = 64  # rows segment-tested at a time
 SCALE_STEP = 1.2
 TILE_PX = 32  # a level is segment-tested in these tiles, each whole or not at all
 BASE_TILE_PX = 8  # the base's extrema are taken once per tile of this side
@@ -137,8 +138,8 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     the 16 contrasts of the circle shifted by 0 to 8 places, wrapping around.
     Any 9-long arc covers at least 2 of the 4 compass pixels (circle indices
     0, 4, 8, 12), so only pixels where 2 compass contrasts pass the threshold
-    with one sign are scored. Rows are tested ``SEGMENT_ROWS`` at a time, each
-    band read with the circle's 3 rows on either side.
+    with one sign are scored, all in one pass over the window: ``detect_corners``
+    hands it one tile run and its 4 px ring at a time.
     """
     img = np.asarray(pixels, dtype=np.float32)
     h, w = img.shape
@@ -146,25 +147,23 @@ def segment_test_scores(pixels: np.ndarray, threshold: float) -> np.ndarray:
     if h < 7 or w < 7:
         return scores
     offsets = np.asarray(CIRCLE_OFFSETS)
-    for top in range(3, h - 3, SEGMENT_ROWS):
-        band = img[top - 3:min(top + SEGMENT_ROWS, h - 3) + 3]
-        center = band[3:-3, 3:w - 3]
-        brighter = np.zeros(center.shape, dtype=np.uint8)
-        darker = np.zeros(center.shape, dtype=np.uint8)
-        for dr, dc in CIRCLE_OFFSETS[::4]:
-            d = band[3 + dr:len(band) - 3 + dr, 3 + dc:w - 3 + dc] - center
-            brighter += d > threshold
-            darker += d < -threshold
-        rows, cols = (i + 3 for i in np.nonzero((brighter >= 2) | (darker >= 2)))
-        deltas = band[rows + offsets[:, :1], cols + offsets[:, 1:]] - band[rows, cols]
-        ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
-        signed = np.stack([ring, -ring])  # (sign, circle index, pixel), wrapped by 8
-        weakest = signed[:, :len(deltas)].copy()  # (sign, start, pixel), a running minimum
-        for step in range(1, ARC_LENGTH):
-            np.minimum(weakest, signed[:, step:step + len(deltas)], out=weakest)
-        score = weakest.max(axis=(0, 1))
-        score[score <= threshold] = 0.0
-        scores[rows + top - 3, cols] = score
+    center = img[3:h - 3, 3:w - 3]
+    brighter = np.zeros(center.shape, dtype=np.uint8)
+    darker = np.zeros(center.shape, dtype=np.uint8)
+    for dr, dc in CIRCLE_OFFSETS[::4]:
+        d = img[3 + dr:h - 3 + dr, 3 + dc:w - 3 + dc] - center
+        brighter += d > threshold
+        darker += d < -threshold
+    rows, cols = (i + 3 for i in np.nonzero((brighter >= 2) | (darker >= 2)))
+    deltas = img[rows + offsets[:, :1], cols + offsets[:, 1:]] - img[rows, cols]
+    ring = np.concatenate([deltas, deltas[:ARC_LENGTH - 1]])
+    signed = np.stack([ring, -ring])  # (sign, circle index, pixel), wrapped by 8
+    weakest = signed[:, :len(deltas)].copy()  # (sign, start, pixel), a running minimum
+    for step in range(1, ARC_LENGTH):
+        np.minimum(weakest, signed[:, step:step + len(deltas)], out=weakest)
+    score = weakest.max(axis=(0, 1))
+    score[score <= threshold] = 0.0
+    scores[rows, cols] = score
     return scores
 
 
@@ -302,27 +301,3 @@ def describe_keypoints(img: GrayImage, cfg: DetectorConfig, detector_id: str,
         descs.append(bits)
     desc = np.vstack(descs) if descs else np.empty((0, descriptor_bits // 8), np.uint8)
     return FeatureSet(detector_id, kept, desc, img.resolution_m)
-
-
-def orientation_centroid(pixels: np.ndarray, x: float, y: float, radius_px: int) -> float:
-    """Dominant direction from intensity moments on a circular patch at (x, y).
-
-    Returns atan2(m01, m10); a patch with zero first moments (radially
-    symmetric or empty) reports angle 0. The radius is clamped so the disc
-    stays inside the image.
-    """
-    h, w = pixels.shape
-    cx = int(math.floor(x + 0.5))
-    cy = int(math.floor(y + 0.5))
-    r = min(radius_px, cx, cy, w - 1 - cx, h - 1 - cy)
-    if r < 1:
-        return 0.0
-    dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
-    disc = (dx * dx + dy * dy) <= r * r
-    patch = pixels[cy - r:cy + r + 1, cx - r:cx + r + 1].astype(np.float64)
-    m10 = float((patch * dx)[disc].sum())
-    m01 = float((patch * dy)[disc].sum())
-    if m10 == 0.0 and m01 == 0.0:
-        return 0.0
-    return math.atan2(m01, m10)
-

@@ -15,9 +15,8 @@ from sarloop import (KEYPOINT, DetectorConfig, FeatureSet, GrayImage, RunConfig,
 from sarloop.features import base as feature_base
 from sarloop.features import brisk, corners, load_feature_set, orb, save_feature_set
 from sarloop.features.corners import (ARC_LENGTH, CIRCLE_OFFSETS, READ_REACH_PX, SCALE_STEP,
-                                      SEGMENT_ROWS, TILE_PX, axis_taps, build_pyramid,
-                                      detect_corners, orientation_centroid, resample_block,
-                                      segment_test_scores, smoothed_at)
+                                      TILE_PX, axis_taps, build_pyramid, detect_corners,
+                                      resample_block, segment_test_scores, smoothed_at)
 
 RES = 0.005
 
@@ -127,14 +126,12 @@ def test_segment_test_matches_per_pixel_oracle():
     assert np.all(got[:3] == 0) and np.all(got[:, -3:] == 0)
 
 
-def test_segment_test_bands_match_the_oracle_at_every_seam():
-    # rows are tested in bands of SEGMENT_ROWS from row 3: a corner on each row either
-    # side of every seam, and one in the final, partial band, each in its own columns
-    h, w = 3 + 3 * SEGMENT_ROWS + 23 + 3, 14
+def test_segment_test_scores_a_tall_window_in_one_pass():
+    # a window taller than any tile run's, with corners on its first and last
+    # scorable rows and columns and one mid-window
+    h, w = 150, 14
     img = random_u8((h, w), seed=12, hi=8).astype(np.float32) + 100
-    seams = [3 + k * SEGMENT_ROWS for k in (1, 2, 3)]
-    planted = [(row, 3 + 7 * (row % 2)) for seam in seams for row in (seam - 1, seam)]
-    planted.append((h - 5, 6))
+    planted = [(3, 3), (h // 2, 6), (h - 4, w - 4)]
     for r, c in planted:
         for dr, dc in CIRCLE_OFFSETS[2:14]:
             img[r + dr, c + dc] = 160
@@ -339,15 +336,24 @@ def test_nms_keeps_every_pixel_of_an_equal_plateau_and_a_border_peak():
 
 def test_orientation_follows_the_intensity_gradient():
     ramp_x = np.tile(np.arange(41, dtype=float), (41, 1))
-    at = (20, 20, orb.ORIENTATION_RADIUS_PX)
-    assert orientation_centroid(ramp_x, *at) == pytest.approx(0.0, abs=0.1)
-    assert orientation_centroid(ramp_x.T, *at) == pytest.approx(math.pi / 2, abs=0.1)
-    assert orientation_centroid(-ramp_x, *at) == pytest.approx(math.pi, abs=0.1)
+    assert orb._orientation(ramp_x, 20, 20) == pytest.approx(0.0, abs=0.1)
+    assert orb._orientation(ramp_x.T, 20, 20) == pytest.approx(math.pi / 2, abs=0.1)
+    assert orb._orientation(-ramp_x, 20, 20) == pytest.approx(math.pi, abs=0.1)
     # symmetric integer patch: moments cancel exactly, angle defined as 0
     dy, dx = np.mgrid[-20:21, -20:21]
     blob = np.round(200 * np.exp(-(dx ** 2 + dy ** 2) / 50.0))
-    assert orientation_centroid(blob, *at) == 0.0
-    assert orientation_centroid(np.full((41, 41), 9.0), *at) == 0.0
+    assert orb._orientation(blob, 20, 20) == 0.0
+    assert orb._orientation(np.full((41, 41), 9.0), 20, 20) == 0.0
+
+
+def test_orientation_disc_that_leaves_its_array_raises():
+    # ORB keeps corners BORDER_MARGIN_PX inside their level, and a block holds
+    # READ_REACH_PX of the level around its run, so every described disc is whole
+    assert orb.ORIENTATION_RADIUS_PX <= orb.BORDER_MARGIN_PX <= READ_REACH_PX
+    ramp_x = np.tile(np.arange(41, dtype=float), (41, 1))
+    for at in ((5, 20), (20, 5), (35, 20), (20, 35)):  # a centre 5 px from an edge
+        with pytest.raises(ValueError, match="orientation disc"):
+            orb._orientation(ramp_x, *at)
 
 
 # ------------------------------------------ the tiled front end against the dense oracle
