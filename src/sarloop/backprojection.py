@@ -14,14 +14,17 @@ every scan that reaches them in scan order, so the image's bytes do not
 depend on the thread count. ``sar_bands`` yields each block as a complex128
 band once it is summed, so a caller that writes bands as they come never
 holds the whole grid (``sarloop backproject``); ``build_sar`` gathers them
-into one image.
+into one image. The caller's thread allocates each band's buffer, so that it
+reuses the heap earlier work freed, and submits at most ``cores + 1`` bands
+ahead of the one it holds: one per pool thread, and one when it asks for the
+next. The pool threads only fill the buffers they are handed.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,11 +161,15 @@ def sar_bands(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> Iterator[np.nd
     """The image of ``build_sar`` as complex128 bands of ``BLOCK_ROWS`` rows (the
     last one shorter unless the height is a multiple of it), from the top row down.
 
-    The arguments are checked at the call; the bands are computed by a pool of
-    one thread per usable core, ahead of the caller, and each is yielded once all
-    the bands above it are. A band is the transposed view of a ``width x rows``
-    buffer of its own, on an anonymous mapping that goes back to the OS when the
-    band is freed: a heap block freed by a pool thread can stay in its arena.
+    The arguments are checked at the call; the bands are summed by a pool of one
+    thread per usable core, ahead of the caller, and yielded in order. A band is
+    the transposed view of a zeroed ``width x rows`` buffer that the generator,
+    in the caller's thread, allocates when it submits the band: a buffer freed by
+    a pool thread could stay in that thread's arena, and a fresh mapping per band
+    could not reuse the heap that earlier work freed. While the caller holds a
+    band, one band per pool thread is summed ahead of it, and one more is
+    submitted when it asks for the next: at most ``cores + 2`` buffers are alive,
+    the caller's included. Closing the generator cancels the bands not yet started.
     """
     if not len(log):
         raise ValueError("no scans to back-project")
@@ -178,12 +185,10 @@ def sar_bands(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> Iterator[np.nd
             for pose, radar, row in zip(log.records["pose"].tolist(), radars, padded)]
     xs, ys = grid.x_coords()[:, np.newaxis], grid.y_coords()
 
-    def band(start: int) -> np.ndarray:
-        stop = min(start + BLOCK_ROWS, grid.height_px)
+    def fill(start: int, total: np.ndarray) -> np.ndarray:
+        stop = start + total.shape[1]
         # Column-major, so that a scan's column span over the band's rows is one
         # contiguous run; this task alone writes it, adding the scans in scan order.
-        total = np.frombuffer(mmap.mmap(-1, 16 * grid.width_px * (stop - start)),
-                              np.complex128).reshape(grid.width_px, stop - start)
         for pose, radar, rows, spans, row in work:
             lo, hi = max(start, rows.start), min(stop, rows.stop)
             if lo >= hi:
@@ -199,12 +204,19 @@ def sar_bands(log: ScanLog, bins: np.ndarray, grid: ImageGrid) -> Iterator[np.nd
 
     def bands() -> Iterator[np.ndarray]:
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count())
-        with ThreadPoolExecutor(cores) as pool:
-            # map submits every band at once: a caller that writes or copies a band
-            # keeps up with the pool, and holding it to a band per thread stalled it.
-            # Closing this generator cancels the bands not yet started.
-            yield from pool.map(band, range(0, grid.height_px, BLOCK_ROWS))
+                 else os.cpu_count() or 1)
+        pool, ahead = ThreadPoolExecutor(cores), deque()
+        try:
+            for start in range(0, grid.height_px, BLOCK_ROWS):
+                rows = min(BLOCK_ROWS, grid.height_px - start)
+                total = np.zeros((grid.width_px, rows), np.complex128)
+                ahead.append(pool.submit(fill, start, total))
+                if len(ahead) > cores:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return bands()
 

@@ -26,6 +26,10 @@ from .geometry import wrap_angle
 from .imgpost import GrayImage
 from .runconfig import RunConfig
 
+# bytes of complex128 residuals RANSAC forms at a time (at least one hypothesis's):
+# few enough to stay in cache, where all at once take iterations x matches x 16 bytes
+HYPOTHESIS_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -125,6 +129,7 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, cfg: RunC
     inliers. Returns (transform, inlier mask); transform is None when no
     proposal reaches ``cfg.ransac_min_inliers``. Deterministic for a given
     ``cfg.seed``. Translation is converted to meters via resolution_m.
+    Proposals are scored ``HYPOTHESIS_BYTES`` of residuals at a time.
     """
     src = np.asarray(src_xy, dtype=np.float64)
     dst = np.asarray(dst_xy, dtype=np.float64)
@@ -146,14 +151,17 @@ def estimate_similarity_ransac(src_xy: np.ndarray, dst_xy: np.ndarray, cfg: RunC
     a = np.divide(w2 - w1, dz, out=np.zeros_like(dz), where=valid)
     valid &= a != 0
     b = w1 - a * z1
-    err = np.abs(a[:, None] * z[None, :] + b[:, None] - w[None, :])
-    inlier = err <= cfg.ransac_inlier_px
-    counts = np.where(valid, inlier.sum(axis=1), 0)
+    counts = np.empty(len(a), dtype=np.intp)
+    step = max(1, HYPOTHESIS_BYTES // (16 * n))
+    for lo in range(0, len(a), step):
+        err = np.abs(a[lo:lo + step, None] * z + b[lo:lo + step, None] - w)
+        counts[lo:lo + step] = (err <= cfg.ransac_inlier_px).sum(axis=1)
+    counts[~valid] = 0
     best = int(counts.argmax())
     if counts[best] < cfg.ransac_min_inliers:
         return None, np.zeros(n, dtype=bool)
 
-    mask = inlier[best]
+    mask = np.abs(a[best] * z + b[best] - w) <= cfg.ransac_inlier_px
     zc, wc = z[mask], w[mask]
     zm, wm = zc.mean(), wc.mean()
     denom = float(np.sum(np.abs(zc - zm) ** 2))

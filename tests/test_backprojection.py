@@ -4,7 +4,9 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from sarloop import (ImageGrid, RadarConfig, SarImage, ScanLog, build_sar, derive_grid, in_fov,
                      record_dtype, save_scan_log)
-from sarloop.backprojection import BLOCK_ROWS, block_spans
+from sarloop import backprojection
+from sarloop.backprojection import BLOCK_ROWS, block_spans, sar_bands
 from sarloop.cli import main
 from sarloop.imgpost import write_sar_dump
 from sarloop.radar import compress_scan, range_bin_spacing
@@ -574,3 +577,83 @@ def test_more_threads_than_cores_give_the_same_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sar.pixels.tobytes() == expect
+
+
+def strip_scans(n_bands: int):
+    """Eleven scans from 100 m below a 1024 px wide grid of ``n_bands`` bands, each
+    with a 0.6 degree beam up the grid: a strip of about 105 columns over every
+    row. Side by side, 1 m apart, the strips cover every pixel, so each band's
+    buffer is written over every page, while a scan's temporaries over a band
+    stay a tenth of the band. Every pixel lies past the last bin and adds 0."""
+    grid = ImageGrid(1024, n_bands * BLOCK_ROWS, 0.01)
+    radar = dataclasses.replace(COARSE, beamwidth_rad=math.radians(0.6), range_min_m=50.0,
+                                range_max_m=150.0)
+    log = make_log([(float(x), -100.0, math.pi / 2) for x in range(11)], [radar])
+    return log, np.ones((len(log), 8), dtype=np.complex128), grid
+
+
+def test_strip_scans_cover_every_pixel_of_every_band():
+    log, bins, grid = strip_scans(2)
+    cover = np.zeros((grid.height_px, grid.width_px), dtype=bool)
+    for pose, radar, _ in scans_of(log, bins):
+        rows, spans = block_spans(pose, radar, grid)
+        assert rows == slice(0, grid.height_px) and (spans[:, 1] - spans[:, 0] < 128).all()
+        for k, (lo, hi) in enumerate(spans):
+            cover[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS, lo:hi] = True
+    assert cover.all()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_slow_reader_holds_at_most_two_bands_more_than_the_pool(threads):
+    # A reader that sleeps on each of 24 bands of 1 MB, in a child process with
+    # ``threads`` usable cores: ``threads + 2`` buffers are alive at most, the band
+    # it holds and the one it asks for included. Bound: VmHWM growth of
+    # ``threads + 2`` bands, plus 1 MB per pool thread for the temporaries of its
+    # scans (a tenth of a band) and its stack.
+    code = ("import os, sys, time\n"
+            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+            "from test_backprojection import sar_bands, strip_scans\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "bands = sar_bands(*strip_scans(24))\n"
+            "before = peak()\n"
+            "for band in bands:\n"
+            "    time.sleep(0.02)\n"
+            "print(band.nbytes, 1024 * (peak() - before))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(backprojection.__file__).parents[1]), str(Path(__file__).parent)])}
+    done = subprocess.run([sys.executable, "-c", code, str(threads)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    band_bytes, grown = map(int, done.stdout.split())
+    assert band_bytes == 1024 * BLOCK_ROWS * 16
+    assert grown <= (threads + 2) * band_bytes + threads * 2**20, grown / band_bytes
+
+
+def test_closing_after_the_first_band_starts_no_further_band(monkeypatch):
+    # Two pool threads and 24 bands, each summed slowly: while the reader holds
+    # the first band, only the two summed ahead of it (one per pool thread) may
+    # start, and once the generator is closed, none.
+    started = []
+    sector = backprojection._sector
+
+    def slow_sector(pose, config, x, y):
+        started.append(float(y[0]))
+        time.sleep(0.002)
+        return sector(pose, config, x, y)
+
+    monkeypatch.setattr(backprojection, "_sector", slow_sector)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    log, bins, grid = strip_scans(24)
+    bands = sar_bands(log, bins, grid)
+    next(bands)
+    time.sleep(0.3)
+    bands.close()
+    bands_started = {round(y / grid.resolution_m) // BLOCK_ROWS for y in started}
+    assert {0} <= bands_started <= {0, 1, 2}
+    count = len(started)
+    time.sleep(0.2)
+    # a band started before the close is summed whole; none starts after it
+    assert len(started) == count == len(bands_started) * len(log)

@@ -455,8 +455,9 @@ def test_loopclose_memory_per_pixel(tmp_path):
     # Two maps of a dark floor with a few bright blobs. Each is 1 B/px, and the
     # front end resamples and tests only near the blobs, where a whole pyramid
     # in float32 takes 10 B/px. Bound: 6 B/px of one map's pixels, read in a
-    # child by ``peak_growth``, on maps large enough that RANSAC's arrays, which
-    # grow with the matches and not with the pixels, stay small beside them.
+    # child by ``peak_growth``. RANSAC scores its hypotheses ``HYPOTHESIS_BYTES``
+    # of residuals at a time, so its arrays grow with the matches alone, and
+    # stay small beside the maps.
     height, width = 2000, 3000
     rng = np.random.default_rng(9)
     paths = []

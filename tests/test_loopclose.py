@@ -1,8 +1,12 @@
 """Descriptor matching, robust fitting, and the dual-detector verdict."""
 
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from sarloop import (DetectorConfig, FeatureSet, GrayImage, LoopDecision, MatchR
 from sarloop.features import base as feature_base
 from sarloop.features import (corners, detect_and_describe, load_feature_set,
                               register_detector, save_feature_set)
+from sarloop import loopclose
 from sarloop.geometry import wrap_angle
 from sarloop.loopclose import (REPORT_COLUMNS, estimate_similarity_ransac, format_report_table,
                                fuse_transform, hamming_distances, knn_match,
@@ -173,6 +178,113 @@ def test_ransac_refuses_degenerate_input():
     with pytest.raises(ValueError, match="\\(n, 2\\)"):
         estimate_similarity_ransac(np.zeros((3, 3)), np.zeros((3, 3)), RunConfig(),
                                    resolution_m=1.0)
+
+
+def one_shot_ransac(src, dst, cfg, resolution_m):
+    """RANSAC scoring every hypothesis at once, in an ``(iters, n)`` array: the
+    formula that ``estimate_similarity_ransac`` scores in chunks."""
+    n = len(src)
+    z = src[:, 0] + 1j * src[:, 1]
+    w = dst[:, 0] + 1j * dst[:, 1]
+    idx = np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.ransac_iters, 2))
+    z1, z2 = z[idx[:, 0]], z[idx[:, 1]]
+    w1, w2 = w[idx[:, 0]], w[idx[:, 1]]
+    dz = z2 - z1
+    valid = dz != 0
+    a = np.divide(w2 - w1, dz, out=np.zeros_like(dz), where=valid)
+    valid &= a != 0
+    b = w1 - a * z1
+    inlier = np.abs(a[:, None] * z[None, :] + b[:, None] - w[None, :]) <= cfg.ransac_inlier_px
+    counts = np.where(valid, inlier.sum(axis=1), 0)
+    best = int(counts.argmax())
+    if counts[best] < cfg.ransac_min_inliers:
+        return None, np.zeros(n, dtype=bool)
+    mask = inlier[best]
+    zc, wc = z[mask], w[mask]
+    zm, wm = zc.mean(), wc.mean()
+    denom = float(np.sum(np.abs(zc - zm) ** 2))
+    a_fit = np.sum((wc - wm) * np.conj(zc - zm)) / denom if denom > 0 else a[best]
+    if a_fit == 0:
+        a_fit = a[best]
+    b_fit = wm - a_fit * zm
+    final = np.abs(a_fit * z + b_fit - w) <= cfg.ransac_inlier_px
+    return SimilarityTransform(float(np.abs(a_fit)), float(b_fit.real) * resolution_m,
+                               float(b_fit.imag) * resolution_m, float(np.angle(a_fit))), final
+
+
+def correspondences(kind, n, rng):
+    """``n`` random pixel correspondences of one ``kind``, about a third of the
+    points repeated (pairs of them give dz == 0): ``similarity`` (a quarter
+    outliers, a few more only near the transform), ``shifted`` (a shift by whole
+    pixels, every third point a further 3 px off, ``ransac_inlier_px`` exactly) or
+    ``collapsed`` (two thirds of the points map to one point, so pairs of them
+    propose a == 0)."""
+    src = rng.integers(0, 40, size=(n, 2)).astype(np.float64)
+    src[rng.integers(0, n, n // 3)] = src[rng.integers(0, n, n // 3)]
+    if kind == "similarity":
+        dst = similarity_apply(SimilarityTransform(1.01, 3.0, -2.0, 0.2), src)
+        dst[: n // 4] = rng.uniform(0, 40, size=(n // 4, 2))
+        dst[n // 4: n // 3] += rng.uniform(-4, 4, size=(n // 3 - n // 4, 2))
+    elif kind == "shifted":
+        dst = src + [5.0, -2.0]
+        dst[::3, 0] += 3.0
+    else:
+        dst = rng.uniform(0, 40, size=(n, 2))
+        dst[: 2 * n // 3] = dst[0]
+    return src, dst
+
+
+@pytest.mark.parametrize("budget", [1, 16 * 7 * 3 + 5, None])
+@pytest.mark.parametrize("n, iters, seed", [(2, 1, 0), (2, 7, 1), (3, 1, 2), (7, 10, 3),
+                                            (40, 201, 4), (150, 2000, 5), (11, 64, 6)])
+def test_chunked_ransac_equals_the_one_shot_formula(monkeypatch, budget, n, iters, seed):
+    # A budget of 1 byte scores one hypothesis per chunk; 16 * 7 * 3 + 5 bytes
+    # score three hypotheses of seven points per chunk, so chunk edges fall
+    # mid-range; None keeps the default.
+    if budget is not None:
+        monkeypatch.setattr(loopclose, "HYPOTHESIS_BYTES", budget)
+    rng = np.random.default_rng(seed)
+    for kind in ("similarity", "shifted", "collapsed"):
+        src, dst = correspondences(kind, n, rng)
+        for min_inliers in (2, 3, n):
+            cfg = RunConfig(seed=seed, ransac_iters=iters,
+                            ransac_min_inliers=max(2, min_inliers))
+            t, mask = estimate_similarity_ransac(src, dst, cfg, resolution_m=0.01)
+            expect_t, expect_mask = one_shot_ransac(src, dst, cfg, 0.01)
+            assert t == expect_t
+            assert mask.dtype == bool and np.array_equal(mask, expect_mask)
+    # one point repeated: every hypothesis is degenerate, in both forms
+    same = np.repeat(src[:1], n, axis=0)
+    cfg = RunConfig(seed=seed, ransac_iters=iters)
+    t, mask = estimate_similarity_ransac(same, same + 1.0, cfg, resolution_m=1.0)
+    assert t is None and not mask.any()
+    assert one_shot_ransac(same, same + 1.0, cfg, 1.0)[0] is None
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_ransac_memory_does_not_grow_with_iterations_times_matches():
+    # 5,000 correspondences at the default 2,000 iterations: scored at once, the
+    # residuals alone would take 2,000 x 5,000 x 16 B = 160 MB. Bound: 16 MB of
+    # VmHWM growth in a child process, which counts what the call touches.
+    code = ("import numpy as np\n"
+            "from sarloop import RunConfig\n"
+            "from sarloop.loopclose import estimate_similarity_ransac\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "rng = np.random.default_rng(7)\n"
+            "src = rng.uniform(0, 500, (5000, 2))\n"
+            "dst = src + rng.normal(0, 2, (5000, 2))\n"
+            "before = peak()\n"
+            "t, mask = estimate_similarity_ransac(src, dst, RunConfig(seed=1), resolution_m=1.0)\n"
+            "print(t is not None, 1024 * (peak() - before))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(loopclose.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    found, grown = done.stdout.split()
+    assert found == "True"
+    assert int(grown) <= 16 << 20
 
 
 def test_match_feature_sets_pairs_coordinates_by_descriptor():
